@@ -118,7 +118,7 @@ func TestAnalyzerAgreesWithReleaseEmpirically(t *testing.T) {
 	const trials = 3000
 	var sumSq float64
 	for i := 0; i < trials; i++ {
-		rel, err := privelet.Publish(empty, privelet.Options{Epsilon: 1.0, Seed: uint64(i)})
+		rel, err := publishTable(t, empty, "privelet+", privelet.Params{Epsilon: 1.0, Seed: uint64(i)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,12 +14,12 @@ import (
 	"testing"
 	"time"
 
-	privelet "repro"
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/experiment"
 	"repro/internal/haar"
+	"repro/internal/hay"
 	"repro/internal/hierarchy"
 	"repro/internal/matrix"
 	"repro/internal/nominal"
@@ -338,13 +338,13 @@ func BenchmarkExtensionHay1D(b *testing.B) {
 		var haySq, privSq float64
 		for t := 0; t < trials; t++ {
 			seed := uint64(i*trials + t)
-			hres, err := privelet.PublishHistogram(hist, 1.0, seed)
+			hres, err := hay.Publish(context.Background(), hist, 1.0, seed)
 			if err != nil {
 				b.Fatal(err)
 			}
 			var hv float64
 			for j := 100; j <= 899; j++ {
-				hv += hres[j]
+				hv += hres.Histogram[j]
 			}
 			haySq += (hv - act) * (hv - act)
 			pres, err := core.PublishMatrix(context.Background(), m, s, core.Options{Epsilon: 1.0, Seed: seed})

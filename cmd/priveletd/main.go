@@ -77,6 +77,11 @@
 // every release is also written through to disk, so the daemon survives
 // restarts, and -max-resident bounds how many releases keep their matrix
 // in memory — colder ones are served by transparent reload from disk.
+// A reload memory-maps the spill file and answers from its persisted
+// summed-area table with no decode or prefix-sum work; only a legacy
+// format-v1 file, or one whose table fails its checksum, rebuilds the
+// table (internal/mmapfile falls back to an aligned heap read where
+// mapping is unavailable).
 //
 // Each release carries an LRU answer cache (sized in entries by
 // -answer-cache, 0 disables): repeat queries — singly via /count or
@@ -129,7 +134,6 @@ func main() {
 		ringVersion = flag.Uint64("ring-version", 0, "membership version of -peers; bump it on every peer-list change — internal calls from peers still on an older version are refused with a typed 409")
 		repairEvery = flag.Duration("repair-interval", cluster.DefaultRepairInterval, "anti-entropy sweep interval (node mode with -peers; 0 disables the background loop, POST /internal/repair still works)")
 		repairJit   = flag.Duration("repair-jitter", 0, "max random delay added to each sweep's wait so a fleet restarted together doesn't list every peer in lockstep (0 = 10% of -repair-interval, negative disables)")
-		useMMap     = flag.Bool("mmap", true, "memory-map spilled releases' summed-area tables on reload (durable format v2): zero prefix-sum work and page-cache-bounded residency; off falls back to heap reloads (still rebuild-free for v2 files)")
 	)
 	flag.Parse()
 
@@ -151,7 +155,7 @@ func main() {
 		// rebuilds (startup recovery and spilled-release reloads);
 		// rebuilds are bit-identical at any worker count, so this is
 		// latency-only.
-		st, err := store.New(store.Config{Dir: *storeDir, MaxResident: *maxResident, Shards: *shards, Parallelism: *workers, AnswerCache: *answerCache, NoMMap: !*useMMap})
+		st, err := store.New(store.Config{Dir: *storeDir, MaxResident: *maxResident, Shards: *shards, Parallelism: *workers, AnswerCache: *answerCache})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -76,16 +76,6 @@
 // The HTTP server ties each publish to its request context, so a
 // disconnected client cancels its own in-flight work (reported as 499).
 //
-// # Migrating from the pre-Mechanism API
-//
-// The original entry points remain as thin wrappers and produce
-// bit-identical releases: Publish(t, Options{...}) is
-// PublishWith(ctx, "privelet+", TableFrequency(t), Params{...}),
-// PublishBasic is the "basic" mechanism, and PublishHistogram is the
-// "hay" mechanism's slice-in/slice-out form. New code should prefer the
-// Publisher/PublishWith surface: it streams, cancels, and selects
-// mechanisms by name.
-//
 // # Publish engine
 //
 // Publishing runs on a parallel, allocation-frugal engine. The Figure-5

@@ -1,14 +1,16 @@
 package privelet_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	privelet "repro"
 )
 
-// Example demonstrates the end-to-end flow: schema, table, publish,
-// query. A huge ε keeps the output deterministic for the doc test.
+// Example demonstrates the end-to-end flow: schema, streamed rows,
+// publish, query. A huge ε keeps the output deterministic for the doc
+// test.
 func Example() {
 	gender, err := privelet.FlatHierarchy(2)
 	if err != nil {
@@ -21,13 +23,16 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	table := privelet.NewTable(schema)
+	pub, err := privelet.NewPublisher(schema)
+	if err != nil {
+		log.Fatal(err)
+	}
 	for _, row := range [][2]int{{1, 0}, {2, 1}, {2, 0}, {5, 1}, {7, 0}} {
-		if err := table.Append(row[0], row[1]); err != nil {
+		if err := pub.Add(row[0], row[1]); err != nil {
 			log.Fatal(err)
 		}
 	}
-	rel, err := privelet.Publish(table, privelet.Options{
+	rel, err := pub.Publish(context.Background(), "privelet+", privelet.Params{
 		Epsilon:  1e12, // effectively noiseless, for a stable example
 		Seed:     1,
 		Sanitize: true,

@@ -3,14 +3,10 @@
 // predicates become contiguous leaf intervals, and how the nominal
 // wavelet transform's utility bound beats the ordinalized Haar bound
 // (§V-D) for hierarchy-shaped domains.
-//
-// This example deliberately stays on the legacy Table + Publish(Options)
-// wrappers to demonstrate that they keep working unchanged on top of the
-// Mechanism/Publisher API (quickstart and census show the current entry
-// points).
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -46,19 +42,23 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// A small shipment log: (country leaf, year).
-	table := privelet.NewTable(schema)
+	// A small shipment log: (country leaf, year), streamed into the
+	// publisher's frequency matrix.
+	pub, err := privelet.NewPublisher(schema)
+	if err != nil {
+		log.Fatal(err)
+	}
 	data := [][2]int{
 		{0, 3}, {0, 4}, {1, 3}, {2, 7}, {3, 9}, {3, 10}, {3, 11},
 		{4, 2}, {5, 5}, {6, 8}, {7, 8}, {7, 9}, {8, 1}, {0, 12},
 	}
 	for _, d := range data {
-		if err := table.Append(d[0], d[1]); err != nil {
+		if err := pub.Add(d[0], d[1]); err != nil {
 			log.Fatal(err)
 		}
 	}
 
-	release, err := privelet.Publish(table, privelet.Options{Epsilon: 2.0, Seed: 3})
+	release, err := pub.Publish(context.Background(), "privelet+", privelet.Params{Epsilon: 2.0, Seed: 3})
 	if err != nil {
 		log.Fatal(err)
 	}

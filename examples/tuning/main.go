@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -48,6 +49,10 @@ func main() {
 		log.Fatal(err)
 	}
 	truth := query.NewEvaluator(truthM)
+	freq, err := privelet.TableFrequency(table)
+	if err != nil {
+		log.Fatal(err)
+	}
 	gen, err := workload.NewGenerator(schema, 4)
 	if err != nil {
 		log.Fatal(err)
@@ -67,7 +72,7 @@ func main() {
 	}
 	fmt.Printf("%-28s %16s\n", "choice", "mean sq error")
 	for _, c := range choices {
-		rel, err := privelet.Publish(table, privelet.Options{Epsilon: 1.0, SA: c.sa, Seed: 17})
+		rel, err := privelet.PublishWith(context.Background(), "privelet+", freq, privelet.Params{Epsilon: 1.0, SA: c.sa, Seed: 17})
 		if err != nil {
 			log.Fatal(err)
 		}

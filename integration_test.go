@@ -291,7 +291,7 @@ func TestCodecCrossesToolBoundaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel, err := privelet.Publish(tbl, privelet.Options{Epsilon: 2, Seed: 13})
+	rel, err := publishTable(t, tbl, "privelet+", privelet.Params{Epsilon: 2, Seed: 13})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestCodecCrossesToolBoundaries(t *testing.T) {
 	if err := rel.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	payload, err := codec.Decode(bytes.NewReader(buf.Bytes()))
+	payload, _, err := codec.DecodeMapped(buf.Bytes(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -107,7 +107,6 @@ type chaosFleet struct {
 	health *Health
 	router *httptest.Server
 	budget float64
-	noMMap bool
 	nodes  map[string]*chaosNode
 }
 
@@ -116,16 +115,8 @@ type chaosFleet struct {
 // chaosRingVersion. budget > 0 gives each node's ledger that default
 // per-tenant ε budget.
 func startChaosFleet(tb testing.TB, n, replicas int, budget float64) *chaosFleet {
-	return startChaosFleetMMap(tb, n, replicas, budget, false)
-}
-
-// startChaosFleetMMap is startChaosFleet with the stores' mmap reload
-// path switched off (noMMap) — the kill/restart scenarios run under
-// both residency models, since recovery is where the mapped path
-// matters most.
-func startChaosFleetMMap(tb testing.TB, n, replicas int, budget float64, noMMap bool) *chaosFleet {
 	tb.Helper()
-	f := &chaosFleet{tb: tb, budget: budget, noMMap: noMMap, nodes: make(map[string]*chaosNode, n)}
+	f := &chaosFleet{tb: tb, budget: budget, nodes: make(map[string]*chaosNode, n)}
 	ringNodes := make([]Node, n)
 	for i := 0; i < n; i++ {
 		// The listener is allocated before the ring exists: placement
@@ -191,7 +182,7 @@ func (f *chaosFleet) newRouter() *httptest.Server {
 // exists (armRepairer); until then the node serves but cannot sweep.
 func (f *chaosFleet) bootNode(node *chaosNode, ln net.Listener) {
 	f.tb.Helper()
-	st, err := store.New(store.Config{Dir: node.dir, NoMMap: f.noMMap})
+	st, err := store.New(store.Config{Dir: node.dir})
 	if err != nil {
 		f.tb.Fatal(err)
 	}
@@ -465,15 +456,14 @@ type deleteOutcome struct {
 // later the release is on all R replicas, bit-identical, and the budget
 // was charged exactly once (the repaired copy cost nothing).
 func TestChaosPublishWithDeadReplicaConvergesAfterRestart(t *testing.T) {
-	// The scenario exercises kill → restart → spill recovery → repair;
-	// run it under both residency models so the mapped reload path and
-	// the heap fallback both survive chaos.
-	t.Run("mmap", func(t *testing.T) { chaosDeadReplicaConverges(t, false) })
-	t.Run("nommap", func(t *testing.T) { chaosDeadReplicaConverges(t, true) })
+	// The scenario exercises kill → restart → spill recovery (the mapped
+	// reload path) → repair (the pushed copy goes through the decoder
+	// every replica ingest shares).
+	t.Run("mmap", chaosDeadReplicaConverges)
 }
 
-func chaosDeadReplicaConverges(t *testing.T, noMMap bool) {
-	f := startChaosFleetMMap(t, 3, 2, 1.0, noMMap)
+func chaosDeadReplicaConverges(t *testing.T) {
+	f := startChaosFleet(t, 3, 2, 1.0)
 	reps := f.ring.ReplicasFor("alice")
 	primary, follower := reps[0].Name, reps[1].Name
 

@@ -34,15 +34,22 @@
 //	end     "PVL2"                   4 bytes
 //
 // The 8-byte alignment of both float64 sections is what lets a reader
-// memory-map the file and serve queries straight from the mapped table
-// (DecodeMapped); the checksum is what keeps a torn or bit-flipped
-// table from silently answering garbage — a failed check surfaces as
-// ErrTable with the (still intact) matrix payload, so callers rebuild
-// the table instead of trusting it. Strings are varint length + UTF-8
-// bytes. The format is self-describing enough for forward-compatible
-// readers to reject unknown versions cleanly, and version-1 files
-// remain fully readable forever (golden artifacts pin this in
-// testdata/).
+// memory-map the file and serve queries straight from the mapped table;
+// the checksum is what keeps a torn or bit-flipped table from silently
+// answering garbage — a failed check surfaces as ErrTable with the
+// (still intact) matrix payload, so callers rebuild the table instead
+// of trusting it. Strings are varint length + UTF-8 bytes. The format
+// is self-describing enough for forward-compatible readers to reject
+// unknown versions cleanly, and version-1 files remain fully readable
+// forever (golden artifacts pin this in testdata/).
+//
+// There is one decoder, DecodeMapped, over a byte slice: mapped spill
+// files hand it their pages, and stream readers (store.DecodeRelease)
+// first read the stream into an 8-byte-aligned buffer
+// (mmapfile.ReadAligned). Because the whole input is in hand, every
+// length the header declares is checked against the bytes actually
+// present before it is allocated, so decode memory is bounded by the
+// input's length — these bytes arrive from disk and from peers.
 package codec
 
 import (
@@ -56,6 +63,7 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"slices"
 	"unsafe"
 
 	"repro/internal/dataset"
@@ -82,8 +90,8 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrTable tags a version-2 decode whose summed-area table section is
 // unreadable — checksum mismatch, truncated tail, or missing end magic —
-// while the payload proper (meta, schema, matrix) decoded fine. Decode
-// and DecodeMapped return the intact payload WITH an error wrapping
+// while the payload proper (meta, schema, matrix) decoded fine.
+// DecodeMapped returns the intact payload WITH an error wrapping
 // ErrTable in that case: callers must not serve the table, but they can
 // (and the store does) rebuild it from the matrix instead of failing
 // the whole release. Test with errors.Is.
@@ -157,7 +165,7 @@ func Encode(w io.Writer, p *Payload) error {
 	}
 	ver := uint16(version1)
 	if p.Table != nil {
-		if !equalDims(p.Table.Dims(), p.Noisy.Dims()) {
+		if !slices.Equal(p.Table.Dims(), p.Noisy.Dims()) {
 			return fmt.Errorf("codec: table dims %v do not match matrix dims %v", p.Table.Dims(), p.Noisy.Dims())
 		}
 		ver = version2
@@ -218,49 +226,6 @@ func Encode(w io.Writer, p *Payload) error {
 	return bw.Flush()
 }
 
-// reader is what the sequential decoder needs — satisfied by both
-// *bufio.Reader (streams) and *bytes.Reader (mapped buffers).
-type reader interface {
-	io.Reader
-	io.ByteReader
-}
-
-// Decode reads a payload from r (format version 1 or 2). For a
-// version-2 stream whose table section fails its checksum or is
-// truncated, Decode returns the intact payload (Table nil) together
-// with an error wrapping ErrTable — see ErrTable for the contract.
-func Decode(r io.Reader) (*Payload, error) {
-	br := bufio.NewReader(r)
-	ver, err := readHeader(br)
-	if err != nil {
-		return nil, err
-	}
-	p, dims, err := decodeCommon(br)
-	if err != nil {
-		return nil, err
-	}
-	m, err := matrix.New(dims...)
-	if err != nil {
-		return nil, err
-	}
-	if ver == version2 {
-		if err := skipPad(br); err != nil {
-			return nil, fmt.Errorf("codec: matrix padding: %w", err)
-		}
-	}
-	if err := readFloats(br, m.Data(), nil); err != nil {
-		return nil, fmt.Errorf("codec: matrix entries: %w", err)
-	}
-	p.Noisy = m
-	if ver == version1 {
-		return p, nil
-	}
-	if err := decodeTable(br, p, dims); err != nil {
-		return p, fmt.Errorf("codec: %v: %w", err, ErrTable)
-	}
-	return p, nil
-}
-
 // MapInfo reports which sections of a DecodeMapped payload are zero-copy
 // views over the caller's buffer (as opposed to heap copies) — the
 // store's residency accounting distinguishes the two on /stats.
@@ -271,18 +236,23 @@ type MapInfo struct {
 	Table bool
 }
 
-// DecodeMapped decodes a payload from an in-memory buffer — typically a
-// memory-mapped spill file — wrapping the float64 sections zero-copy
-// where the format allows it (version 2, little-endian host, 8-byte
-// aligned buffer): the returned matrices then read straight from data's
-// pages, and reloading a release costs no decode and no prefix-sum
-// work. pin is retained by every zero-copy matrix (matrix.Wrap), so a
-// finalizer-managed mapping stays alive as long as any view of it;
-// callers must not mutate data afterwards. Sections that cannot be
-// wrapped (version-1 input, misalignment, byte-swapped host) are copied
-// instead — same values, heap-backed. The ErrTable contract matches
-// Decode: a corrupt table section returns the intact payload plus an
-// error wrapping ErrTable.
+// DecodeMapped decodes a payload (format version 1 or 2) from an
+// in-memory buffer — a memory-mapped spill file, or a stream read into
+// an aligned heap buffer (store.DecodeRelease) — and is the codec's one
+// decoder. It wraps the version-2 float64 sections zero-copy where the
+// host allows it (little-endian, 8-byte-aligned buffer): the returned
+// matrices then read straight from data, and reloading a release costs
+// no decode and no prefix-sum work. pin is retained by every zero-copy
+// matrix (matrix.Wrap), so a finalizer-managed mapping stays alive as
+// long as any view of it; callers must not mutate data afterwards.
+// Sections that cannot be wrapped (version-1 input, misalignment,
+// byte-swapped host) are copied instead — same values, heap-backed.
+//
+// Memory scales with the input, never with the header: every float64
+// section is bounds-checked against the bytes actually present before
+// anything is allocated for it, so a short input that declares a huge
+// matrix fails cheaply. A version-2 buffer whose table section is
+// corrupt returns the intact payload plus an error wrapping ErrTable.
 func DecodeMapped(data []byte, pin any) (*Payload, MapInfo, error) {
 	// pin must stay reachable for as long as data is read: a
 	// finalizer-managed mapping (mmapfile.File) whose last reference is
@@ -298,23 +268,17 @@ func DecodeMapped(data []byte, pin any) (*Payload, MapInfo, error) {
 	if err != nil {
 		return nil, info, err
 	}
-	p, dims, err := decodeCommon(r)
+	p, dims, n, err := decodeCommon(r)
 	if err != nil {
 		return nil, info, err
 	}
-	n := p.Schema.DomainSize()
-	if ver == version1 {
-		m, err := matrix.New(dims...)
-		if err != nil {
-			return nil, info, err
+	if ver == version2 {
+		if err := skipPad(r); err != nil {
+			return nil, info, fmt.Errorf("codec: matrix padding: %w", err)
 		}
-		if err := readFloats(r, m.Data(), nil); err != nil {
-			return nil, info, fmt.Errorf("codec: matrix entries: %w", err)
-		}
-		p.Noisy = m
-		return p, info, nil
 	}
-	noisyVals, _, noisyMapped, err := takeFloats(data, r, n, pin)
+	// Version 1 has no alignment pad, so its matrix is always copied.
+	noisyVals, _, noisyMapped, err := takeFloats(data, r, n, ver == version2)
 	if err != nil {
 		return nil, info, fmt.Errorf("codec: matrix entries: %w", err)
 	}
@@ -322,6 +286,9 @@ func DecodeMapped(data []byte, pin any) (*Payload, MapInfo, error) {
 		return nil, info, err
 	}
 	info.Noisy = noisyMapped
+	if ver == version1 {
+		return p, info, nil
+	}
 	if err := mapTable(data, r, p, dims, n, pin, &info); err != nil {
 		return p, info, fmt.Errorf("codec: %v: %w", err, ErrTable)
 	}
@@ -332,7 +299,10 @@ func DecodeMapped(data []byte, pin any) (*Payload, MapInfo, error) {
 // p, verifying the checksum against the raw bytes. Any failure leaves p
 // without a table (the caller wraps the error in ErrTable).
 func mapTable(data []byte, r *bytes.Reader, p *Payload, dims []int, n int, pin any, info *MapInfo) error {
-	tableVals, raw, tableMapped, err := takeFloats(data, r, n, pin)
+	if err := skipPad(r); err != nil {
+		return fmt.Errorf("table padding: %v", err)
+	}
+	tableVals, raw, tableMapped, err := takeFloats(data, r, n, true)
 	if err != nil {
 		return fmt.Errorf("table entries: %v", err)
 	}
@@ -365,28 +335,22 @@ func mapTable(data []byte, r *bytes.Reader, p *Payload, dims []int, n int, pin a
 	return nil
 }
 
-// takeFloats consumes one padded float64 section of a mapped buffer:
-// it skips the alignment pad, bounds-checks the section, and returns it
-// as a []float64 — aliasing data (mapped=true) when the host is
-// little-endian and the section is 8-byte aligned, a heap copy
-// otherwise — plus the raw bytes for checksumming.
-func takeFloats(data []byte, r *bytes.Reader, n int, pin any) (vals []float64, raw []byte, mapped bool, err error) {
-	if err := skipPad(r); err != nil {
-		return nil, nil, false, err
+// takeFloats consumes n little-endian float64s at r's position in data,
+// bounds-checked against the bytes left before anything is allocated.
+// With zeroCopy on a little-endian host and an 8-byte-aligned section
+// the values alias data (mapped=true); otherwise they are a heap copy.
+// raw is the section's bytes, for checksumming.
+func takeFloats(data []byte, r *bytes.Reader, n int, zeroCopy bool) (vals []float64, raw []byte, mapped bool, err error) {
+	if n > r.Len()/8 {
+		return nil, nil, false, io.ErrUnexpectedEOF
 	}
 	off := len(data) - r.Len()
 	end := off + n*8
-	if n < 0 || end < off || end > len(data) {
-		return nil, nil, false, io.ErrUnexpectedEOF
-	}
 	raw = data[off:end:end]
 	if _, err := r.Seek(int64(n)*8, io.SeekCurrent); err != nil {
 		return nil, nil, false, err
 	}
-	if n == 0 {
-		return []float64{}, raw, false, nil
-	}
-	if hostLittleEndian && uintptr(unsafe.Pointer(&raw[0]))%8 == 0 {
+	if zeroCopy && hostLittleEndian && uintptr(unsafe.Pointer(&raw[0]))%8 == 0 {
 		return unsafe.Slice((*float64)(unsafe.Pointer(&raw[0])), n), raw, true, nil
 	}
 	vals = make([]float64, n)
@@ -406,7 +370,7 @@ func pinIf(mapped bool, pin any) any {
 }
 
 // readHeader consumes and validates the magic and version.
-func readHeader(r reader) (uint16, error) {
+func readHeader(r *bytes.Reader) (uint16, error) {
 	var head [4]byte
 	if _, err := io.ReadFull(r, head[:]); err != nil {
 		return 0, fmt.Errorf("codec: reading magic: %w", err)
@@ -427,86 +391,44 @@ func readHeader(r reader) (uint16, error) {
 // decodeCommon reads the sections shared by both versions — meta,
 // schema, matrix dims — and cross-validates the dims against the
 // schema, so no float64 section is read for a structurally broken file.
-func decodeCommon(r reader) (*Payload, []int, error) {
-	var p Payload
-	var err error
+// n is the matrix entry count, at most matrix.MaxEntries.
+func decodeCommon(r *bytes.Reader) (p *Payload, dims []int, n int, err error) {
+	p = &Payload{}
 	if p.Meta.Mechanism, err = readString(r); err != nil {
-		return nil, nil, fmt.Errorf("codec: mechanism: %w", err)
+		return nil, nil, 0, fmt.Errorf("codec: mechanism: %w", err)
 	}
 	for _, dst := range []*float64{&p.Meta.Epsilon, &p.Meta.Rho, &p.Meta.Lambda, &p.Meta.Bound} {
 		if err := binary.Read(r, binary.LittleEndian, dst); err != nil {
-			return nil, nil, fmt.Errorf("codec: meta floats: %w", err)
+			return nil, nil, 0, fmt.Errorf("codec: meta floats: %w", err)
 		}
 	}
 	if p.Schema, err = decodeSchema(r); err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
-	nd, err := readUvarint(r)
+	nd, err := binary.ReadUvarint(r)
 	if err != nil {
-		return nil, nil, fmt.Errorf("codec: matrix dim count: %w", err)
+		return nil, nil, 0, fmt.Errorf("codec: matrix dim count: %w", err)
 	}
 	if nd == 0 || nd > 64 {
-		return nil, nil, fmt.Errorf("codec: implausible dimensionality %d", nd)
+		return nil, nil, 0, fmt.Errorf("codec: implausible dimensionality %d", nd)
 	}
-	dims := make([]int, nd)
+	dims = make([]int, nd)
+	n = 1
 	for i := range dims {
-		d, err := readUvarint(r)
+		d, err := binary.ReadUvarint(r)
 		if err != nil {
-			return nil, nil, fmt.Errorf("codec: matrix dim %d: %w", i, err)
+			return nil, nil, 0, fmt.Errorf("codec: matrix dim %d: %w", i, err)
 		}
-		if d == 0 || d > matrix.MaxEntries {
-			return nil, nil, fmt.Errorf("codec: implausible dimension size %d", d)
+		if d == 0 || d > uint64(matrix.MaxEntries/n) {
+			return nil, nil, 0, fmt.Errorf("codec: implausible dimension size %d", d)
 		}
 		dims[i] = int(d)
+		n *= dims[i]
 	}
-	want := p.Schema.Dims()
-	if len(want) != len(dims) {
-		return nil, nil, fmt.Errorf("codec: matrix dimensionality %d does not match schema %d", len(dims), len(want))
+	if want := p.Schema.Dims(); !slices.Equal(dims, want) {
+		return nil, nil, 0, fmt.Errorf("codec: matrix shape %v does not match schema %v", dims, want)
 	}
-	for i := range want {
-		if want[i] != dims[i] {
-			return nil, nil, fmt.Errorf("codec: matrix shape %v does not match schema %v", dims, want)
-		}
-	}
-	return &p, dims, nil
-}
-
-// decodeTable reads the version-2 tail of a sequential stream: pad,
-// table, total, checksum, end magic. Errors leave p table-less.
-func decodeTable(r reader, p *Payload, dims []int) error {
-	if err := skipPad(r); err != nil {
-		return fmt.Errorf("table padding: %v", err)
-	}
-	tm, err := matrix.New(dims...)
-	if err != nil {
-		return err
-	}
-	h := crc32.New(crcTable)
-	if err := readFloats(r, tm.Data(), h); err != nil {
-		return fmt.Errorf("table entries: %v", err)
-	}
-	var tot [8]byte
-	if _, err := io.ReadFull(r, tot[:]); err != nil {
-		return fmt.Errorf("table total: %v", err)
-	}
-	h.Write(tot[:])
-	total := math.Float64frombits(binary.LittleEndian.Uint64(tot[:]))
-	var crc uint32
-	if err := binary.Read(r, binary.LittleEndian, &crc); err != nil {
-		return fmt.Errorf("table checksum: %v", err)
-	}
-	if got := h.Sum32(); got != crc {
-		return fmt.Errorf("table checksum mismatch: file says %08x, bytes hash to %08x", crc, got)
-	}
-	var tail [4]byte
-	if _, err := io.ReadFull(r, tail[:]); err != nil {
-		return fmt.Errorf("end magic: %v", err)
-	}
-	if string(tail[:]) != endMagic {
-		return fmt.Errorf("bad end magic %q", tail)
-	}
-	p.Table, p.Total = tm, total
-	return nil
+	return p, dims, n, nil
 }
 
 func encodeSchema(w *countWriter, s *dataset.Schema) error {
@@ -533,8 +455,8 @@ func encodeSchema(w *countWriter, s *dataset.Schema) error {
 	return nil
 }
 
-func decodeSchema(r reader) (*dataset.Schema, error) {
-	count, err := readUvarint(r)
+func decodeSchema(r *bytes.Reader) (*dataset.Schema, error) {
+	count, err := binary.ReadUvarint(r)
 	if err != nil {
 		return nil, fmt.Errorf("codec: attr count: %w", err)
 	}
@@ -551,7 +473,7 @@ func decodeSchema(r reader) (*dataset.Schema, error) {
 		if err != nil {
 			return nil, fmt.Errorf("codec: attr %d kind: %w", i, err)
 		}
-		size, err := readUvarint(r)
+		size, err := binary.ReadUvarint(r)
 		if err != nil {
 			return nil, fmt.Errorf("codec: attr %d size: %w", i, err)
 		}
@@ -594,7 +516,7 @@ func encodeNode(w *countWriter, n *hierarchy.Node) error {
 	return nil
 }
 
-func decodeNode(r reader, depth int) (*hierarchy.Node, error) {
+func decodeNode(r *bytes.Reader, depth int) (*hierarchy.Node, error) {
 	if depth > maxHierarchyDepth {
 		return nil, fmt.Errorf("codec: hierarchy deeper than %d", maxHierarchyDepth)
 	}
@@ -602,11 +524,11 @@ func decodeNode(r reader, depth int) (*hierarchy.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	kids, err := readUvarint(r)
+	kids, err := binary.ReadUvarint(r)
 	if err != nil {
 		return nil, err
 	}
-	if kids > 1<<20 {
+	if kids > 1<<20 || kids > uint64(r.Len()/2) { // each child takes ≥ 2 bytes
 		return nil, fmt.Errorf("codec: implausible child count %d", kids)
 	}
 	n := &hierarchy.Node{Label: label}
@@ -620,9 +542,9 @@ func decodeNode(r reader, depth int) (*hierarchy.Node, error) {
 	return n, nil
 }
 
-// floatChunk is the number of float64 values converted per I/O chunk —
-// 8 KiB buffers keep the encode/decode loops out of per-entry call
-// overhead without noticeable stack cost.
+// floatChunk is the number of float64 values converted per write —
+// 8 KiB buffers keep the encode loop out of per-entry call overhead
+// without noticeable stack cost.
 const floatChunk = 1024
 
 // writeFloats writes vals as little-endian float64, feeding the same
@@ -645,26 +567,6 @@ func writeFloats(w io.Writer, vals []float64, h hash.Hash32) error {
 	return nil
 }
 
-// readFloats fills dst from little-endian float64 bytes, feeding the
-// raw bytes to h when non-nil.
-func readFloats(r io.Reader, dst []float64, h hash.Hash32) error {
-	var buf [floatChunk * 8]byte
-	for len(dst) > 0 {
-		k := min(floatChunk, len(dst))
-		if _, err := io.ReadFull(r, buf[:k*8]); err != nil {
-			return err
-		}
-		if h != nil {
-			h.Write(buf[:k*8])
-		}
-		for i := range dst[:k] {
-			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
-		}
-		dst = dst[k:]
-	}
-	return nil
-}
-
 // writePad emits the version-2 alignment pad: one length byte plus that
 // many zeros, sized so the next write lands on an 8-byte boundary.
 func writePad(w *countWriter) error {
@@ -678,7 +580,7 @@ func writePad(w *countWriter) error {
 }
 
 // skipPad consumes an alignment pad written by writePad.
-func skipPad(r reader) error {
+func skipPad(r *bytes.Reader) error {
 	pad, err := r.ReadByte()
 	if err != nil {
 		return err
@@ -691,31 +593,19 @@ func skipPad(r reader) error {
 	return err
 }
 
-func equalDims(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 func writeString(w *countWriter, s string) error {
 	writeUvarint(w, uint64(len(s)))
 	_, err := w.WriteString(s)
 	return err
 }
 
-func readString(r reader) (string, error) {
-	n, err := readUvarint(r)
+func readString(r *bytes.Reader) (string, error) {
+	n, err := binary.ReadUvarint(r)
 	if err != nil {
 		return "", err
 	}
-	if n > maxStringLen {
-		return "", fmt.Errorf("codec: string length %d exceeds limit", n)
+	if n > maxStringLen || n > uint64(r.Len()) {
+		return "", fmt.Errorf("codec: string length %d exceeds limit or the %d bytes left", n, r.Len())
 	}
 	buf := make([]byte, n)
 	if _, err := io.ReadFull(r, buf); err != nil {
@@ -728,8 +618,4 @@ func writeUvarint(w *countWriter, v uint64) {
 	var buf [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(buf[:], v)
 	w.Write(buf[:n]) //nolint:errcheck // bufio.Writer caches the error for Flush
-}
-
-func readUvarint(r io.ByteReader) (uint64, error) {
-	return binary.ReadUvarint(r)
 }

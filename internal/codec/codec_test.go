@@ -3,7 +3,6 @@ package codec
 import (
 	"bytes"
 	"io"
-	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -35,13 +34,20 @@ func samplePayload(t testing.TB) *Payload {
 	}
 }
 
+// decode is DecodeMapped over raw without a pin, for tests that only
+// need the payload.
+func decode(raw []byte) (*Payload, error) {
+	p, _, err := DecodeMapped(raw, nil)
+	return p, err
+}
+
 func TestRoundTrip(t *testing.T) {
 	p := samplePayload(t)
 	var buf bytes.Buffer
 	if err := Encode(&buf, p); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decode(&buf)
+	got, err := decode(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +84,7 @@ func TestRoundTripNegativeAndSpecialFloats(t *testing.T) {
 	if err := Encode(&buf, p); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decode(&buf)
+	got, err := decode(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,10 +103,10 @@ func TestEncodeNilComponents(t *testing.T) {
 }
 
 func TestDecodeBadMagic(t *testing.T) {
-	if _, err := Decode(strings.NewReader("NOPE....")); err == nil {
+	if _, err := decode([]byte("NOPE....")); err == nil {
 		t.Error("bad magic should fail")
 	}
-	if _, err := Decode(strings.NewReader("PR")); err == nil {
+	if _, err := decode([]byte("PR")); err == nil {
 		t.Error("truncated magic should fail")
 	}
 }
@@ -113,7 +119,7 @@ func TestDecodeBadVersion(t *testing.T) {
 	}
 	raw := buf.Bytes()
 	raw[4] = 99 // clobber the version
-	if _, err := Decode(bytes.NewReader(raw)); err == nil {
+	if _, err := decode(raw); err == nil {
 		t.Error("unknown version should fail")
 	}
 }
@@ -127,7 +133,7 @@ func TestDecodeTruncated(t *testing.T) {
 	raw := buf.Bytes()
 	// Truncation at every prefix length must error, never panic.
 	for cut := 0; cut < len(raw); cut += 7 {
-		if _, err := Decode(bytes.NewReader(raw[:cut])); err == nil {
+		if _, err := decode(raw[:cut]); err == nil {
 			t.Fatalf("truncation at %d bytes decoded successfully", cut)
 		}
 	}
@@ -151,7 +157,7 @@ func TestDecodeCorruptedDims(t *testing.T) {
 					t.Fatalf("panic decoding corrupted byte %d: %v", pos, rec)
 				}
 			}()
-			payload, err := Decode(bytes.NewReader(mut))
+			payload, err := decode(mut)
 			if err == nil && payload != nil {
 				// Structurally valid decode of corrupt data is fine as
 				// long as invariants hold.

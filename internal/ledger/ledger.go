@@ -24,8 +24,8 @@
 //
 // With a directory configured the ledger is durable: every successful
 // Charge, Refund, Grant and NextEpoch writes the tenant's state file
-// before returning, in the same atomic tmp+rename discipline as the
-// release store's spill files, and New recovers every tenant from the
+// before returning through atomicfile, the same tmp+rename writer as
+// the release store's spill files, and New recovers every tenant from the
 // directory — so a budget refusal survives a daemon restart. Failure
 // ordering is conservative in the privacy direction: the debit is
 // durable before the publish runs, so a crash in between can strand
@@ -43,6 +43,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/atomicfile"
 )
 
 // Unit is the ledger's ε resolution: budgets and charges are rounded to
@@ -180,7 +182,7 @@ func (l *Ledger) recover() error {
 		// A crash mid-write strands a temp file; the rename never
 		// happened, so the .ledger file still holds the last committed
 		// state and the temp is garbage.
-		if strings.HasSuffix(name, fileExt+".tmp") {
+		if strings.HasSuffix(name, fileExt+atomicfile.TmpSuffix) {
 			os.Remove(filepath.Join(l.cfg.Dir, name))
 			continue
 		}

@@ -6,6 +6,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+
+	"repro/internal/atomicfile"
 )
 
 // State is one tenant's durable balance, in exact ledger units — the
@@ -82,23 +84,10 @@ func (l *Ledger) persist(t *tenant) error {
 	if l.cfg.Dir == "" {
 		return nil
 	}
-	path := l.statePath(t.name)
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+	err := atomicfile.Write(l.statePath(t.name), func(w io.Writer) error {
+		return EncodeState(w, State{Budget: t.budget, Spent: t.spent, Epoch: t.epoch})
+	})
 	if err != nil {
-		return fmt.Errorf("ledger: persisting tenant %q: %w", t.name, err)
-	}
-	if err := EncodeState(f, State{Budget: t.budget, Spent: t.spent, Epoch: t.epoch}); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("ledger: persisting tenant %q: %w", t.name, err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("ledger: persisting tenant %q: %w", t.name, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
 		return fmt.Errorf("ledger: persisting tenant %q: %w", t.name, err)
 	}
 	return nil

@@ -3,51 +3,15 @@
 package mmapfile
 
 import (
-	"fmt"
 	"os"
-	"runtime"
 	"syscall"
 )
 
-// openOS maps path read-only via mmap(2). The mapping is PROT_READ and
+// mapFile maps fh read-only via mmap(2). The mapping is PROT_READ and
 // MAP_SHARED, so pages are the page cache's — shared across processes
-// mapping the same spill file and reclaimable under pressure. On any
-// mmap failure it degrades to the aligned read-all path rather than
-// erroring: the caller asked for the bytes, not for a specific residency
-// story.
-func openOS(path string) (*File, error) {
-	fh, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer fh.Close()
-	st, err := fh.Stat()
-	if err != nil {
-		return nil, err
-	}
-	size := st.Size()
-	if size != int64(int(size)) || size < 0 {
-		return nil, fmt.Errorf("mmapfile: %s: size %d not addressable", path, size)
-	}
-	if size == 0 {
-		return &File{}, nil
-	}
-	data, err := syscall.Mmap(int(fh.Fd()), 0, int(size), syscall.PROT_READ, syscall.MAP_SHARED)
-	if err != nil {
-		return readAll(path)
-	}
-	f := &File{data: data, mapped: true}
-	runtime.SetFinalizer(f, (*File).finalize)
-	return f, nil
+// mapping the same spill file and reclaimable under pressure.
+func mapFile(fh *os.File, size int) ([]byte, error) {
+	return syscall.Mmap(int(fh.Fd()), 0, size, syscall.PROT_READ, syscall.MAP_SHARED)
 }
 
-// finalize unmaps when the File becomes unreachable. Every consumer of
-// Data() must therefore keep the File pinned (matrix.Wrap does), which
-// is what makes the no-explicit-Close design safe.
-func (f *File) finalize() {
-	if f.mapped && f.data != nil {
-		_ = syscall.Munmap(f.data)
-		f.data = nil
-		f.mapped = false
-	}
-}
+func unmap(data []byte) error { return syscall.Munmap(data) }

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	privelet "repro"
-	"repro/internal/codec"
 	"repro/internal/store"
 )
 
@@ -53,7 +52,7 @@ func TestPublishEveryMechanismRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		payload, err := codec.Decode(resp.Body)
+		payload, err := store.DecodeRelease(resp.Body)
 		resp.Body.Close()
 		if err != nil {
 			t.Fatalf("%s: decoding export: %v", name, err)

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -180,7 +179,7 @@ func TestExportRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, err := codec.Decode(bytes.NewReader(raw))
+	payload, _, err := codec.DecodeMapped(raw, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -149,14 +149,11 @@ func BenchmarkMixed8TenantsSingleMutex(b *testing.B) { benchMixed(b, newMutexSto
 // --- reload time-to-first-query -----------------------------------------
 //
 // The mmap tentpole's headline number: how long from Get() on a spilled
-// release to its first answered query. Three spill-file regimes:
+// release to its first answered query. The two reload outcomes:
 //
 //   Mapped  — format v2, memory-mapped: the evaluator is constructed
 //             directly over the file's summed-area table; the only
 //             per-reload work is decoding the (tiny) header.
-//   Decode  — format v2, NoMMap: the whole file is re-decoded
-//             sequentially, but the durable table still spares the
-//             prefix-sum rebuild.
 //   Rebuild — format v1 (the pre-v2 on-disk state): decode plus a full
 //             prefix-sum rebuild — what every reload cost before.
 //
@@ -191,7 +188,11 @@ func bigBenchPayload(b *testing.B, n int) *codec.Payload {
 // recreating what a pre-v2 node left on disk.
 func downgradeSpill(b *testing.B, s *Store, id string) {
 	b.Helper()
-	p, err := s.readSpill(id)
+	raw, err := os.ReadFile(s.spillPath(id))
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, _, err := codec.DecodeMapped(raw, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -205,9 +206,9 @@ func downgradeSpill(b *testing.B, s *Store, id string) {
 	}
 }
 
-func benchmarkReloadTTFQ(b *testing.B, noMMap, v1 bool) {
+func benchmarkReloadTTFQ(b *testing.B, v1 bool) {
 	const entries = 1 << 18
-	s, err := New(Config{MaxResident: 1, Dir: b.TempDir(), NoMMap: noMMap})
+	s, err := New(Config{MaxResident: 1, Dir: b.TempDir()})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -243,9 +244,8 @@ func benchmarkReloadTTFQ(b *testing.B, noMMap, v1 bool) {
 	}
 }
 
-func BenchmarkReloadTTFQMapped(b *testing.B)  { benchmarkReloadTTFQ(b, false, false) }
-func BenchmarkReloadTTFQDecode(b *testing.B)  { benchmarkReloadTTFQ(b, true, false) }
-func BenchmarkReloadTTFQRebuild(b *testing.B) { benchmarkReloadTTFQ(b, true, true) }
+func BenchmarkReloadTTFQMapped(b *testing.B)  { benchmarkReloadTTFQ(b, false) }
+func BenchmarkReloadTTFQRebuild(b *testing.B) { benchmarkReloadTTFQ(b, true) }
 
 // --- restart recovery ----------------------------------------------------
 //

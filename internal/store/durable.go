@@ -7,6 +7,7 @@ import (
 	"log"
 
 	"repro/internal/codec"
+	"repro/internal/mmapfile"
 )
 
 // EncodeRelease and DecodeRelease are the single durability path every
@@ -23,13 +24,23 @@ func EncodeRelease(w io.Writer, p *codec.Payload) error {
 }
 
 // DecodeRelease reads a release payload previously written by
-// EncodeRelease (or any other producer of the shared format). Like
-// codec.Decode, a format-v2 stream whose summed-area table section is
-// unreadable returns the intact payload (Table nil) alongside an error
-// wrapping codec.ErrTable — callers that can rebuild the table (the
-// store, persist.Load) treat that as a degraded success.
+// EncodeRelease (or any other producer of the shared format). The
+// stream is read into one 8-byte-aligned buffer (mmapfile.ReadAligned)
+// and decoded by codec.DecodeMapped — the same decoder a memory-mapped
+// spill file goes through — so the returned matrices are views over
+// that single buffer, and decode memory is bounded by the input's
+// length whatever its header declares. Like DecodeMapped, a format-v2
+// stream whose summed-area table section is unreadable returns the
+// intact payload (Table nil) alongside an error wrapping
+// codec.ErrTable — callers that can rebuild the table (the store,
+// persist.Load) treat that as a degraded success.
 func DecodeRelease(r io.Reader) (*codec.Payload, error) {
-	return codec.Decode(r)
+	data, err := mmapfile.ReadAligned(r)
+	if err != nil {
+		return nil, fmt.Errorf("store: reading release: %w", err)
+	}
+	p, _, err := codec.DecodeMapped(data, nil)
+	return p, err
 }
 
 // Ingest is the replica-ingest entry point: it decodes an encoded

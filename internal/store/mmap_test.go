@@ -3,9 +3,12 @@ package store
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/codec"
 	"repro/internal/dataset"
@@ -69,10 +72,11 @@ func randomQueries(t testing.TB, schema *dataset.Schema, rnd *rand.Rand, n int) 
 
 // TestMMapReloadEquivalence is the property test behind the mmap
 // tentpole: over random schemas, matrices and query workloads, a
-// release served from a memory-mapped spilled table, one served from a
-// sequentially re-decoded spill (NoMMap), and one that was never
-// evicted must agree on every answer float64-exactly — at varying
-// worker counts, across repeated evict/reload churn.
+// release served from a memory-mapped spilled table, a heap-backed one
+// (the spilled bytes fed through Ingest, as a replica receives them),
+// and one that was never evicted must agree on every answer
+// float64-exactly — at varying worker counts, across repeated
+// evict/reload churn.
 func TestMMapReloadEquivalence(t *testing.T) {
 	for trial := 0; trial < 4; trial++ {
 		trial := trial
@@ -91,15 +95,22 @@ func TestMMapReloadEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			nm, err := New(Config{Shards: 2, MaxResident: 1, Dir: t.TempDir(), NoMMap: true})
+			heap, err := New(Config{Shards: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
 			workers := 1 + trial%4
-			for _, s := range []*Store{keep, mm, nm} {
+			for _, s := range []*Store{keep, mm} {
 				if err := s.Put("main", mk(), workers); err != nil {
 					t.Fatal(err)
 				}
+			}
+			spilled, err := os.ReadFile(mm.spillPath("main"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := heap.Ingest("main", bytes.NewReader(spilled), workers); err != nil {
+				t.Fatal(err)
 			}
 			qrnd := rand.New(rand.NewSource(seed ^ 0x5a5a))
 			schema := mk().Schema
@@ -111,13 +122,14 @@ func TestMMapReloadEquivalence(t *testing.T) {
 			}
 			want := counts(t, relKeep, qs)
 
-			// Several churn rounds: each filler Put evicts "main", each
-			// Get reloads it — mmap-decoded in mm, re-decoded in nm.
+			// Several churn rounds: each filler Put evicts "main" from mm
+			// and each Get maps it back; the ingested copy stays on the
+			// heap throughout.
 			for round := 0; round < 3; round++ {
-				for si, s := range []*Store{mm, nm} {
-					if err := s.Put(fmt.Sprintf("fill%d", round), fill(round), 1); err != nil {
-						t.Fatal(err)
-					}
+				if err := mm.Put(fmt.Sprintf("fill%d", round), fill(round), 1); err != nil {
+					t.Fatal(err)
+				}
+				for si, s := range []*Store{mm, heap} {
 					rel, err := s.Get("main")
 					if err != nil {
 						t.Fatal(err)
@@ -131,37 +143,31 @@ func TestMMapReloadEquivalence(t *testing.T) {
 					}
 				}
 			}
-			// Every reload found a durable table: zero avoidable
-			// prefix-sum builds in either store, and the mmap store's
-			// evaluators came off the mapping.
-			for _, s := range []*Store{mm, nm} {
-				if st := s.Stats(); st.Rebuilds != 0 || st.Reloads < 3 {
-					t.Fatalf("Stats = %+v, want Rebuilds 0 and >=3 Reloads", st)
-				}
+			// Every load found a durable table: zero avoidable prefix-sum
+			// builds in either store, the mmap store's evaluators came off
+			// the mapping, and the ingested release is all heap.
+			if st := mm.Stats(); st.Rebuilds != 0 || st.Reloads < 3 || st.MMapHits < 3 {
+				t.Fatalf("mmap store Stats = %+v, want Rebuilds 0, >=3 Reloads and >=3 MMapHits", st)
 			}
-			if st := mm.Stats(); st.MMapHits < 3 {
-				t.Fatalf("mmap store Stats = %+v, want >=3 MMapHits", st)
-			}
-			if st := nm.Stats(); st.MMapHits != 0 {
-				t.Fatalf("NoMMap store Stats = %+v, want 0 MMapHits", st)
+			if st := heap.Stats(); st.Rebuilds != 0 || st.MMapHits != 0 || st.MappedBytes != 0 || st.HeapBytes == 0 {
+				t.Fatalf("ingesting store Stats = %+v, want a heap-backed release and no rebuild", st)
 			}
 		})
 	}
 }
 
 // TestSpillCorruptionFallsBackToRebuild damages a spilled release's
-// table section on disk — a flipped bit, then a truncated tail — and
-// checks the reload notices (checksum / bounds), quietly rebuilds from
-// the intact matrix section, counts the rebuild, and still answers
-// float64-identically. Both decode paths are exercised.
+// table section — a flipped bit, then a truncated tail — and checks the
+// load notices (checksum / bounds), quietly rebuilds from the intact
+// matrix section, counts the rebuild, and still answers
+// float64-identically. Both ways damaged bytes arrive are exercised:
+// "mmap" reloads the damaged spill file through its mapping, "nommap"
+// ingests the damaged bytes from a reader into a heap-backed release,
+// as a replication push or repair pull delivers them.
 func TestSpillCorruptionFallsBackToRebuild(t *testing.T) {
-	for _, noMMap := range []bool{false, true} {
-		name := "mmap"
-		if noMMap {
-			name = "nommap"
-		}
+	for _, name := range []string{"mmap", "nommap"} {
 		t.Run(name, func(t *testing.T) {
-			s, err := New(Config{MaxResident: 1, Dir: t.TempDir(), NoMMap: noMMap})
+			s, err := New(Config{MaxResident: 1, Dir: t.TempDir()})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -196,11 +202,20 @@ func TestSpillCorruptionFallsBackToRebuild(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if err := os.WriteFile(s.spillPath("x"), d.mut(raw), 0o644); err != nil {
+					damaged := d.mut(append([]byte(nil), raw...))
+					from, base := s, s.Stats().Rebuilds
+					if name == "nommap" {
+						if from, err = New(Config{}); err != nil {
+							t.Fatal(err)
+						}
+						base = 0
+						if err := from.Ingest("x", bytes.NewReader(damaged), 1); err != nil {
+							t.Fatalf("ingesting %s bytes: %v", d.name, err)
+						}
+					} else if err := os.WriteFile(s.spillPath("x"), damaged, 0o644); err != nil {
 						t.Fatal(err)
 					}
-					base := s.Stats().Rebuilds
-					rel2, err := s.Get("x")
+					rel2, err := from.Get("x")
 					if err != nil {
 						t.Fatalf("reload over %s spill: %v", d.name, err)
 					}
@@ -210,7 +225,7 @@ func TestSpillCorruptionFallsBackToRebuild(t *testing.T) {
 							t.Fatalf("query %d after %s: %x != %x", i, d.name, got[i], want[i])
 						}
 					}
-					if after := s.Stats().Rebuilds; after != base+1 {
+					if after := from.Stats().Rebuilds; after != base+1 {
 						t.Fatalf("Rebuilds %d -> %d, want +1 (the fallback must be counted)", base, after)
 					}
 					// Restore the healthy file for the next damage case.
@@ -371,18 +386,16 @@ func TestIngestVersions(t *testing.T) {
 }
 
 // TestResidencyAccounting checks the heap/mapped byte split on Stats
-// and Describe: a fresh Put is all heap, a mapped reload is all file
-// pages, a NoMMap reload is back to heap, and eviction zeroes both.
+// and Describe: a fresh Put is all heap, eviction zeroes both, a mapped
+// reload ("mmap") is all file pages, and an ingested release
+// ("nommap") is all heap — its sections alias the aligned read buffer,
+// which is heap, not a mapping.
 func TestResidencyAccounting(t *testing.T) {
 	// testPayload: 8 entries noisy + 8 entries table = 128 bytes.
 	const wantBytes = 2 * 8 * 8
-	for _, noMMap := range []bool{false, true} {
-		name := "mmap"
-		if noMMap {
-			name = "nommap"
-		}
+	for _, name := range []string{"mmap", "nommap"} {
 		t.Run(name, func(t *testing.T) {
-			s, err := New(Config{MaxResident: 1, Dir: t.TempDir(), NoMMap: noMMap})
+			s, err := New(Config{MaxResident: 1, Dir: t.TempDir()})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -402,16 +415,26 @@ func TestResidencyAccounting(t *testing.T) {
 			if stub.Resident || stub.HeapBytes != 0 || stub.MappedBytes != 0 {
 				t.Fatalf("evicted stub = %+v, want zero residency", stub)
 			}
-			if _, err := s.Get("a"); err != nil {
+			id := "a"
+			if name == "nommap" {
+				raw, err := os.ReadFile(s.spillPath("a"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				id = "c"
+				if err := s.Ingest(id, bytes.NewReader(raw), 1); err != nil {
+					t.Fatal(err) // evicts b
+				}
+			} else if _, err := s.Get(id); err != nil {
 				t.Fatal(err)
 			}
-			stub, err = s.Describe("a")
+			stub, err = s.Describe(id)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if noMMap {
+			if name == "nommap" {
 				if stub.HeapBytes != wantBytes || stub.MappedBytes != 0 {
-					t.Fatalf("NoMMap reload stub = %+v, want all heap", stub)
+					t.Fatalf("ingested stub = %+v, want all heap", stub)
 				}
 			} else {
 				if stub.MappedBytes != wantBytes || stub.HeapBytes != 0 {
@@ -424,4 +447,64 @@ func TestResidencyAccounting(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestDecodeReleaseMemoryBound pins DecodeRelease's memory to its
+// input: a census-size format-v2 payload read from a plain io.Reader
+// (no length known up front, like a replication push body) allocates
+// at most 3× its encoded length, and the decoded payload retains
+// exactly one buffer — the input's length rounded up to 8 — which both
+// float64 sections alias.
+func TestDecodeReleaseMemoryBound(t *testing.T) {
+	dims := []int{64, 2, 64, 64} // 2¹⁹ entries: an 8 MiB v2 payload
+	attrs := make([]dataset.Attribute, len(dims))
+	for i, d := range dims {
+		attrs[i] = dataset.OrdinalAttr(fmt.Sprintf("A%d", i), d)
+	}
+	schema, err := dataset.NewSchema(attrs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := matrix.New(dims...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range m.Data() {
+		m.Data()[i] = float64(i%89) - 40.5
+	}
+	pre := m.Clone()
+	pre.PrefixSumExec(1)
+	var buf bytes.Buffer
+	if err := codec.Encode(&buf, &codec.Payload{Schema: schema, Noisy: m, Table: pre, Total: m.Total()}); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	n := uint64(len(raw))
+
+	// Two collections drain mmapfile's pool of staging chunks, which
+	// survive one; what remains is what the payload itself retains.
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	p, err := DecodeRelease(struct{ io.Reader }{bytes.NewReader(raw)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 3*n {
+		t.Fatalf("decoding %d bytes allocated %d (> 3×)", n, alloc)
+	}
+	rounded := int64(n+7) / 8 * 8
+	if kept := int64(after.HeapAlloc) - int64(before.HeapAlloc); kept < rounded || kept > rounded+64<<10 {
+		t.Fatalf("decoded payload retains %d bytes, want one %d-byte buffer", kept, rounded)
+	}
+	noisy := uintptr(unsafe.Pointer(&p.Noisy.Data()[0]))
+	table := uintptr(unsafe.Pointer(&p.Table.Data()[0]))
+	if table <= noisy || table-noisy >= uintptr(n) {
+		t.Fatal("matrix and table do not alias one input buffer")
+	}
+	runtime.KeepAlive(raw)
 }

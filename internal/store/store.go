@@ -17,10 +17,14 @@
 //     (the same bytes Release.Save and the /export endpoint emit), and
 //     when more than MaxResident releases are in memory the
 //     least-recently-used ones drop their in-memory matrix and
-//     evaluator. A later Get transparently reloads from disk and
-//     rebuilds the evaluator; decode is bit-exact and the prefix-sum
-//     build is deterministic, so a reloaded release answers every query
-//     bit-identically to the original (store tests assert this).
+//     evaluator. A later Get transparently reloads from disk, with one
+//     of two outcomes: a format-v2 file is memory-mapped and its
+//     persisted summed-area table serves queries straight from the page
+//     cache, while a format-v1 file (or a v2 file whose table fails its
+//     checksum) rebuilds the table from the matrix. Decode is bit-exact
+//     and the prefix-sum build is deterministic, so a reloaded release
+//     answers every query bit-identically to the original (store tests
+//     assert this).
 //
 // Because spill files are written through at Put time, the directory
 // doubles as durable storage: a new Store opened on the same directory
@@ -36,6 +40,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"os"
@@ -45,6 +50,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/atomicfile"
 	"repro/internal/codec"
 	"repro/internal/mmapfile"
 	"repro/internal/query"
@@ -118,15 +124,6 @@ type Config struct {
 	// eviction keeps it (the cache is small and bounded; the matrix it
 	// spares lookups into is neither). ≤ 0 disables caching.
 	AnswerCache int
-	// NoMMap disables memory-mapped reload. By default (false) a
-	// spilled release whose file carries the durable summed-area table
-	// (codec format v2) reloads by memory-mapping that section and
-	// serving queries straight from the page cache — no decode of the
-	// float64 sections, no prefix-sum rebuild. With NoMMap set, reloads
-	// fall back to the sequential decode, which still reuses the
-	// persisted table (zero prefix-sum work) but copies it onto the
-	// heap. Answers are float64-identical on every path.
-	NoMMap bool
 }
 
 // Release is the resident view of a stored release, as returned by Get
@@ -340,7 +337,7 @@ func (s *Store) recover() error {
 		}
 		// A crash mid-writeSpill can strand a temp file; sweep it now —
 		// recovery runs before the store serves, so nothing is writing.
-		if strings.HasSuffix(name, spillExt+".tmp") {
+		if strings.HasSuffix(name, spillExt+atomicfile.TmpSuffix) {
 			os.Remove(filepath.Join(s.cfg.Dir, name))
 			continue
 		}
@@ -944,73 +941,42 @@ func (s *Store) spillPath(id string) string {
 	return filepath.Join(s.cfg.Dir, spillName(id)+spillExt)
 }
 
-// writeSpill atomically writes the release's spill file: encode to a
-// temp file, then rename, so readers never observe a partial payload.
+// writeSpill atomically writes the release's spill file (atomicfile:
+// encode to a temp file, then rename), so readers never observe a
+// partial payload.
 func (s *Store) writeSpill(id string, p *codec.Payload) error {
-	path := s.spillPath(id)
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+	err := atomicfile.Write(s.spillPath(id), func(w io.Writer) error { return EncodeRelease(w, p) })
 	if err != nil {
-		return fmt.Errorf("store: spilling %q: %w", id, err)
-	}
-	if err := EncodeRelease(f, p); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("store: spilling %q: %w", id, err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: spilling %q: %w", id, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
 		return fmt.Errorf("store: spilling %q: %w", id, err)
 	}
 	return nil
 }
 
-func (s *Store) readSpill(id string) (*codec.Payload, error) {
-	f, err := os.Open(s.spillPath(id))
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return DecodeRelease(f)
-}
-
-// loadPayload reads id's spill file, preferring the memory-mapped path
-// (Config.NoMMap off): the file is mapped and decoded zero-copy, so the
-// returned payload's float64 sections are views over page-cache-backed
-// file pages (the MapInfo says which). With NoMMap, or for a format-v1
-// file, the sections are heap copies. Either way, a spill file whose
-// durable table failed its checksum comes back table-less with a log
-// line — the caller's evaluatorFor then rebuilds from the (intact)
-// matrix instead of serving a corrupt table.
+// loadPayload reads id's spill file through mmapfile and the codec's one
+// decoder, DecodeMapped. A format-v2 file reloads with its float64
+// sections as views over page-cache-backed file pages (the MapInfo says
+// which) — no decode work and no prefix-sum rebuild. A format-v1 file,
+// or a v2 file whose durable table failed its checksum (logged), comes
+// back table-less, and the caller's evaluatorFor rebuilds the table
+// from the intact matrix, counted in the rebuilds stat. Where mmapfile
+// had to fall back to a heap read, MapInfo is cleared so residency and
+// the mmap-hit stat report heap, not mapped, bytes.
 func (s *Store) loadPayload(id string) (*codec.Payload, codec.MapInfo, error) {
-	if !s.cfg.NoMMap {
-		f, err := mmapfile.Open(s.spillPath(id))
-		if err != nil {
-			return nil, codec.MapInfo{}, err
-		}
-		p, info, err := codec.DecodeMapped(f.Data(), f)
-		if err != nil {
-			if p != nil && errors.Is(err, codec.ErrTable) {
-				log.Printf("store: %s: durable table unusable, rebuilding: %v", id, err)
-				return p, info, nil
-			}
-			return nil, codec.MapInfo{}, err
-		}
-		return p, info, nil
-	}
-	p, err := s.readSpill(id)
+	f, err := mmapfile.Open(s.spillPath(id))
 	if err != nil {
-		if p != nil && errors.Is(err, codec.ErrTable) {
-			log.Printf("store: %s: durable table unusable, rebuilding: %v", id, err)
-			return p, codec.MapInfo{}, nil
-		}
 		return nil, codec.MapInfo{}, err
 	}
-	return p, codec.MapInfo{}, nil
+	p, info, err := codec.DecodeMapped(f.Data(), f)
+	if !f.Mapped() {
+		info = codec.MapInfo{}
+	}
+	if err != nil {
+		if p == nil || !errors.Is(err, codec.ErrTable) {
+			return nil, codec.MapInfo{}, err
+		}
+		log.Printf("store: %s: durable table unusable, rebuilding: %v", id, err)
+	}
+	return p, info, nil
 }
 
 // evaluatorFor returns p's evaluator: free (query.NewEvaluatorFromTable)

@@ -388,7 +388,7 @@ func TestConcurrentDuplicatePut(t *testing.T) {
 		default:
 			t.Fatalf("want exactly one winner, got errs %v", errs)
 		}
-		got, err := s.readSpill("same")
+		got, _, err := s.loadPayload("same")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -210,8 +210,8 @@ func init() {
 
 // PublishWith runs the named mechanism on freq and wraps its Result into
 // a queryable Release (building the prefix-sum evaluator and applying
-// p.Sanitize). It is the primary publish entry point; Publisher.Publish
-// and the legacy Publish/PublishBasic wrappers all funnel through it.
+// p.Sanitize). It is the one publish entry point; Publisher.Publish
+// funnels through it.
 func PublishWith(ctx context.Context, mechanism string, freq *Frequency, p Params) (*Release, error) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	privelet "repro"
+	"repro/internal/hay"
 )
 
 // histSchema returns a one-dimensional schema every mechanism (including
@@ -169,69 +170,15 @@ func TestAllMechanismsPublishAndRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCompatWrappersMatchRegistry pins the compatibility contract: the
-// legacy entry points are bit-identical to their registry equivalents.
-func TestCompatWrappersMatchRegistry(t *testing.T) {
-	gender, err := privelet.FlatHierarchy(2)
+// TestPriveletEqualsPlusWithoutSA: plain Privelet is Privelet+ with an
+// empty SA, bit for bit.
+func TestPriveletEqualsPlusWithoutSA(t *testing.T) {
+	freq := histFrequency(t, 13, []int{0, 3, 3, 7, 12, 12, 12})
+	plain, err := privelet.PublishWith(context.Background(), "privelet", freq, privelet.Params{Epsilon: 0.5, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	schema, err := privelet.NewSchema(
-		privelet.OrdinalAttr("Age", 13),
-		privelet.NominalAttr("Gender", gender),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	table := privelet.NewTable(schema)
-	pub, err := privelet.NewPublisher(schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 200; i++ {
-		row := []int{(i * 7) % 13, i % 2}
-		if err := table.Append(row...); err != nil {
-			t.Fatal(err)
-		}
-		if err := pub.Add(row...); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	old, err := privelet.Publish(table, privelet.Options{Epsilon: 0.5, SA: []string{"Gender"}, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	via, err := pub.Publish(context.Background(), "privelet+", privelet.Params{Epsilon: 0.5, SA: []string{"Gender"}, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d, _ := old.Matrix().MaxAbsDiff(via.Matrix()); d != 0 {
-		t.Fatalf("Publish vs registry privelet+ diverged by %v", d)
-	}
-	if old.Mechanism() != via.Mechanism() || old.VarianceBound() != via.VarianceBound() ||
-		old.Lambda() != via.Lambda() || old.Sensitivity() != via.Sensitivity() {
-		t.Fatalf("accounting diverged: %v vs %v", old, via)
-	}
-
-	oldBasic, err := privelet.PublishBasic(table, 0.5, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaBasic, err := pub.Publish(context.Background(), "basic", privelet.Params{Epsilon: 0.5, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d, _ := oldBasic.Matrix().MaxAbsDiff(viaBasic.Matrix()); d != 0 {
-		t.Fatalf("PublishBasic vs registry basic diverged by %v", d)
-	}
-
-	// Plain privelet == privelet+ with empty SA.
-	plain, err := pub.Publish(context.Background(), "privelet", privelet.Params{Epsilon: 0.5, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plus, err := pub.Publish(context.Background(), "privelet+", privelet.Params{Epsilon: 0.5, Seed: 9})
+	plus, err := privelet.PublishWith(context.Background(), "privelet+", freq, privelet.Params{Epsilon: 0.5, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,20 +260,21 @@ func TestHayMechanismOneDimensional(t *testing.T) {
 		t.Fatal("hay accepted a 2-D schema")
 	}
 
-	// 1-D: the release must agree with the PublishHistogram wrapper.
+	// 1-D: the release must agree with the underlying Hay et al.
+	// mechanism run on the same histogram.
 	rows := []int{0, 0, 1, 2, 2, 2, 3}
 	rel, err := privelet.PublishWith(context.Background(), "hay",
 		histFrequency(t, 4, rows), privelet.Params{Epsilon: 1, Seed: 77})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hist, err := privelet.PublishHistogram([]float64{2, 1, 3, 1}, 1, 77)
+	res, err := hay.Publish(context.Background(), []float64{2, 1, 3, 1}, 1, 77)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, want := range hist {
+	for i, want := range res.Histogram {
 		if got := rel.Matrix().Data()[i]; got != want {
-			t.Fatalf("entry %d: mechanism %v != wrapper %v", i, got, want)
+			t.Fatalf("entry %d: mechanism %v != hay.Publish %v", i, got, want)
 		}
 	}
 	if rel.VarianceBound() <= 0 || math.IsInf(rel.VarianceBound(), 1) {

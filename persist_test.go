@@ -15,7 +15,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel, err := privelet.Publish(tbl, privelet.Options{Epsilon: 1.0, Seed: 77})
+	rel, err := publishTable(t, tbl, "privelet+", privelet.Params{Epsilon: 1.0, Seed: 77})
 	if err != nil {
 		t.Fatal(err)
 	}

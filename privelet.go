@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/hay"
 	"repro/internal/hierarchy"
 	"repro/internal/matrix"
 	"repro/internal/query"
@@ -60,27 +59,6 @@ func ThreeLevelHierarchy(groups, leavesPerGroup int) (*Hierarchy, error) {
 // BuildHierarchy validates a hand-constructed hierarchy tree.
 func BuildHierarchy(root *HierarchyNode) (*Hierarchy, error) { return hierarchy.Build(root) }
 
-// Options configures the legacy Publish wrapper. New code should use
-// Params with PublishWith or Publisher.Publish; the fields correspond
-// one-to-one.
-type Options struct {
-	// Epsilon is the ε-differential-privacy budget (must be positive).
-	Epsilon float64
-	// SA lists attributes to exclude from the wavelet transform
-	// (Privelet+). nil is plain Privelet; all attributes is Basic.
-	SA []string
-	// Seed drives the (deterministic) noise stream; equal seeds give
-	// bit-identical releases at any Parallelism.
-	Seed uint64
-	// Sanitize, when set, post-processes the release to non-negative
-	// integer counts. Free of privacy cost.
-	Sanitize bool
-	// Parallelism caps the publish engine's worker goroutines; ≤ 0
-	// defaults to runtime.GOMAXPROCS(0). It never affects the release's
-	// values, only how fast they are computed.
-	Parallelism int
-}
-
 // Release is a published noisy frequency matrix plus everything needed to
 // answer range-count queries against it.
 type Release struct {
@@ -92,47 +70,6 @@ type Release struct {
 	lambda  float64
 	bound   float64
 	machine string
-}
-
-// Publish releases the table's frequency matrix under ε-differential
-// privacy with Privelet+ (the paper's Figure 5). It runs in O(n + m).
-//
-// It is a compatibility wrapper over the Mechanism API: exactly
-// PublishWith(ctx, "privelet+", TableFrequency(t), Params{...}) with a
-// background context. New code that streams rows, selects mechanisms by
-// name, or needs cancellation should use Publisher/PublishWith directly.
-func Publish(t *Table, opts Options) (*Release, error) {
-	freq, err := TableFrequency(t)
-	if err != nil {
-		return nil, err
-	}
-	return PublishWith(context.Background(), "privelet+", freq, Params{
-		Epsilon: opts.Epsilon, SA: opts.SA, Seed: opts.Seed,
-		Parallelism: opts.Parallelism, Sanitize: opts.Sanitize,
-	})
-}
-
-// PublishBasic releases with Dwork et al.'s Basic mechanism: independent
-// Laplace(2/ε) noise per entry. Compatibility wrapper over the "basic"
-// registry mechanism; equivalent to Publish with SA = all attributes.
-func PublishBasic(t *Table, epsilon float64, seed uint64) (*Release, error) {
-	freq, err := TableFrequency(t)
-	if err != nil {
-		return nil, err
-	}
-	return PublishWith(context.Background(), "basic", freq, Params{Epsilon: epsilon, Seed: seed})
-}
-
-// PublishHistogram releases a one-dimensional histogram with the Hay et
-// al. hierarchical-consistency mechanism — the "hay" registry mechanism,
-// kept as a slice-in/slice-out convenience because the mechanism is
-// one-dimensional by construction.
-func PublishHistogram(v []float64, epsilon float64, seed uint64) ([]float64, error) {
-	res, err := hay.Publish(context.Background(), v, epsilon, seed)
-	if err != nil {
-		return nil, err
-	}
-	return res.Histogram, nil
 }
 
 // RecommendSA returns the attributes Corollary 1 suggests excluding from

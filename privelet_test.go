@@ -1,6 +1,7 @@
 package privelet_test
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -8,6 +9,17 @@ import (
 	privelet "repro"
 	"repro/internal/dataset"
 )
+
+// publishTable publishes a materialized table with the named mechanism
+// (Fatal only if the table cannot be counted).
+func publishTable(t testing.TB, tbl *privelet.Table, mechanism string, p privelet.Params) (*privelet.Release, error) {
+	t.Helper()
+	freq, err := privelet.TableFrequency(tbl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return privelet.PublishWith(context.Background(), mechanism, freq, p)
+}
 
 func exampleTable(t testing.TB) *privelet.Table {
 	t.Helper()
@@ -62,7 +74,7 @@ func TestBuildHierarchyPublic(t *testing.T) {
 
 func TestPublishAndCount(t *testing.T) {
 	tbl := exampleTable(t)
-	rel, err := privelet.Publish(tbl, privelet.Options{Epsilon: 1e9, Seed: 1})
+	rel, err := publishTable(t, tbl, "privelet+", privelet.Params{Epsilon: 1e9, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +109,7 @@ func TestPublishAndCount(t *testing.T) {
 
 func TestPublishBasicPublic(t *testing.T) {
 	tbl := exampleTable(t)
-	rel, err := privelet.PublishBasic(tbl, 1e9, 2)
+	rel, err := publishTable(t, tbl, "basic", privelet.Params{Epsilon: 1e9, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +134,7 @@ func TestPublishBasicPublic(t *testing.T) {
 
 func TestPublishSanitize(t *testing.T) {
 	tbl := exampleTable(t)
-	rel, err := privelet.Publish(tbl, privelet.Options{Epsilon: 0.5, Seed: 3, Sanitize: true})
+	rel, err := publishTable(t, tbl, "privelet+", privelet.Params{Epsilon: 0.5, Seed: 3, Sanitize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,30 +147,38 @@ func TestPublishSanitize(t *testing.T) {
 
 func TestPublishValidationPublic(t *testing.T) {
 	tbl := exampleTable(t)
-	if _, err := privelet.Publish(tbl, privelet.Options{Epsilon: 0}); err == nil {
+	if _, err := publishTable(t, tbl, "privelet+", privelet.Params{Epsilon: 0}); err == nil {
 		t.Error("epsilon 0 should fail")
 	}
-	if _, err := privelet.Publish(tbl, privelet.Options{Epsilon: 1, SA: []string{"ghost"}}); err == nil {
+	if _, err := publishTable(t, tbl, "privelet+", privelet.Params{Epsilon: 1, SA: []string{"ghost"}}); err == nil {
 		t.Error("unknown SA should fail")
 	}
-	if _, err := privelet.PublishBasic(tbl, -1, 0); err == nil {
+	if _, err := publishTable(t, tbl, "basic", privelet.Params{Epsilon: -1}); err == nil {
 		t.Error("negative epsilon should fail")
 	}
 }
 
 func TestPublishHistogramPublic(t *testing.T) {
-	hist, err := privelet.PublishHistogram([]float64{5, 10, 15, 20}, 1e9, 4)
+	want := []float64{5, 10, 15, 20}
+	var rows []int
+	for v, n := range want {
+		for range int(n) {
+			rows = append(rows, v)
+		}
+	}
+	freq := histFrequency(t, len(want), rows)
+	rel, err := privelet.PublishWith(context.Background(), "hay", freq, privelet.Params{Epsilon: 1e9, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []float64{5, 10, 15, 20}
+	hist := rel.Matrix().Data()
 	for i := range want {
 		if math.Abs(hist[i]-want[i]) > 1e-3 {
 			t.Fatalf("histogram[%d] = %v, want ~%v", i, hist[i], want[i])
 		}
 	}
-	if _, err := privelet.PublishHistogram(nil, 1, 0); err == nil {
-		t.Error("empty histogram should fail")
+	if _, err := privelet.PublishWith(context.Background(), "hay", freq, privelet.Params{Epsilon: 0}); err == nil {
+		t.Error("epsilon 0 should fail")
 	}
 }
 
@@ -186,7 +206,7 @@ func TestRecommendSAPublic(t *testing.T) {
 
 func TestReleaseCountMatchesMatrixEval(t *testing.T) {
 	tbl := exampleTable(t)
-	rel, err := privelet.Publish(tbl, privelet.Options{Epsilon: 1, Seed: 6})
+	rel, err := publishTable(t, tbl, "privelet+", privelet.Params{Epsilon: 1, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,7 @@ func TestPublisherMatchesTablePublish(t *testing.T) {
 		t.Fatalf("streamed frequency matrix diverged by %v", d)
 	}
 	// And therefore identical releases at the same seed.
-	want, err := privelet.Publish(table, privelet.Options{Epsilon: 1, SA: []string{"Occ"}, Seed: 21})
+	want, err := publishTable(t, table, "privelet+", privelet.Params{Epsilon: 1, SA: []string{"Occ"}, Seed: 21})
 	if err != nil {
 		t.Fatal(err)
 	}
