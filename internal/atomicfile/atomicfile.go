@@ -1,11 +1,12 @@
 // Package atomicfile writes files all-or-nothing: the bytes go to a
 // temporary sibling, which is then renamed over the target, so a reader
 // — including recovery after a process crash mid-write — sees either
-// the previous file or the complete new one, never a torn write. Both
-// durable artifacts of the serving tier go through it: a store's spill
+// the previous file or the complete new one, never a torn write. Every
+// durable artifact of the serving tier goes through it: a store's spill
 // files, each carrying a release's noisy matrix and its §V summed-area
-// table, and the ledger's per-tenant ε balances that enforce sequential
-// composition across republishes (§III).
+// table, its tombstone markers for deleted releases, and the ledger's
+// per-tenant ε balances that enforce sequential composition across
+// republishes (§III).
 package atomicfile
 
 import (

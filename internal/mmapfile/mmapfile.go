@@ -19,7 +19,12 @@
 // the File becomes unreachable. Callers that hand out views of Data()
 // must keep the File reachable from those views (matrix.Wrap's pin does
 // exactly this), which makes use-after-unmap unrepresentable without an
-// explicit Close to misuse.
+// explicit Close to misuse. The flip side is that a mapping outlives
+// its last strong use until a GC cycle runs: when the store evicts a
+// mapped release it keeps only a weak reference to the payload, a
+// reload before the next collection reinstalls that same payload (no
+// second mapping of the file), and once the collector finds the
+// payload unreachable the finalizer unmaps it.
 package mmapfile
 
 import (

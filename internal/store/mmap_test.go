@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"testing"
 	"unsafe"
 
@@ -76,11 +77,22 @@ func randomQueries(t testing.TB, schema *dataset.Schema, rnd *rand.Rand, n int) 
 // (the spilled bytes fed through Ingest, as a replica receives them),
 // and one that was never evicted must agree on every answer
 // float64-exactly — at varying worker counts, across repeated
-// evict/reload churn.
+// evict/reload churn. The "trial" runs collect garbage before every
+// reload, so the evicted payload is gone and the reload maps the file;
+// the "reuse" runs never collect, so every reload reinstalls the
+// evicted payload — no mapping, no rebuild, and the residency of the
+// original install.
 func TestMMapReloadEquivalence(t *testing.T) {
-	for trial := 0; trial < 4; trial++ {
-		trial := trial
-		t.Run(fmt.Sprintf("trial%d", trial), func(t *testing.T) {
+	for run := 0; run < 8; run++ {
+		trial, reuse := run%4, run >= 4
+		name := fmt.Sprintf("trial%d", trial)
+		if reuse {
+			name = fmt.Sprintf("reuse%d", trial)
+		}
+		t.Run(name, func(t *testing.T) {
+			if reuse {
+				withoutGC(t)
+			}
 			seed := int64(1000 + trial)
 			mk := func() *codec.Payload { return randomPayload(t, rand.New(rand.NewSource(seed))) }
 			fill := func(i int) *codec.Payload {
@@ -105,6 +117,10 @@ func TestMMapReloadEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			installed, err := mm.Describe("main")
+			if err != nil {
+				t.Fatal(err)
+			}
 			spilled, err := os.ReadFile(mm.spillPath("main"))
 			if err != nil {
 				t.Fatal(err)
@@ -122,12 +138,15 @@ func TestMMapReloadEquivalence(t *testing.T) {
 			}
 			want := counts(t, relKeep, qs)
 
-			// Several churn rounds: each filler Put evicts "main" from mm
-			// and each Get maps it back; the ingested copy stays on the
-			// heap throughout.
+			// Several churn rounds: each filler Put evicts "main" from
+			// mm and each Get brings it back; the ingested copy stays
+			// on the heap throughout.
 			for round := 0; round < 3; round++ {
 				if err := mm.Put(fmt.Sprintf("fill%d", round), fill(round), 1); err != nil {
 					t.Fatal(err)
+				}
+				if !reuse {
+					runtime.GC()
 				}
 				for si, s := range []*Store{mm, heap} {
 					rel, err := s.Get("main")
@@ -143,17 +162,44 @@ func TestMMapReloadEquivalence(t *testing.T) {
 					}
 				}
 			}
-			// Every load found a durable table: zero avoidable prefix-sum
-			// builds in either store, the mmap store's evaluators came off
-			// the mapping, and the ingested release is all heap.
-			if st := mm.Stats(); st.Rebuilds != 0 || st.Reloads < 3 || st.MMapHits < 3 {
-				t.Fatalf("mmap store Stats = %+v, want Rebuilds 0, >=3 Reloads and >=3 MMapHits", st)
-			}
+			// Every load found a durable table: zero avoidable
+			// prefix-sum builds in either store, and the ingested
+			// release is all heap.
 			if st := heap.Stats(); st.Rebuilds != 0 || st.MMapHits != 0 || st.MappedBytes != 0 || st.HeapBytes == 0 {
 				t.Fatalf("ingesting store Stats = %+v, want a heap-backed release and no rebuild", st)
 			}
+			st := mm.Stats()
+			if !reuse {
+				// The mmap store's evaluators came off the mapping.
+				if st.Rebuilds != 0 || st.Reloads < 3 || st.MMapHits < 3 {
+					t.Fatalf("mmap store Stats = %+v, want Rebuilds 0, >=3 Reloads and >=3 MMapHits", st)
+				}
+				return
+			}
+			// Every reload reinstalled the Put-time payload: the file
+			// was never mapped, and the release sits exactly where its
+			// install put it.
+			if st.Rebuilds != 0 || st.Reloads < 3 || st.MMapHits != 0 {
+				t.Fatalf("mmap store Stats = %+v, want Rebuilds 0, >=3 Reloads and 0 MMapHits", st)
+			}
+			stub, err := mm.Describe("main")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stub.HeapBytes != installed.HeapBytes || stub.MappedBytes != installed.MappedBytes {
+				t.Fatalf("reused release residency heap %d mapped %d, want the install's %d/%d",
+					stub.HeapBytes, stub.MappedBytes, installed.HeapBytes, installed.MappedBytes)
+			}
 		})
 	}
+}
+
+// withoutGC turns the collector off for the rest of the test, so an
+// evicted payload stays alive and the next reload deterministically
+// reinstalls it.
+func withoutGC(t *testing.T) {
+	prev := debug.SetGCPercent(-1)
+	t.Cleanup(func() { debug.SetGCPercent(prev) })
 }
 
 // TestSpillCorruptionFallsBackToRebuild damages a spilled release's
@@ -161,9 +207,11 @@ func TestMMapReloadEquivalence(t *testing.T) {
 // load notices (checksum / bounds), quietly rebuilds from the intact
 // matrix section, counts the rebuild, and still answers
 // float64-identically. Both ways damaged bytes arrive are exercised:
-// "mmap" reloads the damaged spill file through its mapping, "nommap"
-// ingests the damaged bytes from a reader into a heap-backed release,
-// as a replication push or repair pull delivers them.
+// "mmap" reloads the damaged spill file through its mapping — after a
+// collection, so the evicted payload is gone and the reload must read
+// the file — and "nommap" ingests the damaged bytes from a reader into
+// a heap-backed release, as a replication push or repair pull delivers
+// them.
 func TestSpillCorruptionFallsBackToRebuild(t *testing.T) {
 	for _, name := range []string{"mmap", "nommap"} {
 		t.Run(name, func(t *testing.T) {
@@ -212,8 +260,11 @@ func TestSpillCorruptionFallsBackToRebuild(t *testing.T) {
 						if err := from.Ingest("x", bytes.NewReader(damaged), 1); err != nil {
 							t.Fatalf("ingesting %s bytes: %v", d.name, err)
 						}
-					} else if err := os.WriteFile(s.spillPath("x"), damaged, 0o644); err != nil {
-						t.Fatal(err)
+					} else {
+						if err := os.WriteFile(s.spillPath("x"), damaged, 0o644); err != nil {
+							t.Fatal(err)
+						}
+						runtime.GC()
 					}
 					rel2, err := from.Get("x")
 					if err != nil {
@@ -241,7 +292,8 @@ func TestSpillCorruptionFallsBackToRebuild(t *testing.T) {
 // TestRebuildsFlatAcrossChurn is the acceptance check for the O(1)
 // reload guarantee: a store churning v2 spill files through eviction
 // and reload performs zero prefix-sum rebuilds, no matter how many
-// cycles — every reload adopts the durable table.
+// cycles — every reload adopts the durable table. A collection before
+// each Get drops the evicted payload, so every reload maps its file.
 func TestRebuildsFlatAcrossChurn(t *testing.T) {
 	s, err := New(Config{MaxResident: 1, Dir: t.TempDir()})
 	if err != nil {
@@ -254,11 +306,11 @@ func TestRebuildsFlatAcrossChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
-		if _, err := s.Get("a"); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Get("b"); err != nil {
-			t.Fatal(err)
+		for _, id := range []string{"a", "b"} {
+			runtime.GC()
+			if _, err := s.Get(id); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	st := s.Stats()
@@ -387,14 +439,19 @@ func TestIngestVersions(t *testing.T) {
 
 // TestResidencyAccounting checks the heap/mapped byte split on Stats
 // and Describe: a fresh Put is all heap, eviction zeroes both, a mapped
-// reload ("mmap") is all file pages, and an ingested release
-// ("nommap") is all heap — its sections alias the aligned read buffer,
-// which is heap, not a mapping.
+// reload after a collection ("mmap") is all file pages, a reload that
+// reinstalls the still-live evicted payload ("reuse") keeps its
+// install's split — all heap — without mapping or rebuilding anything,
+// and an ingested release ("nommap") is all heap — its sections alias
+// the aligned read buffer, which is heap, not a mapping.
 func TestResidencyAccounting(t *testing.T) {
 	// testPayload: 8 entries noisy + 8 entries table = 128 bytes.
 	const wantBytes = 2 * 8 * 8
-	for _, name := range []string{"mmap", "nommap"} {
+	for _, name := range []string{"mmap", "nommap", "reuse"} {
 		t.Run(name, func(t *testing.T) {
+			if name == "reuse" {
+				withoutGC(t)
+			}
 			s, err := New(Config{MaxResident: 1, Dir: t.TempDir()})
 			if err != nil {
 				t.Fatal(err)
@@ -425,18 +482,31 @@ func TestResidencyAccounting(t *testing.T) {
 				if err := s.Ingest(id, bytes.NewReader(raw), 1); err != nil {
 					t.Fatal(err) // evicts b
 				}
-			} else if _, err := s.Get(id); err != nil {
-				t.Fatal(err)
+			} else {
+				if name == "mmap" {
+					runtime.GC()
+				}
+				if _, err := s.Get(id); err != nil {
+					t.Fatal(err)
+				}
 			}
 			stub, err = s.Describe(id)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if name == "nommap" {
+			switch name {
+			case "nommap":
 				if stub.HeapBytes != wantBytes || stub.MappedBytes != 0 {
 					t.Fatalf("ingested stub = %+v, want all heap", stub)
 				}
-			} else {
+			case "reuse":
+				if stub.HeapBytes != wantBytes || stub.MappedBytes != 0 {
+					t.Fatalf("reused stub = %+v, want the Put's all-heap split", stub)
+				}
+				if st := s.Stats(); st.Reloads != 1 || st.MMapHits != 0 || st.Rebuilds != 0 {
+					t.Fatalf("after reuse Stats = %+v, want 1 reload, 0 mmap hits, 0 rebuilds", st)
+				}
+			default:
 				if stub.MappedBytes != wantBytes || stub.HeapBytes != 0 {
 					t.Fatalf("mapped reload stub = %+v, want all mapped", stub)
 				}

@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"sync"
@@ -118,7 +119,11 @@ func TestRemoveKeepsHeldReleasesValid(t *testing.T) {
 
 // TestRemoveConcurrentWithReadersAndEviction hammers Remove against
 // Get/Put/eviction under -race: accounting must stay consistent and no
-// operation may panic or corrupt another's entry.
+// operation may panic or corrupt another's entry. Each iteration puts a
+// new generation of the release under the ID the previous iteration
+// removed, evicts it and reloads it: the reload — whether it reinstalls
+// the evicted payload or maps the file — must serve that generation,
+// never a removed one.
 func TestRemoveConcurrentWithReadersAndEviction(t *testing.T) {
 	dir := t.TempDir()
 	s, err := New(Config{Dir: dir, MaxResident: 2, Shards: 2})
@@ -133,7 +138,8 @@ func TestRemoveConcurrentWithReadersAndEviction(t *testing.T) {
 			defer wg.Done()
 			id := fmt.Sprintf("c%d", g)
 			for iter := 0; iter < 20; iter++ {
-				if err := s.Put(id, testPayload(t, uint64(g)), 1); err != nil {
+				gen := uint64(g*1000 + iter)
+				if err := s.Put(id, testPayload(t, gen), 1); err != nil {
 					t.Errorf("Put %s: %v", id, err)
 					return
 				}
@@ -141,6 +147,19 @@ func TestRemoveConcurrentWithReadersAndEviction(t *testing.T) {
 				// nothing else.
 				if _, err := s.Get(id); err != nil && !errors.Is(err, ErrNotFound) {
 					t.Errorf("Get %s: %v", id, err)
+					return
+				}
+				// Evict least-recently-used releases until this one is
+				// out; nothing else touches it, so it soon is.
+				for st, err := s.Describe(id); err == nil && st.Resident && s.evictOne(); st, err = s.Describe(id) {
+				}
+				rel, err := s.Get(id)
+				if err != nil {
+					t.Errorf("reloading %s: %v", id, err)
+					return
+				}
+				if got, want := rel.Payload.Noisy.Data()[0], float64(gen)+math.Pi; got != want {
+					t.Errorf("%s generation %d reloaded entry 0 = %v, want %v", id, gen, got, want)
 					return
 				}
 				if err := s.Remove(id); err != nil && !errors.Is(err, ErrNotFound) {
@@ -157,6 +176,9 @@ func TestRemoveConcurrentWithReadersAndEviction(t *testing.T) {
 	st := s.Stats()
 	if st.Releases != 0 || st.Resident != 0 {
 		t.Fatalf("store not empty after churn: %+v", st)
+	}
+	if st.Reloads == 0 {
+		t.Fatalf("churn never reloaded a release: %+v", st)
 	}
 	// Every spill file must be gone too: Remove cleaned up even when it
 	// raced an in-flight write-through. Only the durable tombstone

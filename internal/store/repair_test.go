@@ -99,6 +99,16 @@ func TestRepairTombstoneSurvivesRestart(t *testing.T) {
 	if err := s.Remove("gone1"); err != nil {
 		t.Fatal(err)
 	}
+	// The marker is written tmp+rename, like spill files: a crash
+	// mid-write strands only a tmp file, which recovery sweeps and
+	// never reads as a tombstone.
+	if _, err := os.Stat(filepath.Join(dir, "gone1.tomb.tmp")); !os.IsNotExist(err) {
+		t.Fatalf("tombstone write left its tmp file: %v", err)
+	}
+	stranded := filepath.Join(dir, "gone2.tomb.tmp")
+	if err := os.WriteFile(stranded, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	re, err := New(Config{Dir: dir})
 	if err != nil {
@@ -106,6 +116,12 @@ func TestRepairTombstoneSurvivesRestart(t *testing.T) {
 	}
 	if !re.Tombstoned("gone1") {
 		t.Fatal("tombstone lost across restart")
+	}
+	if re.Tombstoned("gone2") {
+		t.Fatal("recovery read a stranded tmp file as a tombstone")
+	}
+	if _, err := os.Stat(stranded); !os.IsNotExist(err) {
+		t.Fatal("recovery left the stranded tombstone tmp file")
 	}
 	if err := re.Ingest("gone1", bytes.NewReader(wire), 0); !errors.Is(err, ErrDeleted) {
 		t.Fatalf("post-restart Ingest of tombstoned ID: err = %v, want ErrDeleted", err)

@@ -17,14 +17,16 @@
 //     (the same bytes Release.Save and the /export endpoint emit), and
 //     when more than MaxResident releases are in memory the
 //     least-recently-used ones drop their in-memory matrix and
-//     evaluator. A later Get transparently reloads from disk, with one
-//     of two outcomes: a format-v2 file is memory-mapped and its
-//     persisted summed-area table serves queries straight from the page
-//     cache, while a format-v1 file (or a v2 file whose table fails its
-//     checksum) rebuilds the table from the matrix. Decode is bit-exact
-//     and the prefix-sum build is deterministic, so a reloaded release
-//     answers every query bit-identically to the original (store tests
-//     assert this).
+//     evaluator, keeping only a weak reference to them. A later Get
+//     reinstalls that payload if it is still alive (a query handle
+//     holds it, or no GC has run since), and otherwise transparently
+//     reloads from disk, with one of two outcomes: a format-v2 file is
+//     memory-mapped and its persisted summed-area table serves queries
+//     straight from the page cache, while a format-v1 file (or a v2
+//     file whose table fails its checksum) rebuilds the table from the
+//     matrix. Decode is bit-exact and the prefix-sum build is
+//     deterministic, so a reloaded release answers every query
+//     bit-identically to the original (store tests assert this).
 //
 // Because spill files are written through at Put time, the directory
 // doubles as durable storage: a new Store opened on the same directory
@@ -49,6 +51,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"weak"
 
 	"repro/internal/atomicfile"
 	"repro/internal/codec"
@@ -110,11 +113,12 @@ type Config struct {
 	// writes the release through to Dir, evicted releases reload from
 	// it, and New recovers the releases already present in it.
 	Dir string
-	// Parallelism is the worker count for rebuilding a release's
-	// prefix-sum evaluator (the dominant cost of reloading a spilled
-	// release and of startup recovery); ≤ 0 means GOMAXPROCS. The
-	// rebuild is bit-identical at any worker count
-	// (matrix.PrefixSumExec), so this only affects reload latency.
+	// Parallelism is the worker count for building a release's
+	// prefix-sum evaluator where no durable table exists — a first
+	// publish, a format-v1 spill file, a table that fails its checksum,
+	// a table-less ingest; ≤ 0 means GOMAXPROCS. The build is
+	// bit-identical at any worker count (matrix.PrefixSumExec), so this
+	// only affects its latency.
 	Parallelism int
 	// AnswerCache, when positive, bounds a per-release LRU answer cache
 	// (entry count) serving repeated range-count queries as memory
@@ -195,13 +199,17 @@ type Stats struct {
 	Evictions   int64 `json:"evictions"`
 	Reloads     int64 `json:"reloads"`
 	Removals    int64 `json:"removals"`
-	// MMapHits counts loads (reload or recovery warm-up) whose
-	// evaluator was constructed over a memory-mapped summed-area table;
-	// Rebuilds counts loads that had to re-run the prefix-sum build
-	// because no usable durable table existed (format-v1 file, failed
-	// checksum, or a table-less ingest). A store serving v2 spill files
-	// keeps Rebuilds flat across evict/reload churn — that flatness is
-	// the O(1)-reload guarantee, asserted in tests.
+	// Reloads counts every evicted→resident transition, however the
+	// payload came back. MMapHits counts only loads that mapped a file
+	// (reload or recovery warm-up) and built their evaluator over its
+	// summed-area table; Rebuilds counts loads that had to re-run the
+	// prefix-sum build because no usable durable table existed
+	// (format-v1 file, failed checksum, or a table-less ingest). A
+	// reload that reinstalls its evicted payload, still alive, counts
+	// in neither, so reuses are Reloads − MMapHits − Rebuilds, net of
+	// recovery and ingest. A store serving v2 spill files keeps
+	// Rebuilds flat across evict/reload churn — that flatness is the
+	// O(1)-reload guarantee, asserted in tests.
 	MMapHits int64 `json:"mmap_hits"`
 	Rebuilds int64 `json:"rebuilds"`
 	// MappedBytes/HeapBytes aggregate the per-release residency split
@@ -251,8 +259,9 @@ type shard struct {
 }
 
 // entry is one stored release. stub/workers are immutable after insert;
-// payload, eval and spilled are guarded by the owning shard's mutex;
-// payload/eval are nil while the release is not resident.
+// payload, eval, info, spare and spilled are guarded by the owning
+// shard's mutex; payload/eval are nil while the release is not
+// resident.
 type entry struct {
 	id       string
 	stub     Stub
@@ -268,14 +277,19 @@ type entry struct {
 
 	payload *codec.Payload
 	eval    *query.Evaluator
+	// info is the MapInfo payload (or, while evicted, spare) was decoded
+	// with; residency derives the heap/mapped split from it.
+	info codec.MapInfo
+	// spare weakly references the payload eviction dropped (or a cold
+	// recovery decoded). While something else keeps it alive — a query
+	// handle, or simply no GC cycle since — reload reinstalls it instead
+	// of mapping and checksumming the file again; once it is collected,
+	// the mapping's finalizer unmaps it. It lives on the entry, so a
+	// Remove and a Put of the same ID start without one.
+	spare weak.Pointer[codec.Payload]
 	// spilled records that the release's disk copy exists; eviction
 	// must never drop an entry before its spill file is durable.
 	spilled bool
-	// heapBytes/mappedBytes split the resident float64 backing between
-	// process heap and mapped spill-file pages (see Stub); zero while
-	// not resident. Guarded by the shard mutex like payload.
-	heapBytes   int64
-	mappedBytes int64
 }
 
 // New builds a store. With cfg.Dir set it creates the directory if
@@ -335,9 +349,10 @@ func (s *Store) recover() error {
 		if d.IsDir() {
 			continue
 		}
-		// A crash mid-writeSpill can strand a temp file; sweep it now —
-		// recovery runs before the store serves, so nothing is writing.
-		if strings.HasSuffix(name, spillExt+atomicfile.TmpSuffix) {
+		// A crash mid-writeSpill or mid-addTombstone can strand a temp
+		// file; sweep it now — recovery runs before the store serves, so
+		// nothing is writing.
+		if strings.HasSuffix(name, spillExt+atomicfile.TmpSuffix) || strings.HasSuffix(name, tombExt+atomicfile.TmpSuffix) {
 			os.Remove(filepath.Join(s.cfg.Dir, name))
 			continue
 		}
@@ -357,21 +372,23 @@ func (s *Store) recover() error {
 			log.Printf("store: skipping unreadable spill file %s: %v", name, err)
 			continue
 		}
-		e := &entry{id: id, stub: makeStub(id, p, 0), spilled: true, cache: s.newAnswerCache()}
+		e := &entry{id: id, stub: makeStub(id, p, 0), info: info, spilled: true, cache: s.newAnswerCache()}
 		if s.cfg.MaxResident > 0 && s.resident.Load() < int64(s.cfg.MaxResident) {
 			// Warm entries materialize their evaluator — free when the
 			// file carried the table, a counted rebuild otherwise. Cold
-			// entries drop the payload (and any mapping) here: with a
-			// v2 archive the stub-building decode above only touched
-			// header pages, so opening a large archive stays cheap.
+			// entries keep only a weak reference to the payload, as
+			// eviction does: a first Get before the next GC reinstalls
+			// it, and after that the mapping is unmapped and the payload
+			// reloads from the file.
 			e.eval = s.evaluatorFor(p, true)
 			e.payload = p
-			e.heapBytes, e.mappedBytes = residency(p, info)
 			if info.Table {
 				s.mmapHits.Add(1)
 			}
 			e.touch(s)
 			s.resident.Add(1)
+		} else {
+			e.spare = weak.Make(p)
 		}
 		sh := s.shard(id)
 		sh.mu.Lock()
@@ -412,7 +429,6 @@ func (s *Store) Put(id string, p *codec.Payload, workers int) error {
 		eval:    s.evaluatorFor(p, false),
 		cache:   s.newAnswerCache(),
 	}
-	e.heapBytes, e.mappedBytes = residency(p, codec.MapInfo{})
 	e.touch(s)
 	sh := s.shard(id)
 	sh.mu.Lock()
@@ -525,8 +541,8 @@ func (s *Store) Remove(id string) error {
 	return fileErr
 }
 
-// Get returns the release under id, transparently reloading it from the
-// spill directory (and rebuilding its evaluator) if it was evicted.
+// Get returns the release under id, transparently reloading it if it
+// was evicted (see reload).
 // Returns an error wrapping ErrNotFound for unknown IDs. The Release is
 // returned by value so the resident fast path stays allocation-free.
 func (s *Store) Get(id string) (Release, error) {
@@ -558,10 +574,7 @@ func (s *Store) Describe(id string) (Stub, error) {
 	if e == nil {
 		return Stub{}, fmt.Errorf("store: %q: %w", id, ErrNotFound)
 	}
-	st := e.stub
-	st.Resident = e.payload != nil
-	st.HeapBytes, st.MappedBytes = e.heapBytes, e.mappedBytes
-	return st, nil
+	return e.summary(), nil
 }
 
 // List returns every release's summary, sorted by ID (shortest first,
@@ -583,10 +596,7 @@ func (s *Store) ListPrefix(prefix string) []Stub {
 			if !strings.HasPrefix(e.id, prefix) {
 				continue
 			}
-			st := e.stub
-			st.Resident = e.payload != nil
-			st.HeapBytes, st.MappedBytes = e.heapBytes, e.mappedBytes
-			out = append(out, st)
+			out = append(out, e.summary())
 		}
 		sh.mu.RUnlock()
 	}
@@ -650,7 +660,8 @@ func (s *Store) Tombstones() []string {
 }
 
 // addTombstone records id as deliberately deleted, durably when a spill
-// directory exists (an empty <id>.tomb beside where the spill file was).
+// directory exists (an empty <id>.tomb beside where the spill file was,
+// written through atomicfile like the spill file itself).
 // The marker write is best-effort: a failed write costs at worst one
 // resurrection after a restart, which the next DELETE fixes — whereas
 // failing the Remove over it would leave the release serving.
@@ -659,12 +670,10 @@ func (s *Store) addTombstone(id string) {
 	s.tombs[id] = struct{}{}
 	s.tombMu.Unlock()
 	if s.cfg.Dir != "" {
-		f, err := os.Create(s.tombPath(id))
+		err := atomicfile.Write(s.tombPath(id), func(io.Writer) error { return nil })
 		if err != nil {
 			log.Printf("store: writing tombstone for %q: %v", id, err)
-			return
 		}
-		f.Close()
 	}
 }
 
@@ -715,8 +724,9 @@ func (s *Store) Stats() Stats {
 			if s.cfg.AnswerCache > 0 {
 				cached += e.cache.Len()
 			}
-			mappedB += e.mappedBytes
-			heapB += e.heapBytes
+			h, m := e.residency()
+			heapB += h
+			mappedB += m
 		}
 		sh.mu.RUnlock()
 	}
@@ -748,8 +758,12 @@ func (s *Store) newAnswerCache() *query.AnswerCache {
 	return query.NewAnswerCache(s.cfg.AnswerCache, &s.cacheCtr)
 }
 
-// reload brings a spilled entry back into memory. loadMu makes
-// concurrent Gets of the same release decode its file once.
+// reload brings a spilled entry back into memory. If the payload
+// eviction dropped is still alive, reload reinstalls it: the same bytes,
+// verified when they were first loaded, that a never-evicted release
+// keeps serving — no mmap, no decode, no checksum pass and no second
+// mapping of the file. Otherwise it loads the spill file. ioMu makes
+// concurrent Gets of the same release load it once.
 func (s *Store) reload(sh *shard, e *entry) (Release, error) {
 	e.ioMu.Lock()
 	defer e.ioMu.Unlock()
@@ -766,20 +780,23 @@ func (s *Store) reload(sh *shard, e *entry) (Release, error) {
 		e.touch(s)
 		return rel, nil
 	}
+	p, info := e.spare.Value(), e.info
 	sh.mu.RUnlock()
-	p, info, err := s.loadPayload(e.id)
-	if err != nil {
-		if os.IsNotExist(err) {
-			// Remove won the race after our membership check and took
-			// the spill file with it.
-			return Release{}, fmt.Errorf("store: %q: %w", e.id, ErrNotFound)
+	if p == nil {
+		var err error
+		if p, info, err = s.loadPayload(e.id); err != nil {
+			if os.IsNotExist(err) {
+				// Remove won the race after our membership check and
+				// took the spill file with it.
+				return Release{}, fmt.Errorf("store: %q: %w", e.id, ErrNotFound)
+			}
+			return Release{}, fmt.Errorf("store: reloading %q: %w", e.id, err)
 		}
-		return Release{}, fmt.Errorf("store: reloading %q: %w", e.id, err)
+		if info.Table {
+			s.mmapHits.Add(1)
+		}
 	}
 	eval := s.evaluatorFor(p, true)
-	if info.Table {
-		s.mmapHits.Add(1)
-	}
 	sh.mu.Lock()
 	if sh.entries[e.id] != e {
 		// Removed between the read and the install: do not resurrect the
@@ -787,8 +804,7 @@ func (s *Store) reload(sh *shard, e *entry) (Release, error) {
 		sh.mu.Unlock()
 		return Release{}, fmt.Errorf("store: %q: %w", e.id, ErrNotFound)
 	}
-	e.payload, e.eval = p, eval
-	e.heapBytes, e.mappedBytes = residency(p, info)
+	e.payload, e.eval, e.info = p, eval, info
 	sh.mu.Unlock()
 	e.touch(s)
 	s.resident.Add(1)
@@ -811,8 +827,9 @@ func (s *Store) enforceBudget() {
 }
 
 // evictOne drops the in-memory copy of the globally least-recently-used
-// resident release. The scan takes one shard lock at a time (never two),
-// so it cannot deadlock with any other store operation; the price is
+// resident release, keeping only a weak reference (entry.spare). The
+// scan takes one shard lock at a time (never two), so it cannot
+// deadlock with any other store operation; the price is
 // that under concurrent access the victim is approximately, not exactly,
 // the LRU — an entry touched between the scan and the final lock may
 // still be evicted, which costs one extra reload but is never incorrect
@@ -848,8 +865,8 @@ func (s *Store) evictOne() bool {
 		victimShard.mu.Unlock()
 		return true
 	}
+	victim.spare = weak.Make(victim.payload)
 	victim.payload, victim.eval = nil, nil
-	victim.heapBytes, victim.mappedBytes = 0, 0
 	victimShard.mu.Unlock()
 	s.resident.Add(-1)
 	s.evictions.Add(1)
@@ -998,17 +1015,30 @@ func (s *Store) evaluatorFor(p *codec.Payload, countRebuild bool) *query.Evaluat
 	return eval
 }
 
-// residency splits p's resident float64 backing between heap and mapped
-// file pages, per the decode's MapInfo.
-func residency(p *codec.Payload, info codec.MapInfo) (heap, mapped int64) {
-	n := int64(p.Noisy.Len()) * 8
-	if info.Noisy {
+// summary is the entry's Stub with its current residency. Caller holds
+// the shard lock.
+func (e *entry) summary() Stub {
+	st := e.stub
+	st.Resident = e.payload != nil
+	st.HeapBytes, st.MappedBytes = e.residency()
+	return st
+}
+
+// residency splits the resident payload's float64 backing between heap
+// and mapped file pages, per the decode's MapInfo; zero while not
+// resident. Caller holds the shard lock.
+func (e *entry) residency() (heap, mapped int64) {
+	if e.payload == nil {
+		return 0, 0
+	}
+	n := int64(e.payload.Noisy.Len()) * 8
+	if e.info.Noisy {
 		mapped += n
 	} else {
 		heap += n
 	}
-	if p.Table != nil {
-		if info.Table {
+	if e.payload.Table != nil {
+		if e.info.Table {
 			mapped += n
 		} else {
 			heap += n
