@@ -32,8 +32,8 @@
 //	# download the release for offline use (cmd/privelet-compatible codec)
 //	curl -o release.prvl 'localhost:8080/releases/r1/export'
 //
-//	# watch the store: shards, resident/spilled counts, evictions,
-//	# reloads, answer-cache hits/misses/evictions, node identity
+//	# watch the store: resident/spilled counts, evictions, reloads,
+//	# answer-cache hits/misses/evictions, node identity
 //	curl 'localhost:8080/stats'
 //
 // # Cluster mode
@@ -73,7 +73,7 @@
 // list are refused with a typed 409 instead of writing to stale
 // placement.
 //
-// Releases live in a sharded store (internal/store). With -store-dir set
+// Releases live in internal/store. With -store-dir set
 // every release is also written through to disk, so the daemon survives
 // restarts, and -max-resident bounds how many releases keep their matrix
 // in memory — colder ones are served by transparent reload from disk.
@@ -121,7 +121,6 @@ func main() {
 			fmt.Sprintf("default publish mechanism when a request omits ?mechanism=, one of %s", strings.Join(privelet.Mechanisms(), "|")))
 		storeDir    = flag.String("store-dir", "", "directory for durable release storage; releases already there are served after a restart (empty = memory only)")
 		maxResident = flag.Int("max-resident", 0, "max releases kept in memory; colder ones spill to -store-dir and reload on access (0 = unlimited)")
-		shards      = flag.Int("shards", 0, fmt.Sprintf("release-store lock stripes (0 = default %d)", store.DefaultShards))
 		answerCache = flag.Int("answer-cache", store.DefaultAnswerCache, "max cached answers per release (repeat queries skip the evaluator; 0 disables)")
 		budget      = flag.Float64("budget", 0, "default per-tenant ε budget for /tenants/{id}/publish (0 = unlimited: spend tracked, never refused)")
 		ledgerDir   = flag.String("ledger-dir", "", "directory for durable budget balances (default: -store-dir, so refusals survive restarts whenever releases do)")
@@ -155,7 +154,7 @@ func main() {
 		// rebuilds (startup recovery and spilled-release reloads);
 		// rebuilds are bit-identical at any worker count, so this is
 		// latency-only.
-		st, err := store.New(store.Config{Dir: *storeDir, MaxResident: *maxResident, Shards: *shards, Parallelism: *workers, AnswerCache: *answerCache})
+		st, err := store.New(store.Config{Dir: *storeDir, MaxResident: *maxResident, Parallelism: *workers, AnswerCache: *answerCache})
 		if err != nil {
 			log.Fatal(err)
 		}

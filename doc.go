@@ -106,7 +106,7 @@
 // A release is a publish-once artifact: Save writes it in a versioned
 // binary format and Load reconstructs it with no further privacy cost.
 // The same format backs the whole deployment story — cmd/priveletd
-// serves releases over HTTP from a sharded release store
+// serves releases over HTTP from a release store
 // (internal/store) that spills cold releases to disk, recovers them
 // after a restart, and deletes their files on DELETE /releases/{id};
 // its /export endpoint, its spill files, and Save/Load are

@@ -188,9 +188,8 @@ func (r *Ring) ReplicasFor(key string) []Node {
 // of the key's replica set.
 func (r *Ring) PrimaryFor(key string) Node { return r.ReplicasFor(key)[0] }
 
-// hash64 is FNV-1a with a 64-bit avalanche finalizer, inlined like the
-// store's shard hash so ring lookups never allocate a hash.Hash64. The
-// finalizer matters here where it doesn't for shard selection: vnode
+// hash64 is FNV-1a with a 64-bit avalanche finalizer, inlined so ring
+// lookups never allocate a hash.Hash64. The finalizer matters: vnode
 // keys are short and nearly identical ("n1#0", "n1#1", ...), and raw
 // FNV leaves their hashes correlated enough to skew arc lengths badly —
 // one node can end up owning over half the ring.

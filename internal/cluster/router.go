@@ -11,10 +11,13 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/store"
 )
 
 // NodeHeader is the response header the router stamps on every proxied
@@ -666,13 +669,7 @@ func (rt *Router) handleList(w http.ResponseWriter, req *http.Request) {
 	for id := range byID {
 		ids = append(ids, id)
 	}
-	// The store's List order: shortest ID first, then lexicographic.
-	sort.Slice(ids, func(i, j int) bool {
-		if len(ids[i]) != len(ids[j]) {
-			return len(ids[i]) < len(ids[j])
-		}
-		return ids[i] < ids[j]
-	})
+	slices.SortFunc(ids, store.CompareIDs)
 	out := make([]entry, 0, len(ids))
 	for _, id := range ids {
 		out = append(out, byID[id])

@@ -68,6 +68,16 @@ func TestParseGrammar(t *testing.T) {
 			t.Errorf("Parse(%q): error does not wrap ErrInvalid: %v", tc.raw, err)
 		}
 	}
+	// A roll-up covers its node's leaves: g1 is the second group of
+	// ThreeLevel(2, 3), leaves 3..5.
+	q, err := query.Parse(s, "Age=2..5,Occ=@g1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := q.Lo(), q.Hi()
+	if lo[0] != 2 || hi[0] != 5 || lo[1] != 3 || hi[1] != 5 {
+		t.Fatalf("parsed bounds %v..%v, want [2 3]..[5 5]", lo, hi)
+	}
 }
 
 // TestSpecParseRoundTrip is the wire-format property: for random §VII-A

@@ -359,7 +359,7 @@ func TestLedgerStatsCounters(t *testing.T) {
 	if st.Ledger.Charges != 2 || st.Ledger.Refunds != 1 || st.Ledger.Refusals != 1 || st.Ledger.Tenants != 1 {
 		t.Fatalf("ledger stats = %+v, want 2 charges, 1 refund, 1 refusal, 1 tenant", st.Ledger)
 	}
-	if st.Releases != 1 || st.Shards == 0 {
+	if st.Releases != 1 || st.Resident != 1 {
 		t.Fatalf("store stats lost in the nesting: %+v", st.Stats)
 	}
 }

@@ -5,10 +5,9 @@
 // step is where ε is consumed), so the server can answer unlimited
 // queries with no further accounting.
 //
-// Releases live in an internal/store.Store — sharded for concurrent
-// multi-tenant traffic and, when configured with a spill directory,
-// bounded in memory and durable across restarts. See that package for
-// the serving-model rationale.
+// Releases live in an internal/store.Store — when configured with a
+// spill directory, bounded in memory and durable across restarts. See
+// that package for the serving-model rationale.
 //
 // Publishing goes through the privelet mechanism registry: the publish
 // endpoint's mechanism parameter selects any registered mechanism by
@@ -975,13 +974,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		UptimeSec: time.Since(s.started).Seconds(),
 		Version:   s.version,
 	}, residency, s.ringStats()})
-}
-
-// ParseQuery parses the q= syntax. It is a thin alias kept for
-// compatibility: the grammar moved to query.Parse, where the batch wire
-// format and the CLI share it (one parser, one set of typed errors).
-func ParseQuery(schema *dataset.Schema, raw string) (query.Query, error) {
-	return query.Parse(schema, raw)
 }
 
 func allNames(s *dataset.Schema) []string {

@@ -13,8 +13,6 @@ import (
 
 	"repro/internal/cli"
 	"repro/internal/codec"
-	"repro/internal/dataset"
-	"repro/internal/hierarchy"
 	"repro/internal/store"
 )
 
@@ -249,49 +247,6 @@ func TestErrorPaths(t *testing.T) {
 	}
 }
 
-func TestParseQuerySyntax(t *testing.T) {
-	h, err := hierarchy.ThreeLevel(2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	schema := dataset.MustSchema(
-		dataset.OrdinalAttr("Age", 10),
-		dataset.NominalAttr("Occ", h),
-	)
-	cases := []struct {
-		raw     string
-		wantErr bool
-	}{
-		{"", false},
-		{"Age=0..9", false},
-		{"Age = 2 .. 5 , Occ=@g1", false},
-		{"Occ=#3", false},
-		{"Age", true},
-		{"Age=5", true},
-		{"Age=a..b", true},
-		{"Age=1..x", true},
-		{"Occ=#x", true},
-		{"Occ=@ghost", true},
-		{"Ghost=1..2", true},
-		{",,", false}, // empty clauses skipped
-	}
-	for _, tc := range cases {
-		_, err := ParseQuery(schema, tc.raw)
-		if (err != nil) != tc.wantErr {
-			t.Errorf("ParseQuery(%q) err=%v, wantErr=%v", tc.raw, err, tc.wantErr)
-		}
-	}
-	// Round trip semantics: bounds match a hand-built query.
-	q, err := ParseQuery(schema, "Age=2..5,Occ=@g1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	lo, hi := q.Lo(), q.Hi()
-	if lo[0] != 2 || hi[0] != 5 || lo[1] != 3 || hi[1] != 5 {
-		t.Fatalf("parsed bounds %v..%v", lo, hi)
-	}
-}
-
 func TestPublishBodyLimit(t *testing.T) {
 	ts := httptest.NewServer(New(Config{MaxBody: 64}).Handler()) // 64-byte cap
 	defer ts.Close()
@@ -493,9 +448,6 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 	if st.Evictions != 0 || st.Reloads != 0 {
 		t.Fatalf("unbounded store should never evict: %+v", st)
-	}
-	if st.Shards == 0 {
-		t.Fatalf("stats must report shard count: %+v", st)
 	}
 }
 

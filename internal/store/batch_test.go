@@ -25,7 +25,7 @@ import (
 // handles obtained mid-churn, whose evaluator is a reload's rebuild —
 // must return answers float64 == to the serial loop recorded up front.
 func TestBatchUnderEvictionReload(t *testing.T) {
-	s, err := New(Config{Dir: t.TempDir(), MaxResident: 1, Shards: 4})
+	s, err := New(Config{Dir: t.TempDir(), MaxResident: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

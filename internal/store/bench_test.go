@@ -15,14 +15,16 @@ import (
 	"repro/internal/query"
 )
 
-// The benchmarks compare the sharded store against the single-RWMutex
-// map internal/server used before the store existed, under the serving
+// The benchmarks compare the store against the single-RWMutex map
+// internal/server used before the store existed, under the serving
 // pattern the ROADMAP targets: 8 tenants, each querying its own release
-// with an occasional publish mixed in. Under one global mutex every
-// publish blocks every tenant's queries; under lock striping it blocks
-// only the ~1/shards of traffic that hashes to the same stripe. Run with
-// -cpu 8 (or on a multi-core box) to see the contention gap; on one core
-// the benchmark degenerates to lock overhead only.
+// with an occasional publish mixed in. Both take one read lock per Get;
+// the gap between them is the store's own bookkeeping. The spilling
+// input turns eviction on (a spill Dir and a MaxResident above the
+// tenant count, the configuration of every daemon run with
+// -max-resident), so each Get also stamps the global LRU clock. Run
+// with -cpu 1,2 (or higher on a bigger box) to see how contention on
+// the lock word and the clock grows with cores.
 
 // releaseStore is the narrow interface both implementations serve.
 type releaseStore interface {
@@ -130,20 +132,24 @@ func benchMixed(b *testing.B, s releaseStore) {
 	})
 }
 
-func newShardedForBench(b *testing.B) *Store {
+func newStoreForBench(b *testing.B, cfg Config) *Store {
 	b.Helper()
-	s, err := New(Config{Shards: DefaultShards})
+	s, err := New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	return s
 }
 
-func BenchmarkQueries8TenantsSharded(b *testing.B) { benchQueries(b, newShardedForBench(b)) }
+func BenchmarkQueries8TenantsStore(b *testing.B) { benchQueries(b, newStoreForBench(b, Config{})) }
+
+func BenchmarkQueries8TenantsStoreSpilling(b *testing.B) {
+	benchQueries(b, newStoreForBench(b, Config{Dir: b.TempDir(), MaxResident: 2 * benchTenants}))
+}
 
 func BenchmarkQueries8TenantsSingleMutex(b *testing.B) { benchQueries(b, newMutexStore()) }
 
-func BenchmarkMixed8TenantsSharded(b *testing.B) { benchMixed(b, newShardedForBench(b)) }
+func BenchmarkMixed8TenantsStore(b *testing.B) { benchMixed(b, newStoreForBench(b, Config{})) }
 
 func BenchmarkMixed8TenantsSingleMutex(b *testing.B) { benchMixed(b, newMutexStore()) }
 

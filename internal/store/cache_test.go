@@ -143,7 +143,7 @@ func TestStoreAnswerCacheDisabled(t *testing.T) {
 // payload that handle was served with — the cache attached to a removed
 // release must never answer for its successor, and vice versa.
 func TestCachedBatchUnderChurn(t *testing.T) {
-	s, err := New(Config{Dir: t.TempDir(), MaxResident: 1, Shards: 4, AnswerCache: 512})
+	s, err := New(Config{Dir: t.TempDir(), MaxResident: 1, AnswerCache: 512})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,13 +59,11 @@ func DecodeRelease(r io.Reader) (*codec.Payload, error) {
 // release was deliberately removed here, and replication must not
 // resurrect it — the pusher should delete its own copy instead (only
 // an explicit Put, i.e. a fresh publish reusing the ID, clears the
-// tombstone).
+// tombstone). The tombstone is checked when the ID is claimed, after
+// the decode, so a Remove that lands mid-decode still wins.
 func (s *Store) Ingest(id string, r io.Reader, workers int) error {
 	if err := validateID(id); err != nil {
 		return err
-	}
-	if s.Tombstoned(id) {
-		return fmt.Errorf("store: ingesting %q: %w", id, ErrDeleted)
 	}
 	p, err := DecodeRelease(r)
 	if err != nil {
@@ -77,5 +75,5 @@ func (s *Store) Ingest(id string, r io.Reader, workers int) error {
 	if p.Table == nil {
 		s.rebuilds.Add(1)
 	}
-	return s.Put(id, p, workers)
+	return s.put(id, p, workers, true)
 }

@@ -99,15 +99,15 @@ func TestMMapReloadEquivalence(t *testing.T) {
 				return randomPayload(t, rand.New(rand.NewSource(seed+int64(100+i))))
 			}
 
-			keep, err := New(Config{Shards: 2})
+			keep, err := New(Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			mm, err := New(Config{Shards: 2, MaxResident: 1, Dir: t.TempDir()})
+			mm, err := New(Config{MaxResident: 1, Dir: t.TempDir()})
 			if err != nil {
 				t.Fatal(err)
 			}
-			heap, err := New(Config{Shards: 2})
+			heap, err := New(Config{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -11,7 +11,7 @@ import (
 )
 
 func TestRemoveInMemory(t *testing.T) {
-	s, err := New(Config{Shards: 4})
+	s, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestRemoveKeepsHeldReleasesValid(t *testing.T) {
 // never a removed one.
 func TestRemoveConcurrentWithReadersAndEviction(t *testing.T) {
 	dir := t.TempDir()
-	s, err := New(Config{Dir: dir, MaxResident: 2, Shards: 2})
+	s, err := New(Config{Dir: dir, MaxResident: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestRemoveConcurrentWithReadersAndEviction(t *testing.T) {
 				}
 				// Evict least-recently-used releases until this one is
 				// out; nothing else touches it, so it soon is.
-				for st, err := s.Describe(id); err == nil && st.Resident && s.evictOne(); st, err = s.Describe(id) {
+				for st, err := s.Describe(id); err == nil && st.Resident && evictLRU(s); st, err = s.Describe(id) {
 				}
 				rel, err := s.Get(id)
 				if err != nil {
@@ -199,4 +199,12 @@ func TestRemoveConcurrentWithReadersAndEviction(t *testing.T) {
 	if tombs != ids {
 		t.Fatalf("tombstone markers after churn = %d, want %d", tombs, ids)
 	}
+}
+
+// evictLRU evicts the least-recently-used evictable release, as a
+// resident-budget overrun would.
+func evictLRU(s *Store) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.evictOne()
 }

@@ -10,6 +10,7 @@ package store
 import (
 	"bytes"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -125,6 +126,62 @@ func TestRepairTombstoneSurvivesRestart(t *testing.T) {
 	}
 	if err := re.Ingest("gone1", bytes.NewReader(wire), 0); !errors.Is(err, ErrDeleted) {
 		t.Fatalf("post-restart Ingest of tombstoned ID: err = %v, want ErrDeleted", err)
+	}
+}
+
+// removeOnRead is an Ingest body that removes id from s on its first
+// Read, landing a DELETE while Ingest is decoding.
+type removeOnRead struct {
+	s       *Store
+	id      string
+	r       io.Reader
+	removed bool
+}
+
+func (r *removeOnRead) Read(p []byte) (int, error) {
+	if !r.removed {
+		r.removed = true
+		if err := r.s.Remove(r.id); err != nil {
+			return 0, err
+		}
+	}
+	return r.r.Read(p)
+}
+
+// TestRepairIngestRacingRemove: a repair push of a release this node
+// holds races a DELETE that lands mid-decode. The delete must win — the
+// push is refused with ErrDeleted, and the release stays deleted in
+// memory, on disk and across a restart.
+func TestRepairIngestRacingRemove(t *testing.T) {
+	dir := t.TempDir()
+	s, err := New(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := testPayload(t, 8)
+	wire := encodePayload(t, p)
+	if err := s.Put("r1", p, 0); err != nil {
+		t.Fatal(err)
+	}
+	err = s.Ingest("r1", &removeOnRead{s: s, id: "r1", r: bytes.NewReader(wire)}, 0)
+	if !errors.Is(err, ErrDeleted) {
+		t.Fatalf("Ingest racing Remove: err = %v, want ErrDeleted", err)
+	}
+	if _, err := s.Get("r1"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("deleted release served again: %v", err)
+	}
+	if !s.Tombstoned("r1") {
+		t.Fatal("Ingest cleared the tombstone")
+	}
+	if _, err := os.Stat(filepath.Join(dir, "r1.tomb")); err != nil {
+		t.Fatalf("tombstone marker gone from disk: %v", err)
+	}
+	re, err := New(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := re.Get("r1"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("deleted release recovered after restart: %v", err)
 	}
 }
 

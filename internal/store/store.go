@@ -1,16 +1,16 @@
-// Package store is the sharded, spillable release store behind the
-// serving layer. The paper (§I, §III) frames a Privelet release as a
+// Package store is the spillable release store behind the serving
+// layer. The paper (§I, §III) frames a Privelet release as a
 // publish-once artifact: the noisy frequency matrix M* is computed one
 // time, spending the ε budget, and then answers arbitrarily many
-// range-count queries forever after. Serving that model under heavy
-// multi-tenant traffic needs two properties a single map under one
-// RWMutex cannot give:
+// range-count queries forever after, so the store's hot path is one map
+// lookup per query. Serving that model under multi-tenant traffic needs
+// two properties:
 //
-//   - Publishes must not serialize against queries of unrelated
-//     releases. The store therefore stripes releases across N shards
-//     keyed by FNV-1a(releaseID) mod N, each with its own RWMutex, so a
-//     publish for tenant A contends only with the 1/N of traffic that
-//     hashes to A's shard.
+//   - Publishes must not stall queries of unrelated releases. One
+//     RWMutex guards every release, but it is held only to look up,
+//     claim or flip an entry — never across a publish's evaluator build,
+//     a spill write, a decode or a reload, which run under the release's
+//     own I/O lock — so a query waits at most for another map update.
 //   - Memory must not grow without bound as tenants accumulate
 //     releases. With a spill directory configured, every release is
 //     written through to disk at Put time in the internal/codec format
@@ -40,14 +40,16 @@
 package store
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
 	"log"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -58,11 +60,6 @@ import (
 	"repro/internal/mmapfile"
 	"repro/internal/query"
 )
-
-// DefaultShards is the shard count used when Config.Shards is not set.
-// Sixteen stripes is plenty for the tenant counts a single daemon sees;
-// the marginal cost of an idle shard is one mutex and one empty map.
-const DefaultShards = 16
 
 // DefaultAnswerCache is the per-release answer-cache entry bound the
 // daemon defaults to (priveletd -answer-cache). 64Ki entries ≈ a few
@@ -103,8 +100,6 @@ var ErrDeleted = errors.New("store: release deleted")
 
 // Config configures a Store.
 type Config struct {
-	// Shards is the number of lock stripes; ≤ 0 means DefaultShards.
-	Shards int
 	// MaxResident bounds how many releases keep their matrix and
 	// evaluator in memory; 0 means unlimited. A positive value requires
 	// Dir, since eviction without a spill path would lose data.
@@ -191,7 +186,6 @@ type Stub struct {
 // every release's answer cache (hits/misses/evictions keep counting
 // across release removals; Entries is the current total).
 type Stats struct {
-	Shards      int   `json:"shards"`
 	MaxResident int   `json:"max_resident"`
 	Releases    int   `json:"releases"`
 	Resident    int   `json:"resident"`
@@ -224,18 +218,25 @@ type Stats struct {
 	AnswerCacheEvictions int64 `json:"answer_cache_evictions"`
 }
 
-// Store is a sharded release store. The zero value is not usable;
+// Store is a spillable release store. The zero value is not usable;
 // construct with New. All methods are safe for concurrent use.
 type Store struct {
-	cfg    Config
-	shards []shard
+	cfg Config
+
+	// mu guards entries, tombs and resident, and each entry's payload,
+	// eval, info, spare and spilled. It is never held across a publish,
+	// spill write, decode or reload; those run under the entry's ioMu.
+	mu      sync.RWMutex
+	entries map[string]*entry
+	// tombs is the set of deliberately deleted release IDs (see tombExt).
+	tombs map[string]struct{}
+	// resident counts releases currently holding payload + evaluator.
+	resident int
 
 	// clock is a global logical clock; entries stamp themselves with it
-	// on every access, giving the LRU order without taking write locks
-	// on the read path.
-	clock atomic.Int64
-	// resident counts releases currently holding payload + evaluator.
-	resident  atomic.Int64
+	// on every access, giving the LRU order without taking the write
+	// lock on the read path.
+	clock     atomic.Int64
 	evictions atomic.Int64
 	reloads   atomic.Int64
 	removals  atomic.Int64
@@ -244,24 +245,11 @@ type Store struct {
 	// cacheCtr aggregates answer-cache traffic across every release's
 	// cache, so /stats totals survive individual release removal.
 	cacheCtr query.CacheCounters
-
-	// tombMu guards tombs, the set of deleted release IDs. Tombstones are
-	// few (one per deliberate DELETE, cleared on ID reuse), so a single
-	// mutex beside the sharded entries costs nothing on the serving path —
-	// only Remove, Put, Ingest and the repair sweep touch it.
-	tombMu sync.Mutex
-	tombs  map[string]struct{}
-}
-
-type shard struct {
-	mu      sync.RWMutex
-	entries map[string]*entry
 }
 
 // entry is one stored release. stub/workers are immutable after insert;
-// payload, eval, info, spare and spilled are guarded by the owning
-// shard's mutex; payload/eval are nil while the release is not
-// resident.
+// payload, eval, info, spare and spilled are guarded by Store.mu;
+// payload/eval are nil while the release is not resident.
 type entry struct {
 	id       string
 	stub     Stub
@@ -288,7 +276,8 @@ type entry struct {
 	// Remove and a Put of the same ID start without one.
 	spare weak.Pointer[codec.Payload]
 	// spilled records that the release's disk copy exists; eviction
-	// must never drop an entry before its spill file is durable.
+	// must never drop an entry before its spill file is durable. Put
+	// sets it holding both mu and ioMu, so either lock suffices to read.
 	spilled bool
 }
 
@@ -296,16 +285,10 @@ type entry struct {
 // needed and recovers every readable *.prvl release already in it (see
 // recover for the warm-up and corrupt-file policy).
 func New(cfg Config) (*Store, error) {
-	if cfg.Shards <= 0 {
-		cfg.Shards = DefaultShards
-	}
 	if cfg.MaxResident > 0 && cfg.Dir == "" {
 		return nil, fmt.Errorf("store: MaxResident %d requires a spill Dir", cfg.MaxResident)
 	}
-	s := &Store{cfg: cfg, shards: make([]shard, cfg.Shards), tombs: make(map[string]struct{})}
-	for i := range s.shards {
-		s.shards[i].entries = make(map[string]*entry)
-	}
+	s := &Store{cfg: cfg, entries: make(map[string]*entry), tombs: make(map[string]struct{})}
 	if cfg.Dir != "" {
 		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 			return nil, fmt.Errorf("store: creating %s: %w", cfg.Dir, err)
@@ -323,7 +306,8 @@ func New(cfg Config) (*Store, error) {
 // MaxResident budget has room (for an unbounded store the payloads are
 // dropped, so opening a large archive does not load it all into
 // memory). An unreadable file is skipped with a warning — one corrupt
-// release must not take down serving for every healthy one.
+// release must not take down serving for every healthy one. recover
+// runs before New shares the store, so it fills the maps without mu.
 func (s *Store) recover() error {
 	dirents, err := os.ReadDir(s.cfg.Dir)
 	if err != nil {
@@ -363,7 +347,7 @@ func (s *Store) recover() error {
 		if validateID(id) != nil {
 			continue // not one of ours
 		}
-		if s.Tombstoned(id) {
+		if _, dead := s.tombs[id]; dead {
 			os.Remove(filepath.Join(s.cfg.Dir, name))
 			continue
 		}
@@ -373,7 +357,7 @@ func (s *Store) recover() error {
 			continue
 		}
 		e := &entry{id: id, stub: makeStub(id, p, 0), info: info, spilled: true, cache: s.newAnswerCache()}
-		if s.cfg.MaxResident > 0 && s.resident.Load() < int64(s.cfg.MaxResident) {
+		if s.cfg.MaxResident > 0 && s.resident < s.cfg.MaxResident {
 			// Warm entries materialize their evaluator — free when the
 			// file carried the table, a counted rebuild otherwise. Cold
 			// entries keep only a weak reference to the payload, as
@@ -386,14 +370,11 @@ func (s *Store) recover() error {
 				s.mmapHits.Add(1)
 			}
 			e.touch(s)
-			s.resident.Add(1)
+			s.resident++
 		} else {
 			e.spare = weak.Make(p)
 		}
-		sh := s.shard(id)
-		sh.mu.Lock()
-		sh.entries[id] = e
-		sh.mu.Unlock()
+		s.entries[id] = e
 	}
 	return nil
 }
@@ -401,7 +382,7 @@ func (s *Store) recover() error {
 // Put stores a release under id, which must be unique for the lifetime
 // of the store's directory. Reusing an ID is a caller bug and is
 // rejected — atomically, so racing duplicate Puts cannot clobber each
-// other's spill file: the ID's map slot is claimed under the shard lock
+// other's spill file: the ID's map slot is claimed under the store lock
 // before any file I/O, and only the claimant writes the file. With a
 // spill directory configured, Put does not return success until the
 // release's disk copy is durable, and eviction skips entries whose
@@ -416,6 +397,14 @@ func (s *Store) recover() error {
 // every spill file is written in format v2 and later reloads pay zero
 // prefix-sum work.
 func (s *Store) Put(id string, p *codec.Payload, workers int) error {
+	return s.put(id, p, workers, false)
+}
+
+// put is Put, and with ingest set the tail of Ingest: an ingest of a
+// tombstoned ID is refused with ErrDeleted in the critical section that
+// claims the slot, so a Remove can never land between the check and the
+// claim. Only a Put clears the tombstone.
+func (s *Store) put(id string, p *codec.Payload, workers int, ingest bool) error {
 	if err := validateID(id); err != nil {
 		return err
 	}
@@ -430,20 +419,23 @@ func (s *Store) Put(id string, p *codec.Payload, workers int) error {
 		cache:   s.newAnswerCache(),
 	}
 	e.touch(s)
-	sh := s.shard(id)
-	sh.mu.Lock()
-	if _, dup := sh.entries[id]; dup {
-		sh.mu.Unlock()
+	s.mu.Lock()
+	if _, dup := s.entries[id]; dup {
+		s.mu.Unlock()
 		return fmt.Errorf("store: release %q: %w", id, ErrDuplicate)
 	}
-	sh.entries[id] = e
+	if _, dead := s.tombs[id]; dead && ingest {
+		s.mu.Unlock()
+		return fmt.Errorf("store: ingesting %q: %w", id, ErrDeleted)
+	}
+	s.entries[id] = e
+	s.resident++
 	// Holding ioMu across the write-through lets Remove wait for the
 	// rename (and any orphan cleanup) to settle before it returns — the
 	// point at which the ID becomes safe to reuse. The lock is fresh and
 	// uncontended here; ordering is always ioMu after the slot claim.
 	e.ioMu.Lock()
-	sh.mu.Unlock()
-	s.resident.Add(1)
+	s.mu.Unlock()
 	defer e.ioMu.Unlock()
 	if s.cfg.Dir != "" {
 		if err := s.writeSpill(id, p); err != nil {
@@ -451,35 +443,40 @@ func (s *Store) Put(id string, p *codec.Payload, workers int) error {
 			// Remove may already have taken the entry out (and adjusted
 			// the resident count), in which case there is nothing to
 			// undo — the release is gone either way.
-			sh.mu.Lock()
-			if sh.entries[id] == e {
-				delete(sh.entries, id)
-				s.resident.Add(-1)
+			s.mu.Lock()
+			if s.entries[id] == e {
+				delete(s.entries, id)
+				s.resident--
 			}
-			sh.mu.Unlock()
+			s.mu.Unlock()
 			return err
 		}
-		sh.mu.Lock()
-		if sh.entries[id] != e {
-			// Removed while the write-through was in flight; the spill
-			// file just written is an orphan Remove could not see —
-			// delete it so a restart does not resurrect the release.
-			// The delete happens under the shard lock and only while the
-			// ID's slot is vacant, so it can never hit a successor Put's
-			// fresh file (claiming the slot requires this lock).
-			if sh.entries[id] == nil {
-				os.Remove(s.spillPath(id))
-			}
-			sh.mu.Unlock()
-			return nil
-		}
-		e.spilled = true
-		sh.mu.Unlock()
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.entries[id] != e {
+		// Removed while the write-through was in flight; the spill file
+		// just written is an orphan Remove could not see — delete it so a
+		// restart does not resurrect the release. The delete happens
+		// under the lock and only while the ID's slot is vacant, so it
+		// can never hit a successor Put's fresh file (claiming the slot
+		// requires this lock).
+		if s.cfg.Dir != "" && s.entries[id] == nil {
+			os.Remove(s.spillPath(id))
+		}
+		return nil
+	}
+	e.spilled = s.cfg.Dir != ""
 	// A fresh publish reusing a deleted ID clears the tombstone — but only
 	// once the release is fully durable, so a failed Put leaves the delete
-	// marker (and the repair sweep's view of it) intact.
-	s.clearTombstone(id)
+	// marker (and the repair sweep's view of it) intact. An ingest found
+	// none at its claim, and a Remove since would have vacated the slot.
+	if _, dead := s.tombs[id]; dead {
+		delete(s.tombs, id)
+		if s.cfg.Dir != "" {
+			os.Remove(s.tombPath(id))
+		}
+	}
 	s.enforceBudget()
 	return nil
 }
@@ -497,25 +494,26 @@ func (s *Store) Put(id string, p *codec.Payload, workers int) error {
 // pointers (removal only drops the store's references), and a Get racing
 // the removal either completes first or reports ErrNotFound.
 func (s *Store) Remove(id string) error {
-	sh := s.shard(id)
-	sh.mu.Lock()
-	e := sh.entries[id]
+	s.mu.Lock()
+	e := s.entries[id]
 	if e == nil {
-		sh.mu.Unlock()
+		s.mu.Unlock()
 		return fmt.Errorf("store: %q: %w", id, ErrNotFound)
 	}
-	delete(sh.entries, id)
-	resident := e.payload != nil
-	sh.mu.Unlock()
-	if resident {
-		s.resident.Add(-1)
+	delete(s.entries, id)
+	if e.payload != nil {
+		s.resident--
 	}
+	// The tombstone goes in with the delete, so no Ingest can claim the
+	// vacant slot before it exists.
+	s.tombs[id] = struct{}{}
+	s.mu.Unlock()
 	s.removals.Add(1)
-	// Tombstone before the spill unlink: if the process dies between the
+	// Marker before the spill unlink: if the process dies between the
 	// two, recovery finds marker + file and finishes the delete instead of
 	// resurrecting the release. Repair sweeps read the marker to propagate
 	// the delete to replicas that were down when it happened.
-	s.addTombstone(id)
+	s.writeTombstone(id)
 	// Wait for an in-flight write-through to settle: Put holds ioMu from
 	// the slot claim until its rename (or orphan cleanup) is done, so
 	// after this acquisition the file state is final and no stale rename
@@ -525,18 +523,18 @@ func (s *Store) Remove(id string) error {
 	spilled := e.spilled
 	e.ioMu.Unlock()
 	var fileErr error
-	if s.cfg.Dir != "" && spilled {
-		// Unlink under the shard lock, only while the slot is vacant: a
+	if spilled {
+		// Unlink under the lock, only while the slot is vacant: a
 		// successor Put (the ID is free from the caller's perspective
 		// the moment we return) claims the slot under the same lock, so
 		// the delete can never hit a successor's fresh file.
-		sh.mu.Lock()
-		if sh.entries[id] == nil {
+		s.mu.Lock()
+		if s.entries[id] == nil {
 			if err := os.Remove(s.spillPath(id)); err != nil && !os.IsNotExist(err) {
 				fileErr = fmt.Errorf("store: removing spill file of %q: %w", id, err)
 			}
 		}
-		sh.mu.Unlock()
+		s.mu.Unlock()
 	}
 	return fileErr
 }
@@ -546,14 +544,13 @@ func (s *Store) Remove(id string) error {
 // Returns an error wrapping ErrNotFound for unknown IDs. The Release is
 // returned by value so the resident fast path stays allocation-free.
 func (s *Store) Get(id string) (Release, error) {
-	sh := s.shard(id)
-	sh.mu.RLock()
-	e := sh.entries[id]
+	s.mu.RLock()
+	e := s.entries[id]
 	var rel Release
 	if e != nil && e.payload != nil {
-		rel = Release{ID: id, Payload: e.payload, Eval: e.eval, Cache: e.cache, Workers: e.stub.Workers}
+		rel = e.release()
 	}
-	sh.mu.RUnlock()
+	s.mu.RUnlock()
 	if e == nil {
 		return Release{}, fmt.Errorf("store: %q: %w", id, ErrNotFound)
 	}
@@ -561,24 +558,23 @@ func (s *Store) Get(id string) (Release, error) {
 		e.touch(s)
 		return rel, nil
 	}
-	return s.reload(sh, e)
+	return s.reload(e)
 }
 
 // Describe returns the release's always-resident summary without
 // loading a spilled release.
 func (s *Store) Describe(id string) (Stub, error) {
-	sh := s.shard(id)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	e := sh.entries[id]
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	e := s.entries[id]
 	if e == nil {
 		return Stub{}, fmt.Errorf("store: %q: %w", id, ErrNotFound)
 	}
 	return e.summary(), nil
 }
 
-// List returns every release's summary, sorted by ID (shortest first,
-// then lexicographic, so r2 sorts before r10). It never touches disk.
+// List returns every release's summary in CompareIDs order. It never
+// touches disk.
 func (s *Store) List() []Stub { return s.ListPrefix("") }
 
 // ListPrefix returns the summaries of releases whose ID starts with
@@ -589,110 +585,71 @@ func (s *Store) List() []Stub { return s.ListPrefix("") }
 // resident budget.
 func (s *Store) ListPrefix(prefix string) []Stub {
 	var out []Stub
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for _, e := range sh.entries {
-			if !strings.HasPrefix(e.id, prefix) {
-				continue
-			}
+	s.mu.RLock()
+	for id, e := range s.entries {
+		if strings.HasPrefix(id, prefix) {
 			out = append(out, e.summary())
 		}
-		sh.mu.RUnlock()
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].ID, out[j].ID
-		if len(a) != len(b) {
-			return len(a) < len(b)
-		}
-		return a < b
-	})
+	s.mu.RUnlock()
+	slices.SortFunc(out, func(a, b Stub) int { return CompareIDs(a.ID, b.ID) })
 	return out
 }
 
-// IDs returns every stored release ID in List's order (shortest first,
-// then lexicographic) without copying the stubs — the cheap placement
-// listing an anti-entropy sweep diffs against the ring.
+// IDs returns every stored release ID in CompareIDs order without
+// copying the stubs — the cheap placement listing an anti-entropy sweep
+// diffs against the ring.
 func (s *Store) IDs() []string {
-	var out []string
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for id := range sh.entries {
-			out = append(out, id)
-		}
-		sh.mu.RUnlock()
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if len(out[i]) != len(out[j]) {
-			return len(out[i]) < len(out[j])
-		}
-		return out[i] < out[j]
-	})
+	s.mu.RLock()
+	out := slices.Collect(maps.Keys(s.entries))
+	s.mu.RUnlock()
+	slices.SortFunc(out, CompareIDs)
 	return out
 }
 
 // Tombstoned reports whether id carries a delete marker (removed, not
 // yet republished under the same ID).
 func (s *Store) Tombstoned(id string) bool {
-	s.tombMu.Lock()
-	defer s.tombMu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	_, ok := s.tombs[id]
 	return ok
 }
 
-// Tombstones returns the deleted release IDs, sorted like IDs — what a
-// repair sweep propagates to replicas that missed the DELETE.
+// Tombstones returns the deleted release IDs in CompareIDs order — what
+// a repair sweep propagates to replicas that missed the DELETE.
 func (s *Store) Tombstones() []string {
-	s.tombMu.Lock()
-	out := make([]string, 0, len(s.tombs))
-	for id := range s.tombs {
-		out = append(out, id)
-	}
-	s.tombMu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if len(out[i]) != len(out[j]) {
-			return len(out[i]) < len(out[j])
-		}
-		return out[i] < out[j]
-	})
+	s.mu.RLock()
+	out := slices.Collect(maps.Keys(s.tombs))
+	s.mu.RUnlock()
+	slices.SortFunc(out, CompareIDs)
 	return out
 }
 
-// addTombstone records id as deliberately deleted, durably when a spill
-// directory exists (an empty <id>.tomb beside where the spill file was,
-// written through atomicfile like the spill file itself).
-// The marker write is best-effort: a failed write costs at worst one
-// resurrection after a restart, which the next DELETE fixes — whereas
-// failing the Remove over it would leave the release serving.
-func (s *Store) addTombstone(id string) {
-	s.tombMu.Lock()
-	s.tombs[id] = struct{}{}
-	s.tombMu.Unlock()
-	if s.cfg.Dir != "" {
-		err := atomicfile.Write(s.tombPath(id), func(io.Writer) error { return nil })
-		if err != nil {
-			log.Printf("store: writing tombstone for %q: %v", id, err)
-		}
+// CompareIDs orders release IDs shortest first, then lexicographically,
+// so r2 sorts before r10 and a tenant's epochs sort numerically. It is
+// the order of List, IDs and Tombstones, and of the cluster router's
+// merged listing.
+func CompareIDs(a, b string) int {
+	if c := cmp.Compare(len(a), len(b)); c != 0 {
+		return c
 	}
+	return strings.Compare(a, b)
 }
 
-// clearTombstone withdraws id's delete marker (a fresh publish reused
-// the ID).
-func (s *Store) clearTombstone(id string) {
-	s.tombMu.Lock()
-	_, had := s.tombs[id]
-	delete(s.tombs, id)
-	s.tombMu.Unlock()
-	if had && s.cfg.Dir != "" {
-		os.Remove(s.tombPath(id))
+// writeTombstone makes id's delete marker durable when a spill directory
+// exists: an empty <id>.tomb beside where the spill file was, written
+// through atomicfile like the spill file itself. The write is
+// best-effort: a failed write costs at worst one resurrection after a
+// restart, which the next DELETE fixes — whereas failing the Remove over
+// it would leave the release serving.
+func (s *Store) writeTombstone(id string) {
+	if s.cfg.Dir == "" {
+		return
 	}
-}
-
-func (s *Store) tombstoneCount() int {
-	s.tombMu.Lock()
-	defer s.tombMu.Unlock()
-	return len(s.tombs)
+	if err := atomicfile.Write(s.tombPath(id), func(io.Writer) error { return nil }); err != nil {
+		log.Printf("store: writing tombstone for %q: %v", id, err)
+	}
 }
 
 func (s *Store) tombPath(id string) string {
@@ -701,41 +658,30 @@ func (s *Store) tombPath(id string) string {
 
 // Len returns the number of stored releases, resident or spilled.
 func (s *Store) Len() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		n += len(sh.entries)
-		sh.mu.RUnlock()
-	}
-	return n
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.entries)
 }
 
-// Stats returns a consistent-enough snapshot of the store's accounting.
+// Stats returns a snapshot of the store's accounting.
 func (s *Store) Stats() Stats {
-	total := s.Len()
-	res := int(s.resident.Load())
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	cached := 0
 	var mappedB, heapB int64
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for _, e := range sh.entries {
-			if s.cfg.AnswerCache > 0 {
-				cached += e.cache.Len()
-			}
-			h, m := e.residency()
-			heapB += h
-			mappedB += m
+	for _, e := range s.entries {
+		if s.cfg.AnswerCache > 0 {
+			cached += e.cache.Len()
 		}
-		sh.mu.RUnlock()
+		h, m := e.residency()
+		heapB += h
+		mappedB += m
 	}
 	return Stats{
-		Shards:               len(s.shards),
 		MaxResident:          s.cfg.MaxResident,
-		Releases:             total,
-		Resident:             res,
-		Spilled:              total - res,
+		Releases:             len(s.entries),
+		Resident:             s.resident,
+		Spilled:              len(s.entries) - s.resident,
 		Evictions:            s.evictions.Load(),
 		Reloads:              s.reloads.Load(),
 		Removals:             s.removals.Load(),
@@ -743,7 +689,7 @@ func (s *Store) Stats() Stats {
 		Rebuilds:             s.rebuilds.Load(),
 		MappedBytes:          mappedB,
 		HeapBytes:            heapB,
-		Tombstones:           s.tombstoneCount(),
+		Tombstones:           len(s.tombs),
 		AnswerCacheMax:       max(s.cfg.AnswerCache, 0),
 		AnswerCacheEntries:   cached,
 		AnswerCacheHits:      s.cacheCtr.Hits.Load(),
@@ -764,24 +710,24 @@ func (s *Store) newAnswerCache() *query.AnswerCache {
 // keeps serving — no mmap, no decode, no checksum pass and no second
 // mapping of the file. Otherwise it loads the spill file. ioMu makes
 // concurrent Gets of the same release load it once.
-func (s *Store) reload(sh *shard, e *entry) (Release, error) {
+func (s *Store) reload(e *entry) (Release, error) {
 	e.ioMu.Lock()
 	defer e.ioMu.Unlock()
 	// Another goroutine may have finished the reload — or a Remove may
 	// have deleted the release — while we waited.
-	sh.mu.RLock()
-	if sh.entries[e.id] != e {
-		sh.mu.RUnlock()
+	s.mu.RLock()
+	if s.entries[e.id] != e {
+		s.mu.RUnlock()
 		return Release{}, fmt.Errorf("store: %q: %w", e.id, ErrNotFound)
 	}
 	if e.payload != nil {
-		rel := Release{ID: e.id, Payload: e.payload, Eval: e.eval, Cache: e.cache, Workers: e.stub.Workers}
-		sh.mu.RUnlock()
+		rel := e.release()
+		s.mu.RUnlock()
 		e.touch(s)
 		return rel, nil
 	}
 	p, info := e.spare.Value(), e.info
-	sh.mu.RUnlock()
+	s.mu.RUnlock()
 	if p == nil {
 		var err error
 		if p, info, err = s.loadPayload(e.id); err != nil {
@@ -797,99 +743,66 @@ func (s *Store) reload(sh *shard, e *entry) (Release, error) {
 		}
 	}
 	eval := s.evaluatorFor(p, true)
-	sh.mu.Lock()
-	if sh.entries[e.id] != e {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.entries[e.id] != e {
 		// Removed between the read and the install: do not resurrect the
 		// payload on a dead entry (the resident count no longer tracks it).
-		sh.mu.Unlock()
 		return Release{}, fmt.Errorf("store: %q: %w", e.id, ErrNotFound)
 	}
 	e.payload, e.eval, e.info = p, eval, info
-	sh.mu.Unlock()
 	e.touch(s)
-	s.resident.Add(1)
+	s.resident++
 	s.reloads.Add(1)
+	rel := e.release()
 	s.enforceBudget()
-	return Release{ID: e.id, Payload: p, Eval: eval, Cache: e.cache, Workers: e.stub.Workers}, nil
+	return rel, nil
 }
 
 // enforceBudget evicts least-recently-used releases until the resident
-// count is back under MaxResident.
+// count is back under MaxResident, or no evictable release is left.
+// Caller holds s.mu for writing.
 func (s *Store) enforceBudget() {
-	if s.cfg.MaxResident <= 0 {
-		return
-	}
-	for s.resident.Load() > int64(s.cfg.MaxResident) {
-		if !s.evictOne() {
-			return
-		}
+	for s.cfg.MaxResident > 0 && s.resident > s.cfg.MaxResident && s.evictOne() {
 	}
 }
 
-// evictOne drops the in-memory copy of the globally least-recently-used
-// resident release, keeping only a weak reference (entry.spare). The
-// scan takes one shard lock at a time (never two), so it cannot
-// deadlock with any other store operation; the price is
-// that under concurrent access the victim is approximately, not exactly,
-// the LRU — an entry touched between the scan and the final lock may
-// still be evicted, which costs one extra reload but is never incorrect
-// (eviction only drops references; callers holding a *Release keep it).
-// Returns false when no resident entry exists to evict.
+// evictOne drops the in-memory copy of the least-recently-used resident
+// release with a durable disk copy, keeping only a weak reference
+// (entry.spare); callers holding its Release keep it. Returns false when
+// no release is evictable. Caller holds s.mu for writing, so the scan
+// and the drop are one step: no entry can be reloaded, removed or
+// evicted by someone else in between.
 func (s *Store) evictOne() bool {
 	var victim *entry
-	var victimShard *shard
 	best := int64(math.MaxInt64)
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for _, e := range sh.entries {
-			// Only entries with a durable disk copy are evictable.
-			if e.payload == nil || !e.spilled {
-				continue
-			}
-			if t := e.lastUsed.Load(); t < best {
-				best, victim, victimShard = t, e, sh
-			}
+	for _, e := range s.entries {
+		if e.payload == nil || !e.spilled {
+			continue
 		}
-		sh.mu.RUnlock()
+		if t := e.lastUsed.Load(); t < best {
+			best, victim = t, e
+		}
 	}
 	if victim == nil {
 		return false
 	}
-	victimShard.mu.Lock()
-	if victimShard.entries[victim.id] != victim || victim.payload == nil || !victim.spilled {
-		// Lost a race with another evictor or with Remove, which already
-		// adjusted the accounting (evicting a removed entry would double-
-		// decrement the resident count); report progress so the budget
-		// loop re-checks.
-		victimShard.mu.Unlock()
-		return true
-	}
 	victim.spare = weak.Make(victim.payload)
 	victim.payload, victim.eval = nil, nil
-	victimShard.mu.Unlock()
-	s.resident.Add(-1)
+	s.resident--
 	s.evictions.Add(1)
 	return true
 }
 
-// shard picks the lock stripe for id by FNV-1a, inlined so the hot Get
-// path does not allocate a hash.Hash32 per request.
-func (s *Store) shard(id string) *shard {
-	const offset32, prime32 = 2166136261, 16777619
-	h := uint32(offset32)
-	for i := 0; i < len(id); i++ {
-		h ^= uint32(id[i])
-		h *= prime32
-	}
-	return &s.shards[h%uint32(len(s.shards))]
+// release is the entry's resident view. Caller holds s.mu.
+func (e *entry) release() Release {
+	return Release{ID: e.id, Payload: e.payload, Eval: e.eval, Cache: e.cache, Workers: e.stub.Workers}
 }
 
 // touch stamps the entry with the global LRU clock. With eviction
 // disabled (MaxResident ≤ 0) the stamps would never be read, so the
 // read path skips the shared atomic entirely — otherwise every Get
-// across every shard would bounce one cache line, undoing part of the
-// lock striping.
+// would bounce one cache line between cores.
 func (e *entry) touch(s *Store) {
 	if s.cfg.MaxResident <= 0 {
 		return
@@ -1016,7 +929,7 @@ func (s *Store) evaluatorFor(p *codec.Payload, countRebuild bool) *query.Evaluat
 }
 
 // summary is the entry's Stub with its current residency. Caller holds
-// the shard lock.
+// s.mu.
 func (e *entry) summary() Stub {
 	st := e.stub
 	st.Resident = e.payload != nil
@@ -1026,7 +939,7 @@ func (e *entry) summary() Stub {
 
 // residency splits the resident payload's float64 backing between heap
 // and mapped file pages, per the decode's MapInfo; zero while not
-// resident. Caller holds the shard lock.
+// resident. Caller holds s.mu.
 func (e *entry) residency() (heap, mapped int64) {
 	if e.payload == nil {
 		return 0, 0
