@@ -1,8 +1,10 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation (§VII), plus ablations for the design choices DESIGN.md
-// calls out. Each BenchmarkFigureN runs the corresponding experiment at a
-// bench-sized profile and reports headline metrics via b.ReportMetric;
-// cmd/experiments prints the full series at larger profiles.
+// evaluation (§VII), plus ablations of the paper's design choices (the
+// §V nominal transform, §VI-D's SA set, mean subtraction) and the Hay et
+// al. extension. Each BenchmarkFigureN runs the corresponding experiment
+// at a bench-sized profile and reports headline metrics via
+// b.ReportMetric; cmd/experiments prints the full series at larger
+// profiles.
 package privelet_test
 
 import (
@@ -32,7 +34,8 @@ import (
 
 // benchProfile is a scaled-down experiment profile so `go test -bench=.`
 // finishes in minutes. The series' shape (who wins, where the crossover
-// falls) is preserved; see EXPERIMENTS.md for medium-profile numbers.
+// falls) is preserved; `experiments -profile medium` prints medium-profile
+// numbers.
 func benchProfile() experiment.Profile {
 	return experiment.Profile{
 		Name: "bench", Scale: dataset.ScaleSmall,
@@ -197,7 +200,7 @@ func BenchmarkAblationSmallDomain(b *testing.B) {
 		var basicSq, privSq float64
 		for t := 0; t < trials; t++ {
 			seed := uint64(i*trials + t)
-			bres, err := baseline.Basic(context.Background(), m, 1.0, seed, 1)
+			bres, err := core.PublishMatrix(context.Background(), m, s, core.Options{Epsilon: 1.0, SA: s.Names(), Seed: seed, Parallelism: 1})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -748,9 +751,10 @@ func BenchmarkBasicPublishCensusSmall(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	schema := tbl.Schema()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := baseline.Basic(context.Background(), m, 1, uint64(i), 0); err != nil {
+		if _, err := core.PublishMatrix(context.Background(), m, schema, core.Options{Epsilon: 1, SA: schema.Names(), Seed: uint64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,7 +1,6 @@
 // Command experiments regenerates every table and figure of the paper's
 // evaluation section (§VII). Each figure prints the same rows/series the
-// paper plots; EXPERIMENTS.md records the measured values against the
-// paper's.
+// paper plots, so a run reads directly against the paper's figures.
 //
 // Usage:
 //

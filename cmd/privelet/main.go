@@ -283,7 +283,7 @@ func runOffline(loadPath, quePath, outPath string, workers int) {
 	}
 	defer qf.Close()
 	// Stream the workload: parse → execute → write overlap in chunks, so
-	// a million-query file never exists in memory as a plan. AnswerLines
+	// a million-query file never exists in memory whole. AnswerLines
 	// renders with 'g'/-1, which round-trips the exact float64, so piped
 	// answers stay bit-identical to the evaluator's.
 	aw := workload.NewAnswerLines(out)

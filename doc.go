@@ -118,7 +118,7 @@
 // (float64 ==) to a serial Count loop at any worker count, the daemon's
 // POST /releases/{id}/query endpoint answers a whole workload body in
 // one request, and cmd/privelet -load/-query does the same for saved
-// artifacts — all three run internal/query's plan→execute pipeline over
+// artifacts — all three run internal/query's parse→execute pipeline over
 // one shared workload wire format (one predicate spec per line, or
 // JSON; see docs/ARCHITECTURE.md's "Query serving" section).
 //

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	privelet "repro"
-	"repro/internal/baseline"
 	"repro/internal/cli"
 	"repro/internal/codec"
 	"repro/internal/core"
@@ -25,36 +24,39 @@ import (
 	"repro/internal/workload"
 )
 
-// TestBasicEqualsSAAllBitForBit pins the design claim of DESIGN.md §4.5:
-// Privelet+ with SA = all attributes IS the Basic mechanism — identical
-// noise draws, identical release, given the same seed.
+// TestBasicEqualsSAAllBitForBit pins the Figure 5 special case the
+// registry relies on: "basic" is Privelet+ with SA = every attribute —
+// identical noise draws, identical release and accounting, given the same
+// seed, at any parallelism.
 func TestBasicEqualsSAAllBitForBit(t *testing.T) {
 	tbl, err := dataset.GenerateCensus(dataset.BrazilSpec(dataset.ScaleSmall), 5_000, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := tbl.FrequencyMatrix()
+	freq, err := privelet.TableFrequency(tbl)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const seed = 99
-	viaCore, err := core.PublishMatrix(context.Background(), m, tbl.Schema(), core.Options{
-		Epsilon: 0.7,
-		SA:      []string{"Age", "Gender", "Occupation", "Income"},
-		Seed:    seed,
+	plus, err := privelet.PublishWith(context.Background(), "privelet+", freq, privelet.Params{
+		Epsilon: 0.7, SA: tbl.Schema().Names(), Seed: seed, Parallelism: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaBaseline, err := baseline.Basic(context.Background(), m, 0.7, seed, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !viaCore.Noisy.AlmostEqual(viaBaseline.Noisy, 0) {
-		t.Fatal("core SA=all and baseline.Basic diverge; they must be the same mechanism")
-	}
-	if viaCore.Lambda != viaBaseline.Magnitude {
-		t.Fatalf("lambda %v vs magnitude %v", viaCore.Lambda, viaBaseline.Magnitude)
+	for _, par := range []int{1, 4} {
+		basic, err := privelet.PublishWith(context.Background(), "basic", freq, privelet.Params{
+			Epsilon: 0.7, Seed: seed, Parallelism: par,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d, _ := basic.Matrix().MaxAbsDiff(plus.Matrix()); d != 0 {
+			t.Fatalf("parallelism %d: basic and privelet+ with SA = all diverge by %v; they must be the same mechanism", par, d)
+		}
+		if basic.Lambda() != plus.Lambda() || basic.Sensitivity() != plus.Sensitivity() || basic.VarianceBound() != plus.VarianceBound() {
+			t.Fatalf("parallelism %d: accounting differs: basic %v vs privelet+ %v", par, basic, plus)
+		}
 	}
 }
 

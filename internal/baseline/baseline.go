@@ -1,17 +1,13 @@
-// Package baseline implements the comparison mechanisms of the paper's
-// evaluation:
-//
-//   - Basic — Dwork et al.'s method (§II-B): independent Laplace noise of
-//     magnitude 2/ε on every frequency-matrix entry. This is the paper's
-//     main comparator in Figures 6–11.
-//   - HWTOrdinalized — the §V-D alternative that handles nominal
-//     attributes by imposing the hierarchy's total order and applying the
-//     ordinal Haar transform. Asymptotically worse than the nominal
-//     wavelet transform (O(log³m) vs O(h²) variance); kept as an ablation.
+// Package baseline implements HWTOrdinalized, the §V-D alternative that
+// handles nominal attributes by imposing the hierarchy's total order and
+// applying the ordinal Haar transform. It is asymptotically worse than
+// the nominal wavelet transform (O(log³m) vs O(h²) variance) and is kept
+// as an ablation. The paper's main comparator, Dwork et al.'s Basic
+// mechanism (§II-B), is not here: it is core.PublishMatrix with every
+// attribute in SA.
 package baseline
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/dataset"
@@ -19,43 +15,6 @@ import (
 	"repro/internal/privacy"
 	"repro/internal/transform"
 )
-
-// BasicResult is a Basic-mechanism release.
-type BasicResult struct {
-	Noisy *matrix.Matrix
-	// Magnitude is the per-entry Laplace magnitude 2/ε.
-	Magnitude float64
-	Epsilon   float64
-}
-
-// Basic publishes a noisy frequency matrix with Dwork et al.'s method:
-// each entry receives independent Laplace(2/ε) noise (sensitivity 2,
-// Theorem 1). The input matrix is not modified. The noise pass fans out
-// across `workers` goroutines (≤ 0 defaults to GOMAXPROCS) over fixed
-// chunks keyed to substreams of the seed, so the release never depends
-// on the worker count. Cancelling ctx aborts the pass early with ctx's
-// error.
-func Basic(ctx context.Context, m *matrix.Matrix, epsilon float64, seed uint64, workers int) (*BasicResult, error) {
-	if epsilon <= 0 {
-		return nil, fmt.Errorf("baseline: epsilon must be positive, got %v", epsilon)
-	}
-	workers = matrix.ResolveWorkers(workers)
-	magnitude := 2 / epsilon
-	noisy := m.Clone()
-	if err := privacy.InjectLaplaceUniformCtx(ctx, noisy, magnitude, seed, workers); err != nil {
-		return nil, err
-	}
-	return &BasicResult{Noisy: noisy, Magnitude: magnitude, Epsilon: epsilon}, nil
-}
-
-// BasicTable is Basic starting from a table.
-func BasicTable(ctx context.Context, t *dataset.Table, epsilon float64, seed uint64, workers int) (*BasicResult, error) {
-	m, err := t.FrequencyMatrix()
-	if err != nil {
-		return nil, err
-	}
-	return Basic(ctx, m, epsilon, seed, workers)
-}
 
 // HWTResult is an HWTOrdinalized release.
 type HWTResult struct {

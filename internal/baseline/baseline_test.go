@@ -1,8 +1,6 @@
 package baseline
 
 import (
-	"context"
-	"math"
 	"testing"
 
 	"repro/internal/dataset"
@@ -11,65 +9,6 @@ import (
 	"repro/internal/privacy"
 	"repro/internal/query"
 )
-
-func TestBasicNoiseMoments(t *testing.T) {
-	m := matrix.MustNew(120, 120)
-	res, err := Basic(context.Background(), m, 1, 3, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Magnitude != 2 {
-		t.Errorf("Magnitude = %v, want 2/ε = 2", res.Magnitude)
-	}
-	var sum, sumSq float64
-	for _, v := range res.Noisy.Data() {
-		sum += v
-		sumSq += v * v
-	}
-	n := float64(res.Noisy.Len())
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	want := 8.0 // 2·(2/ε)² at ε=1
-	if math.Abs(variance-want) > 0.1*want {
-		t.Errorf("variance = %v, want ~%v (the paper's 8/ε²)", variance, want)
-	}
-}
-
-func TestBasicValidationAndDeterminism(t *testing.T) {
-	m := matrix.MustNew(4)
-	if _, err := Basic(context.Background(), m, 0, 1, 0); err == nil {
-		t.Error("epsilon 0 should fail")
-	}
-	a, err := Basic(context.Background(), m, 1, 9, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Basic(context.Background(), m, 1, 9, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !a.Noisy.AlmostEqual(b.Noisy, 0) {
-		t.Error("same-seed Basic differs")
-	}
-	if m.Total() != 0 {
-		t.Error("Basic modified its input")
-	}
-}
-
-func TestBasicTable(t *testing.T) {
-	tbl, err := dataset.MedicalExample()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := BasicTable(context.Background(), tbl, 1, 4, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dims := res.Noisy.Dims()
-	if dims[0] != 5 || dims[1] != 2 {
-		t.Fatalf("noisy dims = %v", dims)
-	}
-}
 
 func TestHWTOrdinalizedRoundTripAtHugeEpsilon(t *testing.T) {
 	tbl, err := dataset.GenerateCensus(dataset.BrazilSpec(dataset.ScaleSmall), 500, 5)

@@ -860,10 +860,14 @@ func TestChaosBackgroundRepairLoop(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	f.assertConverged(id)
+	// The follower's Ingest finishes before the push's response reaches
+	// the repairer, so the counters may lag the visible copy. Stop waits
+	// for the in-flight sweep to return; the deferred Stop is then a
+	// no-op.
+	rep.Stop()
 	if st := rep.Stats(); st.Sweeps == 0 || st.Pushed == 0 {
 		t.Fatalf("loop stats unpopulated: %+v", st)
 	}
-	rep.Stop() // idempotent with the deferred Stop
 }
 
 // TestChaosStatsCarryRingSection: every node's /stats carries the ring

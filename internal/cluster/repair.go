@@ -389,7 +389,7 @@ func (r *Repairer) pushMissing(ctx context.Context, rep *RepairReport, id string
 				return
 			}
 		}
-		switch err := r.push(ctx, n, id, payload); {
+		switch err := pushReplica(ctx, r.client, r.cfg.Secret, r.cfg.Ring, n, id, payload); {
 		case err == nil:
 			rep.Pushed = append(rep.Pushed, id+"→"+n.Name)
 			r.pushed.Add(1)
@@ -503,17 +503,20 @@ func (r *Repairer) encodeLocal(id string) ([]byte, error) {
 // re-shipping a withdrawn release.
 var errPeerDeleted = errors.New("cluster: peer reports release deleted")
 
-// push ships one encoded release into a peer's store, authenticated and
-// stamped with the ring version like the router's synchronous
-// replication.
-func (r *Repairer) push(ctx context.Context, n Node, id string, payload []byte) error {
+// pushReplica ships one encoded release into n's store with PUT
+// /internal/replicate/{id} — the router's synchronous replication and
+// the repairer's pushes both go through it. The request is stamped by
+// stampInternal, so a node running a newer membership refuses the copy
+// instead of accepting stale placement. 200 and 201 are success; 410
+// (the peer tombstoned the release) returns errPeerDeleted.
+func pushReplica(ctx context.Context, client *http.Client, secret string, ring *Ring, n Node, id string, payload []byte) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPut, n.URL+"/internal/replicate/"+url.PathEscape(id), bytes.NewReader(payload))
 	if err != nil {
 		return err
 	}
 	req.Header.Set("Content-Type", "application/octet-stream")
-	r.stampInternal(req)
-	resp, err := r.client.Do(req)
+	stampInternal(req, secret, ring)
+	resp, err := client.Do(req)
 	if err != nil {
 		return err
 	}
@@ -554,7 +557,7 @@ func (r *Repairer) deleteOn(ctx context.Context, baseURL, id string) error {
 	if err != nil {
 		return err
 	}
-	r.stampInternal(req)
+	stampInternal(req, r.cfg.Secret, r.cfg.Ring)
 	resp, err := r.client.Do(req)
 	if err != nil {
 		return err
@@ -566,11 +569,11 @@ func (r *Repairer) deleteOn(ctx context.Context, baseURL, id string) error {
 	return nil
 }
 
-// stampInternal adds the cluster bearer token and ring version to an
-// internal request.
-func (r *Repairer) stampInternal(req *http.Request) {
-	if r.cfg.Secret != "" {
-		req.Header.Set("Authorization", "Bearer "+r.cfg.Secret)
+// stampInternal adds the cluster bearer token (when one is set) and the
+// sender's ring version to a request for a peer's /internal endpoint.
+func stampInternal(req *http.Request, secret string, ring *Ring) {
+	if secret != "" {
+		req.Header.Set("Authorization", "Bearer "+secret)
 	}
-	req.Header.Set(RingVersionHeader, fmt.Sprintf("%d", r.cfg.Ring.Version()))
+	req.Header.Set(RingVersionHeader, fmt.Sprintf("%d", ring.Version()))
 }

@@ -489,7 +489,7 @@ func (rt *Router) replicate(ctx context.Context, primary Node, followers []Node,
 		wg.Add(1)
 		go func(f Node) {
 			defer wg.Done()
-			if err := rt.push(ctx, f, id, payload); err != nil {
+			if err := pushReplica(ctx, rt.client, rt.secret, rt.ring, f, id, payload); err != nil {
 				rt.replFailures.Add(1)
 				var transport *url.Error
 				if errors.As(err, &transport) {
@@ -523,31 +523,6 @@ func (rt *Router) export(ctx context.Context, n Node, id string) ([]byte, error)
 		return nil, fmt.Errorf("export of %q from %s: status %d", id, n.Name, resp.StatusCode)
 	}
 	return io.ReadAll(io.LimitReader(resp.Body, rt.maxBody))
-}
-
-// push streams an encoded release into one follower's store,
-// authenticated with the cluster secret and stamped with the ring
-// version so a node running a newer membership refuses the copy
-// instead of accepting stale placement.
-func (rt *Router) push(ctx context.Context, n Node, id string, payload []byte) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, n.URL+"/internal/replicate/"+url.PathEscape(id), bytes.NewReader(payload))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	if rt.secret != "" {
-		req.Header.Set("Authorization", "Bearer "+rt.secret)
-	}
-	req.Header.Set(RingVersionHeader, fmt.Sprintf("%d", rt.ring.Version()))
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer drain(resp)
-	if resp.StatusCode != http.StatusCreated && resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("replicate %q to %s: status %d", id, n.Name, resp.StatusCode)
-	}
-	return nil
 }
 
 // handleTenantBudget reads a tenant's budget from its primary — the

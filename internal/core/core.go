@@ -19,7 +19,7 @@
 // each (sensitivity 2 in the paper's Definition 2 sense). With the HN
 // transform's generalized sensitivity ρ = ∏_{A∉SA} P(A) per unit entry
 // change, noise magnitude λ/W_HN(c) yields (2ρ/λ)-differential privacy
-// (Lemma 1 + Theorem 2); Publish therefore sets λ = 2ρ/ε.
+// (Lemma 1 + Theorem 2); PublishMatrix therefore sets λ = 2ρ/ε.
 //
 // Execution model. The Figure-5 sub-matrices are mutually independent, so
 // PublishMatrix fans them across a worker pool of Options.Parallelism
@@ -57,7 +57,7 @@ import (
 	"repro/internal/transform"
 )
 
-// Options configures a Publish call.
+// Options configures a PublishMatrix call.
 type Options struct {
 	// Epsilon is the ε-differential-privacy budget; must be positive.
 	Epsilon float64
@@ -96,16 +96,6 @@ type Result struct {
 	VarianceBound float64
 	// SubMatrices is the number of sub-matrices processed (∏_{A∈SA}|A|).
 	SubMatrices int
-}
-
-// Publish runs Privelet+ on a table: it materializes the frequency matrix
-// and delegates to PublishMatrix. O(n + m) as the paper requires.
-func Publish(ctx context.Context, t *dataset.Table, opts Options) (*Result, error) {
-	m, err := t.FrequencyMatrix()
-	if err != nil {
-		return nil, err
-	}
-	return PublishMatrix(ctx, m, t.Schema(), opts)
 }
 
 // PublishMatrix runs Privelet+ directly on a frequency matrix. The input

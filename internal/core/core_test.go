@@ -21,9 +21,19 @@ func smallCensus(t testing.TB, n int, seed uint64) *dataset.Table {
 	return tbl
 }
 
+// publishTable runs PublishMatrix on tbl's frequency matrix.
+func publishTable(t testing.TB, tbl *dataset.Table, opts Options) (*Result, error) {
+	t.Helper()
+	m, err := tbl.FrequencyMatrix()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return PublishMatrix(context.Background(), m, tbl.Schema(), opts)
+}
+
 func TestPublishShapeAndAccounting(t *testing.T) {
 	tbl := smallCensus(t, 1000, 1)
-	res, err := Publish(context.Background(), tbl, Options{Epsilon: 1, SA: []string{"Age", "Gender"}, Seed: 7})
+	res, err := publishTable(t, tbl, Options{Epsilon: 1, SA: []string{"Age", "Gender"}, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,18 +65,18 @@ func TestPublishShapeAndAccounting(t *testing.T) {
 
 func TestPublishDeterminism(t *testing.T) {
 	tbl := smallCensus(t, 500, 2)
-	a, err := Publish(context.Background(), tbl, Options{Epsilon: 1, Seed: 5})
+	a, err := publishTable(t, tbl, Options{Epsilon: 1, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Publish(context.Background(), tbl, Options{Epsilon: 1, Seed: 5})
+	b, err := publishTable(t, tbl, Options{Epsilon: 1, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !a.Noisy.AlmostEqual(b.Noisy, 0) {
 		t.Error("same seed produced different releases")
 	}
-	c, err := Publish(context.Background(), tbl, Options{Epsilon: 1, Seed: 6})
+	c, err := publishTable(t, tbl, Options{Epsilon: 1, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,16 +87,16 @@ func TestPublishDeterminism(t *testing.T) {
 
 func TestPublishValidation(t *testing.T) {
 	tbl := smallCensus(t, 10, 3)
-	if _, err := Publish(context.Background(), tbl, Options{Epsilon: 0}); err == nil {
+	if _, err := publishTable(t, tbl, Options{Epsilon: 0}); err == nil {
 		t.Error("epsilon 0 should fail")
 	}
-	if _, err := Publish(context.Background(), tbl, Options{Epsilon: -1}); err == nil {
+	if _, err := publishTable(t, tbl, Options{Epsilon: -1}); err == nil {
 		t.Error("negative epsilon should fail")
 	}
-	if _, err := Publish(context.Background(), tbl, Options{Epsilon: 1, SA: []string{"Nope"}}); err == nil {
+	if _, err := publishTable(t, tbl, Options{Epsilon: 1, SA: []string{"Nope"}}); err == nil {
 		t.Error("unknown SA attribute should fail")
 	}
-	if _, err := Publish(context.Background(), tbl, Options{Epsilon: 1, SA: []string{"Age", "Age"}}); err == nil {
+	if _, err := publishTable(t, tbl, Options{Epsilon: 1, SA: []string{"Age", "Age"}}); err == nil {
 		t.Error("duplicate SA attribute should fail")
 	}
 	// Matrix/schema shape mismatch.
@@ -287,11 +297,15 @@ func TestPublishPreservesInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := m.Clone()
-	if _, err := PublishMatrix(context.Background(), m, tbl.Schema(), Options{Epsilon: 1, Seed: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if !m.AlmostEqual(before, 0) {
-		t.Fatal("PublishMatrix modified its input")
+	// Plain Privelet and the Basic case (SA = every attribute), which
+	// noises a clone instead of transforming sub-matrices.
+	for _, sa := range [][]string{nil, tbl.Schema().Names()} {
+		if _, err := PublishMatrix(context.Background(), m, tbl.Schema(), Options{Epsilon: 1, SA: sa, Seed: 2}); err != nil {
+			t.Fatal(err)
+		}
+		if !m.AlmostEqual(before, 0) {
+			t.Fatalf("PublishMatrix with SA %v modified its input", sa)
+		}
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 // publishAt publishes the same table at a given parallelism.
 func publishAt(t *testing.T, tbl *dataset.Table, sa []string, par int) *Result {
 	t.Helper()
-	res, err := Publish(context.Background(), tbl, Options{Epsilon: 1, SA: sa, Seed: 99, Parallelism: par})
+	res, err := publishTable(t, tbl, Options{Epsilon: 1, SA: sa, Seed: 99, Parallelism: par})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,8 @@
 // d-dimensional frequency matrix M (§II-B).
 //
 // The package also hosts the synthetic data generators that stand in for
-// resources the paper used but we cannot ship (see DESIGN.md §2):
+// data the paper used but this repository cannot ship (IPUMS census
+// extracts are not redistributable):
 // census-like generators matching the IPUMS Brazil/US schema shapes of
 // Table III, and the uniform generator of §VII-B used for the timing
 // experiments.
@@ -128,6 +129,15 @@ func (s *Schema) NumAttrs() int { return len(s.attrs) }
 
 // Attr returns attribute i.
 func (s *Schema) Attr(i int) Attribute { return s.attrs[i] }
+
+// Names returns the attribute names in attribute order.
+func (s *Schema) Names() []string {
+	out := make([]string, len(s.attrs))
+	for i, a := range s.attrs {
+		out[i] = a.Name
+	}
+	return out
+}
 
 // Index returns the position of the named attribute, or an error.
 func (s *Schema) Index(name string) (int, error) {

@@ -11,7 +11,7 @@ import (
 // Scale selects how closely a census-like dataset matches the paper's
 // full domain sizes. The error behaviour of the mechanisms depends only on
 // the matrix geometry, so smaller scales preserve the experiments' shape
-// while fitting laptop memory (DESIGN.md §2).
+// while fitting laptop memory.
 type Scale int
 
 const (
@@ -112,8 +112,9 @@ func (c CensusSpec) Schema() (*Schema, error) {
 //   - Income: log-normal-like discretized draw whose location rises with
 //     Age (realistic correlation), clipped to [0, IncomeSize).
 //
-// The exact shapes are unimportant to the mechanisms (DESIGN.md §2); what
-// matters is skewed, correlated counts over the right matrix geometry.
+// The exact shapes are unimportant to the mechanisms, whose error depends
+// only on the matrix geometry (see Scale); what matters is skewed,
+// correlated counts over the right matrix geometry.
 func GenerateCensus(spec CensusSpec, n int, seed uint64) (*Table, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("dataset: negative tuple count %d", n)

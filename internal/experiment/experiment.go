@@ -1,7 +1,7 @@
 // Package experiment reproduces the paper's evaluation section (§VII):
 // one runner per figure/table, shared scaling profiles, and text/CSV
-// rendering of the series the paper plots. DESIGN.md §3 maps every
-// artifact to its runner; EXPERIMENTS.md records paper-vs-measured.
+// rendering of the series the paper plots. cmd/experiments maps every
+// artifact (-fig 6 … 11, table3, vd, vid) to its runner.
 package experiment
 
 import (
@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/query"
@@ -34,7 +33,7 @@ type Profile struct {
 
 // Small returns the default laptop profile: scaled-down domains, 200k
 // tuples, 8k queries. Keeps every figure's shape while finishing in
-// seconds (DESIGN.md §2).
+// seconds (dataset.Scale says why scaled-down domains do).
 func Small() Profile {
 	return Profile{
 		Name: "small", Scale: dataset.ScaleSmall,
@@ -171,7 +170,7 @@ func RunAccuracy(spec dataset.CensusSpec, prof Profile, metric Metric) (*Accurac
 	}
 	for ei, eps := range prof.Epsilons {
 		seed := prof.Seed + 100*uint64(ei) + 17
-		bres, err := baseline.Basic(context.Background(), m, eps, seed, 0)
+		bres, err := core.PublishMatrix(context.Background(), m, tbl.Schema(), core.Options{Epsilon: eps, SA: tbl.Schema().Names(), Seed: seed})
 		if err != nil {
 			return nil, err
 		}
@@ -287,7 +286,7 @@ func timeOne(spec dataset.UniformSpec, n int, seed uint64) (TimingPoint, error) 
 	if err != nil {
 		return TimingPoint{}, err
 	}
-	if _, err := baseline.Basic(context.Background(), m, 1.0, seed+1, 0); err != nil {
+	if _, err := core.PublishMatrix(context.Background(), m, schema, core.Options{Epsilon: 1.0, SA: schema.Names(), Seed: seed + 1}); err != nil {
 		return TimingPoint{}, err
 	}
 	basicTime := time.Since(start)

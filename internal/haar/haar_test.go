@@ -108,7 +108,8 @@ func TestSizeTwo(t *testing.T) {
 	// Per §IV-B's definition, W_Haar(base) = m = 2 and the level-1
 	// coefficient gets 2^(1-1+1) = 2. (The paper's Example 5 quotes 1/2
 	// for a two-entry base coefficient, which contradicts §IV-B and
-	// Theorem 2; we follow the normative definition — see DESIGN.md.)
+	// Theorem 2; we follow the normative §IV-B definition, the one
+	// Theorem 2's sensitivity bound is proved for.)
 	if Weight(2, 0) != 2 || Weight(2, 1) != 2 {
 		t.Fatalf("weights(2) = %v,%v, want 2,2", Weight(2, 0), Weight(2, 1))
 	}

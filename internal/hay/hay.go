@@ -16,9 +16,7 @@
 //	downward: x[v] = z[v] + (x[parent] − Σ z[siblings incl. v])/f
 //
 // with fanout f = 2 and l = number of levels below v (leaves have l = 1).
-// The leaves of the consistent tree form the released histogram; interval
-// queries can also be answered directly from at most 2·log₂(m) node
-// counts.
+// The leaves of the consistent tree form the released histogram.
 //
 // This package is an extension beyond the Privelet paper's own
 // experiments; the benchmark suite compares it against Privelet on 1-D
@@ -180,28 +178,4 @@ func VarianceBound(epsilon float64, m int) float64 {
 		nodes = 1 // m = 1: the single root node
 	}
 	return nodes * 2 * lambda * lambda
-}
-
-// IntervalCount answers an inclusive interval query [lo, hi] from a
-// consistent tree without materializing the histogram, using the canonical
-// O(log m) dyadic decomposition.
-func IntervalCount(tree []float64, m, lo, hi int) (float64, error) {
-	if lo < 0 || hi >= m || lo > hi {
-		return 0, fmt.Errorf("hay: interval [%d,%d] invalid for m=%d", lo, hi, m)
-	}
-	total := 0.0
-	l, r := lo+m, hi+m // leaf positions in heap layout
-	for l <= r {
-		if l%2 == 1 {
-			total += tree[l]
-			l++
-		}
-		if r%2 == 0 {
-			total += tree[r]
-			r--
-		}
-		l /= 2
-		r /= 2
-	}
-	return total, nil
 }

@@ -105,6 +105,30 @@ func TestConsistentIsIdentityOnConsistentInput(t *testing.T) {
 	}
 }
 
+func TestConsistentIsLeastSquares(t *testing.T) {
+	// Consistent must return the minimum-L2 consistent tree, i.e. the
+	// orthogonal projection of the noisy tree onto consistent trees. The
+	// consistent trees are spanned by one tree per leaf, holding 1 on
+	// that leaf and every ancestor, so the residual noisy − x must sum
+	// to zero along each root-to-leaf path.
+	const m = 16
+	r := rng.New(5)
+	noisy := make([]float64, 2*m)
+	for k := 1; k < 2*m; k++ {
+		noisy[k] = r.Float64()*10 - 5
+	}
+	x := Consistent(noisy, m)
+	for leaf := m; leaf < 2*m; leaf++ {
+		dot := 0.0
+		for k := leaf; k >= 1; k /= 2 {
+			dot += noisy[k] - x[k]
+		}
+		if math.Abs(dot) > 1e-9 {
+			t.Fatalf("residual along the path to leaf %d is %v, want 0", leaf-m, dot)
+		}
+	}
+}
+
 func TestConsistencyReducesLeafError(t *testing.T) {
 	// The whole point of the mechanism: consistency post-processing
 	// lowers mean squared leaf error relative to using the noisy leaves
@@ -133,44 +157,6 @@ func TestConsistencyReducesLeafError(t *testing.T) {
 	}
 	if conErr >= rawErr {
 		t.Fatalf("consistency did not reduce leaf error: %v vs %v", conErr, rawErr)
-	}
-}
-
-func TestIntervalCount(t *testing.T) {
-	const m = 16
-	r := rng.New(8)
-	tree := make([]float64, 2*m)
-	leaves := make([]float64, m)
-	for i := 0; i < m; i++ {
-		leaves[i] = math.Floor(r.Float64() * 9)
-		tree[m+i] = leaves[i]
-	}
-	for k := m - 1; k >= 1; k-- {
-		tree[k] = tree[2*k] + tree[2*k+1]
-	}
-	for lo := 0; lo < m; lo++ {
-		for hi := lo; hi < m; hi++ {
-			want := 0.0
-			for i := lo; i <= hi; i++ {
-				want += leaves[i]
-			}
-			got, err := IntervalCount(tree, m, lo, hi)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Abs(got-want) > 1e-9 {
-				t.Fatalf("IntervalCount(%d,%d) = %v, want %v", lo, hi, got, want)
-			}
-		}
-	}
-	if _, err := IntervalCount(tree, m, -1, 3); err == nil {
-		t.Error("negative lo should fail")
-	}
-	if _, err := IntervalCount(tree, m, 3, 16); err == nil {
-		t.Error("hi out of range should fail")
-	}
-	if _, err := IntervalCount(tree, m, 5, 4); err == nil {
-		t.Error("lo > hi should fail")
 	}
 }
 

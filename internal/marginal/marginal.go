@@ -12,7 +12,8 @@
 // non-negative and integral; postprocess.Sanitize is applied on request.
 // Unlike Barak et al., no LP is solved — each marginal is O(n + m_i) —
 // at the cost of not enforcing mutual consistency between overlapping
-// marginals (ConsistencyGap quantifies the discrepancy).
+// marginals: two released marginals can disagree on their common total
+// by a noise-scale gap.
 package marginal
 
 import (
@@ -154,16 +155,4 @@ func PublishSet(ctx context.Context, t *dataset.Table, sets [][]string, opts Opt
 		})
 	}
 	return out, nil
-}
-
-// ConsistencyGap measures how far two released marginals disagree on
-// their common total: |sum(a) − sum(b)|. Barak et al. force this to zero
-// via an LP; Privelet-per-marginal leaves a noise-scale gap, reported
-// here so callers can decide whether to reconcile.
-func ConsistencyGap(a, b *Release) float64 {
-	d := a.Noisy.Total() - b.Noisy.Total()
-	if d < 0 {
-		d = -d
-	}
-	return d
 }

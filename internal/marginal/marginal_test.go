@@ -171,27 +171,6 @@ func TestPublishSetValidation(t *testing.T) {
 	}
 }
 
-func TestConsistencyGap(t *testing.T) {
-	tbl := censusTable(t, 4000)
-	rels, err := PublishSet(context.Background(), tbl, [][]string{{"Age"}, {"Gender"}}, Options{Epsilon: 1.0, Seed: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gap := ConsistencyGap(rels[0], rels[1])
-	if gap < 0 {
-		t.Fatal("gap must be non-negative")
-	}
-	// Both marginals estimate the same total (4000); the gap should be
-	// noise-scale, not data-scale.
-	if gap > 2000 {
-		t.Fatalf("consistency gap %v implausibly large", gap)
-	}
-	// Gap of a release with itself is zero.
-	if ConsistencyGap(rels[0], rels[0]) != 0 {
-		t.Fatal("self gap should be zero")
-	}
-}
-
 func TestMarginalAnswersRangeQueries(t *testing.T) {
 	// Released marginals are ordinary frequency matrices: the query
 	// engine applies unchanged.

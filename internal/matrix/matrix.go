@@ -8,13 +8,15 @@
 //   - ApplyAlong runs a one-dimensional function over every vector along a
 //     chosen dimension, optionally resizing that dimension — this is the
 //     "standard decomposition" step of the HN wavelet transform (§VI-A);
-//   - Sub/SetSub extract and re-insert the sub-matrices Privelet+ forms by
-//     fixing coordinates on the SA dimensions (Figure 5, steps 2 and 7);
-//   - PrefixSum/RangeSum turn the matrix into a summed-area table so a
-//     range-count query is answered with 2^d lookups instead of a scan.
+//   - SubInto/SetSub extract and re-insert the sub-matrices Privelet+
+//     forms by fixing coordinates on the SA dimensions (Figure 5, steps 2
+//     and 7);
+//   - PrefixSumExec/RangeSum turn the matrix into a summed-area table so
+//     a range-count query is answered with 2^d lookups instead of a scan.
 package matrix
 
 import (
+	"context"
 	"fmt"
 	"math"
 )
@@ -192,19 +194,6 @@ func (m *Matrix) Total() float64 {
 	return s
 }
 
-// L1Distance returns ‖m − o‖₁, the distance used by the generalized
-// sensitivity definition (Definition 3). Shapes must match.
-func (m *Matrix) L1Distance(o *Matrix) (float64, error) {
-	if !sameDims(m.dims, o.dims) {
-		return 0, fmt.Errorf("matrix: L1Distance shape mismatch %v vs %v", m.dims, o.dims)
-	}
-	s := 0.0
-	for i, v := range m.data {
-		s += math.Abs(v - o.data[i])
-	}
-	return s, nil
-}
-
 // MaxAbsDiff returns max|m−o| entry-wise; shapes must match.
 func (m *Matrix) MaxAbsDiff(o *Matrix) (float64, error) {
 	if !sameDims(m.dims, o.dims) {
@@ -237,10 +226,6 @@ func sameDims(a, b []int) bool {
 	return true
 }
 
-// VectorsAlong returns the number of one-dimensional vectors along dim:
-// Len()/Dim(dim).
-func (m *Matrix) VectorsAlong(dim int) int { return len(m.data) / m.dims[dim] }
-
 // ApplyAlong applies f to every vector along dimension dim and returns a
 // new matrix in which that dimension has size newSize. f receives the
 // source vector (length Dim(dim)) and the destination (length newSize);
@@ -250,37 +235,14 @@ func (m *Matrix) VectorsAlong(dim int) int { return len(m.data) / m.dims[dim] }
 //
 // This is the engine of the standard decomposition (§VI-A): a forward
 // wavelet step grows the dimension from |A| to the coefficient count and
-// an inverse step shrinks it back. See ApplyAlongPool for the worker-pool
-// variant and Pipeline for chained steps without per-step allocation.
+// an inverse step shrinks it back. It is the serial case of
+// ApplyAlongPoolCtx; Pipeline chains steps without per-step allocation.
 func (m *Matrix) ApplyAlong(dim int, newSize int, f func(src, dst []float64)) (*Matrix, error) {
-	return m.ApplyAlongPool(dim, newSize, 1, SharedKernel(f))
-}
-
-// Sub extracts the sub-matrix obtained by fixing the listed dimensions at
-// the given coordinates; the result keeps the remaining dimensions in
-// order. fixedDims must be strictly increasing; at least one dimension
-// must remain free.
-func (m *Matrix) Sub(fixedDims, fixedCoords []int) (*Matrix, error) {
-	freeDims, baseOff, err := m.subLayout(fixedDims, fixedCoords)
-	if err != nil {
-		return nil, err
-	}
-	shape := make([]int, len(freeDims))
-	for i, d := range freeDims {
-		shape[i] = m.dims[d]
-	}
-	out, err := New(shape...)
-	if err != nil {
-		return nil, err
-	}
-	m.walkSub(freeDims, baseOff, func(srcOff, dstOff int) {
-		out.data[dstOff] = m.data[srcOff]
-	})
-	return out, nil
+	return m.ApplyAlongPoolCtx(context.Background(), dim, newSize, 1, SharedKernel(f))
 }
 
 // SetSub writes sub back into the region addressed by the fixed
-// dimensions; the inverse of Sub.
+// dimensions; the inverse of SubInto.
 func (m *Matrix) SetSub(fixedDims, fixedCoords []int, sub *Matrix) error {
 	freeDims, baseOff, err := m.subLayout(fixedDims, fixedCoords)
 	if err != nil {
@@ -362,15 +324,9 @@ func (m *Matrix) walkSub(freeDims []int, baseOff int, visit func(srcOff, dstOff 
 	}
 }
 
-// PrefixSum converts the matrix in place into a d-dimensional summed-area
-// table: entry x becomes the sum of all entries with coordinates ≤ x
-// component-wise. See PrefixSumExec for the worker-pool variant the
-// publish and store-reload paths use; PrefixSum is its serial case.
-func (m *Matrix) PrefixSum() { m.PrefixSumExec(1) }
-
 // RangeSum evaluates the sum of the original entries inside the
 // inclusive hyper-rectangle [lo, hi] of a matrix previously transformed by
-// PrefixSum, using inclusion-exclusion over the 2^d corners.
+// PrefixSumExec, using inclusion-exclusion over the 2^d corners.
 func (m *Matrix) RangeSum(lo, hi []int) (float64, error) {
 	d := len(m.dims)
 	if len(lo) != d || len(hi) != d {
@@ -458,20 +414,6 @@ func (m *Matrix) Pad(dim, newSize int) (*Matrix, error) {
 		for j := old; j < newSize; j++ {
 			dst[j] = 0
 		}
-	})
-}
-
-// Truncate returns a copy with dimension dim shrunk to newSize, dropping
-// the tail entries (the inverse of Pad).
-func (m *Matrix) Truncate(dim, newSize int) (*Matrix, error) {
-	if dim < 0 || dim >= len(m.dims) {
-		return nil, fmt.Errorf("matrix: Truncate dimension %d out of range", dim)
-	}
-	if newSize > m.dims[dim] {
-		return nil, fmt.Errorf("matrix: Truncate cannot grow dimension %d from %d to %d", dim, m.dims[dim], newSize)
-	}
-	return m.ApplyAlong(dim, newSize, func(src, dst []float64) {
-		copy(dst, src[:newSize])
 	})
 }
 

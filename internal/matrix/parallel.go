@@ -5,19 +5,19 @@
 // standard decomposition of the HN transform embarrassingly parallel.
 // This file adds:
 //
-//   - ApplyAlongPool — a chunked worker-pool ApplyAlong. Each worker owns
-//     a kernel instance produced by a factory, so kernels may keep scratch
-//     state without synchronization. The Ctx variants additionally observe
-//     a context.Context about every 64Ki entries, so a pass over a huge
+//   - ApplyAlongPoolCtx — a chunked worker-pool ApplyAlong. Each worker
+//     owns a kernel instance produced by a factory, so kernels may keep
+//     scratch state without synchronization. Workers observe a
+//     context.Context about every 64Ki entries, so a pass over a huge
 //     domain cancels mid-transform and returns ctx.Err(), never a partial
 //     matrix;
-//   - Pipeline — a pair of ping-pong buffers that chained ApplyAlong
+//   - Pipeline — a pair of ping-pong buffers that chained ApplyAlongCtx
 //     steps alternate between, so a d-dimensional forward+inverse pass
 //     allocates two backing slices total instead of 2d full matrices;
 //   - PrefixSumExec — the summed-area-table build (the query evaluator's
 //     cost) with the per-dimension scans fanned across the same kind of
-//     pool, bit-identical to the serial PrefixSum;
-//   - SubInto — Sub writing into a reusable destination matrix.
+//     pool, bit-identical at any worker count;
+//   - SubInto — sub-matrix extraction into a reusable destination.
 //
 // Vectors whose dimension is innermost (stride 1) are handed to kernels
 // as direct sub-slices of the backing arrays — zero-copy; other strides
@@ -54,9 +54,9 @@ func SharedKernel(f VecFunc) KernelFactory { return func(int) VecFunc { return f
 // ResolveWorkers resolves a caller-facing parallelism knob to an
 // effective worker count: values ≤ 0 mean runtime.GOMAXPROCS(0). This
 // is the single definition of the "≤ 0 = all cores" default shared by
-// the public Params, core.Options, the baseline mechanisms, and the
-// release store's evaluator rebuilds, so every stage of a publish
-// resolves the same knob to the same budget.
+// the public Params, core.Options and the release store's evaluator
+// rebuilds, so every stage of a publish resolves the same knob to the
+// same budget.
 func ResolveWorkers(n int) int {
 	if n > 0 {
 		return n
@@ -91,19 +91,15 @@ func (m *Matrix) checkApplyAlong(dim, newSize int) ([]int, error) {
 	return newDims, nil
 }
 
-// ApplyAlongPool is ApplyAlong with a worker pool: the vectors along dim
-// are split into `workers` contiguous chunks processed concurrently, each
-// chunk by its own kernel from factory. workers ≤ 1 runs serially on the
-// calling goroutine. The result is bit-identical at any worker count.
-func (m *Matrix) ApplyAlongPool(dim, newSize, workers int, factory KernelFactory) (*Matrix, error) {
-	return m.ApplyAlongPoolCtx(context.Background(), dim, newSize, workers, factory)
-}
-
-// ApplyAlongPoolCtx is ApplyAlongPool under a context: every worker
-// observes ctx between vectors, about every cancelCheckEntries entries,
-// so even a single enormous apply (one sub-matrix spanning the whole
-// domain) cancels mid-pass rather than only at its boundary — provided
-// the pass has more than one vector. A vector is one kernel invocation
+// ApplyAlongPoolCtx is ApplyAlong with a worker pool and a context: the
+// vectors along dim are split into `workers` contiguous chunks processed
+// concurrently, each chunk by its own kernel from factory (workers ≤ 1
+// runs serially on the calling goroutine), and the result is
+// bit-identical at any worker count. Every worker observes ctx between
+// vectors, about every cancelCheckEntries entries, so even a single
+// enormous apply (one sub-matrix spanning the whole domain) cancels
+// mid-pass rather than only at its boundary — provided the pass has more
+// than one vector. A vector is one kernel invocation
 // and is never interrupted inside the kernel, so the degenerate 1-D
 // apply (the whole domain as a single vector) only observes ctx before
 // that one call. On cancellation the call returns ctx's error and NO
@@ -245,16 +241,16 @@ func (m *Matrix) applyRange(ctx context.Context, out *Matrix, dim, lo, hi int, f
 	return nil
 }
 
-// Pipeline is a pair of ping-pong buffers for chained ApplyAlong steps: a
-// transform pass that applies d steps in sequence reuses the same two
-// backing slices instead of allocating d full matrices.
+// Pipeline is a pair of ping-pong buffers for chained ApplyAlongCtx
+// steps: a transform pass that applies d steps in sequence reuses the
+// same two backing slices instead of allocating d full matrices.
 //
-// Discipline: the input of each ApplyAlong call must be either a matrix
-// external to the pipeline or the result of the previous call on the same
-// pipeline — the call overwrites the buffer the input does NOT occupy.
-// Consequently only the most recent result is valid; earlier results
-// alias overwritten storage. A Pipeline is not safe for concurrent use;
-// give each worker its own.
+// Discipline: the input of each ApplyAlongCtx call must be either a
+// matrix external to the pipeline or the result of the previous call on
+// the same pipeline — the call overwrites the buffer the input does NOT
+// occupy. Consequently only the most recent result is valid; earlier
+// results alias overwritten storage. A Pipeline is not safe for
+// concurrent use; give each worker its own.
 type Pipeline struct {
 	bufs [2][]float64
 	next int
@@ -280,19 +276,14 @@ func (p *Pipeline) aliases(data []float64, i int) bool {
 	return len(data) > 0 && len(p.bufs[i]) > 0 && &data[0] == &p.bufs[i][0]
 }
 
-// ApplyAlong is ApplyAlongPool writing into the pipeline's next buffer.
-// The returned matrix aliases pipeline storage: it is valid only until
-// the next call on this pipeline, and callers must copy out (e.g. via
-// SetSub or Clone) anything they need to keep.
-func (p *Pipeline) ApplyAlong(m *Matrix, dim, newSize, workers int, factory KernelFactory) (*Matrix, error) {
-	return p.ApplyAlongCtx(context.Background(), m, dim, newSize, workers, factory)
-}
-
-// ApplyAlongCtx is ApplyAlong under a context (see ApplyAlongPoolCtx for
-// the cancellation granularity). On cancellation it returns ctx's error
-// and no matrix; the pipeline buffer the aborted pass was writing holds
+// ApplyAlongCtx is ApplyAlongPoolCtx writing into the pipeline's next
+// buffer. The returned matrix aliases pipeline storage: it is valid only
+// until the next call on this pipeline, and callers must copy out (e.g.
+// via SetSub or Clone) anything they need to keep. On cancellation it
+// returns ctx's error and no matrix (see ApplyAlongPoolCtx for the
+// granularity); the pipeline buffer the aborted pass was writing holds
 // garbage, which the ping-pong discipline already treats as invalid — the
-// next ApplyAlong on the pipeline simply overwrites it.
+// next call on the pipeline simply overwrites it.
 func (p *Pipeline) ApplyAlongCtx(ctx context.Context, m *Matrix, dim, newSize, workers int, factory KernelFactory) (*Matrix, error) {
 	newDims, err := m.checkApplyAlong(dim, newSize)
 	if err != nil {
@@ -318,10 +309,12 @@ func (p *Pipeline) ApplyAlongCtx(ctx context.Context, m *Matrix, dim, newSize, w
 	return out, nil
 }
 
-// PrefixSumExec is PrefixSum with a worker pool: within each dimension's
-// pass the Len()/Dim(dim) scans along that dimension are mutually
-// independent, so they fan out across `workers` goroutines exactly like
-// ApplyAlongPool's vectors (workers ≤ 1 runs serially on the calling
+// PrefixSumExec converts the matrix in place into a d-dimensional
+// summed-area table: entry x becomes the sum of all entries with
+// coordinates ≤ x component-wise. Within each dimension's pass the
+// Len()/Dim(dim) scans along that dimension are mutually independent, so
+// they fan out across `workers` goroutines exactly like
+// ApplyAlongPoolCtx's vectors (workers ≤ 1 runs serially on the calling
 // goroutine); dimensions themselves stay sequential, each pass joining
 // its workers before the next starts, because pass i reads what pass i−1
 // wrote. Every individual scan accumulates left-to-right in the same
@@ -363,9 +356,13 @@ func (m *Matrix) prefixScanRange(dim, lo, hi int) {
 	}
 }
 
-// SubInto is Sub writing into dst, which is reused when it already has
-// the right shape and allocated otherwise; the (possibly new) destination
-// is returned. Pass nil to always allocate.
+// SubInto extracts the sub-matrix obtained by fixing the listed
+// dimensions at the given coordinates; the result keeps the remaining
+// dimensions in order. fixedDims must be strictly increasing; at least
+// one dimension must remain free. The result is written into dst, which
+// is reused when it already has the right shape and allocated otherwise;
+// the (possibly new) destination is returned. Pass nil to always
+// allocate.
 func (m *Matrix) SubInto(fixedDims, fixedCoords []int, dst *Matrix) (*Matrix, error) {
 	freeDims, baseOff, err := m.subLayout(fixedDims, fixedCoords)
 	if err != nil {

@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/rng"
@@ -41,7 +42,7 @@ func TestApplyAlongPoolMatchesSerial(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, workers := range []int{2, 3, 8, 64} {
-					got, err := m.ApplyAlongPool(dim, newSize, workers, SharedKernel(reverseKernel))
+					got, err := m.ApplyAlongPoolCtx(context.Background(), dim, newSize, workers, SharedKernel(reverseKernel))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -68,11 +69,11 @@ func TestApplyAlongPoolPerWorkerKernels(t *testing.T) {
 			}
 		}
 	}
-	want, err := m.ApplyAlongPool(1, 32, 1, factory)
+	want, err := m.ApplyAlongPoolCtx(context.Background(), 1, 32, 1, factory)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := m.ApplyAlongPool(1, 32, 7, factory)
+	got, err := m.ApplyAlongPoolCtx(context.Background(), 1, 32, 7, factory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestPipelineChainMatchesAllocating(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		p := NewPipeline()
 		got := chain(func(cur *Matrix, dim, newSize int) *Matrix {
-			out, err := p.ApplyAlong(cur, dim, newSize, workers, SharedKernel(reverseKernel))
+			out, err := p.ApplyAlongCtx(context.Background(), cur, dim, newSize, workers, SharedKernel(reverseKernel))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,15 +121,15 @@ func TestPipelineReusesBuffers(t *testing.T) {
 	// k+2 share a buffer, so the pass-k matrix is invalidated.
 	p := NewPipeline()
 	m := randomMatrix(t, 3, 8, 8)
-	first, err := p.ApplyAlong(m, 0, 8, 1, SharedKernel(reverseKernel))
+	first, err := p.ApplyAlongCtx(context.Background(), m, 0, 8, 1, SharedKernel(reverseKernel))
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := p.ApplyAlong(first, 1, 8, 1, SharedKernel(reverseKernel))
+	second, err := p.ApplyAlongCtx(context.Background(), first, 1, 8, 1, SharedKernel(reverseKernel))
 	if err != nil {
 		t.Fatal(err)
 	}
-	third, err := p.ApplyAlong(second, 0, 8, 1, SharedKernel(reverseKernel))
+	third, err := p.ApplyAlongCtx(context.Background(), second, 0, 8, 1, SharedKernel(reverseKernel))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,12 +147,12 @@ func TestPipelineNeverOverwritesInput(t *testing.T) {
 	// own buffer: the aliasing guard redirects to the other buffer.
 	p := NewPipeline()
 	m := randomMatrix(t, 8, 4, 4)
-	a, err := p.ApplyAlong(m, 0, 4, 1, SharedKernel(reverseKernel))
+	a, err := p.ApplyAlongCtx(context.Background(), m, 0, 4, 1, SharedKernel(reverseKernel))
 	if err != nil {
 		t.Fatal(err)
 	}
 	aCopy := a.Clone()
-	b, err := p.ApplyAlong(a, 1, 4, 1, SharedKernel(reverseKernel))
+	b, err := p.ApplyAlongCtx(context.Background(), a, 1, 4, 1, SharedKernel(reverseKernel))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +171,7 @@ func TestSubIntoMatchesSubAndReuses(t *testing.T) {
 	var buf *Matrix
 	for c0 := 0; c0 < 3; c0++ {
 		for c2 := 0; c2 < 5; c2++ {
-			want, err := m.Sub([]int{0, 2}, []int{c0, c2})
+			want, err := m.SubInto([]int{0, 2}, []int{c0, c2}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -29,7 +29,7 @@ func TestPrefixSumExecEquivalence(t *testing.T) {
 			data[i] = r.Float64() * 100
 		}
 		want := m.Clone()
-		want.PrefixSum()
+		want.PrefixSumExec(1)
 		for _, workers := range []int{2, 3, 8, runtime.GOMAXPROCS(0) + 1} {
 			got := m.Clone()
 			got.PrefixSumExec(workers)
@@ -86,7 +86,7 @@ func TestApplyAlongPoolCtxPreCancelled(t *testing.T) {
 		t.Fatalf("pipeline: out=%v err=%v, want nil/context.Canceled", out, err)
 	}
 	// The pipeline stays usable after an aborted pass.
-	if _, err := p.ApplyAlong(m, 1, 64, 2, SharedKernel(reverseKernel)); err != nil {
+	if _, err := p.ApplyAlongCtx(context.Background(), m, 1, 64, 2, SharedKernel(reverseKernel)); err != nil {
 		t.Fatalf("pipeline unusable after aborted pass: %v", err)
 	}
 }

@@ -42,15 +42,3 @@ func Round(m *matrix.Matrix) *matrix.Matrix {
 func Sanitize(m *matrix.Matrix) *matrix.Matrix {
 	return Round(NonNegative(m))
 }
-
-// RescaleTotal scales the matrix so its total matches target (e.g. a
-// separately-released noisy tuple count), when target and the current
-// total are both positive; otherwise it leaves m unchanged. In place;
-// returns m.
-func RescaleTotal(m *matrix.Matrix, target float64) *matrix.Matrix {
-	total := m.Total()
-	if total > 0 && target > 0 {
-		m.Scale(target / total)
-	}
-	return m
-}

@@ -72,32 +72,6 @@ func TestSanitizeReturnsSameMatrix(t *testing.T) {
 	}
 }
 
-func TestRescaleTotal(t *testing.T) {
-	m := matrix.MustNew(2, 2)
-	m.Fill(1) // total 4
-	RescaleTotal(m, 8)
-	if math.Abs(m.Total()-8) > 1e-12 {
-		t.Fatalf("rescaled total = %v, want 8", m.Total())
-	}
-	// Zero current total: unchanged.
-	z := matrix.MustNew(2)
-	RescaleTotal(z, 5)
-	if z.Total() != 0 {
-		t.Fatal("RescaleTotal should leave zero-total matrices unchanged")
-	}
-	// Non-positive target: unchanged.
-	m2 := matrix.MustNew(2)
-	m2.Fill(3)
-	RescaleTotal(m2, 0)
-	if m2.Total() != 6 {
-		t.Fatal("RescaleTotal with target 0 should be a no-op")
-	}
-	RescaleTotal(m2, -4)
-	if m2.Total() != 6 {
-		t.Fatal("RescaleTotal with negative target should be a no-op")
-	}
-}
-
 func TestSanitizeImprovesSmallCounts(t *testing.T) {
 	// On a sparse true matrix (mostly zeros), clamping negatives reduces
 	// total squared error of a Laplace release on average.

@@ -31,7 +31,7 @@ func TestInjectLaplaceUniformParallelismInvariance(t *testing.T) {
 	dims := []int{3, NoiseChunk + 4321} // ~3.07 chunks
 	base := matrix.MustNew(dims...)
 	fillSequential(base)
-	if err := InjectLaplaceUniform(base, 1.5, seed); err != nil {
+	if err := InjectLaplaceUniformCtx(context.Background(), base, 1.5, seed, 1); err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0), 64} {
@@ -145,7 +145,7 @@ func TestInjectLaplaceUniformChunkNumbering(t *testing.T) {
 	const seed, mag = 123, 0.75
 	n := NoiseChunk + 100
 	m := matrix.MustNew(n)
-	if err := InjectLaplaceUniform(m, mag, seed); err != nil {
+	if err := InjectLaplaceUniformCtx(context.Background(), m, mag, seed, 1); err != nil {
 		t.Fatal(err)
 	}
 	data := m.Data()

@@ -102,18 +102,6 @@ func Lambda(epsilon, rho float64) (float64, error) {
 	return 2 * rho / epsilon, nil
 }
 
-// Epsilon returns the privacy level achieved by noise parameter λ under
-// generalized sensitivity rho: ε = 2ρ/λ.
-func Epsilon(lambda, rho float64) (float64, error) {
-	if lambda <= 0 {
-		return 0, fmt.Errorf("privacy: lambda must be positive, got %v", lambda)
-	}
-	if rho <= 0 {
-		return 0, fmt.Errorf("privacy: sensitivity must be positive, got %v", rho)
-	}
-	return 2 * rho / lambda, nil
-}
-
 // BasicVarianceBound returns the worst-case noise variance of Dwork et
 // al.'s method at privacy level ε for a query covering `covered` matrix
 // entries: covered · 2·(2/ε)² (§II-B: each entry carries variance 8/ε²,
@@ -325,20 +313,13 @@ func InjectLaplaceCtx(ctx context.Context, c *matrix.Matrix, weightVecs [][]floa
 	})
 }
 
-// InjectLaplaceUniform adds Laplace noise of a single magnitude to every
-// entry — Dwork et al.'s Basic mechanism step (§II-B), where every cell
-// carries Laplace(2/ε) and hence variance 8/ε² (Equation 1). Serial
-// shorthand for InjectLaplaceUniformCtx.
-func InjectLaplaceUniform(m *matrix.Matrix, magnitude float64, seed uint64) error {
-	return InjectLaplaceUniformCtx(context.Background(), m, magnitude, seed, 1)
-}
-
-// InjectLaplaceUniformCtx is InjectLaplaceUniform with a worker pool and
-// a context, chunked exactly like InjectLaplaceCtx: fixed
-// NoiseChunk-entry chunks, chunk k drawing from rng.Substream(seed, k),
-// bit-identical output at any worker count, ctx observed between chunks
-// (a cancelled pass leaves the matrix partially noised — discard it,
-// never release it).
+// InjectLaplaceUniformCtx adds Laplace noise of a single magnitude to
+// every entry — Dwork et al.'s Basic mechanism step (§II-B), where every
+// cell carries Laplace(2/ε) and hence variance 8/ε² (Equation 1). It is
+// chunked exactly like InjectLaplaceCtx: fixed NoiseChunk-entry chunks,
+// chunk k drawing from rng.Substream(seed, k), bit-identical output at
+// any worker count, ctx observed between chunks (a cancelled pass leaves
+// the matrix partially noised — discard it, never release it).
 func InjectLaplaceUniformCtx(ctx context.Context, m *matrix.Matrix, magnitude float64, seed uint64, workers int) error {
 	if magnitude < 0 {
 		return fmt.Errorf("privacy: negative magnitude %v", magnitude)

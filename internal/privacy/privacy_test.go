@@ -1,6 +1,7 @@
 package privacy
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -78,26 +79,16 @@ func TestSpecDispatch(t *testing.T) {
 	}
 }
 
-func TestLambdaEpsilonRoundTrip(t *testing.T) {
+func TestLambda(t *testing.T) {
 	lam, err := Lambda(0.5, 10)
 	if err != nil || lam != 40 {
 		t.Fatalf("Lambda(0.5, 10) = %v, %v; want 40", lam, err)
-	}
-	eps, err := Epsilon(lam, 10)
-	if err != nil || eps != 0.5 {
-		t.Fatalf("Epsilon(40, 10) = %v, %v; want 0.5", eps, err)
 	}
 	if _, err := Lambda(0, 1); err == nil {
 		t.Error("Lambda eps=0 should fail")
 	}
 	if _, err := Lambda(1, 0); err == nil {
 		t.Error("Lambda rho=0 should fail")
-	}
-	if _, err := Epsilon(0, 1); err == nil {
-		t.Error("Epsilon lambda=0 should fail")
-	}
-	if _, err := Epsilon(1, -1); err == nil {
-		t.Error("Epsilon rho<0 should fail")
 	}
 }
 
@@ -180,7 +171,7 @@ func TestBoundsScaleWithEpsilon(t *testing.T) {
 func TestInjectLaplaceUniformMoments(t *testing.T) {
 	m := matrix.MustNew(200, 200)
 	mag := 2.0
-	if err := InjectLaplaceUniform(m, mag, 9); err != nil {
+	if err := InjectLaplaceUniformCtx(context.Background(), m, mag, 9, 1); err != nil {
 		t.Fatal(err)
 	}
 	sum, sumSq := 0.0, 0.0
@@ -198,7 +189,7 @@ func TestInjectLaplaceUniformMoments(t *testing.T) {
 	if math.Abs(variance-want) > 0.1*want {
 		t.Errorf("variance = %v, want ~%v", variance, want)
 	}
-	if err := InjectLaplaceUniform(m, -1, 9); err == nil {
+	if err := InjectLaplaceUniformCtx(context.Background(), m, -1, 9, 1); err == nil {
 		t.Error("negative magnitude should fail")
 	}
 }

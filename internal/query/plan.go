@@ -1,11 +1,11 @@
-// Plan → execute pipeline for batch query serving. The paper's
+// Parse → execute pipeline for batch query serving. The paper's
 // experiments answer 40 000-query workloads per release (§VII-A), so the
 // serving layer treats the workload as the first-class object the way
 // matrix-mechanism systems do: Parse normalizes one textual predicate
 // spec into a Query (every predicate is a contiguous leaf interval under
-// the hierarchy's imposed order, §V-A), a Plan accumulates a validated
-// batch against one schema, and Batch fans the plan across a worker pool
-// over a summed-area Evaluator.
+// the hierarchy's imposed order, §V-A), and Batch fans a workload —
+// a query slice or a streamed Source — across a worker pool over a
+// summed-area Evaluator.
 //
 // Determinism: every query's answer is a pure function of the evaluator's
 // table — Count reads, never writes — so fanning queries across workers
@@ -114,51 +114,6 @@ func parseBounds(clause, loStr, hiStr string) (lo, hi int, err error) {
 	}
 	return lo, hi, nil
 }
-
-// Plan is a validated, normalized batch of range-count queries against
-// one schema — a workload, as an object. Build one incrementally with
-// Add (one spec at a time, so callers can stream a workload body without
-// buffering its text) or AddQuery, then hand Queries() to Batch.
-type Plan struct {
-	schema  *dataset.Schema
-	queries []Query
-}
-
-// NewPlan returns an empty plan against schema.
-func NewPlan(schema *dataset.Schema) *Plan {
-	return &Plan{schema: schema}
-}
-
-// Add parses one spec (Parse grammar) and appends the resulting query.
-// Errors wrap ErrInvalid and leave the plan unchanged.
-func (p *Plan) Add(spec string) error {
-	q, err := Parse(p.schema, spec)
-	if err != nil {
-		return err
-	}
-	p.queries = append(p.queries, q)
-	return nil
-}
-
-// AddQuery appends an already-built query. The caller is responsible for
-// having built it against this plan's schema.
-func (p *Plan) AddQuery(q Query) {
-	p.queries = append(p.queries, q)
-}
-
-// Len returns the number of queries in the plan.
-func (p *Plan) Len() int { return len(p.queries) }
-
-// Query returns the i-th query.
-func (p *Plan) Query(i int) Query { return p.queries[i] }
-
-// Queries returns the plan's backing query slice (not a copy, so a batch
-// execution adds no per-workload allocation); callers must treat it as
-// read-only.
-func (p *Plan) Queries() []Query { return p.queries }
-
-// Schema returns the schema the plan's queries were validated against.
-func (p *Plan) Schema() *dataset.Schema { return p.schema }
 
 // batchCancelCheck is roughly how many queries a batch worker answers
 // between context checks: one Count costs 2^d table lookups (well under

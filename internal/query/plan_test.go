@@ -115,26 +115,6 @@ func TestSpecParseRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPlanAdd(t *testing.T) {
-	s := planSchema(t)
-	p := query.NewPlan(s)
-	if err := p.Add("Age=1..3"); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Add("Occ=@g1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Add("Age=3..1"); !errors.Is(err, query.ErrInvalid) {
-		t.Fatalf("inverted range: err = %v, want ErrInvalid", err)
-	}
-	if p.Len() != 2 {
-		t.Fatalf("failed Add changed the plan: len = %d, want 2", p.Len())
-	}
-	if got := p.Query(0).Spec(s); got != "Age=1..3" {
-		t.Fatalf("plan query 0 spec = %q", got)
-	}
-}
-
 // batchFixture builds an evaluator over a deterministic matrix plus a
 // workload large enough to exercise several pool splits.
 func batchFixture(t *testing.T, n int) (*query.Evaluator, []query.Query) {

@@ -18,9 +18,9 @@
 // Serving the paper's workloads (§VII runs 40 000 queries per
 // experiment) treats the workload, not the single query, as the
 // first-class object: Parse turns one textual predicate spec into a
-// Query, a Plan accumulates a validated batch of them against one
-// schema, and Batch fans a plan across a worker pool over an Evaluator
-// with answers bit-identical (float64 ==) to a serial loop. See plan.go.
+// Query, and Batch fans a workload of them across a worker pool over an
+// Evaluator with answers bit-identical (float64 ==) to a serial loop.
+// See plan.go.
 package query
 
 import (
@@ -319,16 +319,3 @@ func (e *Evaluator) Count(q Query) (float64, error) {
 // Total returns the sum of all matrix entries (n for an exact frequency
 // matrix).
 func (e *Evaluator) Total() float64 { return e.total }
-
-// Selectivity returns the query's selectivity against this evaluator's
-// matrix: answer / total (§VII-A). A zero-total matrix yields 0.
-func (e *Evaluator) Selectivity(q Query) (float64, error) {
-	if e.total == 0 {
-		return 0, nil
-	}
-	a, err := e.Count(q)
-	if err != nil {
-		return 0, err
-	}
-	return a / e.total, nil
-}

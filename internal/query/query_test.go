@@ -163,45 +163,6 @@ func TestEvaluatorMatchesEval(t *testing.T) {
 	}
 }
 
-func TestSelectivity(t *testing.T) {
-	s, tbl := censusMini(t)
-	m, err := tbl.FrequencyMatrix()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev := NewEvaluator(m)
-	q, err := NewBuilder(s).Leaf("HasDiabetes", 0).Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sel, err := ev.Selectivity(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 2 of 8 tuples have diabetes.
-	if math.Abs(sel-0.25) > 1e-12 {
-		t.Errorf("Selectivity = %v, want 0.25", sel)
-	}
-}
-
-func TestSelectivityZeroTotal(t *testing.T) {
-	s := dataset.MustSchema(dataset.OrdinalAttr("A", 4))
-	tbl := dataset.NewTable(s)
-	m, err := tbl.FrequencyMatrix()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev := NewEvaluator(m)
-	q, err := NewBuilder(s).Range("A", 0, 3).Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sel, err := ev.Selectivity(q)
-	if err != nil || sel != 0 {
-		t.Errorf("Selectivity on empty table = %v, %v; want 0, nil", sel, err)
-	}
-}
-
 func TestCoverageFormula(t *testing.T) {
 	s, _ := censusMini(t) // dims 5 × 2, m = 10
 	q, err := NewBuilder(s).Range("Age", 1, 2).Build()

@@ -16,7 +16,6 @@
 package rng
 
 import (
-	"errors"
 	"math"
 )
 
@@ -32,13 +31,6 @@ func New(seed uint64) *Source {
 	return &Source{state: seed}
 }
 
-// Split derives a new independent Source from s. The derived stream does
-// not overlap the parent's future output for any practical draw count,
-// because the child is seeded from a dedicated draw of the parent.
-func (s *Source) Split() *Source {
-	return New(s.Uint64() ^ 0x9e3779b97f4a7c15)
-}
-
 // mix64 is the splitmix64 finalizer: a bijective avalanche function on
 // uint64. It is the same mixing step Uint64 applies to its counter, used
 // standalone for key derivation.
@@ -49,11 +41,10 @@ func mix64(z uint64) uint64 {
 }
 
 // Substream returns the deterministic Source for substream `stream` of the
-// given seed. Unlike Split, the derivation is position-independent: it
-// depends only on (seed, stream), never on how many draws any other
-// source has made, so work split across a worker pool can give each unit
-// a substream keyed by its index and produce bit-identical output at any
-// parallelism level.
+// given seed. The derivation is position-independent: it depends only on
+// (seed, stream), never on how many draws any other source has made, so
+// work split across a worker pool can give each unit a substream keyed
+// by its index and produce bit-identical output at any parallelism level.
 //
 // The derivation hashes seed and stream through two rounds of the
 // splitmix64 finalizer with distinct additive constants, so substreams of
@@ -163,39 +154,6 @@ func (s *Source) Laplace(magnitude float64) float64 {
 		return magnitude * math.Log(1+2*u) // note Log(1-2|u|) with sign folded in
 	}
 	return -magnitude * math.Log(1-2*u)
-}
-
-// LaplaceVec fills dst with independent Laplace draws of the given
-// magnitude.
-func (s *Source) LaplaceVec(dst []float64, magnitude float64) {
-	for i := range dst {
-		dst[i] = s.Laplace(magnitude)
-	}
-}
-
-// Geometric returns a draw from the geometric distribution on {0, 1, ...}
-// with success probability p. Used by the synthetic data generators.
-func (s *Source) Geometric(p float64) (int, error) {
-	if p <= 0 || p > 1 {
-		return 0, errors.New("rng: Geometric requires 0 < p <= 1")
-	}
-	if p == 1 {
-		return 0, nil
-	}
-	u := s.Float64()
-	if u == 0 {
-		u = math.SmallestNonzeroFloat64
-	}
-	return int(math.Floor(math.Log(u) / math.Log(1-p))), nil
-}
-
-// Zipf draws from a Zipf-like distribution over [0, n) with exponent
-// alpha > 0: P(k) ∝ (k+1)^(-alpha). The cumulative table is rebuilt per
-// call only when n differs from the cached table; callers that need many
-// draws should use NewZipf.
-func (s *Source) Zipf(n int, alpha float64) int {
-	z := NewZipf(n, alpha)
-	return z.Draw(s)
 }
 
 // Zipfian is a precomputed sampler for the Zipf distribution over [0, n).

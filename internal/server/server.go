@@ -76,8 +76,8 @@
 //	Gender=#1         nominal single leaf by position
 //	Occupation=#3..5  leaf-position interval (the wire form of a roll-up)
 //
-// Both query endpoints run the same plan→execute pipeline
-// (internal/query's Plan and Batch): the count endpoint is the
+// Both query endpoints run the same parse→execute pipeline
+// (internal/query's Parse and Batch): the count endpoint is the
 // one-query case of the batch endpoint, and batch answers are
 // bit-identical (float64 ==) to issuing the same specs as sequential
 // /count calls — at any ?parallelism=, streamed or buffered, cached or
@@ -480,7 +480,7 @@ func payloadSummary(id string, p *codec.Payload, workers int) summary {
 		Lambda:    p.Meta.Lambda,
 		Bound:     p.Meta.Bound,
 		Entries:   p.Noisy.Len(),
-		Attrs:     allNames(p.Schema),
+		Attrs:     p.Schema.Names(),
 		Workers:   workers,
 		Resident:  true,
 		HeapBytes: 2 * 8 * int64(p.Noisy.Len()),
@@ -974,14 +974,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		UptimeSec: time.Since(s.started).Seconds(),
 		Version:   s.version,
 	}, residency, s.ringStats()})
-}
-
-func allNames(s *dataset.Schema) []string {
-	out := make([]string, s.NumAttrs())
-	for i := range out {
-		out[i] = s.Attr(i).Name
-	}
-	return out
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

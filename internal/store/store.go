@@ -811,14 +811,10 @@ func (e *entry) touch(s *Store) {
 }
 
 func makeStub(id string, p *codec.Payload, workers int) Stub {
-	attrs := make([]string, p.Schema.NumAttrs())
-	for i := range attrs {
-		attrs[i] = p.Schema.Attr(i).Name
-	}
 	return Stub{
 		ID:      id,
 		Meta:    p.Meta,
-		Attrs:   attrs,
+		Attrs:   p.Schema.Names(),
 		Entries: p.Noisy.Len(),
 		Workers: workers,
 	}

@@ -407,23 +407,6 @@ func (t *HN) Weight(coords ...int) float64 {
 	return w
 }
 
-// WeightMatrix materializes the full W_HN as a matrix shaped like the
-// coefficient matrix. Intended for tests and inspection; noise injection
-// should iterate via WeightVector to avoid the allocation.
-func (t *HN) WeightMatrix() (*matrix.Matrix, error) {
-	out, err := matrix.New(t.CoeffDims()...)
-	if err != nil {
-		return nil, err
-	}
-	data := out.Data()
-	coords := make([]int, len(t.dims))
-	for off := range data {
-		out.Coords(off, coords)
-		data[off] = t.Weight(coords...)
-	}
-	return out, nil
-}
-
 // GeneralizedSensitivity returns Theorem 2's bound ∏P(A_i) with respect
 // to W_HN, where P(A) = 1+log₂(padded |A|) for ordinal dimensions and the
 // hierarchy height for nominal ones.

@@ -354,21 +354,6 @@ func TestPaddedSensitivityUpperBound(t *testing.T) {
 	}
 }
 
-func TestWeightMatrixAgreesWithWeight(t *testing.T) {
-	hn := mustHN(t, Ordinal(4), Nominal(fig3Hierarchy(t)))
-	wm, err := hn.WeightMatrix()
-	if err != nil {
-		t.Fatal(err)
-	}
-	coords := make([]int, 2)
-	for off, v := range wm.Data() {
-		wm.Coords(off, coords)
-		if v != hn.Weight(coords...) {
-			t.Fatalf("WeightMatrix mismatch at %v: %v vs %v", coords, v, hn.Weight(coords...))
-		}
-	}
-}
-
 func TestWeightPanicsOnBadCoords(t *testing.T) {
 	hn := mustHN(t, Ordinal(4))
 	defer func() {

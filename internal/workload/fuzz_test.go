@@ -1,21 +1,26 @@
 package workload
 
-// Native fuzz targets for the two wire formats the server decodes from
-// request bodies. Both readers face arbitrary bytes, so the first
-// property is simply "no panic"; the second is the round-trip contract
-// each format documents: an accepted workload re-emitted by
-// WriteQueries reads back with identical canonical specs, and an
-// accepted answer stream re-emitted by AnswerLines reads back
-// bit-identically with the same trailer. Seed corpora live under
-// testdata/fuzz/; CI runs a short -fuzz smoke on top of them.
+// Native fuzz targets for the wire formats that cross the HTTP boundary:
+// the line and JSON workload readers the server decodes request bodies
+// with, and the answer-line reader clients decode responses with. Every
+// reader faces arbitrary bytes, so the first property is simply "no
+// panic"; the second is the round-trip contract each format documents:
+// an accepted workload re-emitted by WriteQueries reads back through
+// the line reader with identical canonical specs, and an accepted answer
+// stream re-emitted by AnswerLines reads back bit-identically with the
+// same trailer. Seed corpora live under testdata/fuzz/; CI runs a short
+// -fuzz smoke on top of them.
 
 import (
 	"bytes"
 	"math"
 	"testing"
+
+	"repro/internal/dataset"
+	"repro/internal/query"
 )
 
-func FuzzReadPlan(f *testing.F) {
+func FuzzLineSpecs(f *testing.F) {
 	for _, seed := range []string{
 		"",
 		"*\n",
@@ -30,32 +35,59 @@ func FuzzReadPlan(f *testing.F) {
 	}
 	schema := censusSchema(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		plan, err := ReadPlan(schema, bytes.NewReader(data))
+		queries, err := readAll(schema, NewLineSpecs(bytes.NewReader(data)))
 		if err != nil {
 			// Rejected input: the only property is that the reader
 			// failed cleanly instead of panicking.
 			return
 		}
-		// Accepted input round-trips: WriteQueries is the documented
-		// inverse of ReadPlan, and Spec renders canonically.
-		var buf bytes.Buffer
-		if err := WriteQueries(&buf, schema, plan.Queries()); err != nil {
-			t.Fatalf("WriteQueries on accepted plan: %v", err)
-		}
-		back, err := ReadPlan(schema, &buf)
-		if err != nil {
-			t.Fatalf("re-reading emitted workload: %v", err)
-		}
-		if back.Len() != plan.Len() {
-			t.Fatalf("round trip: %d queries, want %d", back.Len(), plan.Len())
-		}
-		for i := 0; i < plan.Len(); i++ {
-			w, g := plan.Query(i).Spec(schema), back.Query(i).Spec(schema)
-			if w != g {
-				t.Fatalf("query %d: spec %q round-tripped to %q", i, w, g)
-			}
-		}
+		checkLineRoundTrip(t, schema, queries)
 	})
+}
+
+func FuzzJSONSpecs(f *testing.F) {
+	for _, seed := range []string{
+		"",
+		"[]",
+		`{"queries": []}`,
+		`["Age=0..3,Gender=#0", "", "Occupation=#3..5"]`,
+		`{"queries": ["*"], "queries": ["Age=1..2"]}`,
+		`[["Age=1..3"]]`,
+	} {
+		f.Add([]byte(seed))
+	}
+	schema := censusSchema(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		queries, err := readAll(schema, NewJSONSpecs(bytes.NewReader(data)))
+		if err != nil {
+			return
+		}
+		checkLineRoundTrip(t, schema, queries)
+	})
+}
+
+// checkLineRoundTrip asserts that accepted queries, re-emitted by
+// WriteQueries (the documented inverse of NewLineSpecs), read back with
+// identical canonical specs.
+func checkLineRoundTrip(t *testing.T, schema *dataset.Schema, queries []query.Query) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteQueries(&buf, schema, queries); err != nil {
+		t.Fatalf("WriteQueries on accepted workload: %v", err)
+	}
+	back, err := readAll(schema, NewLineSpecs(&buf))
+	if err != nil {
+		t.Fatalf("re-reading emitted workload: %v", err)
+	}
+	if len(back) != len(queries) {
+		t.Fatalf("round trip: %d queries, want %d", len(back), len(queries))
+	}
+	for i, q := range queries {
+		w, g := q.Spec(schema), back[i].Spec(schema)
+		if w != g {
+			t.Fatalf("query %d: spec %q round-tripped to %q", i, w, g)
+		}
+	}
 }
 
 func FuzzReadAnswerLines(f *testing.F) {

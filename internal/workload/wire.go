@@ -5,18 +5,15 @@
 //
 //   - lines: one query.Parse spec per line ("Age=30..49,Occ=#3..5"),
 //     blank lines skipped — the CSV-friendly form, written by
-//     WriteQueries and read by NewLineSpecs/ReadPlan;
+//     WriteQueries and read by NewLineSpecs;
 //   - JSON: either a bare array of spec strings or an object
-//     {"queries": ["spec", ...]}, read by NewJSONSpecs/ReadPlanJSON.
+//     {"queries": ["spec", ...]}, read by NewJSONSpecs.
 //
 // Both representations stream twice over: a SpecReader yields specs one
 // at a time (the body text is never buffered), and Queries adapts it
 // into a query.Source so parsing pipelines straight into a streaming
-// batch execution — a million-query workload never exists in memory as
-// a plan, only as the two in-flight chunks of query.Batch.ExecuteStream.
-// ReadPlan/ReadPlanJSON remain the buffered convenience for callers
-// that want the whole workload as an object (the experiment harness,
-// offline tools); they are thin accumulations over the same readers.
+// batch execution — a million-query workload never exists in memory
+// whole, only as the two in-flight chunks of query.Batch.ExecuteStream.
 
 package workload
 
@@ -28,7 +25,6 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/query"
-	"repro/internal/rng"
 )
 
 // SpecReader streams query specs from one wire-format body. Next
@@ -171,36 +167,6 @@ func Queries(schema *dataset.Schema, sr SpecReader) query.Source {
 	}
 }
 
-// ReadPlan reads the line wire format from r into a validated plan.
-// Parse failures carry the 1-based line number and wrap query.ErrInvalid
-// (a client error); reader failures do not.
-func ReadPlan(schema *dataset.Schema, r io.Reader) (*query.Plan, error) {
-	return accumulate(schema, NewLineSpecs(r))
-}
-
-// ReadPlanJSON reads the JSON wire format from r into a validated plan:
-// a bare array of spec strings, or an object whose "queries" field is
-// such an array (other fields are ignored).
-func ReadPlanJSON(schema *dataset.Schema, r io.Reader) (*query.Plan, error) {
-	return accumulate(schema, NewJSONSpecs(r))
-}
-
-// accumulate drains a SpecReader into a plan (the buffered read path).
-func accumulate(schema *dataset.Schema, sr SpecReader) (*query.Plan, error) {
-	plan := query.NewPlan(schema)
-	src := Queries(schema, sr)
-	for {
-		q, ok, err := src()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return plan, nil
-		}
-		plan.AddQuery(q)
-	}
-}
-
 // invalidJSON tags a JSON decode failure as a client error.
 func invalidJSON(err error) error {
 	return fmt.Errorf("workload: bad JSON workload: %v: %w", err, query.ErrInvalid)
@@ -220,7 +186,7 @@ func isBlank(s string) bool {
 }
 
 // WriteQueries emits the queries in the line wire format, one spec per
-// line — the inverse of ReadPlan. schema must be the schema the queries
+// line — the inverse of NewLineSpecs. schema must be the schema the queries
 // were built against.
 func WriteQueries(w io.Writer, schema *dataset.Schema, queries []query.Query) error {
 	bw := bufio.NewWriter(w)
@@ -233,19 +199,4 @@ func WriteQueries(w io.Writer, schema *dataset.Schema, queries []query.Query) er
 		}
 	}
 	return bw.Flush()
-}
-
-// Plan draws count random queries straight into a query.Plan — the
-// generator's output in the same representation the batch executor and
-// the wire format consume.
-func (g *Generator) Plan(count int, r *rng.Source) (*query.Plan, error) {
-	qs, err := g.Queries(count, r)
-	if err != nil {
-		return nil, err
-	}
-	plan := query.NewPlan(g.schema)
-	for _, q := range qs {
-		plan.AddQuery(q)
-	}
-	return plan, nil
 }

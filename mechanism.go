@@ -7,12 +7,10 @@ import (
 	"sync"
 	"unicode"
 
-	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/hay"
 	"repro/internal/matrix"
 	"repro/internal/postprocess"
-	"repro/internal/privacy"
 	"repro/internal/query"
 )
 
@@ -351,9 +349,9 @@ func (m priveletMech) Publish(ctx context.Context, freq *Frequency, p Params) (*
 }
 
 // basicMech is Dwork et al.'s Basic mechanism (§II-B): independent
-// Laplace(2/ε) noise per frequency-matrix entry. Identical output to
-// Privelet+ with SA = all attributes, but implemented via the baseline
-// package's direct pass (no transform machinery to set up).
+// Laplace(2/ε) noise per frequency-matrix entry. It is the Figure 5
+// algorithm with every attribute in SA, so it runs core.PublishMatrix
+// with SA = all attributes and no transform is ever built.
 type basicMech struct{}
 
 func (basicMech) Name() string { return "basic" }
@@ -369,17 +367,13 @@ func (m basicMech) Publish(ctx context.Context, freq *Frequency, p Params) (*Res
 	if err := m.ValidateParams(freq.Schema, p); err != nil {
 		return nil, err
 	}
-	res, err := baseline.Basic(ctx, freq.M, p.Epsilon, p.Seed, p.Parallelism)
+	res, err := core.PublishMatrix(ctx, freq.M, freq.Schema, core.Options{
+		Epsilon: p.Epsilon, SA: freq.Schema.Names(), Seed: p.Seed, Parallelism: p.Parallelism,
+	})
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
-		Noisy:         res.Noisy,
-		Epsilon:       res.Epsilon,
-		Rho:           1,
-		Lambda:        res.Magnitude,
-		VarianceBound: privacy.BasicVarianceBound(res.Epsilon, freq.Schema.DomainSize()),
-	}, nil
+	return fromCore(res), nil
 }
 
 // hayMech is Hay et al.'s hierarchical-consistency mechanism — the

@@ -13,7 +13,12 @@
 #      repository's documentation convention since the PR 2 godoc audit.
 #   3. Every docs/*.md file referenced from README.md or doc.go exists,
 #      and every file in docs/ is actually referenced from one of them
-#      (no orphaned documents).
+#      (no orphaned documents). Beyond docs/, every *.md path cited in a
+#      tracked .go, .md, .sh or .yml file names a tracked file: a path
+#      with a '/' must resolve from the repository root or from the
+#      citing file's directory, and a bare file name must match some
+#      tracked file's name. CHANGES.md and ISSUE.md are exempt: they
+#      record and quote past names, including removed ones.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -62,8 +67,29 @@ if [ -d docs ]; then
     done
 fi
 
+tracked=$(git ls-files)
+for src in $(git ls-files '*.go' '*.md' '*.sh' '*.yml'); do
+    case "$src" in CHANGES.md | ISSUE.md) continue ;; esac
+    dir=$(dirname "$src")
+    for ref in $(grep -ohE '[A-Za-z0-9_./-]*[A-Za-z0-9_-]\.md\b' "$src" | sort -u); do
+        ref=${ref#./}
+        case "$ref" in
+            */*)
+                if [ -f "$ref" ] || [ -f "$dir/$ref" ]; then continue; fi
+                ;;
+            *)
+                if printf '%s\n' "$tracked" | awk -F/ -v r="$ref" '$NF == r { found = 1 } END { exit !found }'; then
+                    continue
+                fi
+                ;;
+        esac
+        echo "dangling document reference in $src: $ref (no such file in the repository)" >&2
+        fail=1
+    done
+done
+
 if [ "$fail" -ne 0 ]; then
     echo "docs check failed: see messages above (package-comment and anchor conventions: ISSUE 2 godoc audit, ISSUE 4 docs pass)" >&2
     exit 1
 fi
-echo "docs check: package comments, paper anchors, and docs/ references all OK"
+echo "docs check: package comments, paper anchors, docs/ and *.md references all OK"
