@@ -17,8 +17,9 @@
 #      tracked .go, .md, .sh or .yml file names a tracked file: a path
 #      with a '/' must resolve from the repository root or from the
 #      citing file's directory, and a bare file name must match some
-#      tracked file's name. CHANGES.md and ISSUE.md are exempt: they
-#      record and quote past names, including removed ones.
+#      tracked file's name. The Markdown notes at the repository root
+#      other than README.md are exempt: they record plans and history
+#      and quote past names, including removed ones.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -69,7 +70,7 @@ fi
 
 tracked=$(git ls-files)
 for src in $(git ls-files '*.go' '*.md' '*.sh' '*.yml'); do
-    case "$src" in CHANGES.md | ISSUE.md) continue ;; esac
+    case "$src" in README.md | */*) ;; *.md) continue ;; esac
     dir=$(dirname "$src")
     for ref in $(grep -ohE '[A-Za-z0-9_./-]*[A-Za-z0-9_-]\.md\b' "$src" | sort -u); do
         ref=${ref#./}
