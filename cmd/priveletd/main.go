@@ -56,9 +56,10 @@
 // primary and replicate synchronously, reads fan out to any healthy
 // replica, /stats shows the whole fleet. The daemon binds its port
 // immediately and answers /healthz at once, but /readyz (the router's
-// probe target) returns 503 with a reason until the store and ledger
-// have finished recovering — a restarting node rejoins the ring only
-// once every recovered release is servable.
+// probe target) returns 503 with a reason until the store has
+// registered every release from its spill-file header and the ledger
+// has loaded — a restarting node rejoins the ring only once it lists
+// every release it holds. Each table is verified on its first read.
 //
 // With -peers set, each node also runs the anti-entropy repairer
 // (internal/cluster.Repairer): every -repair-interval it diffs actual
@@ -151,9 +152,9 @@ func main() {
 	handler.Store(bootHandler("recovering releases and budget ledgers"))
 	go func() {
 		// The store shares the publish worker ceiling for its evaluator
-		// rebuilds (startup recovery and spilled-release reloads);
-		// rebuilds are bit-identical at any worker count, so this is
-		// latency-only.
+		// rebuilds (reloads of spilled releases, a recovered release's
+		// first read among them); rebuilds are bit-identical at any
+		// worker count, so this is latency-only.
 		st, err := store.New(store.Config{Dir: *storeDir, MaxResident: *maxResident, Parallelism: *workers, AnswerCache: *answerCache})
 		if err != nil {
 			log.Fatal(err)

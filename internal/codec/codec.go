@@ -46,10 +46,12 @@
 // There is one decoder, DecodeMapped, over a byte slice: mapped spill
 // files hand it their pages, and stream readers (store.DecodeRelease)
 // first read the stream into an 8-byte-aligned buffer
-// (mmapfile.ReadAligned). Because the whole input is in hand, every
-// length the header declares is checked against the bytes actually
-// present before it is allocated, so decode memory is bounded by the
-// input's length — these bytes arrive from disk and from peers.
+// (mmapfile.ReadAligned). DecodeHeader runs only its head, for store
+// recovery, which registers a spill file without reading its float64
+// sections. Because the whole input is in hand, every length the header
+// declares is checked against the bytes actually present before it is
+// allocated, so decode memory is bounded by the input's length — these
+// bytes arrive from disk and from peers.
 package codec
 
 import (
@@ -264,18 +266,9 @@ func DecodeMapped(data []byte, pin any) (*Payload, MapInfo, error) {
 	defer runtime.KeepAlive(pin)
 	r := bytes.NewReader(data)
 	var info MapInfo
-	ver, err := readHeader(r)
+	p, ver, dims, n, err := decodeHead(r)
 	if err != nil {
 		return nil, info, err
-	}
-	p, dims, n, err := decodeCommon(r)
-	if err != nil {
-		return nil, info, err
-	}
-	if ver == version2 {
-		if err := skipPad(r); err != nil {
-			return nil, info, fmt.Errorf("codec: matrix padding: %w", err)
-		}
 	}
 	// Version 1 has no alignment pad, so its matrix is always copied.
 	noisyVals, _, noisyMapped, err := takeFloats(data, r, n, ver == version2)
@@ -293,6 +286,21 @@ func DecodeMapped(data []byte, pin any) (*Payload, MapInfo, error) {
 		return p, info, fmt.Errorf("codec: %v: %w", err, ErrTable)
 	}
 	return p, info, nil
+}
+
+// DecodeHeader decodes the head of a payload (format version 1 or 2):
+// its meta and its schema with the matrix dims. It checks that the
+// matrix section's bytes are present without reading them, and leaves
+// the version-2 table section, checksum included, to DecodeMapped. It
+// therefore succeeds exactly when DecodeMapped returns a payload
+// (possibly with ErrTable), at the cost of the header alone, and keeps
+// no reference to data.
+func DecodeHeader(data []byte) (Meta, *dataset.Schema, error) {
+	p, _, _, _, err := decodeHead(bytes.NewReader(data))
+	if err != nil {
+		return Meta{}, nil, err
+	}
+	return p.Meta, p.Schema, nil
 }
 
 // mapTable decodes the version-2 table section of a mapped buffer into
@@ -388,47 +396,60 @@ func readHeader(r *bytes.Reader) (uint16, error) {
 	return ver, nil
 }
 
-// decodeCommon reads the sections shared by both versions — meta,
-// schema, matrix dims — and cross-validates the dims against the
-// schema, so no float64 section is read for a structurally broken file.
-// n is the matrix entry count, at most matrix.MaxEntries.
-func decodeCommon(r *bytes.Reader) (p *Payload, dims []int, n int, err error) {
+// decodeHead reads everything before the matrix entries — magic and
+// version, meta, schema, matrix dims and, in version 2, the alignment
+// pad — and cross-validates the dims against the schema, so no float64
+// section is read for a structurally broken file. It ends by checking
+// that the matrix section's n×8 bytes are present, without reading
+// them. n is the matrix entry count, at most matrix.MaxEntries.
+func decodeHead(r *bytes.Reader) (p *Payload, ver uint16, dims []int, n int, err error) {
+	if ver, err = readHeader(r); err != nil {
+		return nil, 0, nil, 0, err
+	}
 	p = &Payload{}
 	if p.Meta.Mechanism, err = readString(r); err != nil {
-		return nil, nil, 0, fmt.Errorf("codec: mechanism: %w", err)
+		return nil, 0, nil, 0, fmt.Errorf("codec: mechanism: %w", err)
 	}
 	for _, dst := range []*float64{&p.Meta.Epsilon, &p.Meta.Rho, &p.Meta.Lambda, &p.Meta.Bound} {
 		if err := binary.Read(r, binary.LittleEndian, dst); err != nil {
-			return nil, nil, 0, fmt.Errorf("codec: meta floats: %w", err)
+			return nil, 0, nil, 0, fmt.Errorf("codec: meta floats: %w", err)
 		}
 	}
 	if p.Schema, err = decodeSchema(r); err != nil {
-		return nil, nil, 0, err
+		return nil, 0, nil, 0, err
 	}
 	nd, err := binary.ReadUvarint(r)
 	if err != nil {
-		return nil, nil, 0, fmt.Errorf("codec: matrix dim count: %w", err)
+		return nil, 0, nil, 0, fmt.Errorf("codec: matrix dim count: %w", err)
 	}
 	if nd == 0 || nd > 64 {
-		return nil, nil, 0, fmt.Errorf("codec: implausible dimensionality %d", nd)
+		return nil, 0, nil, 0, fmt.Errorf("codec: implausible dimensionality %d", nd)
 	}
 	dims = make([]int, nd)
 	n = 1
 	for i := range dims {
 		d, err := binary.ReadUvarint(r)
 		if err != nil {
-			return nil, nil, 0, fmt.Errorf("codec: matrix dim %d: %w", i, err)
+			return nil, 0, nil, 0, fmt.Errorf("codec: matrix dim %d: %w", i, err)
 		}
 		if d == 0 || d > uint64(matrix.MaxEntries/n) {
-			return nil, nil, 0, fmt.Errorf("codec: implausible dimension size %d", d)
+			return nil, 0, nil, 0, fmt.Errorf("codec: implausible dimension size %d", d)
 		}
 		dims[i] = int(d)
 		n *= dims[i]
 	}
 	if want := p.Schema.Dims(); !slices.Equal(dims, want) {
-		return nil, nil, 0, fmt.Errorf("codec: matrix shape %v does not match schema %v", dims, want)
+		return nil, 0, nil, 0, fmt.Errorf("codec: matrix shape %v does not match schema %v", dims, want)
 	}
-	return p, dims, n, nil
+	if ver == version2 {
+		if err := skipPad(r); err != nil {
+			return nil, 0, nil, 0, fmt.Errorf("codec: matrix padding: %w", err)
+		}
+	}
+	if n > r.Len()/8 {
+		return nil, 0, nil, 0, fmt.Errorf("codec: matrix entries: %w", io.ErrUnexpectedEOF)
+	}
+	return p, ver, dims, n, nil
 }
 
 func encodeSchema(w *countWriter, s *dataset.Schema) error {

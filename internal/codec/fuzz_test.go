@@ -6,7 +6,10 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
+
+	"repro/internal/dataset"
 )
 
 // hugeHeader is a complete 52-byte version-1 header — one ordinal
@@ -59,13 +62,16 @@ const (
 )
 
 // FuzzDecode feeds arbitrary bytes to the codec's one decoder — the
-// boundary every spill file, replication push and repair pull crosses.
-// Decoding must never panic; its allocation must stay within a
-// constant factor of the input, never follow the header's declared
-// sizes; and a payload it accepts must re-encode to bytes that decode
-// to the same bits (and re-encode identically once more). The seed
-// corpus in testdata/fuzz/FuzzDecode holds the golden testdata/*.prvl
-// files, a version-2 encoding of samplePayload, and hugeHeader.
+// boundary every spill file, replication push and repair pull crosses —
+// and to DecodeHeader, its head alone, which store recovery runs on
+// every spill file. Decoding must never panic; its allocation must stay
+// within a constant factor of the input, never follow the header's
+// declared sizes; DecodeHeader must accept exactly the inputs
+// DecodeMapped returns a payload for, with the same meta and dims; and
+// a payload DecodeMapped accepts must re-encode to bytes that decode to
+// the same bits (and re-encode identically once more). The seed corpus
+// in testdata/fuzz/FuzzDecode holds the golden testdata/*.prvl files, a
+// version-2 encoding of samplePayload, and hugeHeader.
 func FuzzDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		// An aligned copy takes the zero-copy path a mapped spill file and
@@ -80,14 +86,27 @@ func FuzzDecode(f *testing.F) {
 		if p != nil {
 			nodes = hierarchyNodes(p)
 		}
-		if limit := 3*uint64(len(raw)) + nodeBytes*uint64(nodes) + fuzzAllocSlack; alloc > limit {
+		limit := 3*uint64(len(raw)) + nodeBytes*uint64(nodes) + fuzzAllocSlack
+		if alloc > limit {
 			t.Fatalf("decoding %d bytes (%d hierarchy nodes) allocated %d > %d", len(raw), nodes, alloc, limit)
+		}
+		var meta Meta
+		var schema *dataset.Schema
+		var herr error
+		if alloc := allocated(func() { meta, schema, herr = DecodeHeader(buf) }); alloc > limit {
+			t.Fatalf("decoding the header of %d bytes allocated %d > %d", len(raw), alloc, limit)
+		}
+		if (herr == nil) != (p != nil) {
+			t.Fatalf("DecodeHeader err = %v, but DecodeMapped returned payload %v (err %v)", herr, p != nil, err)
 		}
 		if err != nil && !errors.Is(err, ErrTable) {
 			return
 		}
 		if p == nil {
 			t.Fatalf("ErrTable decode returned no payload: %v", err)
+		}
+		if !sameMeta(meta, p.Meta) || !slices.Equal(schema.Dims(), p.Schema.Dims()) {
+			t.Fatalf("DecodeHeader read %+v %v, DecodeMapped %+v %v", meta, schema.Dims(), p.Meta, p.Schema.Dims())
 		}
 		var once bytes.Buffer
 		if err := Encode(&once, p); err != nil {
@@ -123,11 +142,8 @@ func hierarchyNodes(p *Payload) int {
 // and (when present) table and total.
 func sameBits(t *testing.T, a, b *Payload) {
 	t.Helper()
-	am, bm := a.Meta, b.Meta
-	if am.Mechanism != bm.Mechanism || !sameFloats(
-		[]float64{am.Epsilon, am.Rho, am.Lambda, am.Bound},
-		[]float64{bm.Epsilon, bm.Rho, bm.Lambda, bm.Bound}) {
-		t.Fatalf("meta changed across a round trip: %+v vs %+v", am, bm)
+	if !sameMeta(a.Meta, b.Meta) {
+		t.Fatalf("meta changed across a round trip: %+v vs %+v", a.Meta, b.Meta)
 	}
 	if !sameFloats(a.Noisy.Data(), b.Noisy.Data()) {
 		t.Fatal("matrix changed across a round trip")
@@ -139,6 +155,14 @@ func sameBits(t *testing.T, a, b *Payload) {
 		math.Float64bits(a.Total) != math.Float64bits(b.Total)) {
 		t.Fatal("table changed across a round trip")
 	}
+}
+
+// sameMeta reports whether a and b carry the same mechanism and
+// bit-identical accounting floats.
+func sameMeta(a, b Meta) bool {
+	return a.Mechanism == b.Mechanism && sameFloats(
+		[]float64{a.Epsilon, a.Rho, a.Lambda, a.Bound},
+		[]float64{b.Epsilon, b.Rho, b.Lambda, b.Bound})
 }
 
 func sameFloats(a, b []float64) bool {

@@ -50,8 +50,9 @@
 //	                                                and the node identity (name, start time,
 //	                                                version) cluster aggregation keys on
 //	GET    /healthz                               → liveness (process up)
-//	GET    /readyz                                → readiness (store recovered, ledger loaded);
-//	                                                the cluster tier's probe target
+//	GET    /readyz                                → readiness (every release registered from its
+//	                                                spill-file header, ledger loaded); the
+//	                                                cluster tier's probe target
 //	PUT    /internal/replicate/{id}               → replica ingest: body is an encoded release
 //	                                                (the /export bytes); 200 if already present,
 //	                                                410 if the ID is tombstoned (deleted here)
@@ -188,8 +189,8 @@ func New(cfg Config) *Server {
 	}
 	st := cfg.Store
 	if st == nil {
-		// An in-memory store never reloads, but recovery/Put still build
-		// evaluators; give them the same worker ceiling as publishes.
+		// An in-memory store never reloads, but Put and Ingest still
+		// build evaluators; give them the same worker ceiling as publishes.
 		// The implicit store answers repeated queries from the default
 		// answer cache (an explicit Store chooses its own bound).
 		// The store config without a Dir cannot fail.
@@ -262,11 +263,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// handleReadyz is readiness: the store has recovered and the ledger is
-// loaded, so every recovered release and budget is servable. By the
-// time this handler is reachable, construction has completed both —
-// cmd/priveletd answers 503 with a reason from its boot handler until
-// then, which is the window cluster health probes are meant to catch.
+// handleReadyz is readiness: the store has registered every release
+// from its spill-file header and the ledger is loaded, so every
+// recovered release is listed and every budget is servable; each
+// release's table is verified on its first read. By the time this
+// handler is reachable, construction has completed both — cmd/priveletd
+// answers 503 with a reason from its boot handler until then, which is
+// the window cluster health probes are meant to catch.
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":   "ready",

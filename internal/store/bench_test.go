@@ -260,39 +260,41 @@ func BenchmarkReloadTTFQRebuild(b *testing.B) { benchmarkReloadTTFQ(b, true) }
 
 // --- restart recovery ----------------------------------------------------
 //
-// New() over a directory of spill files, warm (MaxResident covers every
-// release). V2 files hand recovery their tables; V1 files force a
-// prefix-sum rebuild per release.
+// New() over a directory of 64 format-v2 spill files, a quarter of them
+// within MaxResident, at two release sizes. Recovery reads each file's
+// header only, so its time should not grow with the release size; the
+// first reads it defers are what BenchmarkReloadTTFQ{Mapped,Rebuild}
+// measure.
 
-func benchmarkRecovery(b *testing.B, v1 bool) {
-	const k, entries = 4, 1 << 16
-	dir := b.TempDir()
-	seed, err := New(Config{Dir: dir})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < k; i++ {
-		if err := seed.Put(fmt.Sprintf("r%d", i), bigBenchPayload(b, entries), 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if v1 {
-		for i := 0; i < k; i++ {
-			downgradeSpill(b, seed, fmt.Sprintf("r%d", i))
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s, err := New(Config{Dir: dir, MaxResident: k})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if s.Len() != k {
-			b.Fatalf("recovery found %d releases, want %d", s.Len(), k)
-		}
+func BenchmarkRecovery(b *testing.B) {
+	const files = 64
+	for _, size := range []struct {
+		name    string
+		entries int
+	}{{"1Ki", 1 << 10}, {"64Ki", 1 << 16}} {
+		b.Run(size.name, func(b *testing.B) {
+			dir := b.TempDir()
+			seed, err := New(Config{Dir: dir})
+			if err != nil {
+				b.Fatal(err)
+			}
+			p := bigBenchPayload(b, size.entries)
+			for i := 0; i < files; i++ {
+				if err := seed.Put(fmt.Sprintf("r%d", i), p, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s, err := New(Config{Dir: dir, MaxResident: files / 4})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if s.Len() != files {
+					b.Fatalf("recovery found %d releases, want %d", s.Len(), files)
+				}
+			}
+		})
 	}
 }
-
-func BenchmarkRecoveryV2(b *testing.B) { benchmarkRecovery(b, false) }
-func BenchmarkRecoveryV1(b *testing.B) { benchmarkRecovery(b, true) }

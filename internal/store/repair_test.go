@@ -14,6 +14,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/codec"
@@ -31,6 +32,9 @@ func encodePayload(t testing.TB, p *codec.Payload) []byte {
 	return buf.Bytes()
 }
 
+// tombstoned reports whether s lists id among its delete markers.
+func tombstoned(s *Store, id string) bool { return slices.Contains(s.Tombstones(), id) }
+
 func TestRepairTombstoneLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	s, err := New(Config{Dir: dir})
@@ -42,13 +46,13 @@ func TestRepairTombstoneLifecycle(t *testing.T) {
 	if err := s.Put("r1", p, 0); err != nil {
 		t.Fatal(err)
 	}
-	if s.Tombstoned("r1") || len(s.Tombstones()) != 0 {
+	if tombstoned(s, "r1") || len(s.Tombstones()) != 0 {
 		t.Fatal("fresh release reports a tombstone")
 	}
 	if err := s.Remove("r1"); err != nil {
 		t.Fatal(err)
 	}
-	if !s.Tombstoned("r1") {
+	if !tombstoned(s, "r1") {
 		t.Fatal("Remove left no tombstone")
 	}
 	if got := s.Tombstones(); !reflect.DeepEqual(got, []string{"r1"}) {
@@ -74,7 +78,7 @@ func TestRepairTombstoneLifecycle(t *testing.T) {
 	if err := s.Put("r1", testPayload(t, 2), 0); err != nil {
 		t.Fatal(err)
 	}
-	if s.Tombstoned("r1") {
+	if tombstoned(s, "r1") {
 		t.Fatal("Put did not clear the tombstone")
 	}
 	if _, err := os.Stat(filepath.Join(dir, "r1.tomb")); !os.IsNotExist(err) {
@@ -115,10 +119,10 @@ func TestRepairTombstoneSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !re.Tombstoned("gone1") {
+	if !tombstoned(re, "gone1") {
 		t.Fatal("tombstone lost across restart")
 	}
-	if re.Tombstoned("gone2") {
+	if tombstoned(re, "gone2") {
 		t.Fatal("recovery read a stranded tmp file as a tombstone")
 	}
 	if _, err := os.Stat(stranded); !os.IsNotExist(err) {
@@ -170,7 +174,7 @@ func TestRepairIngestRacingRemove(t *testing.T) {
 	if _, err := s.Get("r1"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("deleted release served again: %v", err)
 	}
-	if !s.Tombstoned("r1") {
+	if !tombstoned(s, "r1") {
 		t.Fatal("Ingest cleared the tombstone")
 	}
 	if _, err := os.Stat(filepath.Join(dir, "r1.tomb")); err != nil {
@@ -212,7 +216,7 @@ func TestRepairRecoveryFinishesCrashedDelete(t *testing.T) {
 	if _, err := re.Get("half1"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("recovery resurrected a tombstoned release: %v", err)
 	}
-	if !re.Tombstoned("half1") {
+	if !tombstoned(re, "half1") {
 		t.Fatal("recovery dropped the tombstone")
 	}
 	if _, err := os.Stat(filepath.Join(dir, "half1.prvl")); !os.IsNotExist(err) {

@@ -30,9 +30,11 @@
 //
 // Because spill files are written through at Put time, the directory
 // doubles as durable storage: a new Store opened on the same directory
-// recovers every previously-published release — warm up to the
-// MaxResident budget, cold beyond it — and serves them after a daemon
-// restart.
+// recovers every previously-published release and serves them after a
+// daemon restart. Recovery reads only each file's header, so its cost
+// follows the directory's file count, not its bytes: every recovered
+// release starts evicted, and its first Get maps the file and verifies
+// the table like any other reload.
 //
 // A small Stub per release — accounting metadata, attribute names,
 // entry count — always stays resident, so listing and describing
@@ -49,6 +51,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -57,6 +60,7 @@ import (
 
 	"repro/internal/atomicfile"
 	"repro/internal/codec"
+	"repro/internal/dataset"
 	"repro/internal/mmapfile"
 	"repro/internal/query"
 )
@@ -194,14 +198,14 @@ type Stats struct {
 	Reloads     int64 `json:"reloads"`
 	Removals    int64 `json:"removals"`
 	// Reloads counts every evicted→resident transition, however the
-	// payload came back. MMapHits counts only loads that mapped a file
-	// (reload or recovery warm-up) and built their evaluator over its
-	// summed-area table; Rebuilds counts loads that had to re-run the
-	// prefix-sum build because no usable durable table existed
-	// (format-v1 file, failed checksum, or a table-less ingest). A
-	// reload that reinstalls its evicted payload, still alive, counts
+	// payload came back; a recovered release's first Get is one. MMapHits
+	// counts only reloads that mapped a file and built their evaluator
+	// over its summed-area table; Rebuilds counts loads that had to
+	// re-run the prefix-sum build because no usable durable table
+	// existed (format-v1 file, failed checksum, or a table-less ingest).
+	// A reload that reinstalls its evicted payload, still alive, counts
 	// in neither, so reuses are Reloads − MMapHits − Rebuilds, net of
-	// recovery and ingest. A store serving v2 spill files keeps
+	// ingest. A store serving v2 spill files keeps
 	// Rebuilds flat across evict/reload churn — that flatness is the
 	// O(1)-reload guarantee, asserted in tests.
 	MMapHits int64 `json:"mmap_hits"`
@@ -268,12 +272,12 @@ type entry struct {
 	// info is the MapInfo payload (or, while evicted, spare) was decoded
 	// with; residency derives the heap/mapped split from it.
 	info codec.MapInfo
-	// spare weakly references the payload eviction dropped (or a cold
-	// recovery decoded). While something else keeps it alive — a query
-	// handle, or simply no GC cycle since — reload reinstalls it instead
-	// of mapping and checksumming the file again; once it is collected,
-	// the mapping's finalizer unmaps it. It lives on the entry, so a
-	// Remove and a Put of the same ID start without one.
+	// spare weakly references the payload eviction dropped. While
+	// something else keeps it alive — a query handle, or simply no GC
+	// cycle since — reload reinstalls it instead of mapping and
+	// checksumming the file again; once it is collected, the mapping's
+	// finalizer unmaps it. It lives on the entry, so a Remove and a Put
+	// of the same ID, and a recovered entry, start without one.
 	spare weak.Pointer[codec.Payload]
 	// spilled records that the release's disk copy exists; eviction
 	// must never drop an entry before its spill file is durable. Put
@@ -283,7 +287,7 @@ type entry struct {
 
 // New builds a store. With cfg.Dir set it creates the directory if
 // needed and recovers every readable *.prvl release already in it (see
-// recover for the warm-up and corrupt-file policy).
+// recover for what is read and the corrupt-file policy).
 func New(cfg Config) (*Store, error) {
 	if cfg.MaxResident > 0 && cfg.Dir == "" {
 		return nil, fmt.Errorf("store: MaxResident %d requires a spill Dir", cfg.MaxResident)
@@ -300,14 +304,17 @@ func New(cfg Config) (*Store, error) {
 	return s, nil
 }
 
-// recover registers every spill file in cfg.Dir as an entry. Each file
-// must be decoded once to build its always-resident Stub; rather than
-// throw that work away, the decoded payload is kept resident while the
-// MaxResident budget has room (for an unbounded store the payloads are
-// dropped, so opening a large archive does not load it all into
-// memory). An unreadable file is skipped with a warning — one corrupt
-// release must not take down serving for every healthy one. recover
-// runs before New shares the store, so it fills the maps without mu.
+// recover registers every spill file in cfg.Dir as an evicted entry
+// built from the file's header alone (codec.DecodeHeader): the meta and
+// schema are all its Stub holds, and decoding them touches only the
+// header's pages of the mapping. The table is neither read nor
+// checksummed here; the entry's first Get reloads it (see reload),
+// which verifies it and falls back to a counted rebuild, so a damaged
+// table surfaces there and never as a wrong answer. A file whose header
+// does not decode, or whose matrix section is shorter than declared, is
+// skipped with a warning — one corrupt release must not take down
+// serving for every healthy one. recover runs before New shares the
+// store, so it fills the maps without mu.
 func (s *Store) recover() error {
 	dirents, err := os.ReadDir(s.cfg.Dir)
 	if err != nil {
@@ -351,30 +358,12 @@ func (s *Store) recover() error {
 			os.Remove(filepath.Join(s.cfg.Dir, name))
 			continue
 		}
-		p, info, err := s.loadPayload(id)
+		meta, schema, err := s.loadHeader(id)
 		if err != nil {
 			log.Printf("store: skipping unreadable spill file %s: %v", name, err)
 			continue
 		}
-		e := &entry{id: id, stub: makeStub(id, p, 0), info: info, spilled: true, cache: s.newAnswerCache()}
-		if s.cfg.MaxResident > 0 && s.resident < s.cfg.MaxResident {
-			// Warm entries materialize their evaluator — free when the
-			// file carried the table, a counted rebuild otherwise. Cold
-			// entries keep only a weak reference to the payload, as
-			// eviction does: a first Get before the next GC reinstalls
-			// it, and after that the mapping is unmapped and the payload
-			// reloads from the file.
-			e.eval = s.evaluatorFor(p, true)
-			e.payload = p
-			if info.Table {
-				s.mmapHits.Add(1)
-			}
-			e.touch(s)
-			s.resident++
-		} else {
-			e.spare = weak.Make(p)
-		}
-		s.entries[id] = e
+		s.entries[id] = &entry{id: id, stub: makeStub(id, meta, schema, 0), spilled: true, cache: s.newAnswerCache()}
 	}
 	return nil
 }
@@ -413,7 +402,7 @@ func (s *Store) put(id string, p *codec.Payload, workers int, ingest bool) error
 	}
 	e := &entry{
 		id:      id,
-		stub:    makeStub(id, p, workers),
+		stub:    makeStub(id, p.Meta, p.Schema, workers),
 		payload: p,
 		eval:    s.evaluatorFor(p, false),
 		cache:   s.newAnswerCache(),
@@ -605,15 +594,6 @@ func (s *Store) IDs() []string {
 	s.mu.RUnlock()
 	slices.SortFunc(out, CompareIDs)
 	return out
-}
-
-// Tombstoned reports whether id carries a delete marker (removed, not
-// yet republished under the same ID).
-func (s *Store) Tombstoned(id string) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, ok := s.tombs[id]
-	return ok
 }
 
 // Tombstones returns the deleted release IDs in CompareIDs order — what
@@ -810,12 +790,12 @@ func (e *entry) touch(s *Store) {
 	e.lastUsed.Store(s.clock.Add(1))
 }
 
-func makeStub(id string, p *codec.Payload, workers int) Stub {
+func makeStub(id string, meta codec.Meta, schema *dataset.Schema, workers int) Stub {
 	return Stub{
 		ID:      id,
-		Meta:    p.Meta,
-		Attrs:   p.Schema.Names(),
-		Entries: p.Noisy.Len(),
+		Meta:    meta,
+		Attrs:   schema.Names(),
+		Entries: schema.DomainSize(),
 		Workers: workers,
 	}
 }
@@ -876,6 +856,20 @@ func (s *Store) writeSpill(id string, p *codec.Payload) error {
 		return fmt.Errorf("store: spilling %q: %w", id, err)
 	}
 	return nil
+}
+
+// loadHeader decodes only the header of id's spill file. mmapfile maps
+// the file (or, where mapping is unavailable, reads it whole), and the
+// header decode faults in just the pages it reads; the mapping is
+// dropped on return and unmapped by its finalizer.
+func (s *Store) loadHeader(id string) (codec.Meta, *dataset.Schema, error) {
+	f, err := mmapfile.Open(s.spillPath(id))
+	if err != nil {
+		return codec.Meta{}, nil, err
+	}
+	// f's finalizer must not unmap the pages while the decode reads them.
+	defer runtime.KeepAlive(f)
+	return codec.DecodeHeader(f.Data())
 }
 
 // loadPayload reads id's spill file through mmapfile and the codec's one

@@ -296,14 +296,107 @@ func TestRestartRecovery(t *testing.T) {
 		t.Fatalf("recovered %d releases alongside corrupt file, want 3", s3.Len())
 	}
 
-	// A bounded store keeps recovered payloads resident up to budget
-	// instead of re-decoding them on first access.
+	// Recovery reads headers only, so even a store whose budget has room
+	// starts with nothing resident; first Gets load the releases, and the
+	// budget bounds them from there.
 	s4, err := New(Config{Dir: dir, MaxResident: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got := s4.Stats(); got.Resident != 0 || got.Spilled != 3 {
+		t.Fatalf("bounded recovery stats = %+v, want 0 resident / 3 spilled", got)
+	}
+	for _, id := range []string{"r1", "r2", "r3"} {
+		if _, err := s4.Get(id); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if got := s4.Stats(); got.Resident != 2 || got.Spilled != 1 {
-		t.Fatalf("bounded recovery stats = %+v, want 2 resident / 1 spilled", got)
+		t.Fatalf("stats after three Gets = %+v, want 2 resident / 1 spilled", got)
+	}
+}
+
+// TestRecoveryCorruptionOnFirstGet: recovery reads only headers, so a
+// damaged table no longer shows at New. It must show on the release's
+// first Get, as a counted rebuild that answers bit-identically to the
+// original — never as a wrong answer — while a file cut inside its
+// matrix is still skipped at New. MaxResident covers every file, so the
+// budget has room for each release and still none is loaded at New.
+func TestRecoveryCorruptionOnFirstGet(t *testing.T) {
+	// testPayload has 8 entries. Its spill file ends with the 64-byte
+	// table and a 16-byte trailer (total, checksum, end magic); the
+	// matrix's 64 bytes end 8 pad bytes before the table.
+	const section, trailer = 8 * 8, 16
+	cases := []struct {
+		name    string
+		damage  func(raw []byte) []byte
+		skipped bool
+	}{
+		{"table-bitflip", func(raw []byte) []byte {
+			raw[len(raw)-trailer-section/2] ^= 0x20
+			return raw
+		}, false},
+		{"cut-in-table", func(raw []byte) []byte { return raw[:len(raw)-trailer-section/2] }, false},
+		{"cut-in-matrix", func(raw []byte) []byte { return raw[:len(raw)-trailer-section-8-section/2] }, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s1, err := New(Config{Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for id, salt := range map[string]uint64{"x": 21, "ok": 22} {
+				if err := s1.Put(id, testPayload(t, salt), 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rel, err := s1.Get("x")
+			if err != nil {
+				t.Fatal(err)
+			}
+			qs := probeQueries(t, rel.Payload.Schema)
+			want := counts(t, rel, qs)
+			raw, err := os.ReadFile(s1.spillPath("x"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(s1.spillPath("x"), c.damage(raw), 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			s2, err := New(Config{Dir: dir, MaxResident: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := s2.Stats(); st.Rebuilds != 0 || st.Resident != 0 {
+				t.Fatalf("after recovery Stats = %+v, want 0 rebuilds, 0 resident", st)
+			}
+			if c.skipped {
+				if s2.Len() != 1 {
+					t.Fatalf("recovered %d releases, want 1 (the cut file skipped)", s2.Len())
+				}
+				if _, err := s2.Get("x"); !errors.Is(err, ErrNotFound) {
+					t.Fatalf("Get of the skipped release: err = %v, want ErrNotFound", err)
+				}
+				return
+			}
+			if s2.Len() != 2 {
+				t.Fatalf("recovered %d releases, want 2", s2.Len())
+			}
+			rel2, err := s2.Get("x")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, got := range counts(t, rel2, qs) {
+				if math.Float64bits(got) != math.Float64bits(want[i]) {
+					t.Fatalf("query %d after %s: %x != %x", i, c.name, got, want[i])
+				}
+			}
+			if st := s2.Stats(); st.Rebuilds != 1 {
+				t.Fatalf("after the first Get Rebuilds = %d, want 1 (the fallback must be counted)", st.Rebuilds)
+			}
+		})
 	}
 }
 
