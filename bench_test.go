@@ -8,6 +8,7 @@
 package privelet_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -736,6 +737,87 @@ func BenchmarkQueryCacheHit(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := batch.Execute(context.Background(), queries); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkQueryParse measures the parse layer of a streamed workload:
+// the 40k census specs of BenchmarkQueryBatch, rendered in the line
+// wire format and parsed back through workload.Queries over
+// NewLineSpecs, as POST /releases/{id}/query parses its body. Queries
+// are dropped as they come, so the allocations reported are the
+// reader's and the parser's own.
+func BenchmarkQueryParse(b *testing.B) {
+	_, schema := benchCensusMatrix(b)
+	gen, err := workload.NewGenerator(schema, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	queries, err := gen.Queries(40_000, rng.New(12))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var body bytes.Buffer
+	if err := workload.WriteQueries(&body, schema, queries); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("40k", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			src := workload.Queries(schema, workload.NewLineSpecs(bytes.NewReader(body.Bytes())))
+			n := 0
+			for {
+				_, ok, err := src()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !ok {
+					break
+				}
+				n++
+			}
+			if n != len(queries) {
+				b.Fatalf("parsed %d queries", n)
+			}
+		}
+	})
+}
+
+// BenchmarkAnswerLines measures the write layer of a streamed workload:
+// the 40k answers of BenchmarkQueryBatch's workload over a published
+// (noisy) census release, written through workload.AnswerLines in
+// DefaultStreamChunk chunks with a trailer, as the line answer format
+// of POST /releases/{id}/query writes them.
+func BenchmarkAnswerLines(b *testing.B) {
+	m, schema := benchCensusMatrix(b)
+	res, err := core.PublishMatrix(context.Background(), m, schema, core.Options{Epsilon: 1, SA: []string{"Age", "Gender"}, Seed: 12})
+	if err != nil {
+		b.Fatal(err)
+	}
+	gen, err := workload.NewGenerator(schema, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	queries, err := gen.Queries(40_000, rng.New(12))
+	if err != nil {
+		b.Fatal(err)
+	}
+	answers, err := query.Batch{Eval: query.NewEvaluatorWorkers(res.Noisy, 0)}.Execute(context.Background(), queries)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("40k", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			aw := workload.NewAnswerLines(io.Discard)
+			for lo := 0; lo < len(answers); lo += query.DefaultStreamChunk {
+				if err := aw.WriteChunk(answers[lo:min(lo+query.DefaultStreamChunk, len(answers))]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := aw.Close(workload.Trailer{Answers: len(answers), Status: workload.StatusOK}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -33,7 +33,7 @@
 //	curl -o release.prvl 'localhost:8080/releases/r1/export'
 //
 //	# watch the store: resident/spilled counts, evictions, reloads,
-//	# answer-cache hits/misses/evictions, node identity
+//	# /count answer-cache hits/misses/evictions, node identity
 //	curl 'localhost:8080/stats'
 //
 // # Cluster mode
@@ -84,10 +84,12 @@
 // table (internal/mmapfile falls back to an aligned heap read where
 // mapping is unavailable).
 //
-// Each release carries an LRU answer cache (sized in entries by
-// -answer-cache, 0 disables): repeat queries — singly via /count or
-// inside batch workloads — are answered from the cache without touching
-// the evaluator, bit-identical to a cold answer. The cache dies with
+// Each release carries an LRU answer cache for /count (sized in entries
+// by -answer-cache, 0 disables): a repeated count is answered from the
+// cache without touching the evaluator, bit-identical to a cold answer.
+// Batch workloads (POST /releases/{id}/query) bypass it and answer
+// every query from the summed-area table on the worker pool, which is
+// cheaper than a serial cache probe per query. The cache dies with
 // DELETE; releases are immutable, so that is the only invalidation.
 // Batch answers stream back in fixed-size chunks with an explicit
 // trailer (see internal/server), so clients detect truncated responses.
@@ -122,7 +124,7 @@ func main() {
 			fmt.Sprintf("default publish mechanism when a request omits ?mechanism=, one of %s", strings.Join(privelet.Mechanisms(), "|")))
 		storeDir    = flag.String("store-dir", "", "directory for durable release storage; releases already there are served after a restart (empty = memory only)")
 		maxResident = flag.Int("max-resident", 0, "max releases kept in memory; colder ones spill to -store-dir and reload on access (0 = unlimited)")
-		answerCache = flag.Int("answer-cache", store.DefaultAnswerCache, "max cached answers per release (repeat queries skip the evaluator; 0 disables)")
+		answerCache = flag.Int("answer-cache", store.DefaultAnswerCache, "max cached /count answers per release (a repeated count skips the evaluator; batch workloads bypass the cache; 0 disables)")
 		budget      = flag.Float64("budget", 0, "default per-tenant ε budget for /tenants/{id}/publish (0 = unlimited: spend tracked, never refused)")
 		ledgerDir   = flag.String("ledger-dir", "", "directory for durable budget balances (default: -store-dir, so refusals survive restarts whenever releases do)")
 		nodeName    = flag.String("node-name", "", "stable cluster identity of this node, stamped on /stats (empty = hostname); placement hashes it, so renaming a node moves its data")

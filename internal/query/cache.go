@@ -1,10 +1,17 @@
 // Per-release answer caching. A Privelet release is immutable — the
 // paper's model (§III) spends the ε budget once at publish time, after
 // which the noisy matrix M* answers unlimited queries — so a (release,
-// query) pair has exactly one answer, forever. Real serving traffic
-// replays the same dashboard-style workloads against that immutable
-// release, which makes memoization trivially sound: the only
-// invalidation event a cache needs is release deletion.
+// query) pair has exactly one answer, forever. Dashboard traffic
+// repeats the same single counts against that immutable release, which
+// makes memoization trivially sound: the only invalidation event a
+// cache needs is release deletion.
+//
+// The server consults the cache for /count only. Streamed workloads
+// bypass it: Batch.run partitions hits from misses serially, rendering
+// and probing one key per query, and on a 40k-query census workload
+// that costs more than answering every query on the worker pool —
+// 19.1 ms for a pass of all hits against 10.2 ms uncached at 2 workers
+// on a 2-vCPU Xeon VM.
 //
 // The cache key is the canonical Query.Spec rendering (attributes in
 // schema order, normalized inclusive intervals): distinct keys iff

@@ -3,14 +3,18 @@ package query_test
 // Native fuzz targets for the shared query grammar. The parser sits on
 // every untrusted boundary at once — the server's q= parameter, the
 // batch wire format, and cmd/privelet workload files — so it must never
-// panic on hostile text, and every spec it accepts must canonicalize:
-// Spec() is the AnswerCache key, so Parse(Spec(q)) has to reproduce the
-// identical rendering no matter how the client spelled the query. Seed
-// corpus under testdata/fuzz/FuzzQueryParse; CI runs a short -fuzz
-// smoke on top of the checked-in seeds.
+// panic on hostile text, it must agree with the grammar's string-based
+// reference (ReferenceParse, in reference_test.go) on which specs it
+// accepts and on every accepted query's bounds, and every spec it
+// accepts must canonicalize: Spec() is the AnswerCache key, so
+// Parse(Spec(q)) has to reproduce the identical rendering no matter how
+// the client spelled the query. Seed corpus under
+// testdata/fuzz/FuzzQueryParse; CI runs a short -fuzz smoke on top of
+// the checked-in seeds.
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
@@ -42,13 +46,19 @@ func FuzzQueryParse(f *testing.F) {
 		// intervals, wrong-kind predicates, unknown names, bad shapes.
 		"Age=9..0", "Age=0..100", "Occ=0..5", "Age=#1", "Occ=@nope",
 		"Zip=1..2", "Age", "Age=", "=0..3", "Age=a..b", ",,,",
-		"Age=0..3,Age=4..5", "Age=-1..2", "Occ=#-2..-1",
+		"Age=0..3,Age=4..5", "Age=-1..2", "Occ=#-2..-1", "Occ=#1,Occ=@g1",
+		// Spellings the reference accepts and the byte parser must too.
+		"Age=+5..007", "Age=\u00a01..2\u2003", "Occ=# 1..2", "Occ=# 1",
 	} {
 		f.Add(seed)
 	}
 	schema := fuzzSchema(f)
 	f.Fuzz(func(t *testing.T, raw string) {
 		q, err := query.Parse(schema, raw)
+		ref, refErr := query.ReferenceParse(schema, raw)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("Parse(%q) err = %v, reference err = %v", raw, err, refErr)
+		}
 		if err != nil {
 			// The grammar's error contract: every parse failure is a
 			// client error, mappable to 400 with errors.Is.
@@ -58,6 +68,11 @@ func FuzzQueryParse(f *testing.F) {
 			return
 		}
 		spec := q.Spec(schema)
+		if !slices.Equal(q.Lo(), ref.Lo()) || !slices.Equal(q.Hi(), ref.Hi()) ||
+			spec != ref.Spec(schema) || q.Coverage() != ref.Coverage() {
+			t.Fatalf("Parse(%q) = %v..%v %q coverage %v, reference %v..%v %q coverage %v",
+				raw, q.Lo(), q.Hi(), spec, q.Coverage(), ref.Lo(), ref.Hi(), ref.Spec(schema), ref.Coverage())
+		}
 		q2, err := query.Parse(schema, spec)
 		if err != nil {
 			t.Fatalf("canonical spec %q (from %q) does not re-parse: %v", spec, raw, err)

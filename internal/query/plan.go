@@ -1,11 +1,11 @@
 // Parse → execute pipeline for batch query serving. The paper's
 // experiments answer 40 000-query workloads per release (§VII-A), so the
 // serving layer treats the workload as the first-class object the way
-// matrix-mechanism systems do: Parse normalizes one textual predicate
-// spec into a Query (every predicate is a contiguous leaf interval under
-// the hierarchy's imposed order, §V-A), and Batch fans a workload —
-// a query slice or a streamed Source — across a worker pool over a
-// summed-area Evaluator.
+// matrix-mechanism systems do: Parse (parse.go) normalizes one textual
+// predicate spec into a Query (every predicate is a contiguous leaf
+// interval under the hierarchy's imposed order, §V-A), and Batch fans a
+// workload — a query slice or a streamed Source — across a worker pool
+// over a summed-area Evaluator.
 //
 // Determinism: every query's answer is a pure function of the evaluator's
 // table — Count reads, never writes — so fanning queries across workers
@@ -20,100 +20,11 @@ package query
 import (
 	"context"
 	"fmt"
-	"strconv"
-	"strings"
 	"sync"
 
 	"repro/internal/dataset"
 	"repro/internal/matrix"
 )
-
-// Parse normalizes one textual query spec into a Query against schema.
-// The grammar — shared by the server's q= parameter, the batch-query
-// wire format, and cmd/privelet workload files — is comma-separated
-// predicates:
-//
-//	Age=30..49        ordinal interval (inclusive)
-//	Occupation=@g3    nominal hierarchy node (roll-up)
-//	Gender=#1         nominal single leaf by position
-//	Occupation=#3..5  leaf-position interval (the §V-A normalized form)
-//
-// An empty string or "*" is the full-domain query. Every failure —
-// malformed predicate, unknown attribute, inverted or out-of-domain
-// interval, wrong-kind predicate (e.g. a lo..hi range on a nominal
-// attribute) — wraps ErrInvalid, so callers can map parse failures to
-// client errors with errors.Is.
-func Parse(schema *dataset.Schema, raw string) (Query, error) {
-	b := NewBuilder(schema)
-	raw = strings.TrimSpace(raw)
-	if raw == "" || raw == "*" {
-		return b.Build()
-	}
-	for _, clause := range strings.Split(raw, ",") {
-		clause = strings.TrimSpace(clause)
-		if clause == "" {
-			continue
-		}
-		name, val, ok := strings.Cut(clause, "=")
-		if !ok {
-			return Query{}, invalidf("query: predicate %q: want Attr=spec", clause)
-		}
-		name = strings.TrimSpace(name)
-		val = strings.TrimSpace(val)
-		switch {
-		case strings.HasPrefix(val, "@"):
-			b.Node(name, val[1:])
-		case strings.HasPrefix(val, "#"):
-			loStr, hiStr, isInterval := strings.Cut(val[1:], "..")
-			if !isInterval {
-				leaf, err := strconv.Atoi(val[1:])
-				if err != nil {
-					return Query{}, invalidf("query: predicate %q: bad leaf: %v", clause, err)
-				}
-				b.Leaf(name, leaf)
-				continue
-			}
-			lo, hi, err := parseBounds(clause, loStr, hiStr)
-			if err != nil {
-				return Query{}, err
-			}
-			i, err := schema.Index(name)
-			if err != nil {
-				return Query{}, invalidf("query: %v", err)
-			}
-			// Both '#' forms are nominal-only, symmetrically: ordinal
-			// attributes use the plain lo..hi range.
-			if schema.Attr(i).Kind != dataset.Nominal {
-				return Query{}, invalidf("query: predicate %q: leaf interval on non-nominal attribute %q (use lo..hi)", clause, name)
-			}
-			b.Interval(i, lo, hi)
-		default:
-			loStr, hiStr, isInterval := strings.Cut(val, "..")
-			if !isInterval {
-				return Query{}, invalidf("query: predicate %q: want lo..hi, @node, #leaf or #lo..hi", clause)
-			}
-			lo, hi, err := parseBounds(clause, loStr, hiStr)
-			if err != nil {
-				return Query{}, err
-			}
-			b.Range(name, lo, hi)
-		}
-	}
-	return b.Build()
-}
-
-// parseBounds parses the two integers of a lo..hi interval spec.
-func parseBounds(clause, loStr, hiStr string) (lo, hi int, err error) {
-	lo, err = strconv.Atoi(strings.TrimSpace(loStr))
-	if err != nil {
-		return 0, 0, invalidf("query: predicate %q: bad lo: %v", clause, err)
-	}
-	hi, err = strconv.Atoi(strings.TrimSpace(hiStr))
-	if err != nil {
-		return 0, 0, invalidf("query: predicate %q: bad hi: %v", clause, err)
-	}
-	return lo, hi, nil
-}
 
 // batchCancelCheck is roughly how many queries a batch worker answers
 // between context checks: one Count costs 2^d table lookups (well under
@@ -172,7 +83,11 @@ func SliceSource(queries []Query) Source {
 // hits skip the evaluator entirely, misses execute on the pool and are
 // inserted. Cached answers are the float64 values the same evaluator
 // produced earlier, so caching never changes an answer — the cache is a
-// performance knob under the same contract as Workers.
+// performance knob under the same contract as Workers. It pays only for
+// single queries: the hit/miss partition renders and probes every key
+// serially, so on a census workload it is slower than the uncached
+// pool even when every probe hits. The server sets Cache for /count
+// and leaves it nil for streamed workloads.
 type Batch struct {
 	// Eval answers the individual queries.
 	Eval *Evaluator

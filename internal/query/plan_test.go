@@ -58,6 +58,10 @@ func TestParseGrammar(t *testing.T) {
 		{"Occ=1..3", true}, // ordinal range on a nominal attribute
 		{"Ghost=1..2", true},
 		{"Ghost=#1..2", true},
+		// Predicates are conjunctive (§II-A): a second predicate on one
+		// attribute would silently replace the first, so it is rejected.
+		{"Age=0..3,Age=4..5", true},
+		{"Occ=#1,Occ=@g1", true},
 	}
 	for _, tc := range cases {
 		_, err := query.Parse(s, tc.raw)

@@ -49,8 +49,8 @@ func invalidf(format string, args ...any) error {
 type Query struct {
 	lo, hi []int
 	// constrained[i] records whether attribute i had an explicit
-	// predicate (used only for reporting; evaluation treats full-range
-	// intervals identically).
+	// predicate. Spec renders only the constrained attributes;
+	// evaluation treats full-range intervals identically.
 	constrained []bool
 	// domain caches the schema's total entry count so Coverage needs no
 	// schema reference.
@@ -62,17 +62,6 @@ func (q Query) Lo() []int { return append([]int(nil), q.lo...) }
 
 // Hi returns the inclusive upper bounds per attribute.
 func (q Query) Hi() []int { return append([]int(nil), q.hi...) }
-
-// NumPredicates returns how many attributes carry an explicit predicate.
-func (q Query) NumPredicates() int {
-	n := 0
-	for _, c := range q.constrained {
-		if c {
-			n++
-		}
-	}
-	return n
-}
 
 // Coverage returns the fraction of frequency-matrix entries the query
 // covers (§VII-A's query coverage).

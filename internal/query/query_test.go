@@ -25,8 +25,8 @@ func TestBuilderDefaultsToFullDomain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.NumPredicates() != 0 {
-		t.Errorf("NumPredicates = %d, want 0", q.NumPredicates())
+	if spec := q.Spec(s); spec != "*" {
+		t.Errorf("Spec = %q, want \"*\" (no predicate)", spec)
 	}
 	if q.Coverage() != 1 {
 		t.Errorf("Coverage = %v, want 1", q.Coverage())
@@ -56,8 +56,8 @@ func TestBuilderRange(t *testing.T) {
 	if got != 1 {
 		t.Errorf("diabetes under 50 = %v, want 1", got)
 	}
-	if q.NumPredicates() != 2 {
-		t.Errorf("NumPredicates = %d, want 2", q.NumPredicates())
+	if spec := q.Spec(s); spec != "Age=0..2,HasDiabetes=#0..0" {
+		t.Errorf("Spec = %q, want both predicates", spec)
 	}
 }
 

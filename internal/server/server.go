@@ -45,7 +45,7 @@
 //	GET    /releases/{id}/export                  → binary codec payload
 //	GET    /mechanisms                            → registered mechanism names
 //	GET    /stats                                 → store accounting (evictions, reloads,
-//	                                                answer-cache hits/misses, ...) plus
+//	                                                /count answer-cache hits/misses, ...) plus
 //	                                                ledger counters (charges/refunds/refusals)
 //	                                                and the node identity (name, start time,
 //	                                                version) cluster aggregation keys on
@@ -78,13 +78,14 @@
 //	Occupation=#3..5  leaf-position interval (the wire form of a roll-up)
 //
 // Both query endpoints run the same parse→execute pipeline
-// (internal/query's Parse and Batch): the count endpoint is the
+// (internal/query's grammar and Batch): the count endpoint is the
 // one-query case of the batch endpoint, and batch answers are
 // bit-identical (float64 ==) to issuing the same specs as sequential
 // /count calls — at any ?parallelism=, streamed or buffered, cached or
-// not. Both flow through the release's answer cache when the store
+// not. /count goes through the release's answer cache when the store
 // enables one, so repeated dashboard traffic is served from memory
-// lookups. A malformed or out-of-schema query spec is a client error
+// lookups; workloads answer straight from the summed-area table. A
+// malformed or out-of-schema query spec is a client error
 // (HTTP 400, query.ErrInvalid) on both; mid-stream failures after the
 // first chunk has been flushed surface in the response trailer instead.
 package server
@@ -765,10 +766,11 @@ func (s *Server) handleCount(w http.ResponseWriter, req *http.Request) {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	// The one-query case of the batch pipeline: the same executor (and
-	// the same per-release answer cache) the workload endpoint uses, so
-	// the two endpoints cannot drift (bit-identity pinned by tests) and
-	// repeated single-count dashboard traffic hits the cache too.
+	// The one-query case of the batch pipeline: the same executor the
+	// workload endpoint uses, so the two endpoints cannot drift
+	// (bit-identity pinned by tests). Only /count goes through the
+	// per-release answer cache, which repeated single-count dashboard
+	// traffic hits.
 	answers, err := query.Batch{Eval: rel.Eval, Workers: 1, Cache: rel.Cache, Schema: rel.Payload.Schema}.Execute(req.Context(), []query.Query{q})
 	if err != nil {
 		httpError(w, queryStatus(err), err.Error())
@@ -790,8 +792,10 @@ func (s *Server) handleCount(w http.ResponseWriter, req *http.Request) {
 // later chunks still execute, and peak memory is O(chunk) — a
 // million-query workload never exists in this process as a slice.
 // Answers come back in input order, bit-identical to issuing the same
-// specs as sequential /count calls, flowing through the release's
-// answer cache when the store enables one.
+// specs as sequential /count calls. A workload does not go through the
+// release's answer cache: each answer is a 2^d summed-area lookup on
+// the worker pool, which costs less than the cache's serial key render
+// and probe even when every probe hits.
 //
 // The response is the streaming answer wire format (internal/workload):
 // JSON by default — the pre-streaming {"workers","answers","queries"}
@@ -857,7 +861,7 @@ func (s *Server) handleBatchQuery(w http.ResponseWriter, req *http.Request) {
 		return nil
 	}
 
-	batch := query.Batch{Eval: rel.Eval, Workers: par, Cache: rel.Cache, Schema: schema}
+	batch := query.Batch{Eval: rel.Eval, Workers: par}
 	n, err := batch.ExecuteStream(req.Context(), workload.Queries(schema, specs), sink)
 	if err != nil && !started {
 		// Nothing on the wire yet: report the plain status a buffered

@@ -2,18 +2,21 @@ package server
 
 // The streaming half of the batch endpoint: chunked answers with a
 // trailer, Accept negotiation, mid-stream failure semantics, truncation
-// detection, and the per-release answer cache surfacing on /stats.
+// detection, and the per-release answer cache, which /count uses and
+// workloads bypass, surfacing on /stats.
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"repro/internal/store"
 	"repro/internal/workload"
 )
 
@@ -225,27 +228,44 @@ func TestCountUsesAnswerCache(t *testing.T) {
 	}
 }
 
-// TestBatchUsesAnswerCache: re-sending a workload turns the whole
-// second pass into cache hits, with answers unchanged.
-func TestBatchUsesAnswerCache(t *testing.T) {
+// TestBatchBypassesAnswerCache: a streamed workload answers straight
+// from the summed-area table — it neither probes nor fills the answer
+// cache, cold or warm, so answer_cache_hits and answer_cache_misses do
+// not move — and its answers equal /count's bit for bit, whether /count
+// answered from the evaluator or from the cache.
+func TestBatchBypassesAnswerCache(t *testing.T) {
 	ts := startServer(t)
 	sum := publish(t, ts, "schema="+testSchema+"&epsilon=2&seed=36", testCSV)
-	specs := batchSpecs(t, 500)
+	specs := batchSpecs(t, 100)
 	body := strings.Join(specs, "\n")
-	first := batchAnswers(t, ts, sum.ID, "", "text/csv", body)
-	st0 := fetchStats(t, ts)
-	second := batchAnswers(t, ts, sum.ID, "parallelism=4", "text/csv", body)
-	st1 := fetchStats(t, ts)
-	for i := range first {
-		if second[i] != first[i] {
-			t.Fatalf("answer %d changed across cached pass: %v vs %v", i, second[i], first[i])
+	unchanged := func(pass string, before, after store.Stats) {
+		t.Helper()
+		if after.AnswerCacheHits != before.AnswerCacheHits || after.AnswerCacheMisses != before.AnswerCacheMisses {
+			t.Fatalf("%s workload moved the answer cache: hits %d → %d, misses %d → %d", pass,
+				before.AnswerCacheHits, after.AnswerCacheHits, before.AnswerCacheMisses, after.AnswerCacheMisses)
 		}
 	}
-	if got := st1.AnswerCacheHits - st0.AnswerCacheHits; got < int64(len(specs)) {
-		t.Fatalf("second pass produced %d hits, want ≥ %d", got, len(specs))
+	st0 := fetchStats(t, ts)
+	cold := batchAnswers(t, ts, sum.ID, "", "text/csv", body)
+	unchanged("cold", st0, fetchStats(t, ts))
+
+	for pass := 0; pass < 2; pass++ { // a cold then a warm cache under /count
+		for i, spec := range specs {
+			if c := countOne(t, ts, sum.ID, spec); math.Float64bits(c) != math.Float64bits(cold[i]) {
+				t.Fatalf("pass %d: /count %q = %v, workload answer %d = %v", pass, spec, c, i, cold[i])
+			}
+		}
 	}
-	if st1.AnswerCacheMisses != st0.AnswerCacheMisses {
-		t.Fatalf("second pass missed (%d → %d); cache not consulted", st0.AnswerCacheMisses, st1.AnswerCacheMisses)
+	st1 := fetchStats(t, ts)
+	if st1.AnswerCacheHits-st0.AnswerCacheHits < int64(len(specs)) {
+		t.Fatalf("second /count pass produced %d hits, want ≥ %d", st1.AnswerCacheHits-st0.AnswerCacheHits, len(specs))
+	}
+	warm := batchAnswers(t, ts, sum.ID, "parallelism=4", "text/csv", body)
+	unchanged("warm", st1, fetchStats(t, ts))
+	for i := range cold {
+		if math.Float64bits(warm[i]) != math.Float64bits(cold[i]) {
+			t.Fatalf("answer %d: %v with a warm cache, %v with a cold one", i, warm[i], cold[i])
+		}
 	}
 }
 

@@ -67,9 +67,9 @@ import (
 
 // DefaultAnswerCache is the per-release answer-cache entry bound the
 // daemon defaults to (priveletd -answer-cache). 64Ki entries ≈ a few
-// MiB per hot release (key string + LRU node per entry) — enough to
-// hold one and a half of the paper's 40 000-query workloads entirely,
-// small next to the matrices the resident budget already accounts for.
+// MiB per hot release (key string + LRU node per entry) — room for 64Ki
+// distinct /count queries, small next to the matrices the resident
+// budget already accounts for.
 const DefaultAnswerCache = 1 << 16
 
 // spillExt is the filename extension of spill files; the payload bytes
@@ -120,8 +120,9 @@ type Config struct {
 	// only affects its latency.
 	Parallelism int
 	// AnswerCache, when positive, bounds a per-release LRU answer cache
-	// (entry count) serving repeated range-count queries as memory
-	// lookups. Releases are immutable, so a cached answer can never go
+	// (entry count) that the server's /count serves repeated range-count
+	// queries from as memory lookups; streamed workloads bypass it.
+	// Releases are immutable, so a cached answer can never go
 	// stale; the cache lives and dies with its store entry — Remove
 	// drops it (the only invalidation a release ever needs), while LRU
 	// eviction keeps it (the cache is small and bounded; the matrix it
@@ -188,7 +189,8 @@ type Stub struct {
 // Stats is a snapshot of the store's accounting, surfaced by the
 // daemon's /stats endpoint. The AnswerCache* counters aggregate over
 // every release's answer cache (hits/misses/evictions keep counting
-// across release removals; Entries is the current total).
+// across release removals; Entries is the current total). On a daemon
+// they count /count lookups only, since workloads bypass the cache.
 type Stats struct {
 	MaxResident int   `json:"max_resident"`
 	Releases    int   `json:"releases"`

@@ -78,19 +78,25 @@ const trailerPrefix = "# answers="
 // AnswerLines writes the line answer format.
 type AnswerLines struct {
 	bw *bufio.Writer
+	// line is the one buffer every answer line is formatted into.
+	line []byte
 }
 
 // NewAnswerLines returns an AnswerWriter emitting the line format to w.
 func NewAnswerLines(w io.Writer) *AnswerLines {
-	return &AnswerLines{bw: bufio.NewWriter(w)}
+	// 32 bytes hold the longest 'g'/-1 float64 rendering
+	// ("-2.2250738585072014e-308", 24 bytes) and its newline.
+	return &AnswerLines{bw: bufio.NewWriter(w), line: make([]byte, 0, 32)}
 }
 
 // WriteChunk emits one answer per line and flushes, so the chunk is on
-// the wire (time-to-first-answer) before the next one executes.
+// the wire (time-to-first-answer) before the next one executes. Each
+// line is formatted into one reused buffer, so a chunk allocates
+// nothing.
 func (a *AnswerLines) WriteChunk(answers []float64) error {
 	for _, v := range answers {
-		a.bw.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
-		if err := a.bw.WriteByte('\n'); err != nil {
+		a.line = append(strconv.AppendFloat(a.line[:0], v, 'g', -1, 64), '\n')
+		if _, err := a.bw.Write(a.line); err != nil {
 			return err
 		}
 	}

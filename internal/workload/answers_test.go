@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -34,6 +35,32 @@ func writeChunked(t *testing.T, aw AnswerWriter, answers []float64, chunk int) {
 	}
 	if err := aw.Close(Trailer{Answers: len(answers), Status: StatusOK}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAnswerLinesAllocationFree: once its first chunk is out,
+// AnswerLines formats and writes every further answer without
+// allocating.
+func TestAnswerLinesAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation accounting")
+	}
+	chunk := make([]float64, 4096)
+	for i := range chunk {
+		chunk[i] = testAnswers[i%len(testAnswers)] * float64(i+1)
+	}
+	chunk[0], chunk[1], chunk[2] = math.NaN(), math.Inf(-1), math.Copysign(0, -1)
+	aw := NewAnswerLines(io.Discard)
+	if err := aw.WriteChunk(chunk); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if err := aw.WriteChunk(chunk); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("WriteChunk of %d answers allocated %v times, want 0", len(chunk), allocs)
 	}
 }
 

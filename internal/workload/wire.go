@@ -28,13 +28,14 @@ import (
 )
 
 // SpecReader streams query specs from one wire-format body. Next
-// returns the next spec, ok=false on clean end of input, or an error.
-// Pos describes the position of the most recently returned spec
+// returns the next spec's bytes, ok=false on clean end of input, or an
+// error. The bytes are valid only until the next call to Next: a reader
+// may reuse them. Pos describes the position of the most recently returned spec
 // ("line 7" for the line format, "query 7" for JSON) for error
 // messages that must point a client at the offending entry of a
 // 40 000-line workload.
 type SpecReader interface {
-	Next() (spec string, ok bool, err error)
+	Next() (spec []byte, ok bool, err error)
 	Pos() string
 }
 
@@ -52,19 +53,19 @@ func NewLineSpecs(r io.Reader) SpecReader {
 	return &lineSpecs{sc: sc}
 }
 
-func (l *lineSpecs) Next() (string, bool, error) {
+func (l *lineSpecs) Next() ([]byte, bool, error) {
 	for l.sc.Scan() {
 		l.line++
-		spec := l.sc.Text()
+		spec := l.sc.Bytes()
 		if isBlank(spec) {
 			continue
 		}
 		return spec, true, nil
 	}
 	if err := l.sc.Err(); err != nil {
-		return "", false, fmt.Errorf("workload: reading queries: %w", err)
+		return nil, false, fmt.Errorf("workload: reading queries: %w", err)
 	}
-	return "", false, nil
+	return nil, false, nil
 }
 
 func (l *lineSpecs) Pos() string { return fmt.Sprintf("line %d", l.line) }
@@ -79,6 +80,10 @@ type jsonSpecs struct {
 	// inArray is set once the opening '[' of the spec array is consumed.
 	inArray bool
 	n       int
+	// spec is decoded into in place, and buf holds its bytes for the
+	// caller until the next call.
+	spec string
+	buf  []byte
 }
 
 // NewJSONSpecs returns a SpecReader over the JSON wire format.
@@ -86,21 +91,21 @@ func NewJSONSpecs(r io.Reader) SpecReader {
 	return &jsonSpecs{dec: json.NewDecoder(r)}
 }
 
-func (j *jsonSpecs) Next() (string, bool, error) {
+func (j *jsonSpecs) Next() ([]byte, bool, error) {
 	if !j.inArray {
 		if err := j.enterArray(); err != nil {
-			return "", false, err
+			return nil, false, err
 		}
 	}
 	if !j.dec.More() {
-		return "", false, nil
+		return nil, false, nil
 	}
-	var spec string
-	if err := j.dec.Decode(&spec); err != nil {
-		return "", false, invalidJSON(err)
+	if err := j.dec.Decode(&j.spec); err != nil {
+		return nil, false, invalidJSON(err)
 	}
 	j.n++
-	return spec, true, nil
+	j.buf = append(j.buf[:0], j.spec...)
+	return j.buf, true, nil
 }
 
 func (j *jsonSpecs) Pos() string { return fmt.Sprintf("query %d", j.n) }
@@ -150,16 +155,20 @@ func (j *jsonSpecs) enterArray() error {
 
 // Queries adapts a SpecReader into a query.Source by parsing each spec
 // against schema — the pipeline stage that lets wire-format decoding
-// overlap batch execution. Parse failures carry the reader's position
+// overlap batch execution. One query.Parser serves the whole source, so
+// each spec is parsed from the reader's bytes as read, and the queries
+// share the parser's slabs; they stay valid after the source moves on,
+// so a caller may keep them. Parse failures carry the reader's position
 // and wrap query.ErrInvalid (a client error); reader failures pass
 // through as the reader reported them.
 func Queries(schema *dataset.Schema, sr SpecReader) query.Source {
+	p := query.NewParser(schema)
 	return func() (query.Query, bool, error) {
 		spec, ok, err := sr.Next()
 		if err != nil || !ok {
 			return query.Query{}, false, err
 		}
-		q, err := query.Parse(schema, spec)
+		q, err := p.Parse(spec)
 		if err != nil {
 			return query.Query{}, false, fmt.Errorf("workload: %s: %w", sr.Pos(), err)
 		}
@@ -174,7 +183,9 @@ func invalidJSON(err error) error {
 
 // isBlank reports whether the line holds only ASCII whitespace (the
 // line reader's skip rule, kept allocation-free for 40k-line bodies).
-func isBlank(s string) bool {
+// The workload reader checks the scanner's bytes, the answer reader its
+// lines.
+func isBlank[T []byte | string](s T) bool {
 	for i := 0; i < len(s); i++ {
 		switch s[i] {
 		case ' ', '\t', '\r', '\n':

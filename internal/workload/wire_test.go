@@ -3,6 +3,7 @@ package workload
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -25,6 +26,86 @@ func readAll(schema *dataset.Schema, sr SpecReader) ([]query.Query, error) {
 			return out, nil
 		}
 		out = append(out, q)
+	}
+}
+
+// censusWorkload draws n §VII-A queries against the census schema and
+// returns their specs and the line-format body WriteQueries renders.
+func censusWorkload(t testing.TB, s *dataset.Schema, n int) ([]string, []byte) {
+	t.Helper()
+	gen, err := NewGenerator(s, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries, err := gen.Queries(n, rng.New(12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := make([]string, n)
+	for i, q := range queries {
+		specs[i] = q.Spec(s)
+	}
+	var buf bytes.Buffer
+	if err := WriteQueries(&buf, s, queries); err != nil {
+		t.Fatal(err)
+	}
+	return specs, buf.Bytes()
+}
+
+// TestQueriesOutliveTheSource: queries kept from a streamed workload
+// stay intact however many specs the source parses after them. They
+// share the parser's slabs, so if a slab were ever handed out twice,
+// later specs would overwrite earlier queries' bounds, and the kept
+// queries would stop matching a fresh Parse of their own specs.
+func TestQueriesOutliveTheSource(t *testing.T) {
+	s := censusSchema(t)
+	specs, body := censusWorkload(t, s, 12_000)
+	kept, err := readAll(s, NewLineSpecs(bytes.NewReader(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(kept) != len(specs) {
+		t.Fatalf("kept %d queries, want %d", len(kept), len(specs))
+	}
+	for i, q := range kept {
+		want, err := query.Parse(s, specs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(q.Lo(), want.Lo()) || !slices.Equal(q.Hi(), want.Hi()) || q.Spec(s) != specs[i] {
+			t.Fatalf("kept query %d = %v..%v %q, its spec %q parses to %v..%v",
+				i, q.Lo(), q.Hi(), q.Spec(s), specs[i], want.Lo(), want.Hi())
+		}
+	}
+}
+
+// TestQueriesAllocationBound: parsing a 40k-query census workload
+// through Queries and the line reader allocates at most 0.01 times per
+// query — the reader, the parser and its slabs, not anything per spec.
+func TestQueriesAllocationBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation accounting")
+	}
+	s := censusSchema(t)
+	const n = 40_000
+	_, body := censusWorkload(t, s, n)
+	allocs := testing.AllocsPerRun(3, func() {
+		src := Queries(s, NewLineSpecs(bytes.NewReader(body)))
+		for got := 0; ; got++ {
+			_, ok, err := src()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				if got != n {
+					t.Fatalf("parsed %d queries, want %d", got, n)
+				}
+				return
+			}
+		}
+	})
+	if per := allocs / n; per > 0.01 {
+		t.Fatalf("%.0f allocations for %d queries = %.4f per query, want ≤ 0.01", allocs, n, per)
 	}
 }
 
