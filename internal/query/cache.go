@@ -10,8 +10,8 @@
 // bypass it: Batch.run partitions hits from misses serially, rendering
 // and probing one key per query, and on a 40k-query census workload
 // that costs more than answering every query on the worker pool —
-// 19.1 ms for a pass of all hits against 10.2 ms uncached at 2 workers
-// on a 2-vCPU Xeon VM.
+// about 7.0 ms for a pass of all hits against 3.3 ms uncached at 2
+// workers on a 2-vCPU Xeon VM (BENCH_query.json).
 //
 // The cache key is the canonical Query.Spec rendering (attributes in
 // schema order, normalized inclusive intervals): distinct keys iff

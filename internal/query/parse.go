@@ -23,13 +23,12 @@ import (
 //	Occupation=#3..5  leaf-position interval (the §V-A normalized form)
 //
 // An empty string or "*" is the full-domain query. Each attribute takes
-// at most one predicate: predicates are conjunctive (§II-A), so a
-// second one on the same attribute is rejected rather than silently
-// replacing the first. Every failure — malformed predicate, unknown or
-// repeated attribute, inverted or out-of-domain interval, wrong-kind
-// predicate (e.g. a lo..hi range on a nominal attribute) — wraps
-// ErrInvalid, so callers can map parse failures to client errors with
-// errors.Is.
+// at most one predicate: predicates are conjunctive (§II-A), and one
+// interval per attribute cannot hold two. Every failure — malformed
+// predicate, unknown or repeated attribute, inverted or out-of-domain
+// interval, wrong-kind predicate (e.g. a lo..hi range on a nominal
+// attribute) — wraps ErrInvalid, so callers can map parse failures to
+// client errors with errors.Is.
 func Parse(schema *dataset.Schema, raw string) (Query, error) {
 	return NewParser(schema).Parse([]byte(raw))
 }
@@ -42,7 +41,8 @@ func Parse(schema *dataset.Schema, raw string) (Query, error) {
 // Slabs double from one query's worth up to DefaultStreamChunk queries,
 // so a one-off Parse allocates one query's bounds, and a streamed
 // workload a few slabs in all rather than several allocations per
-// query. A Parser is not safe for concurrent use.
+// query; the price is that a kept query keeps its whole slab reachable.
+// A Parser is not safe for concurrent use.
 type Parser struct {
 	schema *dataset.Schema
 	domain float64
@@ -78,7 +78,7 @@ func (p *Parser) Parse(spec []byte) (Query, error) {
 		q.lo[i], q.hi[i], q.constrained[i] = 0, p.schema.Attr(i).Size-1, false
 	}
 	spec = bytes.TrimSpace(spec)
-	if !(len(spec) == 1 && spec[0] == '*') {
+	if string(spec) != "*" {
 		for len(spec) > 0 {
 			var clause []byte
 			clause, spec, _ = bytes.Cut(spec, []byte(","))

@@ -17,10 +17,10 @@
 //
 // Serving the paper's workloads (§VII runs 40 000 queries per
 // experiment) treats the workload, not the single query, as the
-// first-class object: Parse turns one textual predicate spec into a
-// Query, and Batch fans a workload of them across a worker pool over an
-// Evaluator with answers bit-identical (float64 ==) to a serial loop.
-// See plan.go.
+// first-class object: Parse (or a Parser, for a stream of specs) turns
+// one textual predicate spec into a Query, and Batch fans a workload of
+// them across a worker pool over an Evaluator with answers
+// bit-identical (float64 ==) to a serial loop. See parse.go and plan.go.
 package query
 
 import (

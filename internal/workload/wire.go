@@ -30,9 +30,9 @@ import (
 // SpecReader streams query specs from one wire-format body. Next
 // returns the next spec's bytes, ok=false on clean end of input, or an
 // error. The bytes are valid only until the next call to Next: a reader
-// may reuse them. Pos describes the position of the most recently returned spec
-// ("line 7" for the line format, "query 7" for JSON) for error
-// messages that must point a client at the offending entry of a
+// may reuse them. Pos describes the position of the most recently
+// returned spec ("line 7" for the line format, "query 7" for JSON) for
+// error messages that must point a client at the offending entry of a
 // 40 000-line workload.
 type SpecReader interface {
 	Next() (spec []byte, ok bool, err error)
@@ -100,6 +100,9 @@ func (j *jsonSpecs) Next() ([]byte, bool, error) {
 	if !j.dec.More() {
 		return nil, false, nil
 	}
+	// Decoding null leaves a string as it was, so clear the last spec:
+	// a null entry is the empty, full-domain spec.
+	j.spec = ""
 	if err := j.dec.Decode(&j.spec); err != nil {
 		return nil, false, invalidJSON(err)
 	}

@@ -178,6 +178,15 @@ func TestJSONSpecsForms(t *testing.T) {
 			t.Fatalf("%s: len = %d, want 3", body, len(queries))
 		}
 	}
+	// A null entry is the empty spec, the full-domain query — also
+	// after a spec that constrained something.
+	queries, err := readAll(s, NewJSONSpecs(strings.NewReader(`["Age=1..3", null]`)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(queries) != 2 || queries[1].Spec(s) != "*" {
+		t.Fatalf("null entry: %d queries, last %q; want 2, the last \"*\"", len(queries), queries[len(queries)-1].Spec(s))
+	}
 	for _, body := range []string{
 		``,
 		`42`,
