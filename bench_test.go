@@ -13,11 +13,17 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
 
+	privelet "repro"
+	"repro/internal/atomicfile"
 	"repro/internal/baseline"
+	"repro/internal/cli"
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/experiment"
@@ -29,6 +35,7 @@ import (
 	"repro/internal/privacy"
 	"repro/internal/query"
 	"repro/internal/rng"
+	"repro/internal/store"
 	"repro/internal/transform"
 	"repro/internal/workload"
 )
@@ -539,8 +546,8 @@ func BenchmarkPublishSpeedup(b *testing.B) {
 // domain (16 × 64Ki entries = 1M draws per op). Uniform is the Basic
 // mechanism's pass; weighted is Privelet's per-coefficient λ/W pass.
 // Output is bit-identical across worker counts, so the counts differ
-// only in wall clock (see BENCH_publish.json for the recorded baseline
-// and the 1-core-container caveat).
+// only in wall clock (BENCH_publish.json keeps the 1-core-container
+// recording under history_ns_per_op).
 func BenchmarkInjectLaplace(b *testing.B) {
 	const n = 16 * privacy.NoiseChunk
 	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
@@ -632,6 +639,63 @@ func BenchmarkPrefixSum(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkIngestCSV measures the ingest layer of POST /publish: the
+// 50k census rows of the engine benchmarks, as the CSV the server
+// receives, read by cli.ReadRows into a fresh privelet.Publisher.
+func BenchmarkIngestCSV(b *testing.B) {
+	tbl, err := dataset.GenerateCensus(dataset.BrazilSpec(dataset.ScaleSmall), 50_000, 6)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var csv bytes.Buffer
+	if err := cli.WriteTableCSV(&csv, tbl); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("census50k", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			pub, err := privelet.NewPublisher(tbl.Schema())
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := cli.ReadRows(tbl.Schema(), bytes.NewReader(csv.Bytes()), pub.Add); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkSpillRelease measures a store's write-through spill of one
+// census release: the format-v2 payload (noisy matrix plus its
+// summed-area table) encoded by store.EncodeRelease through
+// atomicfile.Write into a temporary directory, then removed, as a
+// publish followed by a delete does.
+func BenchmarkSpillRelease(b *testing.B) {
+	m, schema := benchCensusMatrix(b)
+	res, err := core.PublishMatrix(context.Background(), m, schema, core.Options{Epsilon: 1, SA: []string{"Age", "Gender"}, Seed: 12})
+	if err != nil {
+		b.Fatal(err)
+	}
+	table := res.Noisy.Clone()
+	table.PrefixSumExec(0)
+	p := &codec.Payload{
+		Meta:   codec.Meta{Mechanism: "privelet+", Epsilon: 1, Rho: res.Rho, Lambda: res.Lambda},
+		Schema: schema, Noisy: res.Noisy, Table: table, Total: res.Noisy.Total(),
+	}
+	path := filepath.Join(b.TempDir(), "r1.prvl")
+	b.Run("census-v2", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := atomicfile.Write(path, func(w io.Writer) error { return store.EncodeRelease(w, p) }); err != nil {
+				b.Fatal(err)
+			}
+			if err := os.Remove(path); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkQueryBatch measures the batch query engine at the paper's

@@ -326,10 +326,10 @@ func TestReadTableRejectsDataOutsideSchema(t *testing.T) {
 		t.Fatal(err)
 	}
 	csv := "5\n50\n"
-	if _, err := cli.ReadTable(wide, strings.NewReader(csv)); err != nil {
+	if err := cli.ReadRows(wide, strings.NewReader(csv), dataset.NewTable(wide).Append); err != nil {
 		t.Fatalf("wide schema should accept: %v", err)
 	}
-	if _, err := cli.ReadTable(narrow, strings.NewReader(csv)); err == nil {
+	if err := cli.ReadRows(narrow, strings.NewReader(csv), dataset.NewTable(narrow).Append); err == nil {
 		t.Fatal("narrow schema should reject value 50")
 	}
 }

@@ -8,6 +8,8 @@ package cli
 
 import (
 	"bufio"
+	"bytes"
+	"cmp"
 	"fmt"
 	"io"
 	"strconv"
@@ -23,6 +25,10 @@ import (
 //	Name:ordinal:SIZE
 //	Name:nominal:flat:LEAVES
 //	Name:nominal:3level:GROUPSxLEAVES
+//
+// Space around a clause is ignored. Every number must read whole as
+// strconv.Atoi reads it, with no space or trailing input of its own,
+// and a clause with more parts than its kind takes is rejected.
 func ParseSchema(spec string) (*dataset.Schema, error) {
 	if strings.TrimSpace(spec) == "" {
 		return nil, fmt.Errorf("cli: empty schema spec")
@@ -49,13 +55,16 @@ func parseClause(clause string) (dataset.Attribute, error) {
 	}
 	switch kind {
 	case "ordinal":
+		if len(parts) != 3 {
+			return dataset.Attribute{}, fmt.Errorf("cli: clause %q: want name:ordinal:SIZE", clause)
+		}
 		size, err := strconv.Atoi(parts[2])
 		if err != nil {
 			return dataset.Attribute{}, fmt.Errorf("cli: clause %q: bad size: %w", clause, err)
 		}
 		return dataset.OrdinalAttr(name, size), nil
 	case "nominal":
-		if len(parts) < 4 {
+		if len(parts) != 4 {
 			return dataset.Attribute{}, fmt.Errorf("cli: clause %q: want name:nominal:flat:N or name:nominal:3level:GxL", clause)
 		}
 		switch parts[2] {
@@ -70,8 +79,10 @@ func parseClause(clause string) (dataset.Attribute, error) {
 			}
 			return dataset.NominalAttr(name, h), nil
 		case "3level":
-			var g, l int
-			if _, err := fmt.Sscanf(parts[3], "%dx%d", &g, &l); err != nil {
+			gs, ls, _ := strings.Cut(parts[3], "x")
+			g, gerr := strconv.Atoi(gs)
+			l, lerr := strconv.Atoi(ls)
+			if err := cmp.Or(gerr, lerr); err != nil {
 				return dataset.Attribute{}, fmt.Errorf("cli: clause %q: want GROUPSxLEAVES: %w", clause, err)
 			}
 			h, err := hierarchy.ThreeLevel(g, l)
@@ -89,31 +100,35 @@ func parseClause(clause string) (dataset.Attribute, error) {
 
 // ReadRows streams a headerless integer CSV whose columns match the
 // schema's attributes in order, handing each parsed row to sink as it is
-// read. Blank lines are skipped; values are 0-based domain indices. The
-// row slice passed to sink is reused between calls — sinks that retain
-// rows must copy (the intended sinks, dataset.Table.Append and
-// privelet's Publisher.Add, both consume the values immediately).
+// read. Blank lines are skipped (but counted in error line numbers);
+// values are 0-based domain indices, read as strconv.Atoi reads each
+// field with the space around it and the line trimmed; lines are limited
+// to 1 MiB. The row slice passed to sink is reused between calls — sinks
+// that retain rows must copy (the intended sinks, dataset.Table.Append
+// and privelet's Publisher.Add, both consume the values immediately).
 //
 // This is the streaming ingest chokepoint: with a frequency-folding sink
 // the whole pipe from CSV bytes to matrix counts holds one row in memory
-// at a time, so n ≫ RAM tables publish fine.
+// at a time, so n ≫ RAM tables publish fine. Fields are parsed from the
+// scanner's bytes, so no row allocates.
 func ReadRows(schema *dataset.Schema, r io.Reader, sink func(vals ...int) error) error {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(nil, 1<<20)
 	line := 0
 	vals := make([]int, schema.NumAttrs())
 	for sc.Scan() {
 		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
+		text := bytes.TrimSpace(sc.Bytes())
+		if len(text) == 0 {
 			continue
 		}
-		fields := strings.Split(text, ",")
-		if len(fields) != schema.NumAttrs() {
-			return fmt.Errorf("cli: line %d: %d fields, want %d", line, len(fields), schema.NumAttrs())
+		if n := bytes.Count(text, comma) + 1; n != len(vals) {
+			return fmt.Errorf("cli: line %d: %d fields, want %d", line, n, len(vals))
 		}
-		for i, f := range fields {
-			v, err := strconv.Atoi(strings.TrimSpace(f))
+		for i := range vals {
+			var f []byte
+			f, text, _ = bytes.Cut(text, comma)
+			v, err := atoi(f)
 			if err != nil {
 				return fmt.Errorf("cli: line %d field %d: %w", line, i+1, err)
 			}
@@ -126,20 +141,26 @@ func ReadRows(schema *dataset.Schema, r io.Reader, sink func(vals ...int) error)
 	return sc.Err()
 }
 
-// ReadTable loads a headerless integer CSV into a buffered table — the
-// legacy ingest path, retained for callers that need the tuples
-// themselves. Publishing pipelines should prefer ReadRows with a
-// streaming sink, which never materializes the n tuples.
-func ReadTable(schema *dataset.Schema, r io.Reader) (*dataset.Table, error) {
-	table := dataset.NewTable(schema)
-	if err := ReadRows(schema, r, table.Append); err != nil {
-		return nil, err
+var comma = []byte{','}
+
+// atoi parses a field as strconv.Atoi parses it trimmed, reading up to
+// 18 ASCII digits (9 for a 32-bit int: no overflow) in place.
+func atoi(f []byte) (int, error) {
+	v := 0
+	for i, c := range f {
+		if c < '0' || c > '9' || i == strconv.IntSize*9/32 {
+			return strconv.Atoi(string(bytes.TrimSpace(f)))
+		}
+		v = v*10 + int(c-'0')
 	}
-	return table, nil
+	if len(f) == 0 {
+		return strconv.Atoi("")
+	}
+	return v, nil
 }
 
 // WriteTableCSV emits the table as a headerless integer CSV, the inverse
-// of ReadTable.
+// of ReadRows.
 func WriteTableCSV(w io.Writer, t *dataset.Table) error {
 	bw := bufio.NewWriter(w)
 	d := t.Schema().NumAttrs()

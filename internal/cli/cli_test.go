@@ -76,6 +76,12 @@ func TestParseSchemaErrors(t *testing.T) {
 		"X:nominal:pyramid:3",
 		"X:fancy:3",
 		"A:ordinal:4,A:ordinal:4", // duplicate name caught by schema
+		// Trailing input after a clause's last part.
+		"A:ordinal:8:junk",
+		"Occ:nominal:flat:4:extra",
+		"Occ:nominal:3level:8x8zzz",
+		"Occ:nominal:3level:2x3x4",
+		"Occ:nominal:3level: 2x3",
 	}
 	for _, spec := range cases {
 		if _, err := ParseSchema(spec); err == nil {
@@ -90,8 +96,8 @@ func TestReadTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := "0,1\n3,2\n\n 2 , 0 \n"
-	tbl, err := ReadTable(s, strings.NewReader(in))
-	if err != nil {
+	tbl := dataset.NewTable(s)
+	if err := ReadRows(s, strings.NewReader(in), tbl.Append); err != nil {
 		t.Fatal(err)
 	}
 	if tbl.Len() != 3 {
@@ -165,8 +171,8 @@ func TestReadTableErrors(t *testing.T) {
 		"-1,0\n",  // negative
 	}
 	for _, in := range cases {
-		if _, err := ReadTable(s, strings.NewReader(in)); err == nil {
-			t.Errorf("ReadTable(%q) should fail", in)
+		if err := ReadRows(s, strings.NewReader(in), dataset.NewTable(s).Append); err == nil {
+			t.Errorf("ReadRows(%q) into a table should fail", in)
 		}
 	}
 }
@@ -186,8 +192,8 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if err := WriteTableCSV(&buf, tbl); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadTable(s, &buf)
-	if err != nil {
+	back := dataset.NewTable(s)
+	if err := ReadRows(s, &buf, back.Append); err != nil {
 		t.Fatal(err)
 	}
 	if back.Len() != tbl.Len() {

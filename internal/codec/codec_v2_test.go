@@ -4,14 +4,17 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
 	"testing"
 	"unsafe"
 
+	"repro/internal/dataset"
 	"repro/internal/matrix"
 	"repro/internal/query"
+	"repro/internal/rng"
 )
 
 // withTable upgrades a payload to carry its summed-area table — what
@@ -210,6 +213,41 @@ func TestDeterministicEncodingV2(t *testing.T) {
 	b := encodeBytes(t, withTable(samplePayload(t)))
 	if !bytes.Equal(a, b) {
 		t.Fatal("v2 encoding is not deterministic")
+	}
+}
+
+// TestEncodeByteOrderPaths encodes one v2 payload through the
+// big-endian host's conversion loop and through the little-endian
+// host's one-write path and requires identical bytes, so the loop stays
+// tested on little-endian machines. The 64×40 matrix spans three
+// conversion chunks, the last one partial, and holds -0, ±Inf and a NaN.
+func TestEncodeByteOrderPaths(t *testing.T) {
+	if !hostLittleEndian {
+		t.Skip("the one-write path writes host order, which is the wire order only on little-endian hosts")
+	}
+	m := matrix.MustNew(64, 40)
+	r := rng.New(11)
+	data := m.Data()
+	for i := range data {
+		data[i] = r.Float64()*1e6 - 5e5
+	}
+	data[1], data[1030], data[2047], data[2559] = math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN()
+	p := withTable(&Payload{
+		Meta:   Meta{Mechanism: "privelet+", Epsilon: 0.5, Rho: 3, Lambda: 6, Bound: 99},
+		Schema: dataset.MustSchema(dataset.OrdinalAttr("A", 64), dataset.OrdinalAttr("B", 40)),
+		Noisy:  m,
+	})
+	defer func(le bool) { hostLittleEndian = le }(hostLittleEndian)
+	var out [2][]byte
+	for i, le := range []bool{false, true} {
+		hostLittleEndian = le
+		out[i] = encodeBytes(t, p)
+	}
+	if !bytes.Equal(out[0], out[1]) {
+		t.Fatalf("conversion loop and one-write path disagree (%d vs %d bytes)", len(out[0]), len(out[1]))
+	}
+	if _, err := decode(out[1]); err != nil {
+		t.Fatal(err)
 	}
 }
 

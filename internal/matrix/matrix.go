@@ -256,8 +256,15 @@ func (m *Matrix) SetSub(fixedDims, fixedCoords []int, sub *Matrix) error {
 			return fmt.Errorf("matrix: SetSub dim %d size %d, want %d", i, sub.dims[i], m.dims[d])
 		}
 	}
-	m.walkSub(freeDims, baseOff, func(srcOff, dstOff int) {
-		m.data[srcOff] = sub.data[dstOff]
+	m.walkSub(freeDims, baseOff, func(srcOff, dstOff, n, stride int) {
+		run := sub.data[dstOff : dstOff+n]
+		if stride == 1 {
+			copy(m.data[srcOff:], run)
+			return
+		}
+		for k, v := range run {
+			m.data[srcOff+k*stride] = v
+		}
 	})
 	return nil
 }
@@ -296,20 +303,29 @@ func (m *Matrix) subLayout(fixedDims, fixedCoords []int) (freeDims []int, baseOf
 	return freeDims, baseOff, nil
 }
 
-// walkSub enumerates the cross product of the free dimensions, invoking
-// visit with the offset into m and the row-major offset into the compact
-// sub-matrix.
-func (m *Matrix) walkSub(freeDims []int, baseOff int, visit func(srcOff, dstOff int)) {
-	idx := make([]int, len(freeDims))
+// walkSub enumerates the cross product of the free dimensions in runs
+// along the innermost free dimension (joined with the free dimensions
+// before it while they stay evenly spaced in m), invoking visit with a
+// run's offset into m, its offset into the compact sub-matrix, its
+// length and its stride in m. A Figure-5 sub-matrix is one run.
+func (m *Matrix) walkSub(freeDims []int, baseOff int, visit func(srcOff, dstOff, n, stride int)) {
+	last := len(freeDims) - 1
+	stride, n := m.strides[freeDims[last]], m.dims[freeDims[last]]
+	for last > 0 && m.strides[freeDims[last-1]] == stride*n {
+		last--
+		n *= m.dims[freeDims[last]]
+	}
+	outer := freeDims[:last]
+	idx := make([]int, len(outer))
 	srcOff := baseOff
 	dstOff := 0
 	for {
-		visit(srcOff, dstOff)
-		dstOff++
-		// Odometer increment over free dimensions, last varies fastest.
-		k := len(freeDims) - 1
+		visit(srcOff, dstOff, n, stride)
+		dstOff += n
+		// Odometer increment over the outer free dims, last varies fastest.
+		k := len(outer) - 1
 		for ; k >= 0; k-- {
-			d := freeDims[k]
+			d := outer[k]
 			idx[k]++
 			srcOff += m.strides[d]
 			if idx[k] < m.dims[d] {

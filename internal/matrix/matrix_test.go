@@ -261,6 +261,38 @@ func TestSubAndSetSub(t *testing.T) {
 	if m.At(1, 1, 1) == sub.At(1, 1) {
 		t.Fatal("SetSub leaked outside its region")
 	}
+
+	// Fixing the last dimension leaves strided runs: every entry of the
+	// sub-matrix sits m.Dim(2) apart in m.
+	last, err := m.SubInto([]int{2}, []int{1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameDims(last.Dims(), []int{2, 3}) {
+		t.Fatalf("last-dim sub dims = %v", last.Dims())
+	}
+	for i := 0; i < 2; i++ {
+		for j := 0; j < 3; j++ {
+			if last.At(i, j) != m.At(i, j, 1) {
+				t.Fatalf("last-dim sub(%d,%d) = %v, want %v", i, j, last.At(i, j), m.At(i, j, 1))
+			}
+			last.Set(-float64(10*i+j)-1, i, j)
+		}
+	}
+	before := m.Clone()
+	if err := m.SetSub([]int{2}, []int{1}, last); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		for j := 0; j < 3; j++ {
+			if got, want := m.At(i, j, 1), -float64(10*i+j)-1; got != want {
+				t.Fatalf("SetSub of last-dim sub: m(%d,%d,1) = %v, want %v", i, j, got, want)
+			}
+			if m.At(i, j, 0) != before.At(i, j, 0) {
+				t.Fatalf("SetSub of last-dim sub wrote m(%d,%d,0)", i, j)
+			}
+		}
+	}
 }
 
 func TestSubMultipleFixedDims(t *testing.T) {

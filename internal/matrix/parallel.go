@@ -340,19 +340,35 @@ func (m *Matrix) PrefixSumExec(workers int) {
 }
 
 // prefixScanRange runs scans [lo, hi) of dimension dim's prefix-sum pass.
-// Scan v decomposes as (outer, inner) = (v/inner, v%inner), mirroring
+// Scan v decomposes as (outer, inner) = (v/stride, v%stride), mirroring
 // applyRange's vector numbering; distinct scans touch disjoint entries,
 // so concurrent ranges need no synchronization.
+//
+// In a strided dimension the scans sharing an outer index lie side by
+// side and advance together, row j−1 added into row j: each entry gets
+// the same additions in the same order as scan by scan (bit-identical),
+// but a row's adds are independent. Innermost scans run one at a time.
 func (m *Matrix) prefixScanRange(dim, lo, hi int) {
 	size := m.dims[dim]
 	stride := m.strides[dim]
-	inner := stride
-	for v := lo; v < hi; v++ {
-		o, in := v/inner, v%inner
-		off := o*size*inner + in
-		for j := 1; j < size; j++ {
-			m.data[off+j*stride] += m.data[off+(j-1)*stride]
+	if stride == 1 {
+		for v := lo; v < hi; v++ {
+			for j := v*size + 1; j < (v+1)*size; j++ {
+				m.data[j] += m.data[j-1]
+			}
 		}
+		return
+	}
+	for v := lo; v < hi; {
+		o, in := v/stride, v%stride
+		n := min(hi, (o+1)*stride) - v // scans [v, v+n) share outer index o
+		for row := o*size*stride + in + stride; row < (o+1)*size*stride; row += stride {
+			prev, cur := m.data[row-stride:row-stride+n], m.data[row:row+n]
+			for k := range cur {
+				cur[k] += prev[k]
+			}
+		}
+		v += n
 	}
 }
 
@@ -378,8 +394,15 @@ func (m *Matrix) SubInto(fixedDims, fixedCoords []int, dst *Matrix) (*Matrix, er
 			return nil, err
 		}
 	}
-	m.walkSub(freeDims, baseOff, func(srcOff, dstOff int) {
-		dst.data[dstOff] = m.data[srcOff]
+	m.walkSub(freeDims, baseOff, func(srcOff, dstOff, n, stride int) {
+		run := dst.data[dstOff : dstOff+n]
+		if stride == 1 {
+			copy(run, m.data[srcOff:])
+			return
+		}
+		for k := range run {
+			run[k] = m.data[srcOff+k*stride]
+		}
 	})
 	return dst, nil
 }

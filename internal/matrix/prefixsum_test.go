@@ -9,12 +9,30 @@ import (
 	"repro/internal/rng"
 )
 
+// referencePrefixSum is the summed-area build as a scan-at-a-time loop:
+// every scan along every dimension accumulates left to right on its own,
+// as PrefixSumExec did before it advanced strided scans a row at a time.
+func referencePrefixSum(m *Matrix) {
+	for dim := range m.dims {
+		size, stride := m.dims[dim], m.strides[dim]
+		scans := len(m.data) / size
+		for v := 0; v < scans; v++ {
+			off := v/stride*size*stride + v%stride
+			for j := 1; j < size; j++ {
+				m.data[off+j*stride] += m.data[off+(j-1)*stride]
+			}
+		}
+	}
+}
+
 // TestPrefixSumExecEquivalence is the evaluator build's determinism
 // property: on randomized shapes and fills, PrefixSumExec at any worker
-// count produces exactly (float64 ==) the table PrefixSum produces. The
-// shapes are drawn from a seeded generator so failures replay; they
-// include 1-D (which must degrade to the serial scan), skewed and cubic
-// shapes, and dimensions of size 1.
+// count produces exactly (float64 ==) the table of the scan-at-a-time
+// reference loop, so advancing strided scans a row at a time and
+// splitting them across workers reassociates no addition. The shapes
+// are drawn from a seeded generator so failures replay; they include
+// 1-D (which must degrade to the serial scan), skewed and cubic shapes,
+// and dimensions of size 1.
 func TestPrefixSumExecEquivalence(t *testing.T) {
 	r := rng.New(424242)
 	for trial := 0; trial < 40; trial++ {
@@ -29,13 +47,13 @@ func TestPrefixSumExecEquivalence(t *testing.T) {
 			data[i] = r.Float64() * 100
 		}
 		want := m.Clone()
-		want.PrefixSumExec(1)
-		for _, workers := range []int{2, 3, 8, runtime.GOMAXPROCS(0) + 1} {
+		referencePrefixSum(want)
+		for _, workers := range []int{1, 2, 3, 8, runtime.GOMAXPROCS(0) + 1} {
 			got := m.Clone()
 			got.PrefixSumExec(workers)
 			for i := range data {
 				if got.Data()[i] != want.Data()[i] {
-					t.Fatalf("trial %d dims %v workers %d: entry %d = %v, serial %v",
+					t.Fatalf("trial %d dims %v workers %d: entry %d = %v, reference %v",
 						trial, dims, workers, i, got.Data()[i], want.Data()[i])
 				}
 			}

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/cli"
 	"repro/internal/codec"
+	"repro/internal/dataset"
 	"repro/internal/store"
 )
 
@@ -270,11 +271,9 @@ func TestServerMatchesLibrary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl, err := cli.ReadTable(schema, strings.NewReader(testCSV))
-	if err != nil {
+	if err := cli.ReadRows(schema, strings.NewReader(testCSV), dataset.NewTable(schema).Append); err != nil {
 		t.Fatal(err)
 	}
-	_ = tbl
 	resp, err := http.Get(ts.URL + "/releases/" + sum.ID + "/count?q=Age=0..7")
 	if err != nil {
 		t.Fatal(err)
