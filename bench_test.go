@@ -383,10 +383,10 @@ func BenchmarkHaarForward4096(b *testing.B) {
 	for i := range v {
 		v[i] = r.Float64()
 	}
-	dst := make([]float64, 4096)
+	dst, scratch := make([]float64, 4096), make([]float64, 4096)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		haar.ForwardInto(v, dst)
+		haar.ForwardPaddedIntoScratch(v, dst, scratch)
 	}
 }
 
@@ -413,14 +413,14 @@ func BenchmarkNominalForward4096(b *testing.B) {
 		b.Fatal(err)
 	}
 	v := make([]float64, tr.InputSize())
-	dst := make([]float64, tr.OutputSize())
+	dst, scratch := make([]float64, tr.OutputSize()), make([]float64, tr.OutputSize())
 	r := rng.New(3)
 	for i := range v {
 		v[i] = r.Float64()
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.ForwardInto(v, dst)
+		tr.ForwardIntoScratch(v, dst, scratch)
 	}
 }
 

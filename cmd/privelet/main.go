@@ -84,7 +84,6 @@ func main() {
 		sanitize   = flag.Bool("sanitize", false, "round the release to non-negative integers")
 		mechName   = flag.String("mechanism", "privelet+",
 			fmt.Sprintf("publishing mechanism, one of %s", strings.Join(privelet.Mechanisms(), "|")))
-		basic     = flag.Bool("basic", false, "deprecated: alias for -mechanism basic")
 		workers   = flag.Int("parallelism", 0, "worker goroutines (0 = all cores); never changes a release or an answer")
 		loadPath  = flag.String("load", "", "read a saved release (codec format) instead of publishing; schema comes from the artifact")
 		quePath   = flag.String("query", "", "workload file (one query spec per line) to answer against the -load release")
@@ -101,7 +100,7 @@ func main() {
 		var conflicts []string
 		flag.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "schema", "in", "epsilon", "sa", "seed", "sanitize", "mechanism", "basic", "save",
+			case "schema", "in", "epsilon", "sa", "seed", "sanitize", "mechanism", "save",
 				"budget", "tenant", "ledger-dir":
 				conflicts = append(conflicts, "-"+f.Name)
 			}
@@ -121,15 +120,6 @@ func main() {
 	schema, err := cli.ParseSchema(*schemaSpec)
 	if err != nil {
 		fatal(err)
-	}
-	if *basic {
-		*mechName = "basic"
-		// The old -basic flag never read -sa; keep ignoring it (with a
-		// note) rather than letting the mechanism reject it.
-		if *saFlag != "" {
-			fmt.Fprintln(os.Stderr, "privelet: -basic ignores -sa (deprecated flag compatibility)")
-			*saFlag = ""
-		}
 	}
 	// Resolve the mechanism before ingest: with streaming input the CSV
 	// pass is the dominant cost, and a typo'd name must not waste it.

@@ -5,7 +5,7 @@
 //	priveletd -addr :8080 -store-dir /var/lib/privelet -max-resident 64
 //
 //	# publish a table (budget is spent here, once); pick any registered
-//	# mechanism by name — privelet+, privelet, basic, hay
+//	# mechanism by name — privelet+ (the default), privelet, basic, hay
 //	curl -X POST --data-binary @data.csv \
 //	  'localhost:8080/publish?schema=Age:ordinal:64,Gender:nominal:flat:2&epsilon=1&sa=Gender&seed=7&mechanism=privelet%2B'
 //
@@ -62,8 +62,10 @@
 // every release it holds. Each table is verified on its first read.
 //
 // With -peers set, each node also runs the anti-entropy repairer
-// (internal/cluster.Repairer): every -repair-interval it diffs actual
-// release placement against the ring and re-ships missing copies,
+// (internal/cluster.Repairer): every -repair-interval, plus a random
+// delay of up to a tenth of it so a fleet restarted together does not
+// sweep in lockstep, it diffs actual release placement against the
+// ring and re-ships missing copies,
 // pulls copies it should hold, and finishes DELETEs that replicas
 // slept through (durable tombstones make deletes win over stale
 // copies). POST /internal/repair triggers one sweep on demand and
@@ -84,9 +86,10 @@
 // table (internal/mmapfile falls back to an aligned heap read where
 // mapping is unavailable).
 //
-// Each release carries an LRU answer cache for /count (sized in entries
-// by -answer-cache, 0 disables): a repeated count is answered from the
-// cache without touching the evaluator, bit-identical to a cold answer.
+// Each release carries an LRU answer cache for /count
+// (store.DefaultAnswerCache entries): a repeated count is answered from
+// the cache without touching the evaluator, bit-identical to a cold
+// answer.
 // Batch workloads (POST /releases/{id}/query) bypass it and answer
 // every query from the summed-area table on the worker pool, which is
 // cheaper than a serial cache probe per query. The cache dies with
@@ -117,14 +120,11 @@ import (
 
 func main() {
 	var (
-		addr     = flag.String("addr", ":8080", "listen address")
-		maxBody  = flag.Int64("max-body", 64<<20, "maximum upload size in bytes")
-		workers  = flag.Int("parallelism", 0, "default worker goroutines per publish (0 = all cores); lower it when serving many concurrent publishers")
-		mechName = flag.String("mechanism", "privelet+",
-			fmt.Sprintf("default publish mechanism when a request omits ?mechanism=, one of %s", strings.Join(privelet.Mechanisms(), "|")))
+		addr        = flag.String("addr", ":8080", "listen address")
+		maxBody     = flag.Int64("max-body", 64<<20, "maximum upload size in bytes")
+		workers     = flag.Int("parallelism", 0, "default worker goroutines per publish (0 = all cores); lower it when serving many concurrent publishers")
 		storeDir    = flag.String("store-dir", "", "directory for durable release storage; releases already there are served after a restart (empty = memory only)")
 		maxResident = flag.Int("max-resident", 0, "max releases kept in memory; colder ones spill to -store-dir and reload on access (0 = unlimited)")
-		answerCache = flag.Int("answer-cache", store.DefaultAnswerCache, "max cached /count answers per release (a repeated count skips the evaluator; batch workloads bypass the cache; 0 disables)")
 		budget      = flag.Float64("budget", 0, "default per-tenant ε budget for /tenants/{id}/publish (0 = unlimited: spend tracked, never refused)")
 		ledgerDir   = flag.String("ledger-dir", "", "directory for durable budget balances (default: -store-dir, so refusals survive restarts whenever releases do)")
 		nodeName    = flag.String("node-name", "", "stable cluster identity of this node, stamped on /stats (empty = hostname); placement hashes it, so renaming a node moves its data")
@@ -134,8 +134,7 @@ func main() {
 		probeEvery  = flag.Duration("probe-interval", cluster.DefaultProbeInterval, "health-probe interval for the ring's nodes (route mode)")
 		secret      = flag.String("cluster-secret", "", "shared bearer token for /internal/* calls: nodes require it, routers and repair sweeps send it (empty = unauthenticated)")
 		ringVersion = flag.Uint64("ring-version", 0, "membership version of -peers; bump it on every peer-list change — internal calls from peers still on an older version are refused with a typed 409")
-		repairEvery = flag.Duration("repair-interval", cluster.DefaultRepairInterval, "anti-entropy sweep interval (node mode with -peers; 0 disables the background loop, POST /internal/repair still works)")
-		repairJit   = flag.Duration("repair-jitter", 0, "max random delay added to each sweep's wait so a fleet restarted together doesn't list every peer in lockstep (0 = 10% of -repair-interval, negative disables)")
+		repairEvery = flag.Duration("repair-interval", cluster.DefaultRepairInterval, "anti-entropy sweep interval, each wait lengthened by a random delay of up to a tenth of it (node mode with -peers; 0 disables the background loop, POST /internal/repair still works)")
 	)
 	flag.Parse()
 
@@ -144,9 +143,6 @@ func main() {
 		return
 	}
 
-	if _, err := privelet.MechanismByName(*mechName); err != nil {
-		log.Fatal(err)
-	}
 	// Bind the port before recovery: /healthz answers immediately, and
 	// /readyz 503s with a reason until the store and ledger are loaded —
 	// the window a cluster router's probes keep the node out of rotation.
@@ -157,7 +153,7 @@ func main() {
 		// rebuilds (reloads of spilled releases, a recovered release's
 		// first read among them); rebuilds are bit-identical at any
 		// worker count, so this is latency-only.
-		st, err := store.New(store.Config{Dir: *storeDir, MaxResident: *maxResident, Parallelism: *workers, AnswerCache: *answerCache})
+		st, err := store.New(store.Config{Dir: *storeDir, MaxResident: *maxResident, Parallelism: *workers, AnswerCache: store.DefaultAnswerCache})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -185,7 +181,7 @@ func main() {
 		// starts shipping files.
 		clusterCfg := server.ClusterConfig{Secret: *secret, RingVersion: *ringVersion}
 		if *peers != "" {
-			rep, err := nodeRepairer(*peers, *replicas, *ringVersion, *nodeName, *secret, *repairEvery, *repairJit, st)
+			rep, err := nodeRepairer(*peers, *replicas, *ringVersion, *nodeName, *secret, *repairEvery, st)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -196,9 +192,9 @@ func main() {
 				fmt.Printf("priveletd anti-entropy sweep every %s\n", *repairEvery)
 			}
 		}
-		srv := server.New(server.Config{MaxBody: *maxBody, Parallelism: *workers, DefaultMechanism: *mechName, Store: st, Ledger: led, NodeName: *nodeName, Cluster: clusterCfg})
+		srv := server.New(server.Config{MaxBody: *maxBody, Parallelism: *workers, Store: st, Ledger: led, NodeName: *nodeName, Cluster: clusterCfg})
 		handler.Store(srv.Handler())
-		fmt.Printf("priveletd ready; mechanisms: %s (default %s)\n", strings.Join(privelet.Mechanisms(), ", "), *mechName)
+		fmt.Printf("priveletd ready; mechanisms: %s\n", strings.Join(privelet.Mechanisms(), ", "))
 	}()
 	serve(*addr, http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		handler.Load().(http.Handler).ServeHTTP(w, req)
@@ -224,7 +220,7 @@ func bootHandler(reason string) http.Handler {
 // -peers/-replicas/-ring-version spelling the router uses, so one
 // deployment config describes both tiers. The node must appear in its
 // own peer list under its -node-name.
-func nodeRepairer(peerSpec string, replicas int, version uint64, self, secret string, interval, jitter time.Duration, st *store.Store) (*cluster.Repairer, error) {
+func nodeRepairer(peerSpec string, replicas int, version uint64, self, secret string, interval time.Duration, st *store.Store) (*cluster.Repairer, error) {
 	nodes, err := cluster.ParsePeers(peerSpec)
 	if err != nil {
 		return nil, err
@@ -237,8 +233,7 @@ func nodeRepairer(peerSpec string, replicas int, version uint64, self, secret st
 		return nil, fmt.Errorf("-peers does not list this node: set -node-name to one of the peer names (got %q)", self)
 	}
 	return cluster.NewRepairer(cluster.RepairConfig{
-		Self: self, Ring: ring, Store: st,
-		Interval: interval, Jitter: jitter, Secret: secret,
+		Self: self, Ring: ring, Store: st, Interval: interval, Secret: secret,
 	})
 }
 

@@ -30,6 +30,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/ledger"
 	"repro/internal/server"
 	"repro/internal/store"
 )
@@ -187,7 +188,11 @@ func (f *chaosFleet) bootNode(node *chaosNode, ln net.Listener) {
 		f.tb.Fatal(err)
 	}
 	node.st = st
-	cfg := server.Config{Store: st, NodeName: node.name, Budget: f.budget, Cluster: server.ClusterConfig{
+	led, err := ledger.New(ledger.Config{DefaultBudget: f.budget})
+	if err != nil {
+		f.tb.Fatal(err)
+	}
+	cfg := server.Config{Store: st, Ledger: led, NodeName: node.name, Cluster: server.ClusterConfig{
 		Secret:      chaosSecret,
 		RingVersion: chaosRingVersion,
 		Repair: func(ctx context.Context) (any, error) {

@@ -20,6 +20,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/ledger"
 	"repro/internal/server"
 	"repro/internal/store"
 	"repro/internal/workload"
@@ -129,14 +130,18 @@ func startCluster(tb testing.TB, n, replicas int, budget float64) *testCluster {
 			tb.Fatal(err)
 		}
 		node := &testClusterNode{name: name, st: st}
-		srv := server.New(server.Config{Store: st, NodeName: name, Budget: budget})
+		led, err := ledger.New(ledger.Config{DefaultBudget: budget})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		srv := server.New(server.Config{Store: st, Ledger: led, NodeName: name})
 		node.ts = httptest.NewServer(node.middleware(srv.Handler()))
 		tb.Cleanup(node.ts.Close)
 		tc.nodes[name] = node
 		ringNodes[i] = Node{Name: name, URL: node.ts.URL}
 		tc.order = append(tc.order, name)
 	}
-	ring, err := NewRing(ringNodes, replicas)
+	ring, err := NewVersionedRing(ringNodes, replicas, 0)
 	if err != nil {
 		tb.Fatal(err)
 	}

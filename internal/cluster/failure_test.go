@@ -133,7 +133,7 @@ func TestClusterReplicaLag404Fallthrough(t *testing.T) {
 	}
 	const lagID = "lagged1"
 	reps := tc.ring.ReplicasFor(RouteKey(lagID))
-	if err := tc.nodes[reps[1].Name].st.Ingest(lagID, strings.NewReader(string(raw)), 0); err != nil {
+	if err := tc.nodes[reps[1].Name].st.Ingest(lagID, strings.NewReader(string(raw))); err != nil {
 		t.Fatal(err)
 	}
 

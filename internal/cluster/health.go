@@ -12,30 +12,21 @@ import (
 // when HealthConfig.Interval is not set.
 const DefaultProbeInterval = time.Second
 
-// DefaultProbeTimeout bounds one probe request when
-// HealthConfig.Timeout is not set — a node that cannot answer /readyz
-// in two seconds is not a node the proxy should wait on either.
+// DefaultProbeTimeout bounds one probe request — a node that cannot
+// answer /readyz in two seconds is not a node the proxy should wait on
+// either.
 const DefaultProbeTimeout = 2 * time.Second
 
 // DefaultFailureThreshold is the run of consecutive probe failures
-// that ejects a node when HealthConfig.Threshold is not set. Three
-// strikes tolerates one dropped probe or GC pause without flapping the
-// node out of the ring.
+// that ejects a node. Three strikes tolerates one dropped probe or GC
+// pause without flapping the node out of the ring; a single successful
+// probe re-admits it.
 const DefaultFailureThreshold = 3
 
 // HealthConfig configures a Health prober.
 type HealthConfig struct {
 	// Interval between probe rounds; ≤ 0 means DefaultProbeInterval.
 	Interval time.Duration
-	// Timeout for one probe request; ≤ 0 means DefaultProbeTimeout.
-	Timeout time.Duration
-	// Threshold is the consecutive-probe-failure count that ejects a
-	// node; ≤ 0 means DefaultFailureThreshold. A single successful
-	// probe re-admits it regardless of the threshold.
-	Threshold int
-	// Client issues the probes; nil means a dedicated client with the
-	// probe timeout.
-	Client *http.Client
 }
 
 // NodeHealth is one node's health snapshot.
@@ -50,16 +41,17 @@ type NodeHealth struct {
 }
 
 // Health tracks per-node liveness for the router: a probe loop GETs
-// each node's /readyz on an interval, a run of Threshold consecutive
-// failures ejects the node, and one successful probe re-admits it. The
-// proxy additionally reports transport-level failures it hits on real
-// traffic (ReportFailure), which eject the node immediately — waiting
-// for three probe ticks while every request to a dead peer times out
-// would be strictly worse — and the probe loop is then the re-admission
-// path. All methods are safe for concurrent use.
+// each node's /readyz on an interval, a run of DefaultFailureThreshold
+// consecutive failures ejects the node, and one successful probe
+// re-admits it. The proxy additionally reports transport-level
+// failures it hits on real traffic (ReportFailure), which eject the
+// node immediately — waiting for three probe ticks while every request
+// to a dead peer times out would be strictly worse — and the probe
+// loop is then the re-admission path. All methods are safe for
+// concurrent use.
 type Health struct {
-	cfg    HealthConfig
-	client *http.Client
+	interval time.Duration
+	client   *http.Client
 
 	mu     sync.Mutex
 	states map[string]*nodeState
@@ -78,20 +70,14 @@ type nodeState struct {
 // the first probe round (run synchronously by Start) corrects that
 // before any traffic is routed.
 func NewHealth(nodes []Node, cfg HealthConfig) *Health {
-	if cfg.Interval <= 0 {
-		cfg.Interval = DefaultProbeInterval
+	h := &Health{
+		interval: cfg.Interval,
+		client:   &http.Client{Timeout: DefaultProbeTimeout},
+		states:   make(map[string]*nodeState, len(nodes)),
 	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = DefaultProbeTimeout
+	if h.interval <= 0 {
+		h.interval = DefaultProbeInterval
 	}
-	if cfg.Threshold <= 0 {
-		cfg.Threshold = DefaultFailureThreshold
-	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{Timeout: cfg.Timeout}
-	}
-	h := &Health{cfg: cfg, client: client, states: make(map[string]*nodeState, len(nodes))}
 	for _, n := range nodes {
 		h.states[n.Name] = &nodeState{node: n, healthy: true}
 	}
@@ -114,7 +100,7 @@ func (h *Health) Start() {
 	h.mu.Unlock()
 	go func() {
 		defer close(done)
-		t := time.NewTicker(h.cfg.Interval)
+		t := time.NewTicker(h.interval)
 		defer t.Stop()
 		for {
 			select {
@@ -176,7 +162,7 @@ func (h *Health) probe(n Node) error {
 }
 
 // record applies one probe result: success re-admits immediately,
-// failures eject after the configured consecutive run.
+// failures eject after DefaultFailureThreshold in a row.
 func (h *Health) record(name string, err error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -190,7 +176,7 @@ func (h *Health) record(name string, err error) {
 	}
 	st.fails++
 	st.lastErr = err.Error()
-	if st.fails >= h.cfg.Threshold {
+	if st.fails >= DefaultFailureThreshold {
 		st.healthy = false
 	}
 }

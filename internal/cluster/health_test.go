@@ -51,10 +51,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // successful probe re-admits it.
 func TestClusterHealthEjectionAndReadmission(t *testing.T) {
 	n := newToggleNode(t)
-	h := NewHealth([]Node{{Name: "a", URL: n.ts.URL}}, HealthConfig{
-		Interval:  3 * time.Millisecond,
-		Threshold: 3,
-	})
+	h := NewHealth([]Node{{Name: "a", URL: n.ts.URL}}, HealthConfig{Interval: 3 * time.Millisecond})
 	h.Start()
 	defer h.Stop()
 	if !h.Healthy("a") {
@@ -81,7 +78,7 @@ func TestClusterHealthEjectionAndReadmission(t *testing.T) {
 // out of the ring).
 func TestClusterHealthThresholdTolerance(t *testing.T) {
 	n := newToggleNode(t)
-	h := NewHealth([]Node{{Name: "a", URL: n.ts.URL}}, HealthConfig{Threshold: 3})
+	h := NewHealth([]Node{{Name: "a", URL: n.ts.URL}}, HealthConfig{})
 	n.ready.Store(false)
 	h.probeAll()
 	h.probeAll()

@@ -33,8 +33,12 @@ const RingVersionHeader = "X-Ring-Version"
 const DefaultRepairInterval = 30 * time.Second
 
 // DefaultRepairTimeout bounds one repair HTTP call (a peer listing, an
-// export, a push) when RepairConfig.Client is nil.
+// export, a push).
 const DefaultRepairTimeout = 30 * time.Second
+
+// repairMaxBody bounds the bytes read from one peer listing or one
+// pulled release.
+const repairMaxBody = 64 << 20
 
 // RepairConfig configures a node's Repairer.
 type RepairConfig struct {
@@ -48,26 +52,10 @@ type RepairConfig struct {
 	// DefaultRepairInterval. The interval only matters to Start — an
 	// on-demand Sweep ignores it.
 	Interval time.Duration
-	// Jitter is the maximum random delay added to each background
-	// sweep's wait, desynchronizing a fleet whose nodes restarted
-	// together so their sweeps don't hammer every peer's /releases
-	// listing in the same instant. 0 means the default of 10% of the
-	// effective Interval; negative disables jitter (exact-period sweeps,
-	// what deterministic tests want). Like Interval it only matters to
-	// Start.
-	Jitter time.Duration
 	// Secret is the cluster's shared bearer token, sent on pushes to
 	// peers' /internal/replicate endpoints. Must match the peers'
 	// -cluster-secret; empty only works against unauthenticated peers.
 	Secret string
-	// Client issues sweep requests; nil means a client with
-	// DefaultRepairTimeout.
-	Client *http.Client
-	// Parallelism bounds the evaluator rebuild of pulled copies; ≤ 0
-	// means GOMAXPROCS (see store.Config.Parallelism).
-	Parallelism int
-	// MaxBody bounds pulled payloads; ≤ 0 means 64 MiB.
-	MaxBody int64
 }
 
 // RepairStats is the repairer's accounting, nested under "ring.repair"
@@ -163,20 +151,7 @@ func NewRepairer(cfg RepairConfig) (*Repairer, error) {
 	if cfg.Interval <= 0 {
 		cfg.Interval = DefaultRepairInterval
 	}
-	if cfg.Jitter == 0 {
-		cfg.Jitter = cfg.Interval / 10
-	}
-	if cfg.Jitter < 0 {
-		cfg.Jitter = 0
-	}
-	if cfg.MaxBody <= 0 {
-		cfg.MaxBody = 64 << 20
-	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{Timeout: DefaultRepairTimeout}
-	}
-	return &Repairer{cfg: cfg, client: client}, nil
+	return &Repairer{cfg: cfg, client: &http.Client{Timeout: DefaultRepairTimeout}}, nil
 }
 
 // Stats returns the repairer's counters.
@@ -200,9 +175,9 @@ func (r *Repairer) Stats() RepairStats {
 // sweep runs one full interval (plus jitter) after Start — a restarting
 // node should finish its own recovery traffic before it starts shipping
 // files. Each cycle waits Interval plus a fresh uniform draw from
-// [0, Jitter): nodes that came up together (a fleet-wide restart, the
-// exact moment sweeps are busiest) drift apart instead of listing every
-// peer's /releases in lockstep forever.
+// [0, Interval/10): nodes that came up together (a fleet-wide restart,
+// the exact moment sweeps are busiest) drift apart instead of listing
+// every peer's /releases in lockstep forever.
 func (r *Repairer) Start() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -228,12 +203,15 @@ func (r *Repairer) Start() {
 	}()
 }
 
-// jitter draws one cycle's random scheduling offset, in [0, cfg.Jitter).
+// jitter draws one cycle's random scheduling offset, in
+// [0, Interval/10). An Interval under 10 ns leaves no room for an
+// offset, and rand.N panics on 0, so it gets none.
 func (r *Repairer) jitter() time.Duration {
-	if r.cfg.Jitter <= 0 {
+	span := r.cfg.Interval / 10
+	if span <= 0 {
 		return 0
 	}
-	return rand.N(r.cfg.Jitter)
+	return rand.N(span)
 }
 
 // Stop ends the background loop and waits for it to exit. Safe to call
@@ -472,7 +450,7 @@ func (r *Repairer) listPeer(ctx context.Context, n Node) ([]string, error) {
 	var list []struct {
 		ID string `json:"id"`
 	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, r.cfg.MaxBody)).Decode(&list); err != nil {
+	if err := json.NewDecoder(io.LimitReader(resp.Body, repairMaxBody)).Decode(&list); err != nil {
 		return nil, fmt.Errorf("listing %s: %w", n.Name, err)
 	}
 	ids := make([]string, 0, len(list))
@@ -546,7 +524,7 @@ func (r *Repairer) pull(ctx context.Context, baseURL, id string) error {
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("export status %d", resp.StatusCode)
 	}
-	return r.cfg.Store.Ingest(id, io.LimitReader(resp.Body, r.cfg.MaxBody), r.cfg.Parallelism)
+	return r.cfg.Store.Ingest(id, io.LimitReader(resp.Body, repairMaxBody))
 }
 
 // deleteOn withdraws id from a peer still holding a tombstoned copy.

@@ -3,13 +3,14 @@ package cluster
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/store"
 )
 
 func TestRepairerConfigValidation(t *testing.T) {
 	nodes := []Node{{Name: "a", URL: "http://a"}, {Name: "b", URL: "http://b"}}
-	ring, err := NewRing(nodes, 2)
+	ring, err := NewVersionedRing(nodes, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,14 +42,44 @@ func TestRepairerConfigValidation(t *testing.T) {
 	}
 }
 
+// TestRepairJitter: each background sweep waits Interval plus a draw
+// from [0, Interval/10), and an Interval too short to leave room for
+// an offset gets none instead of a panic.
+func TestRepairJitter(t *testing.T) {
+	ring, err := NewVersionedRing([]Node{{Name: "a", URL: "http://a"}}, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.New(store.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := NewRepairer(RepairConfig{Self: "a", Ring: ring, Store: st, Interval: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1000; i++ {
+		if j := rep.jitter(); j < 0 || j >= 3*time.Second {
+			t.Fatalf("draw %d: jitter %v outside [0, 3s)", i, j)
+		}
+	}
+	rep, err = NewRepairer(RepairConfig{Self: "a", Ring: ring, Store: st, Interval: 5 * time.Nanosecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j := rep.jitter(); j != 0 {
+		t.Fatalf("jitter at a 5ns interval = %v, want 0", j)
+	}
+}
+
 func TestRepairRingVersioning(t *testing.T) {
 	nodes := []Node{{Name: "a", URL: "http://a"}, {Name: "b", URL: "http://b"}}
-	r0, err := NewRing(nodes, 2)
+	r0, err := NewVersionedRing(nodes, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r0.Version() != 0 {
-		t.Fatalf("NewRing version = %d, want 0", r0.Version())
+		t.Fatalf("version-0 ring reports version %d", r0.Version())
 	}
 	r7, err := NewVersionedRing(nodes, 2, 7)
 	if err != nil {

@@ -24,8 +24,8 @@
 //     tenant's epochs — and the tenant's budget ledger, which lives
 //     only on its primary — colocate on one replica set.
 //   - Health: the per-node prober. A background loop hits each node's
-//     /readyz; a configurable run of consecutive failures ejects the
-//     node, one successful probe re-admits it, and the proxy reports
+//     /readyz; a run of three consecutive failures ejects the node,
+//     one successful probe re-admits it, and the proxy reports
 //     transport failures for immediate (passive) ejection.
 //   - Router: the HTTP front end that mirrors the priveletd API.
 //     Reads (/releases/{id}, /count, /query, /export) fan out across
@@ -69,9 +69,10 @@ type point struct {
 }
 
 // Ring is a static consistent-hash ring over a fixed node set. It is
-// immutable after New and safe for concurrent use. Placement depends
-// only on the node names, not their order in the configuration or
-// their URLs, so every router over the same peer set agrees.
+// immutable after NewVersionedRing and safe for concurrent use.
+// Placement depends only on the node names, not their order in the
+// configuration or their URLs, so every router over the same peer set
+// agrees.
 type Ring struct {
 	nodes    []Node
 	points   []point
@@ -79,21 +80,16 @@ type Ring struct {
 	version  uint64
 }
 
-// NewRing builds a ring over nodes with R-way replication at ring
-// version 0 (an unversioned deployment). The replication factor is
-// clamped to the node count; nodes must have non-empty, unique names
-// and non-empty URLs.
-func NewRing(nodes []Node, replicas int) (*Ring, error) {
-	return NewVersionedRing(nodes, replicas, 0)
-}
-
-// NewVersionedRing builds a ring stamped with a membership version. The
-// version is the operator's monotonic counter over peer-list changes:
-// every internal call (replication pushes, repair triggers) carries the
-// sender's version, and a node whose own ring is newer refuses stale
-// senders — so membership can roll through a fleet one process at a
-// time, with misrouted writes from not-yet-restarted routers turned
-// into typed errors instead of silently wrong placement.
+// NewVersionedRing builds a ring over nodes with R-way replication,
+// stamped with a membership version. The replication factor is clamped
+// to the node count; nodes must have non-empty, unique names and
+// non-empty URLs. The version is the operator's monotonic counter over
+// peer-list changes (0 for an unversioned deployment): every internal
+// call (replication pushes, repair triggers) carries the sender's
+// version, and a node whose own ring is newer refuses stale senders —
+// so membership can roll through a fleet one process at a time, with
+// misrouted writes from not-yet-restarted routers turned into typed
+// errors instead of silently wrong placement.
 func NewVersionedRing(nodes []Node, replicas int, version uint64) (*Ring, error) {
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("cluster: ring needs at least one node")

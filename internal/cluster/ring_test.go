@@ -23,11 +23,11 @@ func TestClusterRingDeterministicPlacement(t *testing.T) {
 	for i, n := range nodes {
 		reversed[len(nodes)-1-i] = n
 	}
-	a, err := NewRing(nodes, 3)
+	a, err := NewVersionedRing(nodes, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewRing(reversed, 3)
+	b, err := NewVersionedRing(reversed, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestClusterRingDeterministicPlacement(t *testing.T) {
 // TestClusterRingReplicasDistinct: a replica set never repeats a node,
 // and clamps to the ring size.
 func TestClusterRingReplicasDistinct(t *testing.T) {
-	r, err := NewRing(testNodes(3), 5) // asks for more copies than nodes
+	r, err := NewVersionedRing(testNodes(3), 5, 0) // asks for more copies than nodes
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestClusterRingReplicasDistinct(t *testing.T) {
 // TestClusterRingBalance: with virtual nodes, primaries spread across
 // the ring — no node owns a wildly disproportionate share.
 func TestClusterRingBalance(t *testing.T) {
-	r, err := NewRing(testNodes(4), 2)
+	r, err := NewVersionedRing(testNodes(4), 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestClusterRingBalance(t *testing.T) {
 // the tenant prefix, so the whole history (and the budget ledger on
 // the primary) shares one replica set.
 func TestClusterRingTenantColocation(t *testing.T) {
-	r, err := NewRing(testNodes(5), 2)
+	r, err := NewVersionedRing(testNodes(5), 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,13 +124,13 @@ func TestClusterRingTenantColocation(t *testing.T) {
 // TestClusterRingRejectsBadConfig: empty rings and duplicate or
 // anonymous nodes fail construction, not serving.
 func TestClusterRingRejectsBadConfig(t *testing.T) {
-	if _, err := NewRing(nil, 2); err == nil {
+	if _, err := NewVersionedRing(nil, 2, 0); err == nil {
 		t.Error("empty ring must be rejected")
 	}
-	if _, err := NewRing([]Node{{Name: "a", URL: "u"}, {Name: "a", URL: "v"}}, 1); err == nil {
+	if _, err := NewVersionedRing([]Node{{Name: "a", URL: "u"}, {Name: "a", URL: "v"}}, 1, 0); err == nil {
 		t.Error("duplicate node name must be rejected")
 	}
-	if _, err := NewRing([]Node{{Name: "", URL: "u"}}, 1); err == nil {
+	if _, err := NewVersionedRing([]Node{{Name: "", URL: "u"}}, 1, 0); err == nil {
 		t.Error("anonymous node must be rejected")
 	}
 }
@@ -162,7 +162,7 @@ func TestClusterParsePeers(t *testing.T) {
 }
 
 func BenchmarkClusterRingReplicas(b *testing.B) {
-	r, err := NewRing(testNodes(8), 3)
+	r, err := NewVersionedRing(testNodes(8), 3, 0)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -37,11 +37,6 @@ type RouterConfig struct {
 	// and the replication payloads the router stages between a
 	// primary's export and its followers. ≤ 0 means 64 MiB.
 	MaxBody int64
-	// Client issues proxied requests; nil means http.DefaultClient
-	// (which has no overall timeout — correct for streamed query
-	// responses of unbounded duration; per-connection failures are
-	// handled by retry, not deadline).
-	Client *http.Client
 	// Secret is the cluster's shared bearer token: the router sends it
 	// on every internal call (replication pushes), and nodes configured
 	// with the same secret refuse internal calls without it. Empty
@@ -76,7 +71,6 @@ type RouterStats struct {
 type Router struct {
 	ring    *Ring
 	health  *Health
-	client  *http.Client
 	maxBody int64
 	secret  string
 	// rr rotates the first replica tried per read, spreading load over
@@ -98,11 +92,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if cfg.MaxBody <= 0 {
 		cfg.MaxBody = 64 << 20
 	}
-	client := cfg.Client
-	if client == nil {
-		client = http.DefaultClient
-	}
-	return &Router{ring: cfg.Ring, health: cfg.Health, client: client, maxBody: cfg.MaxBody, secret: cfg.Secret}, nil
+	return &Router{ring: cfg.Ring, health: cfg.Health, maxBody: cfg.MaxBody, secret: cfg.Secret}, nil
 }
 
 // Stats returns the router's own counters.
@@ -309,7 +299,10 @@ func (rt *Router) forward(ctx context.Context, n Node, req *http.Request, body [
 		return nil, err
 	}
 	copyHeader(out.Header, req.Header, "Content-Type", "Accept", "Accept-Encoding")
-	return rt.client.Do(out)
+	// http.DefaultClient has no overall timeout, which streamed query
+	// responses of unbounded duration need; per-connection failures are
+	// handled by retry, not deadline.
+	return http.DefaultClient.Do(out)
 }
 
 // nodeURL rebuilds the request URL against n, preserving the escaped
@@ -489,7 +482,7 @@ func (rt *Router) replicate(ctx context.Context, primary Node, followers []Node,
 		wg.Add(1)
 		go func(f Node) {
 			defer wg.Done()
-			if err := pushReplica(ctx, rt.client, rt.secret, rt.ring, f, id, payload); err != nil {
+			if err := pushReplica(ctx, http.DefaultClient, rt.secret, rt.ring, f, id, payload); err != nil {
 				rt.replFailures.Add(1)
 				var transport *url.Error
 				if errors.As(err, &transport) {
@@ -514,7 +507,7 @@ func (rt *Router) export(ctx context.Context, n Node, id string) ([]byte, error)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := rt.client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, err
 	}

@@ -63,15 +63,6 @@ func NominalAttr(name string, h *hierarchy.Hierarchy) Attribute {
 	return Attribute{Name: name, Kind: Nominal, Hier: h}
 }
 
-// HierarchyHeight returns the height of the attribute's hierarchy, or 0
-// for ordinal attributes.
-func (a Attribute) HierarchyHeight() int {
-	if a.Kind == Nominal && a.Hier != nil {
-		return a.Hier.Height()
-	}
-	return 0
-}
-
 // Schema is a validated attribute list. Construct with NewSchema.
 type Schema struct {
 	attrs  []Attribute

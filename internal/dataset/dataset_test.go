@@ -80,11 +80,11 @@ func TestSchemaAccessors(t *testing.T) {
 	if s.DomainSize() != 24 {
 		t.Errorf("DomainSize = %d, want 24", s.DomainSize())
 	}
-	if s.Attr(0).HierarchyHeight() != 0 {
-		t.Error("ordinal attribute should have height 0")
+	if s.Attr(0).Hier != nil {
+		t.Error("ordinal attribute should have no hierarchy")
 	}
-	if s.Attr(1).HierarchyHeight() != 3 {
-		t.Errorf("nominal height = %d, want 3", s.Attr(1).HierarchyHeight())
+	if h := s.Attr(1).Hier.Height(); h != 3 {
+		t.Errorf("nominal height = %d, want 3", h)
 	}
 }
 
@@ -281,10 +281,10 @@ func TestCensusSpecsMatchTableIII(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %v: %v", spec.Name, scale, err)
 			}
-			if got := s.Attr(1).HierarchyHeight(); got != 2 {
+			if got := s.Attr(1).Hier.Height(); got != 2 {
 				t.Errorf("%s %v: gender height = %d, want 2", spec.Name, scale, got)
 			}
-			if got := s.Attr(2).HierarchyHeight(); got != 3 {
+			if got := s.Attr(2).Hier.Height(); got != 3 {
 				t.Errorf("%s %v: occupation height = %d, want 3", spec.Name, scale, got)
 			}
 		}

@@ -50,21 +50,8 @@ func Forward(v []float64) ([]float64, error) {
 		return nil, fmt.Errorf("haar: length %d is not a power of two", m)
 	}
 	coeffs := make([]float64, m)
-	ForwardInto(v, coeffs)
+	ForwardPaddedIntoScratch(v, coeffs, make([]float64, m))
 	return coeffs, nil
-}
-
-// ForwardInto is Forward writing into a caller-provided slice; src and dst
-// must both have power-of-two length m. dst must not alias src.
-func ForwardInto(src, dst []float64) {
-	ForwardIntoScratch(src, dst, make([]float64, len(src)))
-}
-
-// ForwardIntoScratch is ForwardInto with a caller-provided scratch slice
-// of length ≥ m, so hot paths (per-worker transform kernels) allocate
-// nothing per call. scratch must alias neither src nor dst.
-func ForwardIntoScratch(src, dst, scratch []float64) {
-	ForwardPaddedIntoScratch(src, dst, scratch)
 }
 
 // ForwardPaddedIntoScratch transforms src zero-padded to len(dst), which
@@ -171,12 +158,4 @@ func Weights(m int) ([]float64, error) {
 // m-length Haar transform with respect to W_Haar: 1 + log₂(m) (Lemma 2).
 func GeneralizedSensitivity(m int) float64 {
 	return 1 + float64(Log2(m))
-}
-
-// QueryVarianceFactor returns the paper's Lemma 3 factor: if every
-// coefficient c carries noise of variance at most (σ/W_Haar(c))², any
-// range-count query on the reconstructed vector has noise variance at
-// most (2+log₂ m)/2 · σ².
-func QueryVarianceFactor(m int) float64 {
-	return (2 + float64(Log2(m))) / 2
 }

@@ -257,7 +257,7 @@ func TestLemma3VarianceBound(t *testing.T) {
 		sumSq += q * q
 	}
 	empirical := sumSq / trials
-	bound := QueryVarianceFactor(m) * sigma * sigma
+	bound := (2 + float64(Log2(m))) / 2 * sigma * sigma
 	if empirical > bound*1.10 { // generous tolerance for MC noise
 		t.Fatalf("empirical variance %v exceeds Lemma 3 bound %v", empirical, bound)
 	}

@@ -63,8 +63,7 @@ type Hierarchy struct {
 //   - nil root or nil child pointers;
 //   - a node reachable twice (the "tree" is a DAG or has a cycle);
 //   - leaves at differing depths (Equation 5 of the paper requires every
-//     entry to have exactly h−1 proper ancestors, i.e. a balanced tree —
-//     use PadToUniformDepth to repair);
+//     entry to have exactly h−1 proper ancestors, i.e. a balanced tree);
 //   - an internal node with a single child is permitted (the nominal
 //     transform handles fanout-1 groups as structurally-zero coefficients)
 //     but a root with zero leaves is not.
@@ -109,7 +108,7 @@ func Build(root *Node) (*Hierarchy, error) {
 	assign = func(n *Node) error {
 		if n.IsLeaf() {
 			if n.Depth != h.height {
-				return fmt.Errorf("hierarchy: leaf %q at depth %d but height is %d (unbalanced; use PadToUniformDepth)",
+				return fmt.Errorf("hierarchy: leaf %q at depth %d but height is %d (unbalanced)",
 					n.Label, n.Depth, h.height)
 			}
 			n.LeafLo = len(h.leaves)
@@ -160,9 +159,6 @@ func (h *Hierarchy) Nodes() []*Node { return h.nodes }
 // coefficients produced by the nominal wavelet transform (§V-A notes the
 // transform is over-complete by the number of internal nodes).
 func (h *Hierarchy) NodeCount() int { return len(h.nodes) }
-
-// InternalCount returns the number of internal (non-leaf) nodes.
-func (h *Hierarchy) InternalCount() int { return len(h.nodes) - len(h.leaves) }
 
 // Find returns the first node with the given label in level order, or nil.
 func (h *Hierarchy) Find(label string) *Node {
@@ -270,45 +266,4 @@ func FromFanouts(fanouts ...int) (*Hierarchy, error) {
 	root := grow(0)
 	root.Label = "Any"
 	return Build(root)
-}
-
-// PadToUniformDepth returns a new tree in which every leaf of root sits at
-// the maximum leaf depth, by splicing chains of single-child internal
-// nodes above shallow leaves. The input tree is not modified. Padding
-// preserves leaf order and leaf labels; spliced nodes get empty labels.
-// The result still needs Build.
-func PadToUniformDepth(root *Node) *Node {
-	maxDepth := 0
-	var measure func(n *Node, d int)
-	measure = func(n *Node, d int) {
-		if len(n.Children) == 0 {
-			if d > maxDepth {
-				maxDepth = d
-			}
-			return
-		}
-		for _, c := range n.Children {
-			measure(c, d+1)
-		}
-	}
-	measure(root, 1)
-
-	var clone func(n *Node, d int) *Node
-	clone = func(n *Node, d int) *Node {
-		out := &Node{Label: n.Label}
-		if len(n.Children) == 0 {
-			// Splice (maxDepth - d) chain nodes above the leaf.
-			leaf := &Node{Label: n.Label}
-			cur := leaf
-			for i := 0; i < maxDepth-d; i++ {
-				cur = &Node{Children: []*Node{cur}}
-			}
-			return cur
-		}
-		for _, c := range n.Children {
-			out.Children = append(out.Children, clone(c, d+1))
-		}
-		return out
-	}
-	return clone(root, 1)
 }

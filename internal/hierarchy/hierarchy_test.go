@@ -46,32 +46,6 @@ func TestBuildUnbalanced(t *testing.T) {
 	if _, err := Build(root); err == nil {
 		t.Fatal("Build accepted unbalanced tree")
 	}
-	// PadToUniformDepth must repair it.
-	h, err := Build(PadToUniformDepth(root))
-	if err != nil {
-		t.Fatalf("Build after padding: %v", err)
-	}
-	if h.Height() != 3 {
-		t.Fatalf("padded height = %d, want 3", h.Height())
-	}
-	if h.LeafCount() != 2 {
-		t.Fatalf("padded leaf count = %d, want 2", h.LeafCount())
-	}
-	// Leaf order and labels preserved.
-	if h.Leaves()[0].Label != "leaf-shallow" || h.Leaves()[1].Label != "leaf-deep" {
-		t.Fatalf("padding reordered leaves: %v, %v", h.Leaves()[0].Label, h.Leaves()[1].Label)
-	}
-}
-
-func TestPadAlreadyUniformIsNoop(t *testing.T) {
-	root := &Node{Label: "r", Children: []*Node{{Label: "a"}, {Label: "b"}}}
-	h, err := Build(PadToUniformDepth(root))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Height() != 2 || h.LeafCount() != 2 {
-		t.Fatalf("noop pad changed shape: h=%d leaves=%d", h.Height(), h.LeafCount())
-	}
 }
 
 func TestSingleLeaf(t *testing.T) {
@@ -98,9 +72,6 @@ func TestFigure3Shape(t *testing.T) {
 	}
 	if h.NodeCount() != 9 {
 		t.Errorf("nodes = %d, want 9 (1 root + 2 internal + 6 leaves)", h.NodeCount())
-	}
-	if h.InternalCount() != 3 {
-		t.Errorf("internal = %d, want 3", h.InternalCount())
 	}
 }
 
@@ -183,8 +154,8 @@ func TestFlat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Height() != 2 || h.LeafCount() != 5 || h.InternalCount() != 1 {
-		t.Fatalf("Flat(5): height=%d leaves=%d internal=%d", h.Height(), h.LeafCount(), h.InternalCount())
+	if h.Height() != 2 || h.LeafCount() != 5 || h.NodeCount() != 6 {
+		t.Fatalf("Flat(5): height=%d leaves=%d nodes=%d", h.Height(), h.LeafCount(), h.NodeCount())
 	}
 	if _, err := Flat(0); err == nil {
 		t.Error("Flat(0) should fail")
@@ -308,8 +279,8 @@ func TestIntervalContiguityQuick(t *testing.T) {
 	}
 }
 
-// Property: node count equals leaves + internals and leaves appear after
-// all internals in level order for complete trees.
+// Property: leaves appear after all internal nodes in level order for
+// complete trees.
 func TestLevelOrderStructureQuick(t *testing.T) {
 	f := func(f1Raw, f2Raw uint8) bool {
 		f1 := int(f1Raw%3) + 2
@@ -318,12 +289,10 @@ func TestLevelOrderStructureQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if h.NodeCount() != h.LeafCount()+h.InternalCount() {
-			return false
-		}
 		// In a complete tree the last LeafCount IDs are exactly the leaves.
+		internal := h.NodeCount() - h.LeafCount()
 		for i, n := range h.Nodes() {
-			wantLeaf := i >= h.InternalCount()
+			wantLeaf := i >= internal
 			if n.IsLeaf() != wantLeaf {
 				return false
 			}

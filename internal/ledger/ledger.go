@@ -139,9 +139,6 @@ type Charge struct {
 	refunded atomic.Bool
 }
 
-// Epsilon returns the ε the charge debited (after Unit quantization).
-func (c *Charge) Epsilon() float64 { return toEps(c.units) }
-
 // New builds a ledger. With cfg.Dir set it creates the directory if
 // needed and recovers every tenant state file in it; a corrupt state
 // file fails New outright — unlike a release spill file, a budget that

@@ -59,19 +59,14 @@ func (t *Transform) Forward(v []float64) ([]float64, error) {
 		return nil, fmt.Errorf("nominal: input length %d, want %d", len(v), t.InputSize())
 	}
 	out := make([]float64, t.OutputSize())
-	t.ForwardInto(v, out)
+	t.ForwardIntoScratch(v, out, make([]float64, t.OutputSize()))
 	return out, nil
 }
 
-// ForwardInto is Forward into a caller-provided slice of length
-// OutputSize. dst must not alias src.
-func (t *Transform) ForwardInto(src, dst []float64) {
-	t.ForwardIntoScratch(src, dst, make([]float64, t.OutputSize()))
-}
-
-// ForwardIntoScratch is ForwardInto with caller-provided scratch of
-// length ≥ OutputSize, so per-worker transform kernels allocate nothing
-// per call. scratch must alias neither src nor dst.
+// ForwardIntoScratch is Forward into a caller-provided slice of length
+// OutputSize, with caller-provided scratch of length ≥ OutputSize, so
+// per-worker transform kernels allocate nothing per call. scratch must
+// alias neither src nor dst, and dst must not alias src.
 func (t *Transform) ForwardIntoScratch(src, dst, scratch []float64) {
 	nodes := t.h.Nodes()
 	// leafSum per node, computable in one reverse level-order sweep
@@ -197,9 +192,3 @@ func (t *Transform) Weights() []float64 {
 func (t *Transform) GeneralizedSensitivity() float64 {
 	return float64(t.h.Height())
 }
-
-// QueryVarianceFactor returns Lemma 5's constant: with per-coefficient
-// noise variance at most (σ/W_Nom(c))² and mean subtraction applied, any
-// range-count query answered on the reconstruction has noise variance
-// less than 4σ².
-func (t *Transform) QueryVarianceFactor() float64 { return 4 }

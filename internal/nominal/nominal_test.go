@@ -67,11 +67,12 @@ func TestPaperExample3Reconstruction(t *testing.T) {
 }
 
 func TestOverCompleteness(t *testing.T) {
-	// §V-A: m' − m equals the number of internal nodes of H.
+	// §V-A: m' − m equals the number of internal nodes of H: Figure 3's
+	// root and its two groups.
 	tr := figure3(t)
-	if tr.OutputSize()-tr.InputSize() != tr.Hierarchy().InternalCount() {
-		t.Fatalf("over-completeness: out=%d in=%d internals=%d",
-			tr.OutputSize(), tr.InputSize(), tr.Hierarchy().InternalCount())
+	if tr.OutputSize()-tr.InputSize() != 3 {
+		t.Fatalf("over-completeness: out=%d in=%d, want 3 internal nodes",
+			tr.OutputSize(), tr.InputSize())
 	}
 }
 

@@ -18,7 +18,11 @@ import (
 // per-tenant budget through an in-memory ledger.
 func startBudgetServer(t *testing.T, budget float64) *httptest.Server {
 	t.Helper()
-	ts := httptest.NewServer(New(Config{Budget: budget}).Handler())
+	led, err := ledger.New(ledger.Config{DefaultBudget: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(Config{Ledger: led}).Handler())
 	t.Cleanup(ts.Close)
 	return ts
 }

@@ -114,35 +114,30 @@ func TestPublishMechanismPlusUnescaped(t *testing.T) {
 	}
 }
 
-// TestPublishBasicIgnoresSA pins HTTP compatibility: the pre-registry
-// server ignored sa for mechanism=basic, and it must keep doing so.
-func TestPublishBasicIgnoresSA(t *testing.T) {
-	ts := startServer(t)
-	sum := publish(t, ts, "schema="+histSchema+"&epsilon=1&seed=1&mechanism=basic&sa=Age", histCSV)
-	if sum.Mechanism != "basic" {
-		t.Fatalf("mechanism = %q", sum.Mechanism)
-	}
-}
-
 // TestPublishParamMismatchFailsBeforeIngest: an SA/mechanism mismatch is
 // a 400 whose body never had to be read (asserted indirectly: the
 // request body is a reader that fails on first read, and the handler
-// still produces the param error, not the read error).
+// still produces the param error, not the read error). basic is
+// rejected like privelet, as the library and the CLI reject it.
 func TestPublishParamMismatchFailsBeforeIngest(t *testing.T) {
 	st, err := store.New(store.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := New(Config{Store: st}).Handler()
-	req := httptest.NewRequest(http.MethodPost,
-		"/publish?schema="+histSchema+"&epsilon=1&mechanism=privelet&sa=Age", failingReader{})
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("status = %d, want 400", rec.Code)
-	}
-	if body := rec.Body.String(); !strings.Contains(body, "takes no SA") {
-		t.Fatalf("body %q should be the SA mismatch, not an ingest error", body)
+	for _, mech := range []string{"privelet", "basic"} {
+		t.Run(mech, func(t *testing.T) {
+			req := httptest.NewRequest(http.MethodPost,
+				"/publish?schema="+histSchema+"&epsilon=1&mechanism="+mech+"&sa=Age", failingReader{})
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			if rec.Code != http.StatusBadRequest {
+				t.Fatalf("status = %d, want 400", rec.Code)
+			}
+			if body := rec.Body.String(); !strings.Contains(body, "takes no SA") {
+				t.Fatalf("body %q should be the SA mismatch, not an ingest error", body)
+			}
+		})
 	}
 }
 
@@ -166,15 +161,6 @@ func TestPublishUnknownMechanism(t *testing.T) {
 	raw, _ := io.ReadAll(resp.Body)
 	if !strings.Contains(string(raw), "fourier") || !strings.Contains(string(raw), "privelet+") {
 		t.Fatalf("error body %q should name the offender and the registry", raw)
-	}
-}
-
-func TestDefaultMechanismConfig(t *testing.T) {
-	ts := httptest.NewServer(New(Config{DefaultMechanism: "basic"}).Handler())
-	t.Cleanup(ts.Close)
-	sum := publish(t, ts, "schema="+histSchema+"&epsilon=1&seed=1", histCSV)
-	if sum.Mechanism != "basic" {
-		t.Fatalf("mechanism = %q, want configured default basic", sum.Mechanism)
 	}
 }
 

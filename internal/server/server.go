@@ -128,22 +128,15 @@ type Config struct {
 	// competing for every core while a single-tenant box keeps the
 	// default.
 	Parallelism int
-	// DefaultMechanism is the registry mechanism used when a publish
-	// request omits the mechanism parameter; empty means "privelet+".
-	// It must name a registered mechanism (see privelet.Mechanisms).
-	DefaultMechanism string
 	// Store holds the releases. nil means an unbounded in-memory store;
 	// inject a spillable one (store.Config{Dir, MaxResident}) to bound
 	// memory and survive restarts.
 	Store *store.Store
 	// Ledger gates the tenant publish endpoint. nil means an in-memory
-	// ledger with Budget as the per-tenant default; inject a durable one
-	// (ledger.Config{Dir}) so refusals survive restarts.
+	// ledger with unlimited budgets (spend is tracked, never refused);
+	// inject one with a default budget, and a Dir so refusals survive
+	// restarts.
 	Ledger *ledger.Ledger
-	// Budget is the default per-tenant ε budget for the implicit ledger
-	// built when Ledger is nil; ≤ 0 means unlimited (spend is tracked,
-	// never refused). Ignored when Ledger is set.
-	Budget float64
 	// NodeName identifies this daemon in a cluster: it is stamped on
 	// /stats (so aggregated fleet stats are attributable per node) and
 	// echoed by /readyz. Empty means the OS hostname.
@@ -161,7 +154,6 @@ type Server struct {
 	ledger      *ledger.Ledger
 	maxBody     int64
 	parallelism int
-	defaultMech string
 	// nodeName/started/version identify this daemon instance on /stats
 	// and /readyz — the attribution a cluster's aggregated stats need.
 	nodeName string
@@ -173,20 +165,15 @@ type Server struct {
 	nextID atomic.Int64
 }
 
+// defaultMechanism is the registry mechanism a publish request that
+// omits the mechanism parameter gets.
+const defaultMechanism = "privelet+"
+
 // New returns a server over cfg.Store (or a fresh unbounded in-memory
-// store when nil). A non-empty cfg.DefaultMechanism that is not
-// registered panics — like http.ServeMux on a bad pattern, a
-// construction-time misconfiguration should fail at startup, not as a
-// 400 on every publish request.
+// store when nil).
 func New(cfg Config) *Server {
 	if cfg.MaxBody <= 0 {
 		cfg.MaxBody = 64 << 20
-	}
-	if cfg.DefaultMechanism == "" {
-		cfg.DefaultMechanism = "privelet+"
-	}
-	if _, err := privelet.MechanismByName(cfg.DefaultMechanism); err != nil {
-		panic(fmt.Sprintf("server: bad Config.DefaultMechanism: %v", err))
 	}
 	st := cfg.Store
 	if st == nil {
@@ -199,10 +186,8 @@ func New(cfg Config) *Server {
 	}
 	led := cfg.Ledger
 	if led == nil {
-		var err error
-		if led, err = ledger.New(ledger.Config{DefaultBudget: cfg.Budget}); err != nil {
-			panic(fmt.Sprintf("server: bad Config.Budget: %v", err))
-		}
+		// The ledger config without a Dir cannot fail.
+		led, _ = ledger.New(ledger.Config{})
 	}
 	name := cfg.NodeName
 	if name == "" {
@@ -210,8 +195,7 @@ func New(cfg Config) *Server {
 	}
 	s := &Server{
 		store: st, ledger: led, maxBody: cfg.MaxBody, parallelism: cfg.Parallelism,
-		defaultMech: cfg.DefaultMechanism,
-		nodeName:    name, started: time.Now(), version: buildVersion(),
+		nodeName: name, started: time.Now(), version: buildVersion(),
 		cluster: cfg.Cluster,
 	}
 	for _, stub := range st.List() {
@@ -293,7 +277,7 @@ func (s *Server) handleReplicate(w http.ResponseWriter, req *http.Request) {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	err := s.store.Ingest(id, http.MaxBytesReader(w, req.Body, s.maxBody), s.parallelism)
+	err := s.store.Ingest(id, http.MaxBytesReader(w, req.Body, s.maxBody))
 	switch {
 	case errors.Is(err, store.ErrDuplicate):
 		writeJSON(w, http.StatusOK, map[string]string{"id": id, "status": "already_present"})
@@ -409,18 +393,12 @@ func (s *Server) parsePublish(w http.ResponseWriter, req *http.Request) (publish
 	// intuitive spelling (properly-encoded %2B is unaffected).
 	mechName := strings.ReplaceAll(qp.Get("mechanism"), " ", "+")
 	if mechName == "" {
-		mechName = s.defaultMech
+		mechName = defaultMechanism
 	}
 	mech, err := privelet.MechanismByName(mechName)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return publishSpec{}, false
-	}
-	// Compatibility: the pre-registry server ignored sa for the basic
-	// mechanism (it pinned SA = all attributes itself), so existing
-	// clients may still send both; keep ignoring it rather than 400.
-	if mechName == "basic" {
-		sa = nil
 	}
 	par, err := s.workerBudget(qp)
 	if err != nil {
@@ -752,7 +730,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, req *http.Request) {
 func (s *Server) handleMechanisms(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"mechanisms": privelet.Mechanisms(),
-		"default":    s.defaultMech,
+		"default":    defaultMechanism,
 	})
 }
 

@@ -13,14 +13,16 @@ import (
 
 // TestClusterIngestRoundTrip: a release shipped to a replica as codec
 // bytes answers every probe bit-identically to the original, and
-// re-shipping it is the idempotent ErrDuplicate, not corruption.
+// re-shipping it is the idempotent ErrDuplicate, not corruption. The
+// publisher's parallelism does not travel with the bytes: the copy
+// reports 0 workers.
 func TestClusterIngestRoundTrip(t *testing.T) {
 	p := testPayload(t, 42)
 	src, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := src.Put("r1", p, 0); err != nil {
+	if err := src.Put("r1", p, 3); err != nil {
 		t.Fatal(err)
 	}
 	var wire bytes.Buffer
@@ -33,8 +35,11 @@ func TestClusterIngestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dst.Ingest("r1", bytes.NewReader(raw), 0); err != nil {
+	if err := dst.Ingest("r1", bytes.NewReader(raw)); err != nil {
 		t.Fatal(err)
+	}
+	if stub, err := dst.Describe("r1"); err != nil || stub.Workers != 0 {
+		t.Fatalf("ingested copy: Describe = %+v, %v; want Workers 0", stub, err)
 	}
 	orig, err := src.Get("r1")
 	if err != nil {
@@ -54,18 +59,18 @@ func TestClusterIngestRoundTrip(t *testing.T) {
 
 	// A replayed replication PUT must be a no-op, surfaced as the
 	// typed duplicate error.
-	if err := dst.Ingest("r1", bytes.NewReader(raw), 0); !errors.Is(err, ErrDuplicate) {
+	if err := dst.Ingest("r1", bytes.NewReader(raw)); !errors.Is(err, ErrDuplicate) {
 		t.Fatalf("duplicate ingest: err = %v, want ErrDuplicate", err)
 	}
 	// Garbage bytes must not register a release.
-	if err := dst.Ingest("r2", bytes.NewReader([]byte("not a release")), 0); err == nil {
+	if err := dst.Ingest("r2", bytes.NewReader([]byte("not a release"))); err == nil {
 		t.Fatal("garbage ingest must fail")
 	}
 	if _, err := dst.Describe("r2"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("failed ingest left a release behind: %v", err)
 	}
 	// Invalid IDs are rejected before any decoding happens.
-	if err := dst.Ingest("", bytes.NewReader(raw), 0); err == nil {
+	if err := dst.Ingest("", bytes.NewReader(raw)); err == nil {
 		t.Fatal("empty ID must be rejected")
 	}
 }

@@ -51,17 +51,19 @@ func DecodeRelease(r io.Reader) (*codec.Payload, error) {
 // table build is deterministic, so adopted and rebuilt tables agree
 // float64-exactly). Format-v1 bytes (a pre-v2 publisher) and v2 bytes
 // whose table section fails its checksum in transit fall back to the
-// rebuild path, counted in the rebuilds stat. workers bounds that
-// rebuild like Config.Parallelism does for reloads. A taken ID returns
-// an error wrapping ErrDuplicate (releases are immutable, so
-// re-pushing an existing replica is a no-op the caller may treat as
-// success). A tombstoned ID returns an error wrapping ErrDeleted: the
-// release was deliberately removed here, and replication must not
-// resurrect it — the pusher should delete its own copy instead (only
-// an explicit Put, i.e. a fresh publish reusing the ID, clears the
-// tombstone). The tombstone is checked when the ID is claimed, after
-// the decode, so a Remove that lands mid-decode still wins.
-func (s *Store) Ingest(id string, r io.Reader, workers int) error {
+// rebuild path, counted in the rebuilds stat; like every evaluator
+// build it runs on Config.Parallelism workers. The ingested copy's
+// Workers reads 0, as a recovered release's does: the publisher's
+// parallelism does not travel with the bytes. A taken ID returns an
+// error wrapping ErrDuplicate (releases are immutable, so re-pushing
+// an existing replica is a no-op the caller may treat as success). A
+// tombstoned ID returns an error wrapping ErrDeleted: the release was
+// deliberately removed here, and replication must not resurrect it —
+// the pusher should delete its own copy instead (only an explicit Put,
+// i.e. a fresh publish reusing the ID, clears the tombstone). The
+// tombstone is checked when the ID is claimed, after the decode, so a
+// Remove that lands mid-decode still wins.
+func (s *Store) Ingest(id string, r io.Reader) error {
 	if err := validateID(id); err != nil {
 		return err
 	}
@@ -75,5 +77,5 @@ func (s *Store) Ingest(id string, r io.Reader, workers int) error {
 	if p.Table == nil {
 		s.rebuilds.Add(1)
 	}
-	return s.put(id, p, workers, true)
+	return s.put(id, p, 0, true)
 }

@@ -125,7 +125,7 @@ func TestMMapReloadEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := heap.Ingest("main", bytes.NewReader(spilled), workers); err != nil {
+			if err := heap.Ingest("main", bytes.NewReader(spilled)); err != nil {
 				t.Fatal(err)
 			}
 			qrnd := rand.New(rand.NewSource(seed ^ 0x5a5a))
@@ -257,7 +257,7 @@ func TestSpillCorruptionFallsBackToRebuild(t *testing.T) {
 							t.Fatal(err)
 						}
 						base = 0
-						if err := from.Ingest("x", bytes.NewReader(damaged), 1); err != nil {
+						if err := from.Ingest("x", bytes.NewReader(damaged)); err != nil {
 							t.Fatalf("ingesting %s bytes: %v", d.name, err)
 						}
 					} else {
@@ -414,7 +414,7 @@ func TestIngestVersions(t *testing.T) {
 		{"from-corrupt", corrupt, 2},
 	}
 	for _, c := range cases {
-		if err := s.Ingest(c.id, bytes.NewReader(c.raw), 2); err != nil {
+		if err := s.Ingest(c.id, bytes.NewReader(c.raw)); err != nil {
 			t.Fatalf("Ingest(%s): %v", c.id, err)
 		}
 		if got := s.Stats().Rebuilds; got != c.rebuilds {
@@ -482,7 +482,7 @@ func TestResidencyAccounting(t *testing.T) {
 					t.Fatal(err)
 				}
 				id = "c"
-				if err := s.Ingest(id, bytes.NewReader(raw), 1); err != nil {
+				if err := s.Ingest(id, bytes.NewReader(raw)); err != nil {
 					t.Fatal(err) // evicts b
 				}
 			} else {

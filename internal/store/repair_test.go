@@ -66,7 +66,7 @@ func TestRepairTombstoneLifecycle(t *testing.T) {
 	}
 
 	// Replication must not resurrect the deleted release.
-	err = s.Ingest("r1", bytes.NewReader(wire), 0)
+	err = s.Ingest("r1", bytes.NewReader(wire))
 	if !errors.Is(err, ErrDeleted) {
 		t.Fatalf("Ingest of tombstoned ID: err = %v, want ErrDeleted", err)
 	}
@@ -85,7 +85,7 @@ func TestRepairTombstoneLifecycle(t *testing.T) {
 		t.Fatalf("tombstone marker survived Put: %v", err)
 	}
 	// And replication of the reborn release works again under other IDs.
-	if err := s.Ingest("r2", bytes.NewReader(wire), 0); err != nil {
+	if err := s.Ingest("r2", bytes.NewReader(wire)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -128,7 +128,7 @@ func TestRepairTombstoneSurvivesRestart(t *testing.T) {
 	if _, err := os.Stat(stranded); !os.IsNotExist(err) {
 		t.Fatal("recovery left the stranded tombstone tmp file")
 	}
-	if err := re.Ingest("gone1", bytes.NewReader(wire), 0); !errors.Is(err, ErrDeleted) {
+	if err := re.Ingest("gone1", bytes.NewReader(wire)); !errors.Is(err, ErrDeleted) {
 		t.Fatalf("post-restart Ingest of tombstoned ID: err = %v, want ErrDeleted", err)
 	}
 }
@@ -167,7 +167,7 @@ func TestRepairIngestRacingRemove(t *testing.T) {
 	if err := s.Put("r1", p, 0); err != nil {
 		t.Fatal(err)
 	}
-	err = s.Ingest("r1", &removeOnRead{s: s, id: "r1", r: bytes.NewReader(wire)}, 0)
+	err = s.Ingest("r1", &removeOnRead{s: s, id: "r1", r: bytes.NewReader(wire)})
 	if !errors.Is(err, ErrDeleted) {
 		t.Fatalf("Ingest racing Remove: err = %v, want ErrDeleted", err)
 	}
@@ -238,7 +238,7 @@ func TestRepairIngestCrashSafety(t *testing.T) {
 
 	// Fault 1: the payload dies mid-wire (a truncated replication push).
 	// Decode fails before any file I/O; nothing may exist afterwards.
-	if err := s.Ingest("c1", bytes.NewReader(wire[:len(wire)/2]), 0); err == nil {
+	if err := s.Ingest("c1", bytes.NewReader(wire[:len(wire)/2])); err == nil {
 		t.Fatal("truncated ingest succeeded")
 	}
 	assertNoSpillState(t, dir, "c1")
@@ -251,7 +251,7 @@ func TestRepairIngestCrashSafety(t *testing.T) {
 	if err := os.Mkdir(tmpBlock, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Ingest("c1", bytes.NewReader(wire), 0); err == nil {
+	if err := s.Ingest("c1", bytes.NewReader(wire)); err == nil {
 		t.Fatal("ingest succeeded despite spill write failure")
 	}
 	if _, err := s.Get("c1"); !errors.Is(err, ErrNotFound) {
@@ -265,7 +265,7 @@ func TestRepairIngestCrashSafety(t *testing.T) {
 	}
 
 	// The retry (same ID, same bytes) succeeds and answers queries.
-	if err := s.Ingest("c1", bytes.NewReader(wire), 0); err != nil {
+	if err := s.Ingest("c1", bytes.NewReader(wire)); err != nil {
 		t.Fatalf("retry after write failure: %v", err)
 	}
 	rel, err := s.Get("c1")

@@ -66,7 +66,7 @@ import (
 )
 
 // DefaultAnswerCache is the per-release answer-cache entry bound the
-// daemon defaults to (priveletd -answer-cache). 64Ki entries ≈ a few
+// daemon runs with (cmd/priveletd). 64Ki entries ≈ a few
 // MiB per hot release (key string + LRU node per entry) — room for 64Ki
 // distinct /count queries, small next to the matrices the resident
 // budget already accounts for.
@@ -155,8 +155,8 @@ type Release struct {
 	// release reusing the ID — that Put builds a fresh cache).
 	Cache *query.AnswerCache
 	// Workers is the publish-time parallelism — operational metadata
-	// only (it never affects release values) and not persisted: after a
-	// restart recovers a release from disk it reads 0.
+	// only (it never affects release values) and not persisted: a
+	// release recovered from disk or ingested as a replica reads 0.
 	Workers int
 }
 

@@ -157,10 +157,6 @@ func (t *HN) CoeffDims() []int {
 	return out
 }
 
-// PaddedSize returns the padded domain size of dimension i (the m_i the
-// privacy formulas use).
-func (t *HN) PaddedSize(i int) int { return t.dims[i].padded }
-
 // Exec carries the execution resources of a transform pass through the
 // parallel publish engine.
 type Exec struct {
@@ -418,29 +414,11 @@ func (t *HN) GeneralizedSensitivity() float64 {
 	return p
 }
 
-// QueryVarianceFactor returns Theorem 3's factor ∏H(A_i): with noise of
-// variance at most (σ/W_HN(c))² per coefficient, every range-count query
-// on the reconstruction has noise variance at most σ²·∏H(A_i).
-func (t *HN) QueryVarianceFactor() float64 {
-	hprod := 1.0
-	for _, d := range t.dims {
-		hprod *= t.dimH(d)
-	}
-	return hprod
-}
-
 func (t *HN) dimP(d dim) float64 {
 	if d.spec.Kind == KindOrdinal {
 		return haar.GeneralizedSensitivity(d.padded)
 	}
 	return d.nom.GeneralizedSensitivity()
-}
-
-func (t *HN) dimH(d dim) float64 {
-	if d.spec.Kind == KindOrdinal {
-		return haar.QueryVarianceFactor(d.padded)
-	}
-	return d.nom.QueryVarianceFactor()
 }
 
 func (t *HN) checkInput(m *matrix.Matrix) error {

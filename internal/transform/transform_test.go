@@ -125,9 +125,6 @@ func TestShapes(t *testing.T) {
 	if got := hn.CoeffDims(); got[0] != 8 || got[1] != 9 {
 		t.Errorf("CoeffDims = %v, want [8 9]", got)
 	}
-	if hn.PaddedSize(0) != 8 || hn.PaddedSize(1) != 6 {
-		t.Errorf("PaddedSize = %d, %d, want 8, 6", hn.PaddedSize(0), hn.PaddedSize(1))
-	}
 	if hn.NumDims() != 2 {
 		t.Errorf("NumDims = %d", hn.NumDims())
 	}
@@ -253,24 +250,6 @@ func TestGeneralizedSensitivityFormula(t *testing.T) {
 	}
 }
 
-func TestQueryVarianceFactorFormula(t *testing.T) {
-	h := fig3Hierarchy(t)
-	cases := []struct {
-		hn   *HN
-		want float64
-	}{
-		{mustHN(t, Ordinal(8)), 2.5},             // (2+3)/2
-		{mustHN(t, Nominal(h)), 4},               // nominal constant
-		{mustHN(t, Ordinal(8), Nominal(h)), 10},  // 2.5·4
-		{mustHN(t, Ordinal(16), Ordinal(16)), 9}, // 3·3
-	}
-	for i, c := range cases {
-		if got := c.hn.QueryVarianceFactor(); got != c.want {
-			t.Errorf("case %d: H factor = %v, want %v", i, got, c.want)
-		}
-	}
-}
-
 // TestGeneralizedSensitivityEmpirical verifies Theorem 2 with equality:
 // for power-of-two ordinal dims and chain-free hierarchies, a single-entry
 // change of magnitude δ moves the weighted coefficient L1 by exactly
@@ -373,7 +352,9 @@ func TestTheorem3VarianceBound(t *testing.T) {
 	h := fig3Hierarchy(t)
 	hn := mustHN(t, Ordinal(4), Nominal(h))
 	sigma := 1.0
-	bound := hn.QueryVarianceFactor() * sigma * sigma
+	// Theorem 3: σ²·∏H(A_i), with H = (2+log₂ m)/2 for the ordinal
+	// dimension (m = 4) and Lemma 5's 4 for the nominal one.
+	bound := (2 + 2) / 2.0 * 4 * sigma * sigma
 
 	r := rng.New(2024)
 	const trials = 3000

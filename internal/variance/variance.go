@@ -127,9 +127,6 @@ func NewAnalyzer(schema *dataset.Schema, epsilon float64, sa []string) (*Analyze
 	return a, nil
 }
 
-// Lambda returns the base noise parameter λ of the analyzed release.
-func (a *Analyzer) Lambda() float64 { return a.lambda }
-
 // QueryVariance returns the exact noise variance of the query's answer
 // when evaluated on a release with this analyzer's configuration.
 func (a *Analyzer) QueryVariance(q query.Query) (float64, error) {

@@ -233,8 +233,8 @@ func TestAnalyzerValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if an.Lambda() != 2*3 { // rho = 1+log2(4) = 3
-		t.Errorf("Lambda = %v, want 6", an.Lambda())
+	if an.lambda != 2*3 { // rho = 1+log2(4) = 3
+		t.Errorf("lambda = %v, want 6", an.lambda)
 	}
 	// Mismatched query (built on a different schema).
 	other := dataset.MustSchema(dataset.OrdinalAttr("X", 4), dataset.OrdinalAttr("Y", 4))
