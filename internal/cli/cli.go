@@ -128,7 +128,7 @@ func ReadRows(schema *dataset.Schema, r io.Reader, sink func(vals ...int) error)
 		for i := range vals {
 			var f []byte
 			f, text, _ = bytes.Cut(text, comma)
-			v, err := atoi(f)
+			v, err := dataset.Atoi(f)
 			if err != nil {
 				return fmt.Errorf("cli: line %d field %d: %w", line, i+1, err)
 			}
@@ -142,22 +142,6 @@ func ReadRows(schema *dataset.Schema, r io.Reader, sink func(vals ...int) error)
 }
 
 var comma = []byte{','}
-
-// atoi parses a field as strconv.Atoi parses it trimmed, reading up to
-// 18 ASCII digits (9 for a 32-bit int: no overflow) in place.
-func atoi(f []byte) (int, error) {
-	v := 0
-	for i, c := range f {
-		if c < '0' || c > '9' || i == strconv.IntSize*9/32 {
-			return strconv.Atoi(string(bytes.TrimSpace(f)))
-		}
-		v = v*10 + int(c-'0')
-	}
-	if len(f) == 0 {
-		return strconv.Atoi("")
-	}
-	return v, nil
-}
 
 // WriteTableCSV emits the table as a headerless integer CSV, the inverse
 // of ReadRows.

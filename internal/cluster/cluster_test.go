@@ -101,6 +101,9 @@ func (s *stallWriter) Write(p []byte) (int, error) {
 	return s.ResponseWriter.Write(p)
 }
 
+// Unwrap lets http.ResponseController reach the node's own writer.
+func (s *stallWriter) Unwrap() http.ResponseWriter { return s.ResponseWriter }
+
 func (s *stallWriter) Flush() {
 	s.flushed = true
 	if f, ok := s.ResponseWriter.(http.Flusher); ok {

@@ -12,7 +12,9 @@
 package dataset
 
 import (
+	"bytes"
 	"fmt"
+	"strconv"
 
 	"repro/internal/hierarchy"
 	"repro/internal/matrix"
@@ -260,4 +262,27 @@ func (t *Table) FrequencyMatrix() (*matrix.Matrix, error) {
 		data[off]++
 	}
 	return m, nil
+}
+
+// Digits reads the run of ASCII digits that starts at b[from] in
+// place, and returns its value and the index after it. ok is false if
+// the run is empty or longer than 18 digits (9 for a 32-bit int), where
+// the value could overflow.
+func Digits(b []byte, from int) (v, end int, ok bool) {
+	for end = from; end < len(b) && '0' <= b[end] && b[end] <= '9'; end++ {
+		v = v*10 + int(b[end]-'0')
+	}
+	return v, end, end > from && end-from <= strconv.IntSize*9/32
+}
+
+// Atoi parses a domain value, a CSV field or a query bound, as
+// strconv.Atoi parses b with the space around it trimmed. A field that
+// Digits reads whole is read in place, without an allocation; anything
+// else goes through strconv.Atoi, so signs, leading zeros, overflow and
+// the error are strconv's.
+func Atoi(b []byte) (int, error) {
+	if v, end, ok := Digits(b, 0); ok && end == len(b) {
+		return v, nil
+	}
+	return strconv.Atoi(string(bytes.TrimSpace(b)))
 }

@@ -1,6 +1,9 @@
 package dataset
 
 import (
+	"fmt"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/hierarchy"
@@ -386,4 +389,21 @@ func TestMustSchemaPanics(t *testing.T) {
 		}
 	}()
 	MustSchema()
+}
+
+// TestAtoi: Atoi reads what strconv.Atoi reads from the trimmed bytes,
+// with the same value or the same error, on both sides of its 18-digit
+// in-place limit.
+func TestAtoi(t *testing.T) {
+	for _, in := range []string{
+		"", " ", "0", "7", "007", "+5", "-0", "-12", " 12 ", "\t3", "\u00a04\u2003",
+		"123456789012345678", "000000000000000001", "1234567890123456789",
+		"9223372036854775807", "9223372036854775808", "1_0", "0x1", "1 2", "1.", "١",
+	} {
+		got, gerr := Atoi([]byte(in))
+		want, werr := strconv.Atoi(strings.TrimSpace(in))
+		if got != want || fmt.Sprint(gerr) != fmt.Sprint(werr) {
+			t.Errorf("Atoi(%q) = %d, %v; want %d, %v", in, got, gerr, want, werr)
+		}
+	}
 }

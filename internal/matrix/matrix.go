@@ -12,13 +12,15 @@
 //     forms by fixing coordinates on the SA dimensions (Figure 5, steps 2
 //     and 7);
 //   - PrefixSumExec/RangeSum turn the matrix into a summed-area table so
-//     a range-count query is answered with 2^d lookups instead of a scan.
+//     a range-count query is answered with at most 2^d lookups instead
+//     of a scan.
 package matrix
 
 import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Matrix is a dense d-dimensional array of float64. The zero value is not
@@ -343,38 +345,50 @@ func (m *Matrix) walkSub(freeDims []int, baseOff int, visit func(srcOff, dstOff,
 // RangeSum evaluates the sum of the original entries inside the
 // inclusive hyper-rectangle [lo, hi] of a matrix previously transformed by
 // PrefixSumExec, using inclusion-exclusion over the 2^d corners.
+//
+// Bit i of a corner's mask picks lo[i]-1 over hi[i] in dimension i; the
+// corners are added in increasing mask order, each negated when its mask
+// has an odd bit count. A corner on a lo[i] = 0 face lies outside the
+// table and adds nothing, so the walk visits only the masks over the k
+// dimensions with lo[i] > 0, in the same order: from one mask to the
+// next the offset moves by adj[t], t = TrailingZeros(mask), one add per
+// corner. The sum therefore has the terms and the order of the plain
+// loop over all 2^d masks, and matches it bit for bit on any table
+// without NaN entries. It allocates nothing.
 func (m *Matrix) RangeSum(lo, hi []int) (float64, error) {
 	d := len(m.dims)
 	if len(lo) != d || len(hi) != d {
 		return 0, fmt.Errorf("matrix: RangeSum bounds dimensionality mismatch")
 	}
+	// A dimension with lo > 0 has at least two entries, so 2^k entries
+	// fit in m.data and k < bits.UintSize-1.
+	var adj [bits.UintSize - 1]int
+	off, k, lower := 0, 0, 0
 	for i := 0; i < d; i++ {
 		if lo[i] < 0 || hi[i] >= m.dims[i] || lo[i] > hi[i] {
 			return 0, fmt.Errorf("matrix: RangeSum bounds [%d,%d] invalid for dimension %d of size %d",
 				lo[i], hi[i], i, m.dims[i])
 		}
+		off += hi[i] * m.strides[i]
+		if lo[i] > 0 {
+			// Setting bit k moves dimension i from hi[i] to lo[i]-1,
+			// and clearing the bits below it moves theirs back.
+			delta := (lo[i] - 1 - hi[i]) * m.strides[i]
+			adj[k] = delta - lower
+			lower += delta
+			k++
+		}
 	}
+	// Start from 0 and add, as the plain loop does: 0 + -0 is +0.
 	total := 0.0
-	for mask := 0; mask < 1<<d; mask++ {
-		off := 0
-		sign := 1.0
-		skip := false
-		for i := 0; i < d; i++ {
-			if mask&(1<<i) != 0 {
-				if lo[i] == 0 {
-					skip = true // the lo-1 face is outside the table: term is 0
-					break
-				}
-				off += (lo[i] - 1) * m.strides[i]
-				sign = -sign
-			} else {
-				off += hi[i] * m.strides[i]
-			}
+	total += m.data[off]
+	for mask := 1; mask < 1<<k; mask++ {
+		off += adj[bits.TrailingZeros(uint(mask))]
+		v := m.data[off]
+		if bits.OnesCount(uint(mask))&1 != 0 {
+			v = -v
 		}
-		if skip {
-			continue
-		}
-		total += sign * m.data[off]
+		total += v
 	}
 	return total, nil
 }

@@ -49,6 +49,14 @@ func FuzzQueryParse(f *testing.F) {
 		"Age=0..3,Age=4..5", "Age=-1..2", "Occ=#-2..-1", "Occ=#1,Occ=@g1",
 		// Spellings the reference accepts and the byte parser must too.
 		"Age=+5..007", "Age=\u00a01..2\u2003", "Occ=# 1..2", "Occ=# 1",
+		// The edges of the in-place digit reader: 18- and 19-digit
+		// runs, overflow, stray dots, empty bounds, and bytes only
+		// strconv.Atoi can judge.
+		"Age=000000000000000001..000000000000000002",
+		"Age=0000000000000000001..0000000000000000002",
+		"Age=123456789012345678..1", "Age=1234567890123456789..1",
+		"Age=9223372036854775808..1", "Age=1...3", "Age=1..2..3",
+		"Occ=#1..", "Age=..3", "Age=0x1..2", "Age=1_0..2", "Age=1 ..2",
 	} {
 		f.Add(seed)
 	}

@@ -1,0 +1,48 @@
+package query_test
+
+import (
+	"testing"
+
+	"repro/internal/dataset"
+	"repro/internal/query"
+)
+
+// TestParseAllocs bounds the one-off Parse that every GET /count runs:
+// the spec's bytes and one query's bounds and flags, three allocations
+// for a census spec, however the parser reads it.
+func TestParseAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation accounting")
+	}
+	schema, err := dataset.BrazilSpec(dataset.ScaleSmall).Schema()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const spec = "Age=28..46,Gender=#1..1,Occupation=#55..55,Income=18..40"
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := query.Parse(schema, spec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 3 {
+		t.Fatalf("Parse(%q) allocated %v times, want at most 3", spec, allocs)
+	}
+}
+
+// TestParseTrimsNames: a clause's name is trimmed before the lookup, so
+// an attribute whose own name has an edge space matches no spelling of
+// it, not even the exact one.
+func TestParseTrimsNames(t *testing.T) {
+	schema := dataset.MustSchema(
+		dataset.OrdinalAttr("Age ", 10),
+		dataset.OrdinalAttr(" Inc", 10),
+	)
+	for _, spec := range []string{"Age =1..2", " Inc=1..2"} {
+		if _, err := query.Parse(schema, spec); err == nil {
+			t.Errorf("Parse(%q) = nil error, want no attribute named", spec)
+		}
+		if _, err := query.ReferenceParse(schema, spec); err == nil {
+			t.Errorf("ReferenceParse(%q) = nil error, want no attribute named", spec)
+		}
+	}
+}

@@ -27,9 +27,10 @@ import (
 )
 
 // batchCancelCheck is roughly how many queries a batch worker answers
-// between context checks: one Count costs 2^d table lookups (well under
-// a microsecond), so a ~thousand-query granule keeps the check free
-// while a cancelled 40k-query batch still stops within a millisecond.
+// between context checks: one Count costs at most 2^d table lookups
+// (well under a microsecond), so a ~thousand-query granule keeps the
+// check free while a cancelled 40k-query batch still stops within a
+// millisecond.
 const batchCancelCheck = 1024
 
 // DefaultStreamChunk is the answer-chunk size of Batch.ExecuteStream

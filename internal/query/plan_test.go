@@ -30,43 +30,60 @@ func planSchema(t *testing.T) *dataset.Schema {
 	)
 }
 
+// TestParseGrammar checks which specs parse and pins the message of
+// each rejection, one or more specs per kind: the wording is part of
+// the contract, since a 400 carries it to the client.
 func TestParseGrammar(t *testing.T) {
 	s := planSchema(t)
 	cases := []struct {
-		raw     string
-		wantErr bool
+		raw string
+		err string // the whole message; empty if raw parses
 	}{
-		{"", false},
-		{"*", false},
-		{" * ", false},
-		{"Age=0..9", false},
-		{"Age = 2 .. 5 , Occ=@g1", false},
-		{"Occ=#3", false},
-		{"Occ=#3..5", false},
-		{",,", false},       // empty clauses skipped
-		{"Age=#2..4", true}, // both '#' forms are nominal-only
-		{"Age", true},
-		{"Age=5", true},
-		{"Age=a..b", true},
-		{"Age=1..x", true},
-		{"Age=#1..x", true},
-		{"Age=9..1", true}, // inverted
-		{"Occ=#x", true},
-		{"Occ=#5..3", true}, // inverted leaf interval
-		{"Occ=#0..9", true}, // out of domain
-		{"Occ=@ghost", true},
-		{"Occ=1..3", true}, // ordinal range on a nominal attribute
-		{"Ghost=1..2", true},
-		{"Ghost=#1..2", true},
+		{"", ""},
+		{"*", ""},
+		{" * ", ""},
+		{"Age=0..9", ""},
+		{"Age = 2 .. 5 , Occ=@g1", ""},
+		{"Occ=#3", ""},
+		{"Occ=#3..5", ""},
+		{",,", ""}, // empty clauses skipped
+		{"Age", `query: predicate "Age": want Attr=spec: invalid query`},
+		{" Age , Occ=#1", `query: predicate "Age": want Attr=spec: invalid query`},
+		{"Ghost=1..2", `query: predicate "Ghost=1..2": no attribute named "Ghost": invalid query`},
+		{"Ghost=#1..2", `query: predicate "Ghost=#1..2": no attribute named "Ghost": invalid query`},
 		// Predicates are conjunctive (§II-A): a second predicate on one
 		// attribute would silently replace the first, so it is rejected.
-		{"Age=0..3,Age=4..5", true},
-		{"Occ=#1,Occ=@g1", true},
+		{"Age=0..3,Age=4..5", `query: predicate "Age=4..5": attribute "Age" already constrained: invalid query`},
+		{"Occ=#1,Occ=@g1", `query: predicate "Occ=@g1": attribute "Occ" already constrained: invalid query`},
+		{"Age=a..b", `query: predicate "Age=a..b": bad lo: strconv.Atoi: parsing "a": invalid syntax: invalid query`},
+		{"Age=1..x", `query: predicate "Age=1..x": bad hi: strconv.Atoi: parsing "x": invalid syntax: invalid query`},
+		{"Age=9223372036854775808..1", `query: predicate "Age=9223372036854775808..1": bad lo: strconv.Atoi: parsing "9223372036854775808": value out of range: invalid query`},
+		{"Age=1...3", `query: predicate "Age=1...3": bad hi: strconv.Atoi: parsing ".3": invalid syntax: invalid query`},
+		{"Occ=#x", `query: predicate "Occ=#x": bad leaf: strconv.Atoi: parsing "x": invalid syntax: invalid query`},
+		{"Occ=# 1", `query: predicate "Occ=# 1": bad leaf: strconv.Atoi: parsing " 1": invalid syntax: invalid query`},
+		{"Age=@g1", `query: predicate "Age=@g1": @node on non-nominal attribute "Age" (use lo..hi): invalid query`},
+		// Both '#' forms are nominal-only.
+		{"Age=#1", `query: predicate "Age=#1": leaf on non-nominal attribute "Age" (use lo..hi): invalid query`},
+		{"Age=#2..4", `query: predicate "Age=#2..4": leaf on non-nominal attribute "Age" (use lo..hi): invalid query`},
+		{"Age=#1..x", `query: predicate "Age=#1..x": leaf on non-nominal attribute "Age" (use lo..hi): invalid query`},
+		{"Occ=1..3", `query: predicate "Occ=1..3": lo..hi on non-ordinal attribute "Occ" (use @node, #leaf or #lo..hi): invalid query`},
+		{"Age=5", `query: predicate "Age=5": want lo..hi, @node, #leaf or #lo..hi: invalid query`},
+		{"Age=9..1", `query: interval [9,1] invalid for attribute "Age" of size 10: invalid query`},
+		{"Age=0..10", `query: interval [0,10] invalid for attribute "Age" of size 10: invalid query`},
+		{"Age=123456789012345678..1", `query: interval [123456789012345678,1] invalid for attribute "Age" of size 10: invalid query`},
+		{"Occ=#5..3", `query: interval [5,3] invalid for attribute "Occ" of size 6: invalid query`},
+		{"Occ=#0..9", `query: interval [0,9] invalid for attribute "Occ" of size 6: invalid query`},
+		{"Occ=#-1", `query: interval [-1,-1] invalid for attribute "Occ" of size 6: invalid query`},
+		{"Occ=@ghost", `query: attribute "Occ" has no hierarchy node "ghost": invalid query`},
 	}
 	for _, tc := range cases {
 		_, err := query.Parse(s, tc.raw)
-		if (err != nil) != tc.wantErr {
-			t.Errorf("Parse(%q) err=%v, wantErr=%v", tc.raw, err, tc.wantErr)
+		got := ""
+		if err != nil {
+			got = err.Error()
+		}
+		if got != tc.err {
+			t.Errorf("Parse(%q) err=%v, want %q", tc.raw, err, tc.err)
 		}
 		if err != nil && !errors.Is(err, query.ErrInvalid) {
 			t.Errorf("Parse(%q): error does not wrap ErrInvalid: %v", tc.raw, err)

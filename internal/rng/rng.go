@@ -144,12 +144,15 @@ func (s *Source) Laplace(magnitude float64) float64 {
 	if magnitude <= 0 {
 		return 0
 	}
-	// Inverse CDF applied to u uniform in (-1/2, 1/2]:
+	// Inverse CDF applied to u uniform in (-1/2, 1/2):
 	//   x = -b · sgn(u) · ln(1 - 2|u|)
-	u := s.Float64() - 0.5
-	if u == -0.5 {
-		u = 0.5 // map the single excluded endpoint to its mirror
+	// A draw of 0 would put u on the -1/2 endpoint, where the logarithm
+	// is -Inf, so it is drawn again.
+	f := s.Float64()
+	for f == 0 {
+		f = s.Float64()
 	}
+	u := f - 0.5
 	if u < 0 {
 		return magnitude * math.Log(1+2*u) // note Log(1-2|u|) with sign folded in
 	}

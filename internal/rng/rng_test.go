@@ -143,6 +143,25 @@ func TestLaplaceZeroMagnitude(t *testing.T) {
 	}
 }
 
+// TestLaplaceRedrawsZero pins the u = -1/2 endpoint. A source one step
+// before state 0 draws Uint64 0 (mix64(0) = 0), so its Float64 is 0 and
+// u is -1/2, where ln(1 + 2u) is -Inf. Laplace must draw again: the
+// result is then the first draw of a fresh New(0), and finite.
+func TestLaplaceRedrawsZero(t *testing.T) {
+	var step uint64 = 0x9e3779b97f4a7c15
+	if f := (&Source{state: -step}).Float64(); f != 0 {
+		t.Fatalf("Float64 = %v, want 0", f)
+	}
+	s := &Source{state: -step}
+	got := s.Laplace(1)
+	if want := New(0).Laplace(1); got != want || math.IsInf(got, 0) || math.IsNaN(got) {
+		t.Fatalf("Laplace(1) after a zero draw = %v, want %v", got, want)
+	}
+	if s.state != step {
+		t.Fatalf("state = %#x after the redraw, want %#x", s.state, step)
+	}
+}
+
 func TestLaplaceMoments(t *testing.T) {
 	// A Laplace(b) variable has mean 0 and variance 2b².
 	s := New(29)

@@ -799,6 +799,12 @@ func (s *Server) handleBatchQuery(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	schema := rel.Payload.Schema
+	// Answers go out while the body is still being read. Without full
+	// duplex, an HTTP/1.x server that sends the headers may read and
+	// drop up to 256 KiB of the body not yet read, cutting the
+	// workload short. A writer that cannot do it (a test recorder) is
+	// left as it is.
+	_ = http.NewResponseController(w).EnableFullDuplex()
 	body := http.MaxBytesReader(w, req.Body, s.maxBody)
 	var specs workload.SpecReader
 	if ct := req.Header.Get("Content-Type"); strings.HasPrefix(ct, "application/json") {

@@ -6,6 +6,7 @@ package server
 // workloads bypass, surfacing on /stats.
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -15,6 +16,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/store"
 	"repro/internal/workload"
@@ -135,6 +137,57 @@ func TestBatchMidStreamError(t *testing.T) {
 	}
 	if !strings.Contains(trailer.Error, "line 4500") {
 		t.Fatalf("trailer error %q does not name line 4500", trailer.Error)
+	}
+}
+
+// TestBatchReadsBodyAfterFirstFlush: answers stream back while the
+// workload is still arriving. The client holds back the tail of a
+// 10,000-line body until it has read the first answer, which the
+// server writes once it has parsed two chunks; the server must keep
+// reading the body after that write, not drop what is still in flight.
+func TestBatchReadsBodyAfterFirstFlush(t *testing.T) {
+	ts := startServer(t)
+	sum := publish(t, ts, "schema="+testSchema+"&epsilon=2&seed=36", testCSV)
+	const n, head = 10000, 2*4096 + 1
+	pr, pw := io.Pipe()
+	firstAnswer := make(chan struct{})
+	waited := make(chan bool, 1)
+	go func() {
+		io.WriteString(pw, strings.Repeat("Age=0..1\n", head))
+		select {
+		case <-firstAnswer:
+			waited <- false
+		case <-time.After(10 * time.Second):
+			waited <- true
+		}
+		io.WriteString(pw, strings.Repeat("Age=0..1\n", n-head))
+		pw.Close()
+	}()
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/releases/"+sum.ID+"/query", pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Accept", "text/plain")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	br := bufio.NewReader(resp.Body)
+	first, err := br.ReadString('\n')
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(firstAnswer)
+	if <-waited {
+		t.Fatal("no answer within 10s while the body's tail was held back")
+	}
+	answers, trailer, err := workload.ReadAnswerLines(io.MultiReader(strings.NewReader(first), br))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if trailer.Status != workload.StatusOK || trailer.Answers != n || len(answers) != n {
+		t.Fatalf("trailer = %+v over %d answers, want ok over %d", trailer, len(answers), n)
 	}
 }
 
