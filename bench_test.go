@@ -546,8 +546,8 @@ func BenchmarkPublishSpeedup(b *testing.B) {
 // domain (16 × 64Ki entries = 1M draws per op). Uniform is the Basic
 // mechanism's pass; weighted is Privelet's per-coefficient λ/W pass.
 // Output is bit-identical across worker counts, so the counts differ
-// only in wall clock (BENCH_publish.json keeps the 1-core-container
-// recording under history_ns_per_op).
+// only in wall clock (BENCH_publish.json records them as inject_*, and
+// keeps the 1-core-container recording under history_ns_per_op).
 func BenchmarkInjectLaplace(b *testing.B) {
 	const n = 16 * privacy.NoiseChunk
 	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {

@@ -30,8 +30,8 @@ type HWTResult struct {
 // Subtree predicates remain contiguous intervals, so queries still work;
 // only the noise profile differs. The input matrix is not modified.
 func HWTOrdinalized(m *matrix.Matrix, schema *dataset.Schema, epsilon float64, seed uint64) (*HWTResult, error) {
-	if epsilon <= 0 {
-		return nil, fmt.Errorf("baseline: epsilon must be positive, got %v", epsilon)
+	if err := privacy.CheckEpsilon(epsilon); err != nil {
+		return nil, fmt.Errorf("baseline: %w", err)
 	}
 	specs := make([]transform.Spec, schema.NumAttrs())
 	for i := 0; i < schema.NumAttrs(); i++ {

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/dataset"
@@ -47,8 +48,10 @@ func TestHWTOrdinalizedAccounting(t *testing.T) {
 	if res.Lambda != 20 {
 		t.Errorf("Lambda = %v, want 20", res.Lambda)
 	}
-	if _, err := HWTOrdinalized(m, s, 0, 2); err == nil {
-		t.Error("epsilon 0 should fail")
+	for _, eps := range []float64{0, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := HWTOrdinalized(m, s, eps, 2); err == nil {
+			t.Errorf("epsilon %v should fail", eps)
+		}
 	}
 	bad := matrix.MustNew(8)
 	if _, err := HWTOrdinalized(bad, s, 1, 2); err == nil {

@@ -103,14 +103,18 @@ func parseClause(clause string) (dataset.Attribute, error) {
 // read. Blank lines are skipped (but counted in error line numbers);
 // values are 0-based domain indices, read as strconv.Atoi reads each
 // field with the space around it and the line trimmed; lines are limited
-// to 1 MiB. The row slice passed to sink is reused between calls — sinks
-// that retain rows must copy (the intended sinks, dataset.Table.Append
-// and privelet's Publisher.Add, both consume the values immediately).
+// to 1 MiB. A line with the wrong number of fields is reported as such
+// even when one of its fields is also malformed. The row slice passed to
+// sink is reused between calls — sinks that retain rows must copy (the
+// intended sinks, dataset.Table.Append and privelet's Publisher.Add,
+// both consume the values immediately).
 //
 // This is the streaming ingest chokepoint: with a frequency-folding sink
 // the whole pipe from CSV bytes to matrix counts holds one row in memory
-// at a time, so n ≫ RAM tables publish fine. Fields are parsed from the
-// scanner's bytes, so no row allocates.
+// at a time, so n ≫ RAM tables publish fine. Each line is read once, in
+// place: dataset.Digits reads a field's digits where they lie, and only
+// a field it does not read whole, up to its ',' or the end of the line,
+// goes through dataset.Atoi. No row allocates.
 func ReadRows(schema *dataset.Schema, r io.Reader, sink func(vals ...int) error) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(nil, 1<<20)
@@ -118,21 +122,30 @@ func ReadRows(schema *dataset.Schema, r io.Reader, sink func(vals ...int) error)
 	vals := make([]int, schema.NumAttrs())
 	for sc.Scan() {
 		line++
-		text := bytes.TrimSpace(sc.Bytes())
-		if len(text) == 0 {
+		text := sc.Bytes()
+		s, e := dataset.Trim(text, 0, len(text))
+		if s == e {
 			continue
 		}
-		if n := bytes.Count(text, comma) + 1; n != len(vals) {
-			return fmt.Errorf("cli: line %d: %d fields, want %d", line, n, len(vals))
-		}
+		text = text[s:e]
 		for i := range vals {
-			var f []byte
-			f, text, _ = bytes.Cut(text, comma)
-			v, err := dataset.Atoi(f)
-			if err != nil {
+			v, end, ok := dataset.Digits(text, 0)
+			var err error
+			if !ok || end < len(text) && text[end] != ',' {
+				if end = bytes.IndexByte(text, ','); end < 0 {
+					end = len(text)
+				}
+				v, err = dataset.Atoi(text[:end])
+			}
+			// The last field must end the line, and no other may.
+			if last := i == len(vals)-1; err != nil || last != (end == len(text)) {
+				if n := i + 1 + bytes.Count(text[end:], comma); n != len(vals) {
+					return fmt.Errorf("cli: line %d: %d fields, want %d", line, n, len(vals))
+				}
 				return fmt.Errorf("cli: line %d field %d: %w", line, i+1, err)
 			}
 			vals[i] = v
+			text = text[min(end+1, len(text)):]
 		}
 		if err := sink(vals...); err != nil {
 			return fmt.Errorf("cli: line %d: %w", line, err)

@@ -54,6 +54,8 @@ func FuzzReadRows(f *testing.F) {
 		{"1\n", 2, 0},
 		{string(long), 1, 0},
 		{"0\n1\n2\n", 1, 2},
+		{"x,1,2\n", 2, 0},
+		{"1,x\n", 3, 0},
 	} {
 		f.Add([]byte(seed.body), seed.width, seed.failAt)
 	}

@@ -59,7 +59,8 @@ import (
 
 // Options configures a PublishMatrix call.
 type Options struct {
-	// Epsilon is the ε-differential-privacy budget; must be positive.
+	// Epsilon is the ε-differential-privacy budget; must be positive
+	// and finite.
 	Epsilon float64
 	// SA lists attribute names excluded from the wavelet transform
 	// (Privelet+'s small-domain attributes). Empty means plain Privelet;
@@ -111,8 +112,8 @@ type Result struct {
 // layer can therefore tie a publish to the client's request context and
 // reclaim the workers the moment the client disconnects.
 func PublishMatrix(ctx context.Context, m *matrix.Matrix, schema *dataset.Schema, opts Options) (*Result, error) {
-	if opts.Epsilon <= 0 {
-		return nil, fmt.Errorf("core: epsilon must be positive, got %v", opts.Epsilon)
+	if err := privacy.CheckEpsilon(opts.Epsilon); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	if ctx == nil {
 		ctx = context.Background()

@@ -93,6 +93,11 @@ func TestPublishValidation(t *testing.T) {
 	if _, err := publishTable(t, tbl, Options{Epsilon: -1}); err == nil {
 		t.Error("negative epsilon should fail")
 	}
+	for _, eps := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := publishTable(t, tbl, Options{Epsilon: eps}); err == nil {
+			t.Errorf("epsilon %v should fail", eps)
+		}
+	}
 	if _, err := publishTable(t, tbl, Options{Epsilon: 1, SA: []string{"Nope"}}); err == nil {
 		t.Error("unknown SA attribute should fail")
 	}

@@ -15,6 +15,8 @@ import (
 	"bytes"
 	"fmt"
 	"strconv"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/hierarchy"
 	"repro/internal/matrix"
@@ -285,4 +287,22 @@ func Atoi(b []byte) (int, error) {
 		return v, nil
 	}
 	return strconv.Atoi(string(bytes.TrimSpace(b)))
+}
+
+// Trim returns the bounds of bytes.TrimSpace(b[lo:hi]) within b. Only
+// an ASCII space or a byte ≥ 0x80 can begin or end a Unicode space, so
+// a span whose edge bytes are neither is returned as it is; any other
+// is trimmed as TrimSpace trims, leading spaces, then trailing ones.
+func Trim(b []byte, lo, hi int) (int, int) {
+	if lo < hi && (MaySpace(b[lo]) || MaySpace(b[hi-1])) {
+		lo = hi - len(bytes.TrimLeftFunc(b[lo:hi], unicode.IsSpace))
+		hi = lo + len(bytes.TrimRightFunc(b[lo:hi], unicode.IsSpace))
+	}
+	return lo, hi
+}
+
+// MaySpace reports whether c is an ASCII space or may be part of a
+// multi-byte one.
+func MaySpace(c byte) bool {
+	return c >= utf8.RuneSelf || c == ' ' || '\t' <= c && c <= '\r'
 }

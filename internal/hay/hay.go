@@ -52,8 +52,8 @@ type Result struct {
 // aborts before the noisy tree is built; the mechanism itself is O(m)
 // and runs to completion once started.
 func Publish(ctx context.Context, v []float64, epsilon float64, seed uint64) (*Result, error) {
-	if epsilon <= 0 {
-		return nil, fmt.Errorf("hay: epsilon must be positive, got %v", epsilon)
+	if err := privacy.CheckEpsilon(epsilon); err != nil {
+		return nil, fmt.Errorf("hay: %w", err)
 	}
 	if len(v) == 0 {
 		return nil, fmt.Errorf("hay: empty input")
@@ -167,7 +167,7 @@ func bitsLen(k int) int {
 // bound is conservative. It matches Privelet's polylog profile, as §VIII
 // of the wavelet paper notes for the 1-D case.
 func VarianceBound(epsilon float64, m int) float64 {
-	if epsilon <= 0 || m <= 0 {
+	if privacy.CheckEpsilon(epsilon) != nil || m <= 0 {
 		return math.Inf(1)
 	}
 	padded := haar.NextPowerOfTwo(m)

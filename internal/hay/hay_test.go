@@ -19,6 +19,14 @@ func TestPublishValidation(t *testing.T) {
 	if _, err := Publish(context.Background(), []float64{1}, -2, 0); err == nil {
 		t.Error("negative epsilon should fail")
 	}
+	for _, eps := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := Publish(context.Background(), []float64{1}, eps, 0); err == nil {
+			t.Errorf("epsilon %v should fail", eps)
+		}
+		if b := VarianceBound(eps, 8); !math.IsInf(b, 1) {
+			t.Errorf("VarianceBound(%v, 8) = %v, want +Inf", eps, b)
+		}
+	}
 }
 
 func TestPublishShapeAndAccounting(t *testing.T) {

@@ -24,6 +24,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/matrix"
 	"repro/internal/postprocess"
+	"repro/internal/privacy"
 )
 
 // Project sums the frequency matrix over every attribute not listed,
@@ -115,8 +116,8 @@ func PublishSet(ctx context.Context, t *dataset.Table, sets [][]string, opts Opt
 	if len(sets) == 0 {
 		return nil, fmt.Errorf("marginal: no marginals requested")
 	}
-	if opts.Epsilon <= 0 {
-		return nil, fmt.Errorf("marginal: epsilon must be positive, got %v", opts.Epsilon)
+	if err := privacy.CheckEpsilon(opts.Epsilon); err != nil {
+		return nil, fmt.Errorf("marginal: %w", err)
 	}
 	m, err := t.FrequencyMatrix()
 	if err != nil {

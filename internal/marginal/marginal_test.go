@@ -166,6 +166,11 @@ func TestPublishSetValidation(t *testing.T) {
 	if _, err := PublishSet(context.Background(), tbl, [][]string{{"Age"}}, Options{Epsilon: 0}); err == nil {
 		t.Error("epsilon 0 should fail")
 	}
+	for _, eps := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := PublishSet(context.Background(), tbl, [][]string{{"Age"}}, Options{Epsilon: eps}); err == nil {
+			t.Errorf("epsilon %v should fail", eps)
+		}
+	}
 	if _, err := PublishSet(context.Background(), tbl, [][]string{{"ghost"}}, Options{Epsilon: 1}); err == nil {
 		t.Error("unknown attribute should fail")
 	}

@@ -85,53 +85,72 @@ func TestInjectLaplaceParallelismInvariance(t *testing.T) {
 }
 
 // TestInjectLaplaceMatchesCoordsReference pins the weighted pass's
-// odometer walk against the definition it optimizes: entry at flat
-// offset off receives Laplace(λ/∏ᵢ wv[i][cᵢ]) — coordinates recovered by
+// row walk against the definition it optimizes: entry at flat offset
+// off receives Laplace(λ/∏ᵢ wv[i][cᵢ]) — coordinates recovered by
 // per-entry division — drawn in offset order from its chunk's substream,
 // zero-weight entries consuming no draw. The parallelism-invariance
 // tests compare the implementation to itself and would miss a walk that
-// drifted from the coordinate definition; this reference would not.
+// drifted from the coordinate definition; this reference would not. The
+// shapes put zero weights at row starts and mid-row, let runs of
+// nonzero weights span rows and blocks, start a chunk mid-row, and
+// include a 1-D matrix and rows one entry wide.
 func TestInjectLaplaceMatchesCoordsReference(t *testing.T) {
 	const seed, lambda = 99, 1.75
-	dims := []int{3, 4, NoiseChunk/8 + 37} // ~1.5 chunks, odometer carries across two dims
-	wv := [][]float64{
-		{1, 0.25, 3},
-		{2, 0, 1, 0.5},
-		make([]float64, dims[2]),
-	}
-	for i := range wv[2] {
-		wv[2][i] = float64(1 + i%13)
-		if i%17 == 0 {
-			wv[2][i] = 0
-		}
-	}
-	got := matrix.MustNew(dims...)
-	fillSequential(got)
-	if err := InjectLaplace(got, wv, lambda, seed); err != nil {
-		t.Fatal(err)
-	}
-	want := matrix.MustNew(dims...)
-	fillSequential(want)
-	data := want.Data()
-	coords := make([]int, len(dims))
-	for k := 0; k*NoiseChunk < len(data); k++ {
-		src := rng.Substream(seed, uint64(k))
-		lo := k * NoiseChunk
-		for off := lo; off < min(lo+NoiseChunk, len(data)); off++ {
-			want.Coords(off, coords)
-			w := 1.0
-			for i, ci := range coords {
-				w *= wv[i][ci]
+	// weights returns n weights 1 + i%13, zero where i%zeroEvery == zeroAt.
+	weights := func(n, zeroEvery, zeroAt int) []float64 {
+		w := make([]float64, n)
+		for i := range w {
+			w[i] = float64(1 + i%13)
+			if i%zeroEvery == zeroAt {
+				w[i] = 0
 			}
-			if w == 0 {
-				continue
-			}
-			data[off] += src.Laplace(lambda / w)
 		}
+		return w
 	}
-	for i, v := range got.Data() {
-		if v != data[i] {
-			t.Fatalf("entry %d = %v, reference %v", i, v, data[i])
+	for _, tc := range []struct {
+		name string
+		dims []int
+		wv   [][]float64
+	}{
+		// ~1.5 chunks, odometer carries across two dims.
+		{"rows start at zero", []int{3, 4, NoiseChunk/8 + 37}, [][]float64{
+			{1, 0.25, 3}, {2, 0, 1, 0.5}, weights(NoiseChunk/8+37, 17, 0),
+		}},
+		// 511-entry rows: chunk 1 starts mid-row, and runs cross rows.
+		{"runs across rows", []int{9, 5, 3, 511}, [][]float64{
+			weights(9, 4, 3), {1, 0, 2, 0.5, 3}, {0.75, 1, 1.5}, weights(511, 37, 5),
+		}},
+		{"one dimension", []int{NoiseChunk + 300}, [][]float64{weights(NoiseChunk+300, 29, 3)}},
+		{"rows one wide", []int{7, 3000, 1}, [][]float64{weights(7, 5, 2), weights(3000, 11, 4), {0.5}}},
+	} {
+		got := matrix.MustNew(tc.dims...)
+		fillSequential(got)
+		if err := InjectLaplace(got, tc.wv, lambda, seed); err != nil {
+			t.Fatal(err)
+		}
+		want := matrix.MustNew(tc.dims...)
+		fillSequential(want)
+		data := want.Data()
+		coords := make([]int, len(tc.dims))
+		for k := 0; k*NoiseChunk < len(data); k++ {
+			src := rng.Substream(seed, uint64(k))
+			lo := k * NoiseChunk
+			for off := lo; off < min(lo+NoiseChunk, len(data)); off++ {
+				want.Coords(off, coords)
+				w := 1.0
+				for i, ci := range coords {
+					w *= tc.wv[i][ci]
+				}
+				if w == 0 {
+					continue
+				}
+				data[off] += src.Laplace(lambda / w)
+			}
+		}
+		for i, v := range got.Data() {
+			if math.Float64bits(v) != math.Float64bits(data[i]) {
+				t.Fatalf("%s: entry %d = %v, reference %v", tc.name, i, v, data[i])
+			}
 		}
 	}
 }

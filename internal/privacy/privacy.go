@@ -89,12 +89,23 @@ func HSpec(s transform.Spec) (float64, error) {
 	}
 }
 
+// CheckEpsilon is the one test of a privacy budget: it returns an error
+// unless 0 < ε < +Inf. An infinite ε would set λ = 2ρ/ε to 0 and
+// release exact counts, and a NaN one would pass a plain ε <= 0 test.
+// The error has no package prefix; callers add theirs.
+func CheckEpsilon(epsilon float64) error {
+	if epsilon > 0 && !math.IsInf(epsilon, 1) {
+		return nil
+	}
+	return fmt.Errorf("epsilon must be positive and finite, got %v", epsilon)
+}
+
 // Lambda returns the noise parameter λ that makes a mechanism with
 // generalized sensitivity rho satisfy epsilon-differential privacy:
 // λ = 2ρ/ε (Lemma 1 rearranged).
 func Lambda(epsilon, rho float64) (float64, error) {
-	if epsilon <= 0 {
-		return 0, fmt.Errorf("privacy: epsilon must be positive, got %v", epsilon)
+	if err := CheckEpsilon(epsilon); err != nil {
+		return 0, fmt.Errorf("privacy: %w", err)
 	}
 	if rho <= 0 {
 		return 0, fmt.Errorf("privacy: sensitivity must be positive, got %v", rho)
@@ -136,8 +147,8 @@ func NominalVarianceBound(epsilon float64, h int) float64 {
 //
 //	8/ε² · ∏_{A∈SA}|A| · ∏_{A∉SA} P(A)²·H(A)
 func PriveletPlusVarianceBound(epsilon float64, inSA []int, rest []transform.Spec) (float64, error) {
-	if epsilon <= 0 {
-		return 0, fmt.Errorf("privacy: epsilon must be positive, got %v", epsilon)
+	if err := CheckEpsilon(epsilon); err != nil {
+		return 0, fmt.Errorf("privacy: %w", err)
 	}
 	bound := 8 / (epsilon * epsilon)
 	for _, size := range inSA {
@@ -273,42 +284,63 @@ func InjectLaplaceCtx(ctx context.Context, c *matrix.Matrix, weightVecs [][]floa
 		}
 	}
 	data := c.Data()
-	dims := make([]int, d)
-	for i := range dims {
-		dims[i] = c.Dim(i)
-	}
+	inner := weightVecs[d-1]
 	return forEachChunk(ctx, len(data), workers, func(k, lo, hi int) {
 		src := rng.Substream(seed, uint64(k))
-		// Entry coordinates advance by an odometer walk: one division
-		// chain per chunk (the seed position), then an increment per
-		// entry — not a d-division Coords call per entry. The weight
-		// product is carried alongside as running prefix products,
-		// prefix[i+1] = prefix[i]·weightVecs[i][coords[i]], rebuilt from
-		// the lowest dimension the increment touched; the final product
-		// prefix[d] multiplies in the same left-to-right order as a
-		// per-entry loop, so the noise stream is bit-identical to the
-		// pre-odometer pass (pinned by a reference test).
+		// The chunk is walked a row of the innermost dimension at a
+		// time. The other coordinates advance by an odometer, once per
+		// row, from one division chain per chunk (c.Coords at lo), and
+		// so does the row's weight, the running prefix product
+		// prefix[i+1] = prefix[i]·weightVecs[i][coords[i]] rebuilt from
+		// the lowest dimension the increment touched. Entry j of a row
+		// then weighs prefix[d-1]·inner[j], which multiplies in the
+		// same left-to-right order as a per-entry loop, so every weight
+		// is bit-identical to the per-entry pass's (pinned by a
+		// reference test).
 		coords := make([]int, d)
 		c.Coords(lo, coords)
-		prefix := make([]float64, d+1)
+		prefix := make([]float64, d)
 		prefix[0] = 1
-		for i := 0; i < d; i++ {
+		for i := 0; i < d-1; i++ {
 			prefix[i+1] = prefix[i] * weightVecs[i][coords[i]]
 		}
-		for off := lo; off < hi; off++ {
-			if w := prefix[d]; w != 0 {
-				data[off] += src.Laplace(lambda / w)
+		// mag holds the magnitudes λ/w of the run of nonzero-weight
+		// entries that ends at off, at most one block of them, and may
+		// span rows. The run is noised before any later entry draws, so
+		// the chunk's stream is drawn in entry order; a zero-weight
+		// entry ends a run, draws nothing and keeps its value.
+		var mag [rng.LaplaceBlock]float64
+		run := 0
+		for off := lo; off < hi; {
+			rowWeight := prefix[d-1]
+			for j := coords[d-1]; j < len(inner) && off < hi; j, off = j+1, off+1 {
+				w := rowWeight * inner[j]
+				if w == 0 {
+					if run > 0 {
+						src.AddLaplace(data[off-run:off], mag[:run])
+						run = 0
+					}
+					continue
+				}
+				mag[run] = lambda / w
+				if run++; run == len(mag) {
+					src.AddLaplace(data[off+1-run:off+1], mag[:])
+					run = 0
+				}
 			}
-			for i := d - 1; i >= 0; i-- {
-				coords[i]++
-				if coords[i] < dims[i] {
-					for j := i; j < d; j++ {
+			coords[d-1] = 0
+			for i := d - 2; i >= 0; i-- {
+				if coords[i]++; coords[i] < len(weightVecs[i]) {
+					for j := i; j < d-1; j++ {
 						prefix[j+1] = prefix[j] * weightVecs[j][coords[j]]
 					}
 					break
 				}
 				coords[i] = 0
 			}
+		}
+		if run > 0 {
+			src.AddLaplace(data[hi-run:hi], mag[:run])
 		}
 	})
 }
@@ -325,10 +357,15 @@ func InjectLaplaceUniformCtx(ctx context.Context, m *matrix.Matrix, magnitude fl
 		return fmt.Errorf("privacy: negative magnitude %v", magnitude)
 	}
 	data := m.Data()
+	var mag [rng.LaplaceBlock]float64
+	for i := range mag {
+		mag[i] = magnitude
+	}
 	return forEachChunk(ctx, len(data), workers, func(k, lo, hi int) {
 		src := rng.Substream(seed, uint64(k))
-		for i := lo; i < hi; i++ {
-			data[i] += src.Laplace(magnitude)
+		for i := lo; i < hi; i += len(mag) {
+			n := min(hi-i, len(mag))
+			src.AddLaplace(data[i:i+n], mag[:n])
 		}
 	})
 }

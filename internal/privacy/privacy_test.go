@@ -87,6 +87,19 @@ func TestLambda(t *testing.T) {
 	if _, err := Lambda(0, 1); err == nil {
 		t.Error("Lambda eps=0 should fail")
 	}
+	for _, eps := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if lam, err := Lambda(eps, 1); err == nil {
+			t.Errorf("Lambda(%v, 1) = %v, want an error", eps, lam)
+		}
+		if _, err := PriveletPlusVarianceBound(eps, nil, nil); err == nil {
+			t.Errorf("PriveletPlusVarianceBound eps=%v should fail", eps)
+		}
+	}
+	for _, eps := range []float64{5e-324, 1, math.MaxFloat64} {
+		if err := CheckEpsilon(eps); err != nil {
+			t.Errorf("CheckEpsilon(%v) = %v, want nil", eps, err)
+		}
+	}
 	if _, err := Lambda(1, 0); err == nil {
 		t.Error("Lambda rho=0 should fail")
 	}

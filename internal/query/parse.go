@@ -8,10 +8,7 @@
 package query
 
 import (
-	"bytes"
 	"strconv"
-	"unicode"
-	"unicode/utf8"
 
 	"repro/internal/dataset"
 )
@@ -81,7 +78,7 @@ func (p *Parser) Parse(spec []byte) (Query, error) {
 	for i := 0; i < d; i++ {
 		q.lo[i], q.hi[i], q.constrained[i] = 0, p.schema.Attr(i).Size-1, false
 	}
-	if s, e := trim(spec, 0, len(spec)); e-s != 1 || spec[s] != '*' {
+	if s, e := dataset.Trim(spec, 0, len(spec)); e-s != 1 || spec[s] != '*' {
 		for start := 0; start < len(spec); {
 			end, err := p.clause(&q, spec, start)
 			if err != nil {
@@ -135,7 +132,7 @@ func (p *Parser) clause(q *Query, spec []byte, start int) (end int, err error) {
 			}
 		}
 	}
-	if spelled && eq > start && !maySpace(spec[start]) && !maySpace(spec[eq-1]) {
+	if spelled && eq > start && !dataset.MaySpace(spec[start]) && !dataset.MaySpace(spec[eq-1]) {
 		i, a := p.attr(spec[start:eq])
 		if i >= 0 && !q.constrained[i] && (spec[eq+1] == '#') == (a.Kind == dataset.Nominal) && lo <= hi && hi < a.Size {
 			q.lo[i], q.hi[i], q.constrained[i] = lo, hi, true
@@ -144,7 +141,7 @@ func (p *Parser) clause(q *Query, spec []byte, start int) (end int, err error) {
 	}
 	// Neither '=' nor '.' is a space, so both stay inside the trimmed
 	// clause, and an absent one stays negative.
-	if s, e := trim(spec, start, end); s < e {
+	if s, e := dataset.Trim(spec, start, end); s < e {
 		err = p.predicate(q, spec[s:e], eq-s, dots-s)
 	}
 	return end, err
@@ -169,7 +166,7 @@ func (p *Parser) predicate(q *Query, clause []byte, eq, dots int) error {
 	if eq < 0 {
 		return invalidf("query: predicate %q: want Attr=spec", string(clause))
 	}
-	ns, ne := trim(clause, 0, eq)
+	ns, ne := dataset.Trim(clause, 0, eq)
 	name := clause[ns:ne]
 	i, a := p.attr(name)
 	if i < 0 {
@@ -178,7 +175,7 @@ func (p *Parser) predicate(q *Query, clause []byte, eq, dots int) error {
 	if q.constrained[i] {
 		return invalidf("query: predicate %q: attribute %q already constrained", string(clause), a.Name)
 	}
-	vs, ve := trim(clause, eq+1, len(clause))
+	vs, ve := dataset.Trim(clause, eq+1, len(clause))
 	val := clause[vs:ve]
 	var (
 		lo, hi int
@@ -237,22 +234,4 @@ func parseBounds(clause []byte, from, dots, to int) (lo, hi int, err error) {
 		return 0, 0, invalidf("query: predicate %q: bad hi: %v", string(clause), err)
 	}
 	return lo, hi, nil
-}
-
-// trim returns the bounds of bytes.TrimSpace(b[lo:hi]) within b. Only
-// an ASCII space or a byte ≥ 0x80 can begin or end a Unicode space, so
-// a span whose edge bytes are neither is returned as it is; any other
-// is trimmed as TrimSpace trims, leading spaces, then trailing ones.
-func trim(b []byte, lo, hi int) (int, int) {
-	if lo < hi && (maySpace(b[lo]) || maySpace(b[hi-1])) {
-		lo = hi - len(bytes.TrimLeftFunc(b[lo:hi], unicode.IsSpace))
-		hi = lo + len(bytes.TrimRightFunc(b[lo:hi], unicode.IsSpace))
-	}
-	return lo, hi
-}
-
-// maySpace reports whether c is an ASCII space or may be part of a
-// multi-byte one.
-func maySpace(c byte) bool {
-	return c >= utf8.RuneSelf || c == ' ' || '\t' <= c && c <= '\r'
 }

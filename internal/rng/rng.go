@@ -137,26 +137,81 @@ func (s *Source) NormFloat64() float64 {
 // density is (1/2b)·exp(-|x|/b) — Equation 1 of the paper. The variance of
 // the returned variable is 2b².
 //
-// A non-positive magnitude returns 0: the mechanisms use magnitude 0 to
-// encode "this coefficient needs no noise" (e.g. structurally-zero nominal
-// coefficients under fanout-1 groups).
+// A non-positive magnitude returns 0 and draws nothing: the mechanisms
+// use magnitude 0 to encode "this coefficient needs no noise" (e.g.
+// structurally-zero nominal coefficients under fanout-1 groups).
 func (s *Source) Laplace(magnitude float64) float64 {
 	if magnitude <= 0 {
 		return 0
 	}
-	// Inverse CDF applied to u uniform in (-1/2, 1/2):
-	//   x = -b · sgn(u) · ln(1 - 2|u|)
-	// A draw of 0 would put u on the -1/2 endpoint, where the logarithm
-	// is -Inf, so it is drawn again.
-	f := s.Float64()
-	for f == 0 {
-		f = s.Float64()
+	arg, sign := s.laplaceDraw()
+	return math.Float64frombits(math.Float64bits(magnitude)^sign) * math.Log(arg)
+}
+
+// laplaceDraw makes the random part of one Laplace draw, which Laplace
+// and AddLaplace share: the variate of magnitude b is b·ln(arg), with
+// b's sign bit flipped when sign is 1<<63.
+//
+// The inverse CDF applied to u uniform in (-1/2, 1/2) is
+//
+//	x = -b · sgn(u) · ln(1 - 2|u|).
+//
+// u is k/2⁵³ - 1/2 for the top 53 bits k of a Uint64 draw, so bit 52 of
+// k is set exactly when u ≥ 0, and 1 - 2|u| is k/2⁵² when it is clear
+// and (2⁵³ - k)/2⁵² when it is set. Both quotients are exact, so arg is
+// the 1 + 2u or 1 - 2u of the textbook form bit for bit, and the sign
+// comes from the bit, not from a branch on u that a random draw
+// mispredicts half the time. A draw k = 0 would put u on the -1/2
+// endpoint, where the logarithm is -Inf, so it is drawn again.
+//
+// The sign goes on b, not on the product, so every bit of the textbook
+// form's -b·ln(1 - 2u) is kept, NaN included: at b = +Inf and arg = 1,
+// (-Inf)·0 and -(Inf·0) are NaNs of opposite sign.
+func (s *Source) laplaceDraw() (arg float64, sign uint64) {
+	var k uint64
+	for k == 0 {
+		k = s.Uint64() >> 11
 	}
-	u := f - 0.5
-	if u < 0 {
-		return magnitude * math.Log(1+2*u) // note Log(1-2|u|) with sign folded in
+	neg := k >> 52
+	k ^= (k ^ (1<<53 - k)) & -neg
+	return float64(int64(k)) * 0x1p-52, neg << 63
+}
+
+// LaplaceBlock is how many variates AddLaplace draws before it takes
+// their logarithms.
+const LaplaceBlock = 256
+
+// AddLaplace adds a Laplace draw of magnitude[i] to each dst[i]. It is
+//
+//	for i := range dst { dst[i] += s.Laplace(magnitude[i]) }
+//
+// with the same bits in dst and the same final state for every
+// magnitude: a non-positive one draws nothing and adds +0. It works in
+// blocks of up to LaplaceBlock entries: it draws every argument of a
+// block, then takes their logarithms in one tight loop, then scales and
+// adds them. magnitude must be at least as long as dst.
+func (s *Source) AddLaplace(dst, magnitude []float64) {
+	var arg, signed [LaplaceBlock]float64
+	for len(dst) > 0 {
+		n := min(len(dst), LaplaceBlock)
+		for i, b := range magnitude[:n] {
+			if b <= 0 {
+				arg[i], signed[i] = 1, 0 // +0 · ln 1 = +0
+				continue
+			}
+			a, sign := s.laplaceDraw()
+			arg[i], signed[i] = a, math.Float64frombits(math.Float64bits(b)^sign)
+		}
+		for i, a := range arg[:n] {
+			arg[i] = math.Log(a)
+		}
+		for i := range dst[:n] {
+			// The conversion rounds the product, so it is never fused
+			// into the sum: each term is the value Laplace returns.
+			dst[i] += float64(signed[i] * arg[i])
+		}
+		dst, magnitude = dst[n:], magnitude[n:]
 	}
-	return -magnitude * math.Log(1-2*u)
 }
 
 // Zipfian is a precomputed sampler for the Zipf distribution over [0, n).

@@ -367,3 +367,38 @@ func TestLedgerStatsCounters(t *testing.T) {
 		t.Fatalf("store stats lost in the nesting: %+v", st.Stats)
 	}
 }
+
+// TestPublishRefusesNonFiniteEpsilon: an ε that parses as a float but
+// is not positive and finite is a 400 on both publish endpoints. No
+// release is stored and no budget is charged; an infinite ε used to
+// store a release with λ = 0, the exact counts.
+func TestPublishRefusesNonFiniteEpsilon(t *testing.T) {
+	ts := startBudgetServer(t, 1)
+	for _, eps := range []string{"Inf", "-Inf", "NaN", "Infinity"} {
+		params := "schema=" + testSchema + "&epsilon=" + eps
+		for _, url := range []string{ts.URL + "/publish?" + params, ts.URL + "/tenants/carol/publish?" + params} {
+			resp, err := http.Post(url, "text/csv", strings.NewReader(testCSV))
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), "positive and finite") {
+				t.Fatalf("%s: status %d, body %s; want 400 naming the rule", url, resp.StatusCode, raw)
+			}
+		}
+	}
+	resp, err := http.Get(ts.URL + "/releases")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var list []summary
+	err = json.NewDecoder(resp.Body).Decode(&list)
+	resp.Body.Close()
+	if err != nil || len(list) != 0 {
+		t.Fatalf("releases after refused publishes: %v (err %v), want none", list, err)
+	}
+	if bv := fetchBudget(t, ts, "carol"); bv.Spent != 0 || bv.Epoch != 0 {
+		t.Fatalf("refused publishes touched the budget: %+v", bv)
+	}
+}

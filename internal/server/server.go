@@ -911,10 +911,28 @@ func (s *Server) handleExport(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	if err := store.EncodeRelease(w, rel.Payload); err != nil {
-		// Headers are already sent; nothing sane to do but log-by-status.
+	sw := &startedWriter{w: w}
+	if err := store.EncodeRelease(sw, rel.Payload); err != nil {
+		if sw.started {
+			// A 200 and part of the binary body are out; a JSON error
+			// would follow them. Cut the connection instead, so the
+			// client sees a truncated stream.
+			panic(http.ErrAbortHandler)
+		}
 		httpError(w, http.StatusInternalServerError, err.Error())
 	}
+}
+
+// startedWriter records whether any Write reached w. The first Write to
+// a ResponseWriter sends its status, so no error status can follow.
+type startedWriter struct {
+	w       http.ResponseWriter
+	started bool
+}
+
+func (s *startedWriter) Write(p []byte) (int, error) {
+	s.started = true
+	return s.w.Write(p)
 }
 
 // nodeIdentity attributes a /stats snapshot to the daemon that

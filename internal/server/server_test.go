@@ -193,6 +193,61 @@ func TestExportRoundTrip(t *testing.T) {
 	}
 }
 
+// cutWriter is a ResponseWriter whose connection fails once limit body
+// bytes are out. It records every status written and how many body
+// bytes preceded it.
+type cutWriter struct {
+	header   http.Header
+	limit    int
+	written  int
+	statuses []string // "code@bytes"
+}
+
+func (w *cutWriter) Header() http.Header { return w.header }
+
+func (w *cutWriter) WriteHeader(code int) {
+	w.statuses = append(w.statuses, fmt.Sprintf("%d@%d", code, w.written))
+}
+
+func (w *cutWriter) Write(p []byte) (int, error) {
+	n := min(len(p), w.limit-w.written)
+	w.written += n
+	if n < len(p) {
+		return n, fmt.Errorf("connection reset")
+	}
+	return n, nil
+}
+
+// TestExportFailureMidBodyAborts: when the connection fails after
+// /export has sent part of a release, the handler aborts the response
+// (http.ErrAbortHandler), so the client sees a cut stream. It must not
+// write an error status and a JSON body after the binary bytes.
+func TestExportFailureMidBodyAborts(t *testing.T) {
+	h := New(Config{}).Handler()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("POST", "/publish?schema=A:ordinal:8192&epsilon=1&seed=3", strings.NewReader("0\n5\n")))
+	if rec.Code != http.StatusCreated {
+		t.Fatalf("publish status %d: %s", rec.Code, rec.Body)
+	}
+	var sum summary
+	if err := json.Unmarshal(rec.Body.Bytes(), &sum); err != nil {
+		t.Fatal(err)
+	}
+	w := &cutWriter{header: http.Header{}, limit: 64 << 10}
+	var panicked any
+	func() {
+		defer func() { panicked = recover() }()
+		h.ServeHTTP(w, httptest.NewRequest("GET", "/releases/"+sum.ID+"/export", nil))
+	}()
+	if panicked != http.ErrAbortHandler {
+		t.Fatalf("export over a cut connection: panic %v, statuses %v after %d bytes; want http.ErrAbortHandler",
+			panicked, w.statuses, w.written)
+	}
+	if len(w.statuses) != 0 || w.written != w.limit {
+		t.Fatalf("statuses %v, %d bytes written; want none after the %d-byte body", w.statuses, w.written, w.limit)
+	}
+}
+
 func TestErrorPaths(t *testing.T) {
 	ts := startServer(t)
 	sum := publish(t, ts, "schema="+testSchema+"&epsilon=1&seed=7", testCSV)

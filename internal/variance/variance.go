@@ -41,6 +41,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/haar"
 	"repro/internal/hierarchy"
+	"repro/internal/privacy"
 	"repro/internal/query"
 	"repro/internal/transform"
 )
@@ -67,8 +68,8 @@ type dimAnalyzer struct {
 // NewAnalyzer builds an analyzer for the release Publish would produce
 // with the same schema, epsilon and SA.
 func NewAnalyzer(schema *dataset.Schema, epsilon float64, sa []string) (*Analyzer, error) {
-	if epsilon <= 0 {
-		return nil, fmt.Errorf("variance: epsilon must be positive, got %v", epsilon)
+	if err := privacy.CheckEpsilon(epsilon); err != nil {
+		return nil, fmt.Errorf("variance: %w", err)
 	}
 	a := &Analyzer{
 		schema:  schema,

@@ -223,6 +223,11 @@ func TestAnalyzerValidation(t *testing.T) {
 	if _, err := NewAnalyzer(s, 0, nil); err == nil {
 		t.Error("epsilon 0 should fail")
 	}
+	for _, eps := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := NewAnalyzer(s, eps, nil); err == nil {
+			t.Errorf("epsilon %v should fail", eps)
+		}
+	}
 	if _, err := NewAnalyzer(s, 1, []string{"ghost"}); err == nil {
 		t.Error("unknown SA should fail")
 	}

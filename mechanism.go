@@ -11,6 +11,7 @@ import (
 	"repro/internal/hay"
 	"repro/internal/matrix"
 	"repro/internal/postprocess"
+	"repro/internal/privacy"
 	"repro/internal/query"
 )
 
@@ -19,7 +20,7 @@ import (
 // parameter set and rejects the fields it cannot honour (for example,
 // SA on a mechanism without a transform to exclude attributes from).
 type Params struct {
-	// Epsilon is the ε-differential-privacy budget (must be positive).
+	// Epsilon is the ε-differential-privacy budget (positive and finite).
 	Epsilon float64
 	// SA lists attributes excluded from the wavelet transform. Only the
 	// "privelet+" mechanism accepts a non-empty SA; the others have no
@@ -268,11 +269,12 @@ func fromCore(res *core.Result) *Result {
 	}
 }
 
-// epsilonValid rejects non-positive budgets with the mechanism named —
-// the shared fast check of every built-in's ValidateParams.
+// epsilonValid rejects a budget privacy.CheckEpsilon refuses, with the
+// mechanism named — the shared fast check of every built-in's
+// ValidateParams.
 func epsilonValid(name string, p Params) error {
-	if p.Epsilon <= 0 {
-		return fmt.Errorf("privelet: mechanism %q: epsilon must be positive, got %v", name, p.Epsilon)
+	if err := privacy.CheckEpsilon(p.Epsilon); err != nil {
+		return fmt.Errorf("privelet: mechanism %q: %w", name, err)
 	}
 	return nil
 }

@@ -197,6 +197,28 @@ func TestMechanismSARejection(t *testing.T) {
 	}
 }
 
+// TestMechanismsRefuseNonFiniteEpsilon: every built-in mechanism
+// refuses an ε of NaN or ±Inf, in ValidateParams and in PublishWith. An
+// infinite ε used to publish with λ = 0, releasing exact counts.
+func TestMechanismsRefuseNonFiniteEpsilon(t *testing.T) {
+	freq := histFrequency(t, 8, []int{1, 2, 2, 7})
+	for _, name := range []string{"privelet+", "privelet", "basic", "hay"} {
+		m, err := privelet.MechanismByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, eps := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			p := privelet.Params{Epsilon: eps, Seed: 1}
+			if err := privelet.ValidateParams(m, freq.Schema, p); err == nil {
+				t.Errorf("%s: ValidateParams accepted epsilon %v", name, eps)
+			}
+			if _, err := privelet.PublishWith(context.Background(), name, freq, p); err == nil {
+				t.Errorf("%s: PublishWith accepted epsilon %v", name, eps)
+			}
+		}
+	}
+}
+
 // TestValidateParamsPreIngest: every built-in offers the data-free
 // pre-ingest check, and it agrees with Publish-time validation.
 func TestValidateParamsPreIngest(t *testing.T) {

@@ -21,6 +21,7 @@ import (
 // its own and sum the matrices, or serialize Adds externally.
 type Publisher struct {
 	freq    *Frequency
+	sizes   []int // attribute domain sizes, |A_i|
 	strides []int
 	rows    int
 }
@@ -30,11 +31,12 @@ func NewPublisher(schema *Schema) (*Publisher, error) {
 	if schema == nil {
 		return nil, fmt.Errorf("privelet: nil schema")
 	}
-	m, err := matrix.New(schema.Dims()...)
+	sizes := schema.Dims()
+	m, err := matrix.New(sizes...)
 	if err != nil {
 		return nil, err
 	}
-	return &Publisher{freq: &Frequency{Schema: schema, M: m}, strides: matrix.Strides(schema.Dims())}, nil
+	return &Publisher{freq: &Frequency{Schema: schema, M: m}, sizes: sizes, strides: matrix.Strides(sizes)}, nil
 }
 
 // offset validates a row and returns its frequency-matrix offset; the
@@ -46,7 +48,8 @@ func (p *Publisher) offset(vals []int) (int, error) {
 	}
 	off := 0
 	for i, v := range vals {
-		if a := p.freq.Schema.Attr(i); v < 0 || v >= a.Size {
+		if v < 0 || v >= p.sizes[i] {
+			a := p.freq.Schema.Attr(i)
 			return 0, fmt.Errorf("privelet: value %d out of domain [0,%d) for attribute %q", v, a.Size, a.Name)
 		}
 		off += v * p.strides[i]
