@@ -65,16 +65,17 @@
 // (internal/cluster.Repairer): every -repair-interval, plus a random
 // delay of up to a tenth of it so a fleet restarted together does not
 // sweep in lockstep, it diffs actual release placement against the
-// ring and re-ships missing copies,
-// pulls copies it should hold, and finishes DELETEs that replicas
-// slept through (durable tombstones make deletes win over stale
-// copies). POST /internal/repair triggers one sweep on demand and
+// ring, pulls each copy it should hold but lacks from any holder's
+// /export, and DELETEs the releases it tombstoned on peers that slept
+// through the delete (durable tombstones make deletes win over stale
+// copies). It never pushes, and it calls only its peers' public
+// endpoints. POST /internal/repair triggers one sweep on demand and
 // returns its report. -cluster-secret locks every /internal/* endpoint
-// behind a shared bearer token, and -ring-version lets membership roll
-// through the fleet one process at a time: bump it everywhere when the
-// peer list changes, and internal calls from peers still on the old
-// list are refused with a typed 409 instead of writing to stale
-// placement.
+// behind a shared bearer token that routers send, and -ring-version
+// lets membership roll through the fleet one process at a time: bump
+// it everywhere when the peer list changes, and a router still on the
+// old list has its replication pushes refused with a typed 409 instead
+// of writing to stale placement.
 //
 // Releases live in internal/store. With -store-dir set
 // every release is also written through to disk, so the daemon survives
@@ -132,7 +133,7 @@ func main() {
 		peers       = flag.String("peers", "", "comma-separated cluster peer list, name=url each (route mode routes over it; node mode uses it to run anti-entropy repair)")
 		replicas    = flag.Int("replicas", 2, "copies of each release across the ring (clamped to the peer count)")
 		probeEvery  = flag.Duration("probe-interval", cluster.DefaultProbeInterval, "health-probe interval for the ring's nodes (route mode)")
-		secret      = flag.String("cluster-secret", "", "shared bearer token for /internal/* calls: nodes require it, routers and repair sweeps send it (empty = unauthenticated)")
+		secret      = flag.String("cluster-secret", "", "shared bearer token for /internal/* calls: nodes require it, routers send it (empty = unauthenticated)")
 		ringVersion = flag.Uint64("ring-version", 0, "membership version of -peers; bump it on every peer-list change — internal calls from peers still on an older version are refused with a typed 409")
 		repairEvery = flag.Duration("repair-interval", cluster.DefaultRepairInterval, "anti-entropy sweep interval, each wait lengthened by a random delay of up to a tenth of it (node mode with -peers; 0 disables the background loop, POST /internal/repair still works)")
 	)
@@ -175,13 +176,13 @@ func main() {
 		}
 		// With a peer list, the node knows the ring and runs its own
 		// anti-entropy repairer: a background sweep (plus the on-demand
-		// POST /internal/repair) that re-ships missing replica copies and
-		// finishes deletes peers slept through. Repair starts only after
-		// recovery — a restarting node serves its own state before it
-		// starts shipping files.
+		// POST /internal/repair) that pulls the replica copies this node
+		// lacks and finishes deletes peers slept through. Repair starts
+		// only after recovery — a restarting node serves its own state
+		// before it starts copying files.
 		clusterCfg := server.ClusterConfig{Secret: *secret, RingVersion: *ringVersion}
 		if *peers != "" {
-			rep, err := nodeRepairer(*peers, *replicas, *ringVersion, *nodeName, *secret, *repairEvery, st)
+			rep, err := nodeRepairer(*peers, *replicas, *ringVersion, *nodeName, *repairEvery, st)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -220,7 +221,7 @@ func bootHandler(reason string) http.Handler {
 // -peers/-replicas/-ring-version spelling the router uses, so one
 // deployment config describes both tiers. The node must appear in its
 // own peer list under its -node-name.
-func nodeRepairer(peerSpec string, replicas int, version uint64, self, secret string, interval time.Duration, st *store.Store) (*cluster.Repairer, error) {
+func nodeRepairer(peerSpec string, replicas int, version uint64, self string, interval time.Duration, st *store.Store) (*cluster.Repairer, error) {
 	nodes, err := cluster.ParsePeers(peerSpec)
 	if err != nil {
 		return nil, err
@@ -232,9 +233,7 @@ func nodeRepairer(peerSpec string, replicas int, version uint64, self, secret st
 	if !ring.Contains(self) {
 		return nil, fmt.Errorf("-peers does not list this node: set -node-name to one of the peer names (got %q)", self)
 	}
-	return cluster.NewRepairer(cluster.RepairConfig{
-		Self: self, Ring: ring, Store: st, Interval: interval, Secret: secret,
-	})
+	return cluster.NewRepairer(cluster.RepairConfig{Self: self, Ring: ring, Store: st, Interval: interval})
 }
 
 // runRouter runs the cluster routing tier: a static consistent-hash

@@ -48,7 +48,10 @@ func HWTOrdinalized(m *matrix.Matrix, schema *dataset.Schema, epsilon float64, s
 		}
 	}
 	rho := hn.GeneralizedSensitivity()
-	lambda := 2 * rho / epsilon
+	lambda, err := privacy.Lambda(epsilon, rho)
+	if err != nil {
+		return nil, err
+	}
 	weightVecs := make([][]float64, hn.NumDims())
 	for i := range weightVecs {
 		weightVecs[i] = hn.WeightVector(i)

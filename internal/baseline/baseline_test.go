@@ -48,7 +48,8 @@ func TestHWTOrdinalizedAccounting(t *testing.T) {
 	if res.Lambda != 20 {
 		t.Errorf("Lambda = %v, want 20", res.Lambda)
 	}
-	for _, eps := range []float64{0, math.NaN(), math.Inf(1), math.Inf(-1)} {
+	// 5e-324 and 1e-310 are positive and finite, but λ = 2ρ/ε overflows.
+	for _, eps := range []float64{0, math.NaN(), math.Inf(1), math.Inf(-1), 5e-324, 1e-310} {
 		if _, err := HWTOrdinalized(m, s, eps, 2); err == nil {
 			t.Errorf("epsilon %v should fail", eps)
 		}

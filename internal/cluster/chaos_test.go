@@ -14,7 +14,7 @@ package cluster
 // On top of it, the convergence invariant the repair subsystem must
 // hold: every release reaches all R intended replicas within a bounded
 // number of sweeps, every copy is bit-identical to the primary's, and
-// budget accounting never double-spends while repair re-ships copies.
+// budget accounting never double-spends while repair copies releases.
 
 import (
 	"bytes"
@@ -226,10 +226,7 @@ func (f *chaosFleet) bootNode(node *chaosNode, ln net.Listener) {
 // sweeps explicitly so convergence is counted in sweeps, not seconds;
 // the background loop has its own test.
 func (f *chaosFleet) armRepairer(node *chaosNode) {
-	rep, err := NewRepairer(RepairConfig{
-		Self: node.name, Ring: f.ring, Store: node.st,
-		Secret: chaosSecret, Interval: time.Hour,
-	})
+	rep, err := NewRepairer(RepairConfig{Self: node.name, Ring: f.ring, Store: node.st, Interval: time.Hour})
 	if err != nil {
 		f.tb.Fatal(err)
 	}
@@ -462,7 +459,7 @@ type deleteOutcome struct {
 // was charged exactly once (the repaired copy cost nothing).
 func TestChaosPublishWithDeadReplicaConvergesAfterRestart(t *testing.T) {
 	// The scenario exercises kill → restart → spill recovery (the mapped
-	// reload path) → repair (the pushed copy goes through the decoder
+	// reload path) → repair (the pulled copy goes through the decoder
 	// every replica ingest shares).
 	t.Run("mmap", chaosDeadReplicaConverges)
 }
@@ -489,15 +486,15 @@ func chaosDeadReplicaConverges(t *testing.T) {
 		t.Fatal("restarted follower holds a copy it never received")
 	}
 
-	// One sweep on the primary pushes the missing copy.
-	rep := f.sweepOn(primary)
-	if len(rep.Pushed) != 1 || rep.Pushed[0] != id+"→"+follower {
-		t.Fatalf("sweep pushed %v, want [%s→%s]", rep.Pushed, id, follower)
+	// One sweep on the restarted follower pulls the missing copy.
+	rep := f.sweepOn(follower)
+	if len(rep.Pulled) != 1 || rep.Pulled[0] != id+"←"+primary {
+		t.Fatalf("sweep pulled %v, want [%s←%s]", rep.Pulled, id, primary)
 	}
 	f.assertConverged(id)
 
 	// Budget invariant: ε was spent once, at publish, on the primary;
-	// repair shipped a file, it did not re-publish.
+	// repair copied a file, it did not re-publish.
 	if spent := tenantSpent(t, f.nodes[primary].url, "alice"); spent != 0.6 {
 		t.Fatalf("primary ledger spent %v, want 0.6", spent)
 	}
@@ -506,32 +503,46 @@ func chaosDeadReplicaConverges(t *testing.T) {
 	}
 
 	// A second sweep finds nothing to do — repair is idempotent.
-	rep = f.sweepOn(primary)
-	if len(rep.Pushed)+len(rep.Pulled)+len(rep.DeletesPropagated)+len(rep.TombstonesAdopted) != 0 {
-		t.Fatalf("second sweep was not a no-op: %+v", rep)
+	for _, name := range []string{follower, primary} {
+		if rep := f.sweepOn(name); len(rep.Pulled)+len(rep.DeletesPropagated)+len(rep.Errors) != 0 {
+			t.Fatalf("second sweep on %s was not a no-op: %+v", name, rep)
+		}
 	}
 }
 
-// TestChaosRepairPullsMissingCopy drives convergence from the other
-// side: the restarted replica's own sweep notices it is an intended
-// holder without a copy and pulls one from the primary.
+// TestChaosRepairPullsMissingCopy: a release held only outside its
+// intended replica set, as a membership change leaves it, reaches each
+// intended replica through that replica's own sweep, which falls back
+// to the outside holder when no intended node has a copy. The other
+// intended node is partitioned during each sweep, so both pulls come
+// from the outside node.
 func TestChaosRepairPullsMissingCopy(t *testing.T) {
 	f := startChaosFleet(t, 3, 2, 0)
 	reps := f.ring.ReplicasFor("bob")
-	primary, follower := reps[0].Name, reps[1].Name
-
-	f.kill(follower)
-	f.waitHealthy(follower, false)
-	created := tenantPublish(t, f.router.URL, "bob", "schema="+clusterSchema+"&epsilon=0.5&seed=5", clusterCSV)
-	id := created["id"].(string)
-
-	f.restart(follower)
-	f.waitHealthy(follower, true)
-	rep := f.sweepOn(follower)
-	if len(rep.Pulled) != 1 || rep.Pulled[0] != id+"←"+primary {
-		t.Fatalf("sweep pulled %v, want [%s←%s]", rep.Pulled, id, primary)
+	outside := ""
+	for name := range f.nodes {
+		if name != reps[0].Name && name != reps[1].Name {
+			outside = name
+		}
 	}
-	f.assertConverged(id)
+	// Publish straight to the outside node, past the router.
+	id := tenantPublish(t, f.nodes[outside].url, "bob", "schema="+clusterSchema+"&epsilon=0.5&seed=5", clusterCSV)["id"].(string)
+	want, ok := exportBytes(t, f.nodes[outside].url, id)
+	if !ok {
+		t.Fatalf("%s lacks %s", outside, id)
+	}
+	for i, n := range reps {
+		other := f.nodes[reps[1-i].Name]
+		other.faults.partitioned.Store(true)
+		rep := f.sweepOn(n.Name)
+		other.faults.partitioned.Store(false)
+		if len(rep.Pulled) != 1 || rep.Pulled[0] != id+"←"+outside {
+			t.Fatalf("sweep on %s pulled %v, want [%s←%s]", n.Name, rep.Pulled, id, outside)
+		}
+		if got, ok := exportBytes(t, n.URL, id); !ok || !bytes.Equal(got, want) {
+			t.Fatalf("%s's pulled copy of %s is not byte-identical to %s's", n.Name, id, outside)
+		}
+	}
 }
 
 // TestChaosDeleteWithDeadReplicaFinishedBySweep is the DELETE
@@ -595,12 +606,12 @@ func TestChaosDeleteWithDeadReplicaFinishedBySweep(t *testing.T) {
 	}
 }
 
-// TestChaosPartitionedPrimaryTombstoneAdoption: DELETE reaches only the
-// follower because the primary is partitioned; when the partition
-// heals, the primary's own sweep tries to re-ship its stale copy, gets
-// the follower's 410, and adopts the tombstone instead — deletes
-// propagate against the push direction too.
-func TestChaosPartitionedPrimaryTombstoneAdoption(t *testing.T) {
+// TestChaosPartitionedPrimaryDeleteFinishedBySweep: DELETE reaches only
+// the follower because the primary is partitioned. When the partition
+// heals, the primary's own sweep leaves its stale copy alone (it holds
+// the release, so it pulls nothing, and it never pushes), and the
+// follower's sweep, which holds the tombstone, withdraws the copy.
+func TestChaosPartitionedPrimaryDeleteFinishedBySweep(t *testing.T) {
 	f := startChaosFleet(t, 3, 2, 0)
 	reps := f.ring.ReplicasFor("dave")
 	primary, follower := reps[0].Name, reps[1].Name
@@ -627,13 +638,19 @@ func TestChaosPartitionedPrimaryTombstoneAdoption(t *testing.T) {
 	if _, err := f.nodes[primary].st.Describe(id); err != nil {
 		t.Fatalf("partitioned primary lost its copy without repair: %v", err)
 	}
-	rep := f.sweepOn(primary)
-	if len(rep.TombstonesAdopted) != 1 || rep.TombstonesAdopted[0] != id {
-		t.Fatalf("sweep adopted %v, want [%s]", rep.TombstonesAdopted, id)
+	if rep := f.sweepOn(primary); len(rep.Pulled)+len(rep.DeletesPropagated)+len(rep.Errors) != 0 {
+		t.Fatalf("primary's sweep acted on a release it holds: %+v", rep)
+	}
+	if _, err := f.nodes[follower].st.Describe(id); err == nil {
+		t.Fatalf("the primary's sweep resurrected %s on %s", id, follower)
+	}
+	rep := f.sweepOn(follower)
+	if len(rep.DeletesPropagated) != 1 || rep.DeletesPropagated[0] != id+"@"+primary {
+		t.Fatalf("sweep propagated %v, want [%s@%s]", rep.DeletesPropagated, id, primary)
 	}
 	for name, node := range f.nodes {
 		if _, err := node.st.Describe(id); err == nil {
-			t.Fatalf("node %s still holds %s after tombstone adoption", name, id)
+			t.Fatalf("node %s still holds %s after the follower's sweep", name, id)
 		}
 	}
 }
@@ -641,7 +658,8 @@ func TestChaosPartitionedPrimaryTombstoneAdoption(t *testing.T) {
 // TestChaosReplicationFaultsRepaired scripts the replication-path
 // faults: a dropped push and a truncated push both leave the release
 // under-replicated with no partial state on the victim, and one sweep
-// repairs each; a delayed push just makes the synchronous publish wait.
+// on the victim repairs each; a delayed push just makes the synchronous
+// publish wait.
 func TestChaosReplicationFaultsRepaired(t *testing.T) {
 	f := startChaosFleet(t, 3, 2, 0)
 	reps := f.ring.ReplicasFor("erin")
@@ -655,8 +673,8 @@ func TestChaosReplicationFaultsRepaired(t *testing.T) {
 		t.Fatal("dropped push still delivered a copy")
 	}
 	f.nodes[follower].faults.dropReplicate.Store(false)
-	rep := f.sweepOn(primary)
-	if len(rep.Pushed) != 1 {
+	rep := f.sweepOn(follower)
+	if len(rep.Pulled) != 1 || rep.Pulled[0] != id1+"←"+primary {
 		t.Fatalf("sweep after dropped push: %+v", rep)
 	}
 	f.assertConverged(id1)
@@ -669,8 +687,8 @@ func TestChaosReplicationFaultsRepaired(t *testing.T) {
 		t.Fatal("truncated push still registered a release")
 	}
 	f.waitHealthy(follower, true) // the aborted push passively ejected it
-	rep = f.sweepOn(primary)
-	if len(rep.Pushed) != 1 {
+	rep = f.sweepOn(follower)
+	if len(rep.Pulled) != 1 || rep.Pulled[0] != id2+"←"+primary {
 		t.Fatalf("sweep after truncated push: %+v", rep)
 	}
 	f.assertConverged(id2)
@@ -681,9 +699,9 @@ func TestChaosReplicationFaultsRepaired(t *testing.T) {
 	id3 := tenantPublish(t, f.router.URL, "erin", params, clusterCSV)["id"].(string)
 	f.nodes[follower].faults.delayReplicateNs.Store(0)
 	f.assertConverged(id3)
-	rep = f.sweepOn(primary)
-	if len(rep.Pushed) != 0 {
-		t.Fatalf("sweep after delayed (but delivered) push re-shipped: %+v", rep)
+	rep = f.sweepOn(follower)
+	if len(rep.Pulled) != 0 {
+		t.Fatalf("sweep after delayed (but delivered) push pulled again: %+v", rep)
 	}
 }
 
@@ -832,11 +850,10 @@ func TestChaosTwoRoutersServeOneFleet(t *testing.T) {
 
 // TestChaosBackgroundRepairLoop: the Start/Stop ticker loop converges a
 // fleet without any explicit trigger — kill a replica, publish, restart
-// it, and the background sweeps alone must place the missing copy.
+// it, and its background sweeps alone must pull the missing copy.
 func TestChaosBackgroundRepairLoop(t *testing.T) {
 	f := startChaosFleet(t, 3, 2, 0)
-	reps := f.ring.ReplicasFor("heidi")
-	primary, follower := reps[0].Name, reps[1].Name
+	follower := f.ring.ReplicasFor("heidi")[1].Name
 
 	f.kill(follower)
 	f.waitHealthy(follower, false)
@@ -844,11 +861,9 @@ func TestChaosBackgroundRepairLoop(t *testing.T) {
 	f.restart(follower)
 	f.waitHealthy(follower, true)
 
-	// A fast background loop on the primary; nothing else triggers.
-	rep, err := NewRepairer(RepairConfig{
-		Self: primary, Ring: f.ring, Store: f.nodes[primary].st,
-		Secret: chaosSecret, Interval: 25 * time.Millisecond,
-	})
+	// A fast background loop on the restarted follower; nothing else
+	// triggers.
+	rep, err := NewRepairer(RepairConfig{Self: follower, Ring: f.ring, Store: f.nodes[follower].st, Interval: 25 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -865,12 +880,11 @@ func TestChaosBackgroundRepairLoop(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	f.assertConverged(id)
-	// The follower's Ingest finishes before the push's response reaches
-	// the repairer, so the counters may lag the visible copy. Stop waits
-	// for the in-flight sweep to return; the deferred Stop is then a
-	// no-op.
+	// The copy is visible as soon as Ingest registers it, before the
+	// sweep counts it, so the counters may lag. Stop waits for the
+	// in-flight sweep to return; the deferred Stop is then a no-op.
 	rep.Stop()
-	if st := rep.Stats(); st.Sweeps == 0 || st.Pushed == 0 {
+	if st := rep.Stats(); st.Sweeps == 0 || st.Pulled == 0 {
 		t.Fatalf("loop stats unpopulated: %+v", st)
 	}
 }

@@ -1,14 +1,18 @@
 package cluster
 
 // Failure injection against the in-process harness: every replica of a
-// key down, a partitioned primary, and a replica that missed a
-// publish. The contract under test is the ISSUE's acceptance bar — a
-// typed 503, never a hang and never a 500.
+// key down, a partitioned primary, a replica that missed a publish,
+// and a release too large for the router to stage. Reads get a typed
+// 503, never a hang and never a 500, and a publish that lands short of
+// its replica set says why in the router's log.
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
+	"log"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -154,5 +158,37 @@ func TestClusterReplicaLag404Fallthrough(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("absent release: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestClusterShortReplicaSetLogged: a release whose encoding exceeds
+// the router's MaxBody cannot be staged for its follower. The publish
+// still answers 201 with the primary's one copy, and the router logs
+// which follower lacks a copy and the limit that stopped it.
+func TestClusterShortReplicaSetLogged(t *testing.T) {
+	tc := startCluster(t, 3, 2, 0)
+	rt, err := NewRouter(RouterConfig{Ring: tc.ring, Health: tc.health, MaxBody: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(rt.Handler())
+	defer ts.Close()
+
+	var logs bytes.Buffer
+	prev := log.Writer()
+	log.SetOutput(&logs)
+	t.Cleanup(func() { log.SetOutput(prev) })
+	// 128 cells encode to well over 1 KiB.
+	created := clusterPublish(t, ts.URL, "schema=Age:ordinal:64,Gender:nominal:flat:2&epsilon=1&seed=7", clusterCSV)
+	log.SetOutput(prev)
+
+	id := created["id"].(string)
+	reps := tc.ring.ReplicasFor(RouteKey(id))
+	if got := replicaNames(t, created); len(got) != 1 || got[0] != reps[0].Name {
+		t.Fatalf("replicas = %v, want only the primary %s", got, reps[0].Name)
+	}
+	line := logs.String()
+	if !strings.Contains(line, "1 of 2 replicas") || !strings.Contains(line, reps[1].Name+": ") || !strings.Contains(line, "1024-byte limit") {
+		t.Fatalf("router log %q does not name the missing follower %s and the 1024-byte limit", line, reps[1].Name)
 	}
 }

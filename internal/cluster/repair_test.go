@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -100,5 +101,21 @@ func TestRepairRingVersioning(t *testing.T) {
 	}
 	if !r7.Contains("a") || !r7.Contains("b") || r7.Contains("c") {
 		t.Fatal("Contains misreports membership")
+	}
+}
+
+// TestRepairLimitBodyNamesLimit: a body up to the limit reads whole,
+// and one byte more fails with an error naming the limit instead of
+// ending early as if the body were complete.
+func TestRepairLimitBodyNamesLimit(t *testing.T) {
+	for _, n := range []int{0, 1, 1023, 1024} {
+		got, err := io.ReadAll(limitBody(strings.NewReader(strings.Repeat("x", n)), 1024))
+		if err != nil || len(got) != n {
+			t.Fatalf("%d-byte body: read %d bytes, err %v", n, len(got), err)
+		}
+	}
+	got, err := io.ReadAll(limitBody(strings.NewReader(strings.Repeat("x", 1025)), 1024))
+	if err == nil || !strings.Contains(err.Error(), "1024-byte limit") || len(got) != 1024 {
+		t.Fatalf("1025-byte body: read %d bytes, err %v; want 1024 and an error naming the limit", len(got), err)
 	}
 }

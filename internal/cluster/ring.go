@@ -84,12 +84,11 @@ type Ring struct {
 // stamped with a membership version. The replication factor is clamped
 // to the node count; nodes must have non-empty, unique names and
 // non-empty URLs. The version is the operator's monotonic counter over
-// peer-list changes (0 for an unversioned deployment): every internal
-// call (replication pushes, repair triggers) carries the sender's
-// version, and a node whose own ring is newer refuses stale senders —
-// so membership can roll through a fleet one process at a time, with
-// misrouted writes from not-yet-restarted routers turned into typed
-// errors instead of silently wrong placement.
+// peer-list changes (0 for an unversioned deployment): a router's
+// replication pushes carry its version, and a node whose own ring is
+// newer refuses stale senders — so membership can roll through a fleet
+// one process at a time, with misrouted writes from not-yet-restarted
+// routers turned into typed errors instead of silently wrong placement.
 func NewVersionedRing(nodes []Node, replicas int, version uint64) (*Ring, error) {
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("cluster: ring needs at least one node")

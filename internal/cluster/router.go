@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"net/url"
 	"slices"
@@ -19,6 +20,14 @@ import (
 
 	"repro/internal/store"
 )
+
+// RingVersionHeader carries the sender's ring membership version on
+// calls to a node's /internal endpoints: the router's replication
+// pushes and repair triggers. A receiver whose own ring is newer
+// refuses the call with a typed 409, so a router running an outdated
+// peer list fails loudly instead of shipping copies to stale placement.
+// internal/server checks the header under the same name.
+const RingVersionHeader = "X-Ring-Version"
 
 // NodeHeader is the response header the router stamps on every proxied
 // response with the name of the node that answered — the hook failure-
@@ -445,7 +454,10 @@ func (rt *Router) writeThrough(w http.ResponseWriter, req *http.Request, key str
 		httpError(w, http.StatusBadGateway, fmt.Sprintf("primary %q returned an unreadable created summary", primary.Name))
 		return
 	}
-	replicas := rt.replicate(req.Context(), primary, reps[1:], id)
+	replicas, missing := rt.replicate(req.Context(), primary, reps[1:], id)
+	if len(missing) > 0 {
+		log.Printf("cluster: %q has %d of %d replicas; missing %s", id, 1+len(replicas), len(reps), strings.Join(missing, "; "))
+	}
 	created["node"] = primary.Name
 	created["replicas"] = append([]string{primary.Name}, replicas...)
 	w.Header().Set(NodeHeader, primary.Name)
@@ -456,49 +468,50 @@ func (rt *Router) writeThrough(w http.ResponseWriter, req *http.Request, key str
 // healthy follower: one export read, one PUT /internal/replicate per
 // follower — the codec wire format is the transfer unit, and the
 // follower rebuilds through the same decode path a restart uses.
-// Returns the names of followers that hold a copy. A follower that
-// fails is ejected and skipped (the release is under-replicated until
-// republished); the primary's copy already exists, so the publish
-// itself never fails here.
-func (rt *Router) replicate(ctx context.Context, primary Node, followers []Node, id string) []string {
+// Returns the names of followers that hold a copy, and for each one
+// that does not, "name: reason". A follower that fails is ejected and
+// skipped (the release is under-replicated until the follower's own
+// repair sweep pulls it); the primary's copy already exists, so the
+// publish itself never fails here.
+func (rt *Router) replicate(ctx context.Context, primary Node, followers []Node, id string) (done, missing []string) {
 	if len(followers) == 0 {
-		return nil
+		return nil, nil
 	}
-	payload, err := rt.export(ctx, primary, id)
-	if err != nil {
-		rt.replFailures.Add(int64(len(followers)))
-		return nil
-	}
-	var (
-		mu   sync.Mutex
-		done []string
-		wg   sync.WaitGroup
-	)
-	for _, f := range followers {
-		if !rt.health.Healthy(f.Name) {
-			rt.replFailures.Add(1)
-			continue
-		}
-		wg.Add(1)
-		go func(f Node) {
-			defer wg.Done()
-			if err := pushReplica(ctx, http.DefaultClient, rt.secret, rt.ring, f, id, payload); err != nil {
-				rt.replFailures.Add(1)
-				var transport *url.Error
-				if errors.As(err, &transport) {
-					rt.health.ReportFailure(f.Name, err)
+	payload, exportErr := rt.export(ctx, primary, id)
+	why := make([]string, len(followers)) // per follower; "" once it holds a copy
+	var wg sync.WaitGroup
+	for i, f := range followers {
+		switch {
+		case exportErr != nil:
+			why[i] = exportErr.Error()
+		case !rt.health.Healthy(f.Name):
+			why[i] = "unhealthy"
+		default:
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := pushReplica(ctx, rt.secret, rt.ring, f, id, payload); err != nil {
+					var transport *url.Error
+					if errors.As(err, &transport) {
+						rt.health.ReportFailure(f.Name, err)
+					}
+					why[i] = err.Error()
 				}
-				return
-			}
-			rt.replications.Add(1)
-			mu.Lock()
-			done = append(done, f.Name)
-			mu.Unlock()
-		}(f)
+			}()
+		}
 	}
 	wg.Wait()
+	for i, f := range followers {
+		if why[i] == "" {
+			rt.replications.Add(1)
+			done = append(done, f.Name)
+		} else {
+			rt.replFailures.Add(1)
+			missing = append(missing, f.Name+": "+why[i])
+		}
+	}
 	sort.Strings(done)
-	return done
+	return done, missing
 }
 
 // export fetches the encoded release from the node holding it.
@@ -515,7 +528,70 @@ func (rt *Router) export(ctx context.Context, n Node, id string) ([]byte, error)
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("export of %q from %s: status %d", id, n.Name, resp.StatusCode)
 	}
-	return io.ReadAll(io.LimitReader(resp.Body, rt.maxBody))
+	payload, err := io.ReadAll(limitBody(resp.Body, rt.maxBody))
+	if err != nil {
+		return nil, fmt.Errorf("export of %q from %s: %w", id, n.Name, err)
+	}
+	return payload, nil
+}
+
+// pushReplica ships one encoded release into n's store with PUT
+// /internal/replicate/{id}. The request is stamped by stampInternal, so
+// a node running a newer membership refuses the copy instead of
+// accepting stale placement. 200 and 201 are success.
+func pushReplica(ctx context.Context, secret string, ring *Ring, n Node, id string, payload []byte) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPut, n.URL+"/internal/replicate/"+url.PathEscape(id), bytes.NewReader(payload))
+	if err != nil {
+		return err
+	}
+	req.Header.Set("Content-Type", "application/octet-stream")
+	stampInternal(req, secret, ring)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return err
+	}
+	defer drain(resp)
+	if resp.StatusCode != http.StatusCreated && resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("status %d", resp.StatusCode)
+	}
+	return nil
+}
+
+// stampInternal adds the cluster bearer token (when one is set) and the
+// sender's ring version to a request for a peer's /internal endpoint.
+func stampInternal(req *http.Request, secret string, ring *Ring) {
+	if secret != "" {
+		req.Header.Set("Authorization", "Bearer "+secret)
+	}
+	req.Header.Set(RingVersionHeader, fmt.Sprintf("%d", ring.Version()))
+}
+
+// limitBody reads at most limit bytes of body. Where io.LimitReader
+// would end the stream at the limit and hand the caller a silently
+// truncated release, a read past the limit fails with an error naming
+// it.
+func limitBody(body io.Reader, limit int64) io.Reader {
+	return &limitedBody{r: body, left: limit, limit: limit}
+}
+
+type limitedBody struct {
+	r           io.Reader
+	left, limit int64
+}
+
+func (l *limitedBody) Read(p []byte) (int, error) {
+	// Ask for one byte past what is left: getting it proves the body
+	// is longer than the limit, not merely as long.
+	if int64(len(p)) > l.left+1 {
+		p = p[:l.left+1]
+	}
+	n, err := l.r.Read(p)
+	if int64(n) > l.left {
+		n, l.left = int(l.left), 0
+		return n, fmt.Errorf("body exceeds the %d-byte limit", l.limit)
+	}
+	l.left -= int64(n)
+	return n, err
 }
 
 // handleTenantBudget reads a tenant's budget from its primary — the

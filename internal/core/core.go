@@ -136,7 +136,10 @@ func PublishMatrix(ctx context.Context, m *matrix.Matrix, schema *dataset.Schema
 	// over fixed chunks keyed to substreams of the seed, so this path is
 	// parallel too — and still bit-identical at any worker count.
 	if len(restIdx) == 0 {
-		lambda := 2 / opts.Epsilon
+		lambda, err := privacy.Lambda(opts.Epsilon, 1)
+		if err != nil {
+			return nil, err
+		}
 		noisy := m.Clone()
 		if err := privacy.InjectLaplaceUniformCtx(ctx, noisy, lambda, opts.Seed, opts.workers()); err != nil {
 			return nil, err
@@ -162,7 +165,10 @@ func PublishMatrix(ctx context.Context, m *matrix.Matrix, schema *dataset.Schema
 		return nil, err
 	}
 	rho := hn.GeneralizedSensitivity()
-	lambda := 2 * rho / opts.Epsilon
+	lambda, err := privacy.Lambda(opts.Epsilon, rho)
+	if err != nil {
+		return nil, err
+	}
 	weightVecs := make([][]float64, hn.NumDims())
 	for i := range weightVecs {
 		weightVecs[i] = hn.WeightVector(i)

@@ -93,9 +93,13 @@ func TestPublishValidation(t *testing.T) {
 	if _, err := publishTable(t, tbl, Options{Epsilon: -1}); err == nil {
 		t.Error("negative epsilon should fail")
 	}
-	for _, eps := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+	// The last two are positive and finite, but λ = 2ρ/ε overflows.
+	for _, eps := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 5e-324, 1e-310} {
 		if _, err := publishTable(t, tbl, Options{Epsilon: eps}); err == nil {
 			t.Errorf("epsilon %v should fail", eps)
+		}
+		if _, err := publishTable(t, tbl, Options{Epsilon: eps, SA: tbl.Schema().Names()}); err == nil {
+			t.Errorf("epsilon %v with SA = every attribute should fail", eps)
 		}
 	}
 	if _, err := publishTable(t, tbl, Options{Epsilon: 1, SA: []string{"Nope"}}); err == nil {

@@ -167,12 +167,15 @@ func bitsLen(k int) int {
 // bound is conservative. It matches Privelet's polylog profile, as §VIII
 // of the wavelet paper notes for the 1-D case.
 func VarianceBound(epsilon float64, m int) float64 {
-	if privacy.CheckEpsilon(epsilon) != nil || m <= 0 {
+	if m <= 0 {
 		return math.Inf(1)
 	}
 	padded := haar.NextPowerOfTwo(m)
 	levels := float64(haar.Log2(padded) + 1)
-	lambda := 2 * levels / epsilon
+	lambda, err := privacy.Lambda(epsilon, levels)
+	if err != nil {
+		return math.Inf(1)
+	}
 	nodes := 2 * float64(haar.Log2(padded))
 	if nodes < 1 {
 		nodes = 1 // m = 1: the single root node

@@ -19,7 +19,8 @@ func TestPublishValidation(t *testing.T) {
 	if _, err := Publish(context.Background(), []float64{1}, -2, 0); err == nil {
 		t.Error("negative epsilon should fail")
 	}
-	for _, eps := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+	// 5e-324 and 1e-310 are positive and finite, but λ = 2ρ/ε overflows.
+	for _, eps := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 5e-324, 1e-310} {
 		if _, err := Publish(context.Background(), []float64{1}, eps, 0); err == nil {
 			t.Errorf("epsilon %v should fail", eps)
 		}

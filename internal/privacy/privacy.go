@@ -102,7 +102,11 @@ func CheckEpsilon(epsilon float64) error {
 
 // Lambda returns the noise parameter λ that makes a mechanism with
 // generalized sensitivity rho satisfy epsilon-differential privacy:
-// λ = 2ρ/ε (Lemma 1 rearranged).
+// λ = 2ρ/ε (Lemma 1 rearranged). It is the one place λ is computed.
+// An ε that passes CheckEpsilon can still be too small for λ: at a
+// subnormal ε, 2ρ/ε overflows to +Inf, and Laplace(+Inf) noise would
+// release NaN and infinite entries, so a λ that is not finite is an
+// error too.
 func Lambda(epsilon, rho float64) (float64, error) {
 	if err := CheckEpsilon(epsilon); err != nil {
 		return 0, fmt.Errorf("privacy: %w", err)
@@ -110,7 +114,11 @@ func Lambda(epsilon, rho float64) (float64, error) {
 	if rho <= 0 {
 		return 0, fmt.Errorf("privacy: sensitivity must be positive, got %v", rho)
 	}
-	return 2 * rho / epsilon, nil
+	lambda := 2 * rho / epsilon
+	if math.IsInf(lambda, 0) || math.IsNaN(lambda) {
+		return 0, fmt.Errorf("privacy: epsilon %v is too small: λ = 2ρ/ε is not finite at ρ = %v", epsilon, rho)
+	}
+	return lambda, nil
 }
 
 // BasicVarianceBound returns the worst-case noise variance of Dwork et

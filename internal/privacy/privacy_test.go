@@ -3,6 +3,7 @@ package privacy
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/hierarchy"
@@ -102,6 +103,12 @@ func TestLambda(t *testing.T) {
 	}
 	if _, err := Lambda(1, 0); err == nil {
 		t.Error("Lambda rho=0 should fail")
+	}
+	// ε that CheckEpsilon passes but λ = 2ρ/ε overflows at.
+	for _, eps := range []float64{5e-324, 1e-310} {
+		if lam, err := Lambda(eps, 1); err == nil || !strings.Contains(err.Error(), "too small") {
+			t.Errorf("Lambda(%v, 1) = %v, %v; want an error saying ε is too small", eps, lam, err)
+		}
 	}
 }
 

@@ -3,11 +3,11 @@ package server
 // The node side of the cluster tier's internal surface: bearer-token
 // authentication and ring-version checking for every /internal/*
 // endpoint, plus the on-demand repair trigger. internal/cluster owns
-// the other side (the router's pushes and the Repairer's sweeps); the
-// two packages deliberately do not import each other — the cluster
-// package's tests drive real servers, so a server→cluster import would
-// cycle — and meet on plain HTTP contracts instead: the header names
-// and status codes below.
+// the other side (the router's pushes; the Repairer's sweeps call only
+// public endpoints); the two packages deliberately do not import each
+// other — the cluster package's tests drive real servers, so a
+// server→cluster import would cycle — and meet on plain HTTP contracts
+// instead: the header names and status codes below.
 
 import (
 	"context"

@@ -369,13 +369,21 @@ func TestLedgerStatsCounters(t *testing.T) {
 }
 
 // TestPublishRefusesNonFiniteEpsilon: an ε that parses as a float but
-// is not positive and finite is a 400 on both publish endpoints. No
-// release is stored and no budget is charged; an infinite ε used to
-// store a release with λ = 0, the exact counts.
+// is not positive and finite, or is so small that λ = 2ρ/ε is not
+// finite, is a 400 on both publish endpoints. No release is stored and
+// no budget is spent; an infinite ε used to store a release with λ = 0,
+// the exact counts, and a subnormal one a release with λ = +Inf.
 func TestPublishRefusesNonFiniteEpsilon(t *testing.T) {
 	ts := startBudgetServer(t, 1)
-	for _, eps := range []string{"Inf", "-Inf", "NaN", "Infinity"} {
-		params := "schema=" + testSchema + "&epsilon=" + eps
+	for _, tc := range []struct{ eps, rule string }{
+		{"Inf", "positive and finite"},
+		{"-Inf", "positive and finite"},
+		{"NaN", "positive and finite"},
+		{"Infinity", "positive and finite"},
+		{"5e-324", "too small"},
+		{"1e-310", "too small"},
+	} {
+		params := "schema=" + testSchema + "&epsilon=" + tc.eps
 		for _, url := range []string{ts.URL + "/publish?" + params, ts.URL + "/tenants/carol/publish?" + params} {
 			resp, err := http.Post(url, "text/csv", strings.NewReader(testCSV))
 			if err != nil {
@@ -383,7 +391,7 @@ func TestPublishRefusesNonFiniteEpsilon(t *testing.T) {
 			}
 			raw, _ := io.ReadAll(resp.Body)
 			resp.Body.Close()
-			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), "positive and finite") {
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), tc.rule) {
 				t.Fatalf("%s: status %d, body %s; want 400 naming the rule", url, resp.StatusCode, raw)
 			}
 		}

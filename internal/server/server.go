@@ -283,8 +283,8 @@ func (s *Server) handleReplicate(w http.ResponseWriter, req *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"id": id, "status": "already_present"})
 	case errors.Is(err, store.ErrDeleted):
 		// The release was deliberately withdrawn here; replication must
-		// not resurrect it. 410 tells the pusher to adopt the delete
-		// (drop its own copy) instead of retrying.
+		// not resurrect it. 410 tells the pusher not to retry; this
+		// node's repair sweep withdraws the other copies.
 		writeJSON(w, http.StatusGone, map[string]string{
 			"id": id, "error": err.Error(), "code": "deleted",
 		})

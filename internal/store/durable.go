@@ -59,10 +59,10 @@ func DecodeRelease(r io.Reader) (*codec.Payload, error) {
 // an existing replica is a no-op the caller may treat as success). A
 // tombstoned ID returns an error wrapping ErrDeleted: the release was
 // deliberately removed here, and replication must not resurrect it —
-// the pusher should delete its own copy instead (only an explicit Put,
-// i.e. a fresh publish reusing the ID, clears the tombstone). The
-// tombstone is checked when the ID is claimed, after the decode, so a
-// Remove that lands mid-decode still wins.
+// this node's repair sweep deletes the other copies instead (only an
+// explicit Put, i.e. a fresh publish reusing the ID, clears the
+// tombstone). The tombstone is checked when the ID is claimed, after
+// the decode, so a Remove that lands mid-decode still wins.
 func (s *Store) Ingest(id string, r io.Reader) error {
 	if err := validateID(id); err != nil {
 		return err

@@ -98,14 +98,19 @@ func NewAnalyzer(schema *dataset.Schema, epsilon float64, sa []string) (*Analyze
 	}
 	if len(restSpecs) == 0 {
 		// Basic mechanism: λ = 2/ε, every covered cell contributes 2λ².
-		a.lambda = 2 / epsilon
+		var err error
+		if a.lambda, err = privacy.Lambda(epsilon, 1); err != nil {
+			return nil, err
+		}
 		return a, nil
 	}
 	hn, err := transform.New(restSpecs...)
 	if err != nil {
 		return nil, err
 	}
-	a.lambda = 2 * hn.GeneralizedSensitivity() / epsilon
+	if a.lambda, err = privacy.Lambda(epsilon, hn.GeneralizedSensitivity()); err != nil {
+		return nil, err
+	}
 
 	j := 0
 	for i := 0; i < schema.NumAttrs(); i++ {

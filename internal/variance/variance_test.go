@@ -223,9 +223,13 @@ func TestAnalyzerValidation(t *testing.T) {
 	if _, err := NewAnalyzer(s, 0, nil); err == nil {
 		t.Error("epsilon 0 should fail")
 	}
-	for _, eps := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+	// 5e-324 and 1e-310 are positive and finite, but λ = 2ρ/ε overflows.
+	for _, eps := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 5e-324, 1e-310} {
 		if _, err := NewAnalyzer(s, eps, nil); err == nil {
 			t.Errorf("epsilon %v should fail", eps)
+		}
+		if _, err := NewAnalyzer(s, eps, []string{"A"}); err == nil {
+			t.Errorf("epsilon %v with SA = every attribute should fail", eps)
 		}
 	}
 	if _, err := NewAnalyzer(s, 1, []string{"ghost"}); err == nil {
