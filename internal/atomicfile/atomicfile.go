@@ -11,30 +11,55 @@ package atomicfile
 
 import (
 	"io"
+	"math/rand/v2"
 	"os"
+	"strconv"
+	"strings"
 )
 
-// TmpSuffix names the temporary sibling Write encodes into. A crash can
-// strand one; recovery code sweeps files with this suffix.
-const TmpSuffix = ".tmp"
+// tmpSuffix ends every temporary sibling's name.
+const tmpSuffix = ".tmp"
 
-// Write atomically replaces path with the bytes encode writes. On any
-// failure the temporary file is removed and path is left untouched.
-func Write(path string, encode func(io.Writer) error) error {
-	tmp := path + TmpSuffix
-	f, err := os.Create(tmp)
+// Stage writes the bytes encode produces into a new temporary sibling
+// of path, named <base>.<random>.tmp, and returns its name; the caller
+// renames it over path, or removes it. Each call gets a file of its own
+// (O_EXCL), so two writers of one path never share a temporary. The
+// file is created 0666 under the umask, like os.Create. On any failure
+// the temporary is removed and the error returned.
+func Stage(path string, encode func(io.Writer) error) (string, error) {
+	tmp := path + "." + strconv.FormatUint(rand.Uint64(), 36) + tmpSuffix
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o666)
 	if err != nil {
-		return err
+		return "", err
 	}
 	err = encode(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
 	if err != nil {
 		os.Remove(tmp)
+		return "", err
+	}
+	return tmp, nil
+}
+
+// Write atomically replaces path with the bytes encode writes: Stage,
+// then a rename. On any failure the temporary file is removed and path
+// is left untouched.
+func Write(path string, encode func(io.Writer) error) error {
+	tmp, err := Stage(path, encode)
+	if err == nil {
+		if err = os.Rename(tmp, path); err != nil {
+			os.Remove(tmp)
+		}
 	}
 	return err
+}
+
+// IsTemp reports whether the file name is a temporary staged for a file
+// with the extension ext: Stage's <base>.<random>.tmp, or <base>.tmp,
+// the one fixed name earlier versions of Write used. A crash can strand
+// either, and recovery code sweeps them.
+func IsTemp(name, ext string) bool {
+	return strings.HasSuffix(name, tmpSuffix) && strings.Contains(name, ext+".")
 }

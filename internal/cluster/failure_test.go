@@ -2,9 +2,10 @@ package cluster
 
 // Failure injection against the in-process harness: every replica of a
 // key down, a partitioned primary, a replica that missed a publish,
-// and a release too large for the router to stage. Reads get a typed
-// 503, never a hang and never a 500, and a publish that lands short of
-// its replica set says why in the router's log.
+// a release too large for the router to stage, and nodes whose /stats
+// cannot be read. Reads get a typed 503, never a hang and never a 500,
+// a publish that lands short of its replica set says why in the
+// router's log, and the aggregated /stats says why for each node.
 
 import (
 	"bytes"
@@ -190,5 +191,61 @@ func TestClusterShortReplicaSetLogged(t *testing.T) {
 	line := logs.String()
 	if !strings.Contains(line, "1 of 2 replicas") || !strings.Contains(line, reps[1].Name+": ") || !strings.Contains(line, "1024-byte limit") {
 		t.Fatalf("router log %q does not name the missing follower %s and the 1024-byte limit", line, reps[1].Name)
+	}
+}
+
+// TestClusterStatsNamesReadFailure: the aggregated /stats reports why a
+// node's stats could not be read. A body over the 1 MiB limit names the
+// limit and invalid JSON says so; both used to read "stats status 200".
+// A non-200 still reads "stats status N".
+func TestClusterStatsNamesReadFailure(t *testing.T) {
+	serve := func(status int, body string) *httptest.Server {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			w.WriteHeader(status)
+			io.WriteString(w, body)
+		}))
+		t.Cleanup(ts.Close)
+		return ts
+	}
+	// Valid JSON, one byte over the limit: only the limit can fail it.
+	pad := 1<<20 - len(`{"pad":""}`) + 1
+	nodes := []Node{
+		{Name: "big", URL: serve(http.StatusOK, `{"pad":"`+strings.Repeat("x", pad)+`"}`).URL},
+		{Name: "bad", URL: serve(http.StatusOK, `{"releases":`).URL},
+		{Name: "down", URL: serve(http.StatusInternalServerError, `{}`).URL},
+		{Name: "ok", URL: serve(http.StatusOK, `{"releases":3}`).URL},
+	}
+	ring, err := NewVersionedRing(nodes, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := NewRouter(RouterConfig{Ring: ring, Health: NewHealth(nodes, HealthConfig{})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(rt.Handler())
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var stats struct {
+		Nodes map[string]map[string]any `json:"nodes"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]string{
+		"big":  "reading stats: body exceeds the 1048576-byte limit",
+		"bad":  "invalid JSON",
+		"down": "stats status 500",
+	} {
+		if got := stats.Nodes[name]["error"]; got != want {
+			t.Errorf("node %s: error = %v, want %q", name, got, want)
+		}
+	}
+	if got := stats.Nodes["ok"]["releases"]; got != 3.0 {
+		t.Errorf("healthy node's stats = %v, want its body verbatim", stats.Nodes["ok"])
 	}
 }

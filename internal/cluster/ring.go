@@ -8,12 +8,13 @@
 // matrix M* is computed; §VI's evaluator then answers arbitrarily many
 // range-count queries with no further accounting), so a release is
 // immutable the moment it exists. Replication is therefore file
-// shipping — the internal/codec wire format is already the system's
-// single transfer unit (spill files, /export, Save/Load), and a peer
-// ingests a copy through the same decode→rebuild path a restart uses —
-// and replicas can never diverge or serve stale answers: every copy
-// answers every query bit-identically (float64 ==) to the original,
-// because decode is bit-exact and the prefix-sum evaluator rebuild is
+// shipping in the internal/codec wire format (spill files, /export,
+// Save/Load): the router reads a primary's whole export into memory and
+// pushes it to each follower, whose store.Ingest decodes it once and
+// adopts its v2 summed-area table (only a v1 copy, or one whose table
+// fails its checksum, rebuilds it). Replicas can never diverge: every
+// copy answers every query bit-identically (float64 ==) to the
+// original, because decode is bit-exact and the prefix-sum build is
 // deterministic. No consensus, no invalidation, no read-repair.
 //
 // Three pieces:

@@ -465,9 +465,11 @@ func (rt *Router) writeThrough(w http.ResponseWriter, req *http.Request, key str
 }
 
 // replicate ships the encoded release id from the primary to each
-// healthy follower: one export read, one PUT /internal/replicate per
-// follower — the codec wire format is the transfer unit, and the
-// follower rebuilds through the same decode path a restart uses.
+// healthy follower: one export, read whole into memory through the
+// MaxBody limit, then one PUT /internal/replicate of those bytes per
+// follower — the codec wire format is the transfer unit. The
+// follower's store.Ingest decodes the copy once and adopts its v2
+// table, rebuilding the table only for a v1 copy or codec.ErrTable.
 // Returns the names of followers that hold a copy, and for each one
 // that does not, "name: reason". A follower that fails is ejected and
 // skipped (the release is under-replicated until the follower's own
@@ -722,9 +724,9 @@ func (rt *Router) handleList(w http.ResponseWriter, req *http.Request) {
 }
 
 // handleStats aggregates the fleet: every node's /stats verbatim under
-// its name (unreachable nodes report their error instead), the health
-// snapshot, and the router's own counters — one curl shows the whole
-// cluster.
+// its name, read through a 1 MiB limit (a node that cannot be read
+// reports why instead), the health snapshot, and the router's own
+// counters — one curl shows the whole cluster.
 func (rt *Router) handleStats(w http.ResponseWriter, req *http.Request) {
 	nodes := rt.ring.Nodes()
 	perNode := make(map[string]json.RawMessage, len(nodes))
@@ -734,13 +736,18 @@ func (rt *Router) handleStats(w http.ResponseWriter, req *http.Request) {
 			perNode[n.Name] = errJSON(err.Error())
 			continue
 		}
-		raw, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+		raw, err := io.ReadAll(limitBody(resp.Body, 1<<20))
 		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusOK || !json.Valid(raw) {
+		switch {
+		case resp.StatusCode != http.StatusOK:
 			perNode[n.Name] = errJSON(fmt.Sprintf("stats status %d", resp.StatusCode))
-			continue
+		case err != nil:
+			perNode[n.Name] = errJSON("reading stats: " + err.Error())
+		case !json.Valid(raw):
+			perNode[n.Name] = errJSON("invalid JSON")
+		default:
+			perNode[n.Name] = raw
 		}
-		perNode[n.Name] = raw
 	}
 	names := make([]string, 0, len(nodes))
 	for _, n := range nodes {

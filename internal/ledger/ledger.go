@@ -176,10 +176,11 @@ func (l *Ledger) recover() error {
 		if d.IsDir() {
 			continue
 		}
-		// A crash mid-write strands a temp file; the rename never
-		// happened, so the .ledger file still holds the last committed
-		// state and the temp is garbage.
-		if strings.HasSuffix(name, fileExt+atomicfile.TmpSuffix) {
+		// A crash mid-write strands a temp file, in either the staged
+		// <name>.<random>.tmp form or the fixed <name>.tmp one earlier
+		// versions wrote; the rename never happened, so the .ledger file
+		// still holds the last committed state and the temp is garbage.
+		if atomicfile.IsTemp(name, fileExt) {
 			os.Remove(filepath.Join(l.cfg.Dir, name))
 			continue
 		}

@@ -249,16 +249,22 @@ func TestLedgerTempFileSweep(t *testing.T) {
 	if _, err := l.Charge("alice", 0.5); err != nil {
 		t.Fatal(err)
 	}
-	stranded := filepath.Join(dir, "alice.ledger.tmp")
-	if err := os.WriteFile(stranded, []byte("partial"), 0o644); err != nil {
-		t.Fatal(err)
+	// Both forms: the staged <name>.<random>.tmp and the fixed
+	// <name>.tmp earlier versions wrote.
+	strandedFiles := []string{filepath.Join(dir, "alice.ledger.tmp"), filepath.Join(dir, "alice.ledger.5g6h7j.tmp")}
+	for _, stranded := range strandedFiles {
+		if err := os.WriteFile(stranded, []byte("partial"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	l2 := mustLedger(t, Config{Dir: dir, DefaultBudget: 1})
 	if got := l2.Remaining("alice"); got != 0.5 {
 		t.Fatalf("Remaining = %v, want 0.5 (committed state, not the temp)", got)
 	}
-	if _, err := os.Stat(stranded); !os.IsNotExist(err) {
-		t.Fatal("stranded temp file not swept")
+	for _, stranded := range strandedFiles {
+		if _, err := os.Stat(stranded); !os.IsNotExist(err) {
+			t.Fatalf("stranded temp file %s not swept", stranded)
+		}
 	}
 }
 

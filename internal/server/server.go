@@ -265,8 +265,10 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 
 // handleReplicate is the cluster tier's replica-ingest endpoint: the
 // body is an encoded release (the codec wire format — the same bytes
-// /export emits), stored verbatim under {id} through the store's
-// decode→rebuild path. Re-pushing an existing ID answers 200 instead
+// /export emits), which store.Ingest decodes once, adopting a v2
+// body's summed-area table (only a v1 body, or one whose table fails
+// its checksum, rebuilds it), and encodes again into its own spill file
+// under {id}. Re-pushing an existing ID answers 200 instead
 // of 201: releases are immutable, so the copy is already identical and
 // replication stays idempotent. The endpoint is /internal/ because it
 // trusts its caller (the router) on placement — expose it only on

@@ -61,8 +61,9 @@ func DecodeRelease(r io.Reader) (*codec.Payload, error) {
 // deliberately removed here, and replication must not resurrect it —
 // this node's repair sweep deletes the other copies instead (only an
 // explicit Put, i.e. a fresh publish reusing the ID, clears the
-// tombstone). The tombstone is checked when the ID is claimed, after
-// the decode, so a Remove that lands mid-decode still wins.
+// tombstone). The tombstone is checked when the entry is inserted,
+// after the decode and the encode of the spill file, so a Remove that
+// lands mid-decode still wins.
 func (s *Store) Ingest(id string, r io.Reader) error {
 	if err := validateID(id); err != nil {
 		return err

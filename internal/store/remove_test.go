@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -180,10 +182,10 @@ func TestRemoveConcurrentWithReadersAndEviction(t *testing.T) {
 	if st.Reloads == 0 {
 		t.Fatalf("churn never reloaded a release: %+v", st)
 	}
-	// Every spill file must be gone too: Remove cleaned up even when it
-	// raced an in-flight write-through. Only the durable tombstone
-	// markers survive — each ID's last operation was a Remove, and the
-	// marker is what keeps replication from resurrecting it.
+	// Every spill file must be gone too, and no staged temporary may be
+	// left. Only the durable tombstone markers survive — each ID's last
+	// operation was a Remove, and the marker is what keeps replication
+	// from resurrecting it.
 	dirents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -207,4 +209,66 @@ func evictLRU(s *Store) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.evictOne()
+}
+
+// TestRemoveRacingReusingPut races Remove(id) with a Put that reuses id
+// as soon as the Remove has freed it. Remove's marker write and the
+// Put's marker unlink must not interleave: after every round the
+// reborn release is live, no .tomb sits beside its .prvl, and a store
+// recovered from the directory serves it.
+func TestRemoveRacingReusingPut(t *testing.T) {
+	dir := t.TempDir()
+	s, err := New(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const id = "alice/1"
+	if err := s.Put(id, testPayload(t, 0), 0); err != nil {
+		t.Fatal(err)
+	}
+	marker := filepath.Join(dir, "alice~1"+tombExt)
+	for round := 1; round <= 500; round++ {
+		p := testPayload(t, uint64(round))
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			if err := s.Remove(id); err != nil {
+				t.Errorf("round %d: Remove: %v", round, err)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			// Spin until the Remove has freed the ID.
+			for {
+				err := s.Put(id, p, 0)
+				if err == nil {
+					return
+				}
+				if !errors.Is(err, ErrDuplicate) {
+					t.Errorf("round %d: Put: %v", round, err)
+					return
+				}
+				runtime.Gosched()
+			}
+		}()
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+		if _, err := os.Stat(marker); !os.IsNotExist(err) {
+			t.Fatalf("round %d: a tombstone marker sits beside the live release (stat err %v)", round, err)
+		}
+		re, err := New(Config{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel, err := re.Get(id)
+		if err != nil {
+			t.Fatalf("round %d: recovery lost the live release: %v", round, err)
+		}
+		if got, want := rel.Payload.Noisy.Data()[0], float64(round)+math.Pi; got != want {
+			t.Fatalf("round %d: recovered entry 0 = %v, want %v", round, got, want)
+		}
+	}
 }

@@ -5,7 +5,7 @@ package store
 // never resurrects a deleted release), Put clears it on deliberate ID
 // reuse, recovery finishes a delete the process died in the middle of,
 // and a failed Ingest leaves no partial spill state behind (the
-// tmp+rename contract).
+// stage-then-rename contract).
 
 import (
 	"bytes"
@@ -104,15 +104,18 @@ func TestRepairTombstoneSurvivesRestart(t *testing.T) {
 	if err := s.Remove("gone1"); err != nil {
 		t.Fatal(err)
 	}
-	// The marker is written tmp+rename, like spill files: a crash
+	// The marker is staged and renamed, like spill files: a crash
 	// mid-write strands only a tmp file, which recovery sweeps and
-	// never reads as a tombstone.
-	if _, err := os.Stat(filepath.Join(dir, "gone1.tomb.tmp")); !os.IsNotExist(err) {
-		t.Fatalf("tombstone write left its tmp file: %v", err)
+	// never reads as a tombstone — in the staged form and in the fixed
+	// form earlier versions wrote.
+	if left, _ := filepath.Glob(filepath.Join(dir, "gone1.tomb*.tmp")); len(left) != 0 {
+		t.Fatalf("tombstone write left its tmp file: %v", left)
 	}
-	stranded := filepath.Join(dir, "gone2.tomb.tmp")
-	if err := os.WriteFile(stranded, nil, 0o644); err != nil {
-		t.Fatal(err)
+	strandedFiles := []string{filepath.Join(dir, "gone2.tomb.tmp"), filepath.Join(dir, "gone3.tomb.1x2y3z.tmp")}
+	for _, stranded := range strandedFiles {
+		if err := os.WriteFile(stranded, nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	re, err := New(Config{Dir: dir})
@@ -122,14 +125,52 @@ func TestRepairTombstoneSurvivesRestart(t *testing.T) {
 	if !tombstoned(re, "gone1") {
 		t.Fatal("tombstone lost across restart")
 	}
-	if tombstoned(re, "gone2") {
+	if tombstoned(re, "gone2") || tombstoned(re, "gone3") {
 		t.Fatal("recovery read a stranded tmp file as a tombstone")
 	}
-	if _, err := os.Stat(stranded); !os.IsNotExist(err) {
-		t.Fatal("recovery left the stranded tombstone tmp file")
+	for _, stranded := range strandedFiles {
+		if _, err := os.Stat(stranded); !os.IsNotExist(err) {
+			t.Fatalf("recovery left the stranded tombstone tmp file %s", stranded)
+		}
 	}
 	if err := re.Ingest("gone1", bytes.NewReader(wire)); !errors.Is(err, ErrDeleted) {
 		t.Fatalf("post-restart Ingest of tombstoned ID: err = %v, want ErrDeleted", err)
+	}
+}
+
+// TestSpillAndMarkerModes: spill files and markers get os.Create's
+// mode, 0666 under the umask, however their temporaries are staged.
+func TestSpillAndMarkerModes(t *testing.T) {
+	dir := t.TempDir()
+	s, err := New(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"kept", "gone"} {
+		if err := s.Put(id, testPayload(t, 9), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Remove("gone"); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := os.Create(filepath.Join(dir, "ref"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.Close()
+	want, err := os.Stat(ref.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"kept.prvl", "gone.tomb"} {
+		got, err := os.Stat(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Mode() != want.Mode() {
+			t.Errorf("%s has mode %v, os.Create gives %v", name, got.Mode(), want.Mode())
+		}
 	}
 }
 
@@ -225,8 +266,8 @@ func TestRepairRecoveryFinishesCrashedDelete(t *testing.T) {
 }
 
 // TestRepairIngestCrashSafety: a write error mid-ingest must leave no
-// partial spill file (the tmp+rename contract), free the ID, and let a
-// straight retry succeed.
+// partial spill file (the stage-then-rename contract), free the ID, and
+// let a straight retry succeed.
 func TestRepairIngestCrashSafety(t *testing.T) {
 	dir := t.TempDir()
 	s, err := New(Config{Dir: dir})
@@ -243,12 +284,13 @@ func TestRepairIngestCrashSafety(t *testing.T) {
 	}
 	assertNoSpillState(t, dir, "c1")
 
-	// Fault 2: the spill write itself fails — the tmp path is blocked, so
-	// os.Create errors exactly where a disk-full would. (A read-only
-	// directory is no use here: the test may run as root, which ignores
-	// permission bits.)
-	tmpBlock := filepath.Join(dir, "c1.prvl.tmp")
-	if err := os.Mkdir(tmpBlock, 0o755); err != nil {
+	// Fault 2: the spill write itself fails — a directory blocks the
+	// final c1.prvl path, so the rename errors where a full disk would
+	// fail the write. (The temporary's name is random, so it cannot be
+	// blocked; a read-only directory is no use either: the test may run
+	// as root, which ignores permission bits.)
+	block := filepath.Join(dir, "c1.prvl")
+	if err := os.Mkdir(block, 0o755); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Ingest("c1", bytes.NewReader(wire)); err == nil {
@@ -257,12 +299,10 @@ func TestRepairIngestCrashSafety(t *testing.T) {
 	if _, err := s.Get("c1"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("failed ingest left the release registered: %v", err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "c1.prvl")); !os.IsNotExist(err) {
-		t.Fatal("failed ingest left a spill file")
-	}
-	if err := os.Remove(tmpBlock); err != nil {
+	if err := os.Remove(block); err != nil {
 		t.Fatal(err)
 	}
+	assertNoSpillState(t, dir, "c1")
 
 	// The retry (same ID, same bytes) succeeds and answers queries.
 	if err := s.Ingest("c1", bytes.NewReader(wire)); err != nil {
@@ -278,31 +318,35 @@ func TestRepairIngestCrashSafety(t *testing.T) {
 		t.Fatalf("retried ingest answers %v, want %v", got, want)
 	}
 
-	// Fault 3: a crash mid-spill strands a tmp file; the next recovery
-	// sweeps it without disturbing healthy releases.
-	stranded := filepath.Join(dir, "c2.prvl.tmp")
-	if err := os.WriteFile(stranded, wire[:len(wire)/3], 0o644); err != nil {
-		t.Fatal(err)
+	// Fault 3: a crash mid-spill strands a tmp file, in the staged form
+	// or in the fixed form earlier versions wrote; the next recovery
+	// sweeps both without disturbing healthy releases.
+	strandedFiles := []string{filepath.Join(dir, "c2.prvl.tmp"), filepath.Join(dir, "c3.prvl.9f8e7d.tmp")}
+	for _, stranded := range strandedFiles {
+		if err := os.WriteFile(stranded, wire[:len(wire)/3], 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	re, err := New(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(stranded); !os.IsNotExist(err) {
-		t.Fatal("recovery left the stranded tmp file")
+	for _, stranded := range strandedFiles {
+		if _, err := os.Stat(stranded); !os.IsNotExist(err) {
+			t.Fatalf("recovery left the stranded tmp file %s", stranded)
+		}
 	}
 	if _, err := re.Get("c1"); err != nil {
 		t.Fatalf("healthy release lost during tmp sweep: %v", err)
 	}
 }
 
-// assertNoSpillState fails if any on-disk artifact for id exists.
+// assertNoSpillState fails if any on-disk artifact for id exists: its
+// spill file, its marker or a temporary staged for either.
 func assertNoSpillState(t *testing.T, dir, id string) {
 	t.Helper()
-	for _, suffix := range []string{".prvl", ".prvl.tmp", ".tomb"} {
-		if _, err := os.Stat(filepath.Join(dir, id+suffix)); !os.IsNotExist(err) {
-			t.Fatalf("unexpected artifact %s%s (stat err %v)", id, suffix, err)
-		}
+	if left, _ := filepath.Glob(filepath.Join(dir, id+".*")); len(left) != 0 {
+		t.Fatalf("unexpected artifacts %v", left)
 	}
 }
 

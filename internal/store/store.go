@@ -7,10 +7,10 @@
 // two properties:
 //
 //   - Publishes must not stall queries of unrelated releases. One
-//     RWMutex guards every release, but it is held only to look up,
-//     claim or flip an entry — never across a publish's evaluator build,
-//     a spill write, a decode or a reload, which run under the release's
-//     own I/O lock — so a query waits at most for another map update.
+//     RWMutex guards every release and its files: it is held across a
+//     rename, an empty marker write and an unlink (see Put and Remove),
+//     but never across an encode, a decode, a reload or a publish, so
+//     a query waits at most for one of those file operations.
 //   - Memory must not grow without bound as tenants accumulate
 //     releases. With a spill directory configured, every release is
 //     written through to disk at Put time in the internal/codec format
@@ -229,9 +229,10 @@ type Stats struct {
 type Store struct {
 	cfg Config
 
-	// mu guards entries, tombs and resident, and each entry's payload,
-	// eval, info, spare and spilled. It is never held across a publish,
-	// spill write, decode or reload; those run under the entry's ioMu.
+	// mu guards entries, tombs and resident, each entry's payload, eval,
+	// info and spare, and the files in Dir: an entry is inserted with its
+	// spill file's rename and deleted with its marker write and unlink.
+	// It is never held across an encode, decode, reload or publish.
 	mu      sync.RWMutex
 	entries map[string]*entry
 	// tombs is the set of deliberately deleted release IDs (see tombExt).
@@ -254,8 +255,9 @@ type Store struct {
 }
 
 // entry is one stored release. stub/workers are immutable after insert;
-// payload, eval, info, spare and spilled are guarded by Store.mu;
-// payload/eval are nil while the release is not resident.
+// payload, eval, info and spare are guarded by Store.mu; payload/eval
+// are nil while the release is not resident. With a Dir, an entry's
+// spill file exists for as long as the entry is in the map.
 type entry struct {
 	id       string
 	stub     Stub
@@ -263,10 +265,8 @@ type entry struct {
 	// cache is the entry's answer cache (nil when disabled), immutable
 	// after insert like stub: eviction keeps it, Remove discards it.
 	cache *query.AnswerCache
-	// ioMu serializes the entry's spill-file I/O: the write-through at
-	// Put, reloads (so a hot spilled release is decoded once, not once
-	// per waiting goroutine), and Remove's wait for an in-flight
-	// write-through to settle before the ID is declared reusable.
+	// ioMu serializes reloads, so a hot spilled release is decoded once,
+	// not once per waiting goroutine.
 	ioMu sync.Mutex
 
 	payload *codec.Payload
@@ -281,10 +281,6 @@ type entry struct {
 	// finalizer unmaps it. It lives on the entry, so a Remove and a Put
 	// of the same ID, and a recovered entry, start without one.
 	spare weak.Pointer[codec.Payload]
-	// spilled records that the release's disk copy exists; eviction
-	// must never drop an entry before its spill file is durable. Put
-	// sets it holding both mu and ioMu, so either lock suffices to read.
-	spilled bool
 }
 
 // New builds a store. With cfg.Dir set it creates the directory if
@@ -323,8 +319,9 @@ func (s *Store) recover() error {
 		return fmt.Errorf("store: scanning %s: %w", s.cfg.Dir, err)
 	}
 	// Tombstones first: a spill file whose ID is tombstoned is an orphan
-	// from a crash between Remove's marker write and its unlink — the
-	// marker wins (the release was deliberately deleted), and the orphan
+	// from a crash between Remove's marker write and its unlink, or
+	// between a reusing Put's rename and its marker unlink — the marker
+	// wins (the delete was acknowledged, the Put was not), and the orphan
 	// is swept rather than resurrected.
 	for _, d := range dirents {
 		name := d.Name()
@@ -342,10 +339,10 @@ func (s *Store) recover() error {
 		if d.IsDir() {
 			continue
 		}
-		// A crash mid-writeSpill or mid-addTombstone can strand a temp
-		// file; sweep it now — recovery runs before the store serves, so
-		// nothing is writing.
-		if strings.HasSuffix(name, spillExt+atomicfile.TmpSuffix) || strings.HasSuffix(name, tombExt+atomicfile.TmpSuffix) {
+		// A crash after a Put staged its spill file, or mid-marker write,
+		// can strand a temp file; sweep it now — recovery runs before the
+		// store serves, so nothing is writing.
+		if atomicfile.IsTemp(name, spillExt) || atomicfile.IsTemp(name, tombExt) {
 			os.Remove(filepath.Join(s.cfg.Dir, name))
 			continue
 		}
@@ -365,7 +362,7 @@ func (s *Store) recover() error {
 			log.Printf("store: skipping unreadable spill file %s: %v", name, err)
 			continue
 		}
-		s.entries[id] = &entry{id: id, stub: makeStub(id, meta, schema, 0), spilled: true, cache: s.newAnswerCache()}
+		s.entries[id] = &entry{id: id, stub: makeStub(id, meta, schema, 0), cache: s.newAnswerCache()}
 	}
 	return nil
 }
@@ -373,28 +370,22 @@ func (s *Store) recover() error {
 // Put stores a release under id, which must be unique for the lifetime
 // of the store's directory. Reusing an ID is a caller bug and is
 // rejected — atomically, so racing duplicate Puts cannot clobber each
-// other's spill file: the ID's map slot is claimed under the store lock
-// before any file I/O, and only the claimant writes the file. With a
-// spill directory configured, Put does not return success until the
-// release's disk copy is durable, and eviction skips entries whose
-// write-through has not finished yet, so a spilled release always has a
-// file to reload from. If the write-through fails, the release is
-// withdrawn and the error returned (a concurrent Get in that window may
-// have answered from the in-memory copy, as if the release had existed
-// briefly).
+// other's spill file: each encodes into a temporary file of its own
+// before taking the store lock, and only the one that finds the ID free
+// under it renames its file into place and inserts the entry, in one
+// critical section. So every entry has a file to reload from, and a
+// Put whose encode or rename fails stores nothing.
 //
 // Put adopts p: when p arrives table-less it populates p.Table/p.Total
-// with the evaluator's summed-area table before the write-through, so
-// every spill file is written in format v2 and later reloads pay zero
+// with the evaluator's summed-area table before the encode, so every
+// spill file is written in format v2 and later reloads pay zero
 // prefix-sum work.
 func (s *Store) Put(id string, p *codec.Payload, workers int) error {
 	return s.put(id, p, workers, false)
 }
 
-// put is Put, and with ingest set the tail of Ingest: an ingest of a
-// tombstoned ID is refused with ErrDeleted in the critical section that
-// claims the slot, so a Remove can never land between the check and the
-// claim. Only a Put clears the tombstone.
+// put is Put, and with ingest set the tail of Ingest. The encode runs
+// before the store lock is taken; insert does the rest under it.
 func (s *Store) put(id string, p *codec.Payload, workers int, ingest bool) error {
 	if err := validateID(id); err != nil {
 		return err
@@ -410,124 +401,100 @@ func (s *Store) put(id string, p *codec.Payload, workers int, ingest bool) error
 		cache:   s.newAnswerCache(),
 	}
 	e.touch(s)
+	var tmp string
+	if s.cfg.Dir != "" {
+		var err error
+		if tmp, err = atomicfile.Stage(s.spillPath(id), func(w io.Writer) error { return EncodeRelease(w, p) }); err != nil {
+			return fmt.Errorf("store: spilling %q: %w", id, err)
+		}
+	}
 	s.mu.Lock()
+	err := s.insert(e, tmp, ingest)
+	s.mu.Unlock()
+	if err != nil && tmp != "" {
+		os.Remove(tmp)
+	}
+	return err
+}
+
+// insert renames the staged spill file tmp (empty without a Dir) into
+// place and adds e, unless e's ID is taken or, for an ingest,
+// tombstoned: checking and inserting in one critical section means a
+// Remove can never land between the two. Only a Put clears the
+// tombstone. Caller holds s.mu for writing.
+func (s *Store) insert(e *entry, tmp string, ingest bool) error {
+	id := e.id
 	if _, dup := s.entries[id]; dup {
-		s.mu.Unlock()
 		return fmt.Errorf("store: release %q: %w", id, ErrDuplicate)
 	}
-	if _, dead := s.tombs[id]; dead && ingest {
-		s.mu.Unlock()
+	_, dead := s.tombs[id]
+	if dead && ingest {
 		return fmt.Errorf("store: ingesting %q: %w", id, ErrDeleted)
 	}
-	s.entries[id] = e
-	s.resident++
-	// Holding ioMu across the write-through lets Remove wait for the
-	// rename (and any orphan cleanup) to settle before it returns — the
-	// point at which the ID becomes safe to reuse. The lock is fresh and
-	// uncontended here; ordering is always ioMu after the slot claim.
-	e.ioMu.Lock()
-	s.mu.Unlock()
-	defer e.ioMu.Unlock()
-	if s.cfg.Dir != "" {
-		if err := s.writeSpill(id, p); err != nil {
-			// Roll back only if the slot is still ours: a concurrent
-			// Remove may already have taken the entry out (and adjusted
-			// the resident count), in which case there is nothing to
-			// undo — the release is gone either way.
-			s.mu.Lock()
-			if s.entries[id] == e {
-				delete(s.entries, id)
-				s.resident--
-			}
-			s.mu.Unlock()
-			return err
+	if tmp != "" {
+		if err := os.Rename(tmp, s.spillPath(id)); err != nil {
+			return fmt.Errorf("store: spilling %q: %w", id, err)
 		}
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.entries[id] != e {
-		// Removed while the write-through was in flight; the spill file
-		// just written is an orphan Remove could not see — delete it so a
-		// restart does not resurrect the release. The delete happens
-		// under the lock and only while the ID's slot is vacant, so it
-		// can never hit a successor Put's fresh file (claiming the slot
-		// requires this lock).
-		if s.cfg.Dir != "" && s.entries[id] == nil {
-			os.Remove(s.spillPath(id))
-		}
-		return nil
-	}
-	e.spilled = s.cfg.Dir != ""
-	// A fresh publish reusing a deleted ID clears the tombstone — but only
-	// once the release is fully durable, so a failed Put leaves the delete
-	// marker (and the repair sweep's view of it) intact. An ingest found
-	// none at its claim, and a Remove since would have vacated the slot.
-	if _, dead := s.tombs[id]; dead {
+	// A fresh publish reusing a deleted ID clears the tombstone, its
+	// marker after the rename: a crash between the two leaves both
+	// files, and recovery keeps the acknowledged delete over the Put
+	// that never returned.
+	if dead {
 		delete(s.tombs, id)
-		if s.cfg.Dir != "" {
+		if tmp != "" {
 			os.Remove(s.tombPath(id))
 		}
 	}
+	s.entries[id] = e
+	s.resident++
 	s.enforceBudget()
 	return nil
 }
 
-// Remove deletes the release under id: it is withdrawn from serving
-// immediately and its spill file (if any) is deleted, reclaiming the
-// disk space — the release-deletion path the spill directory needed to
-// stop growing forever. Removal is terminal even on error: once Remove
-// returns, the ID is free (a non-nil error means only that the disk file
-// may linger; recovery will re-register such a file after a restart, so
-// callers should retry the Remove then). Returns an error wrapping
-// ErrNotFound for unknown IDs.
+// Remove deletes the release under id: in one critical section it is
+// withdrawn from serving, its tombstone marker is written and its spill
+// file (if any) unlinked, so no file operation of the delete can land
+// on a Put that reuses the ID. Removal is terminal even on error: once
+// Remove returns, the ID is free (a non-nil error means only that the
+// spill file may linger; recovery sweeps it when the marker was
+// written, and otherwise re-registers it, so callers should retry the
+// Remove then). Returns an error wrapping ErrNotFound for unknown IDs.
 //
 // Concurrent readers are safe: a Get holding the Release keeps valid
 // pointers (removal only drops the store's references), and a Get racing
 // the removal either completes first or reports ErrNotFound.
 func (s *Store) Remove(id string) error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	e := s.entries[id]
 	if e == nil {
-		s.mu.Unlock()
 		return fmt.Errorf("store: %q: %w", id, ErrNotFound)
 	}
 	delete(s.entries, id)
 	if e.payload != nil {
 		s.resident--
 	}
-	// The tombstone goes in with the delete, so no Ingest can claim the
-	// vacant slot before it exists.
+	// The tombstone goes in with the delete, so no Ingest can insert the
+	// ID before it exists.
 	s.tombs[id] = struct{}{}
-	s.mu.Unlock()
 	s.removals.Add(1)
+	if s.cfg.Dir == "" {
+		return nil
+	}
 	// Marker before the spill unlink: if the process dies between the
 	// two, recovery finds marker + file and finishes the delete instead of
 	// resurrecting the release. Repair sweeps read the marker to propagate
-	// the delete to replicas that were down when it happened.
-	s.writeTombstone(id)
-	// Wait for an in-flight write-through to settle: Put holds ioMu from
-	// the slot claim until its rename (or orphan cleanup) is done, so
-	// after this acquisition the file state is final and no stale rename
-	// can land once Remove has returned — which is exactly when the ID
-	// becomes free for reuse.
-	e.ioMu.Lock()
-	spilled := e.spilled
-	e.ioMu.Unlock()
-	var fileErr error
-	if spilled {
-		// Unlink under the lock, only while the slot is vacant: a
-		// successor Put (the ID is free from the caller's perspective
-		// the moment we return) claims the slot under the same lock, so
-		// the delete can never hit a successor's fresh file.
-		s.mu.Lock()
-		if s.entries[id] == nil {
-			if err := os.Remove(s.spillPath(id)); err != nil && !os.IsNotExist(err) {
-				fileErr = fmt.Errorf("store: removing spill file of %q: %w", id, err)
-			}
-		}
-		s.mu.Unlock()
+	// the delete to replicas that were down when it happened. The write
+	// is best-effort: a failed one costs at worst one resurrection after
+	// a restart, which the next DELETE fixes.
+	if err := atomicfile.Write(s.tombPath(id), func(io.Writer) error { return nil }); err != nil {
+		log.Printf("store: writing tombstone for %q: %v", id, err)
 	}
-	return fileErr
+	if err := os.Remove(s.spillPath(id)); err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("store: removing spill file of %q: %w", id, err)
+	}
+	return nil
 }
 
 // Get returns the release under id, transparently reloading it if it
@@ -617,21 +584,6 @@ func CompareIDs(a, b string) int {
 		return c
 	}
 	return strings.Compare(a, b)
-}
-
-// writeTombstone makes id's delete marker durable when a spill directory
-// exists: an empty <id>.tomb beside where the spill file was, written
-// through atomicfile like the spill file itself. The write is
-// best-effort: a failed write costs at worst one resurrection after a
-// restart, which the next DELETE fixes — whereas failing the Remove over
-// it would leave the release serving.
-func (s *Store) writeTombstone(id string) {
-	if s.cfg.Dir == "" {
-		return
-	}
-	if err := atomicfile.Write(s.tombPath(id), func(io.Writer) error { return nil }); err != nil {
-		log.Printf("store: writing tombstone for %q: %v", id, err)
-	}
 }
 
 func (s *Store) tombPath(id string) string {
@@ -750,16 +702,17 @@ func (s *Store) enforceBudget() {
 }
 
 // evictOne drops the in-memory copy of the least-recently-used resident
-// release with a durable disk copy, keeping only a weak reference
-// (entry.spare); callers holding its Release keep it. Returns false when
-// no release is evictable. Caller holds s.mu for writing, so the scan
-// and the drop are one step: no entry can be reloaded, removed or
-// evicted by someone else in between.
+// release, keeping only a weak reference (entry.spare); callers holding
+// its Release keep it. Eviction needs a Dir, so the entry has its spill
+// file to reload from. Returns false when no release is resident.
+// Caller holds s.mu for writing, so the scan and the drop are one step:
+// no entry can be reloaded, removed or evicted by someone else in
+// between.
 func (s *Store) evictOne() bool {
 	var victim *entry
 	best := int64(math.MaxInt64)
 	for _, e := range s.entries {
-		if e.payload == nil || !e.spilled {
+		if e.payload == nil {
 			continue
 		}
 		if t := e.lastUsed.Load(); t < best {
@@ -847,17 +800,6 @@ func spillID(name string) string { return strings.ReplaceAll(name, "~", "/") }
 
 func (s *Store) spillPath(id string) string {
 	return filepath.Join(s.cfg.Dir, spillName(id)+spillExt)
-}
-
-// writeSpill atomically writes the release's spill file (atomicfile:
-// encode to a temp file, then rename), so readers never observe a
-// partial payload.
-func (s *Store) writeSpill(id string, p *codec.Payload) error {
-	err := atomicfile.Write(s.spillPath(id), func(w io.Writer) error { return EncodeRelease(w, p) })
-	if err != nil {
-		return fmt.Errorf("store: spilling %q: %w", id, err)
-	}
-	return nil
 }
 
 // loadHeader decodes only the header of id's spill file. mmapfile maps
