@@ -2,10 +2,9 @@
 // ε-differential privacy and answer the motivating query ("how many
 // diabetes patients are under 50?") from the noisy release.
 //
-// This example uses the current API surface: a streaming Publisher that
-// folds rows straight into the frequency matrix (no table buffering) and
-// mechanism selection by registry name. The hierarchy example shows the
-// legacy Publish/Options wrappers, which remain supported.
+// This example uses the library's API surface: a streaming Publisher
+// that folds rows straight into the frequency matrix (no table
+// buffering) and mechanism selection by registry name.
 package main
 
 import (

@@ -47,8 +47,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/dataset"
 	"repro/internal/matrix"
@@ -190,109 +188,89 @@ func PublishMatrix(ctx context.Context, m *matrix.Matrix, schema *dataset.Schema
 	}
 
 	// Fan the Figure-5 sub-matrices (steps 3–6) across a worker pool:
-	// `outer` workers pull sub-matrix indices from a shared counter, and
-	// each wavelet step inside a sub-matrix fans its vectors across the
-	// `inner` workers left over (dominant when SA is small or empty).
+	// `outer` workers claim sub-matrix indices one at a time
+	// (matrix.ForEachRange with one run per sub-matrix), and each wavelet
+	// step inside a sub-matrix fans its vectors across the `inner`
+	// workers left over (dominant when SA is small or empty).
 	par := opts.workers()
-	outer := par
-	if outer > subCount {
-		outer = subCount
-	}
+	outer := min(par, subCount)
 
-	var next atomic.Int64
-	// process runs one outer worker with the given share of the inner
-	// (per-wavelet-step) budget. Shares distribute the remainder of
-	// par/outer across the first workers, so the total goroutine count
-	// never exceeds the Parallelism cap and never strands budgeted
-	// workers (par=8 over 5 sub-matrices: shares 2,2,2,1,1).
-	process := func(innerWorkers int) error {
-		// Pipeline and kernel cache are per-worker: ping-pong buffers,
-		// kernel instances and their scratch all live for the worker's
-		// whole run, so the steady-state per-sub-matrix allocation count
-		// is zero no matter how many sub-matrices the worker drains.
-		ex := transform.Exec{
-			Workers: innerWorkers,
-			Pipe:    matrix.NewPipeline(),
-			Cache:   hn.NewKernelCache(innerWorkers),
-			// Ctx reaches into every ApplyAlong chunk loop, so even a
-			// single-sub-matrix publish (SA = ∅, the whole domain in one
-			// transform pass) cancels mid-transform, about every 64Ki
-			// entries, rather than only at sub-matrix boundaries.
-			Ctx: ctx,
+	// Each outer worker gets a share of the inner (per-wavelet-step)
+	// budget. Shares distribute the remainder of par/outer across the
+	// first workers, so the total goroutine count never exceeds the
+	// Parallelism cap and never strands budgeted workers (par=8 over 5
+	// sub-matrices: shares 2,2,2,1,1). Pipeline, kernel cache and
+	// sub-matrix buffer are per-worker too: ping-pong buffers, kernel
+	// instances and their scratch all live for the whole publish, so the
+	// steady-state per-sub-matrix allocation count is zero no matter how
+	// many sub-matrices a worker drains.
+	type worker struct {
+		ex     transform.Exec
+		sub    *matrix.Matrix
+		coords []int
+	}
+	workers := make([]worker, outer)
+	for w := range workers {
+		inner := par / outer
+		if w < par%outer {
+			inner++
 		}
-		var sub *matrix.Matrix
-		coords := make([]int, len(saIdx))
-		for {
-			// Cancellation is observed between sub-matrices: a worker
-			// finishes the unit it started, then stops pulling new ones.
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			idx := int(next.Add(1)) - 1
-			if idx >= subCount {
-				return nil
-			}
-			// Decode the flat index into SA coordinates (mixed radix,
-			// last dimension fastest — the order Figure 5 enumerates).
-			rem := idx
-			for k := len(saIdx) - 1; k >= 0; k-- {
-				coords[k] = rem % saSizes[k]
-				rem /= saSizes[k]
-			}
-			var err error
-			sub, err = m.SubInto(saIdx, coords, sub)
-			if err != nil {
-				return err
-			}
-			c, err := hn.ForwardExec(sub, ex)
-			if err != nil {
-				return err
-			}
-			// Two-level substream discipline: sub-matrix idx owns the
-			// derived seed SubstreamSeed(Seed, idx) — keyed by index, not
-			// visit order — and the injection pass substreams it again
-			// per 64Ki-entry chunk, fanning the noise across this
-			// worker's inner budget. Equal seeds therefore give
-			// bit-identical releases at any parallelism level.
-			if err := privacy.InjectLaplaceCtx(ctx, c, weightVecs, lambda,
-				rng.SubstreamSeed(opts.Seed, uint64(idx)), innerWorkers); err != nil {
-				return err
-			}
-			rec, err := hn.InverseExec(c, ex)
-			if err != nil {
-				return err
-			}
-			// Workers write disjoint regions of noisy: no locking needed.
-			if err := noisy.SetSub(saIdx, coords, rec); err != nil {
-				return err
-			}
+		workers[w] = worker{
+			ex: transform.Exec{
+				Workers: inner,
+				Pipe:    matrix.NewPipeline(),
+				Cache:   hn.NewKernelCache(inner),
+				// Ctx reaches into every ApplyAlong chunk loop, so even a
+				// single-sub-matrix publish (SA = ∅, the whole domain in
+				// one transform pass) cancels mid-transform, about every
+				// 64Ki entries, rather than only at sub-matrix boundaries.
+				Ctx: ctx,
+			},
+			coords: make([]int, len(saIdx)),
 		}
 	}
-	if outer <= 1 {
-		if err := process(par); err != nil {
-			return nil, err
+	err = matrix.ForEachRange(subCount, outer, subCount, func(w, idx, _ int) error {
+		// Cancellation is observed between sub-matrices: a worker
+		// finishes the unit it started, then stops claiming new ones.
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-	} else {
-		errs := make(chan error, outer)
-		var wg sync.WaitGroup
-		for w := 0; w < outer; w++ {
-			inner := par / outer
-			if w < par%outer {
-				inner++
-			}
-			wg.Add(1)
-			go func(inner int) {
-				defer wg.Done()
-				if err := process(inner); err != nil {
-					errs <- err
-				}
-			}(inner)
+		wk := &workers[w]
+		// Decode the flat index into SA coordinates (mixed radix, last
+		// dimension fastest — the order Figure 5 enumerates).
+		rem := idx
+		for k := len(saIdx) - 1; k >= 0; k-- {
+			wk.coords[k] = rem % saSizes[k]
+			rem /= saSizes[k]
 		}
-		wg.Wait()
-		close(errs)
-		if err := <-errs; err != nil {
-			return nil, err
+		var err error
+		wk.sub, err = m.SubInto(saIdx, wk.coords, wk.sub)
+		if err != nil {
+			return err
 		}
+		c, err := hn.ForwardExec(wk.sub, wk.ex)
+		if err != nil {
+			return err
+		}
+		// Two-level substream discipline: sub-matrix idx owns the derived
+		// seed SubstreamSeed(Seed, idx) — keyed by index, not visit order
+		// — and the injection pass substreams it again per 64Ki-entry
+		// chunk, fanning the noise across this worker's inner budget.
+		// Equal seeds therefore give bit-identical releases at any
+		// parallelism level.
+		if err := privacy.InjectLaplaceCtx(ctx, c, weightVecs, lambda,
+			rng.SubstreamSeed(opts.Seed, uint64(idx)), wk.ex.Workers); err != nil {
+			return err
+		}
+		rec, err := hn.InverseExec(c, wk.ex)
+		if err != nil {
+			return err
+		}
+		// Workers write disjoint regions of noisy: no locking needed.
+		return noisy.SetSub(saIdx, wk.coords, rec)
+	})
+	if err != nil {
+		return nil, err
 	}
 	bound, err := privacy.PriveletPlusVarianceBound(opts.Epsilon, saSizes, restSpecs)
 	if err != nil {

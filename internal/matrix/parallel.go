@@ -5,6 +5,10 @@
 // standard decomposition of the HN transform embarrassingly parallel.
 // This file adds:
 //
+//   - ForEachRange — the engine's one worker pool. The ApplyAlong family
+//     and PrefixSumExec below, query batches, noise injection and core's
+//     Figure-5 sub-matrix fan-out all run on it, so their splitting,
+//     joining and error rule cannot drift apart;
 //   - ApplyAlongPoolCtx — a chunked worker-pool ApplyAlong. Each worker
 //     owns a kernel instance produced by a factory, so kernels may keep
 //     scratch state without synchronization. Workers observe a
@@ -15,8 +19,8 @@
 //     steps alternate between, so a d-dimensional forward+inverse pass
 //     allocates two backing slices total instead of 2d full matrices;
 //   - PrefixSumExec — the summed-area-table build (the query evaluator's
-//     cost) with the per-dimension scans fanned across the same kind of
-//     pool, bit-identical at any worker count;
+//     cost) with the per-dimension scans fanned across the same pool,
+//     bit-identical at any worker count;
 //   - SubInto — sub-matrix extraction into a reusable destination.
 //
 // Vectors whose dimension is innermost (stride 1) are handed to kernels
@@ -29,6 +33,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // VecFunc is the per-vector kernel of the ApplyAlong family: it reads src
@@ -139,40 +144,67 @@ func cancelCheckVectors(vecLen int) int {
 	return n
 }
 
-// forEachRange splits [0, total) into `workers` contiguous ranges and
-// runs them concurrently, each on its own goroutine (workers ≤ 1: one
-// range on the calling goroutine). run receives its worker index and
-// half-open range; the first non-nil error is returned after every
-// worker has joined. The contiguous lo/hi split — rather than a shared
-// counter — keeps range membership a pure function of (total, workers),
-// which the per-worker kernel cache relies on. Shared by the
-// ApplyAlong family and PrefixSumExec so the two pools cannot drift.
-func forEachRange(total, workers int, run func(w, lo, hi int) error) error {
-	if workers > total {
-		workers = total
+// ForEachRange is the engine's one worker pool. It cuts [0, total) into
+// `runs` contiguous runs (clamped to [1, total]), run k being
+// [k·total/runs, (k+1)·total/runs), and executes them on
+// min(workers, runs) workers: worker w runs run w first, then claims the
+// next unclaimed run from a shared counter until none is left. Worker 0
+// is the calling goroutine, so workers ≤ 1 runs every run in order
+// without spawning any. run receives its worker index and half-open
+// range, never an empty one.
+//
+// The two schedules its callers use:
+//
+//   - runs = workers: a fixed split, each worker running exactly its own
+//     run, so range membership is a pure function of (total, workers) —
+//     the per-worker kernel cache of ApplyAlong relies on it, and
+//     PrefixSumExec and query batches use it too;
+//   - runs = total: one unit at a time, claimed from the counter, which
+//     balances uneven units (core's Figure-5 sub-matrices, privacy's
+//     noise chunks).
+//
+// A failure stops new claims but never skips a claimed run, so every run
+// below a failing one has run. After the join the error of the lowest
+// failing run is returned: deterministic whenever each run's failure is.
+func ForEachRange(total, workers, runs int, run func(w, lo, hi int) error) error {
+	if total <= 0 {
+		return nil
 	}
-	if workers <= 1 {
-		return run(0, 0, total)
-	}
-	errs := make(chan error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * total / workers
-		hi := (w + 1) * total / workers
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			if err := run(w, lo, hi); err != nil {
-				errs <- err
+	runs = max(min(runs, total), 1)
+	workers = max(min(workers, runs), 1)
+	var (
+		next   atomic.Int64 // the next unclaimed run
+		mu     sync.Mutex   // guards lowest and first
+		lowest = runs
+		first  error
+		wg     sync.WaitGroup
+	)
+	next.Store(int64(workers))
+	work := func(w int) {
+		for k := w; k < runs; k = int(next.Add(1)) - 1 {
+			if err := run(w, k*total/runs, (k+1)*total/runs); err != nil {
+				mu.Lock()
+				if k < lowest {
+					lowest, first = k, err
+				}
+				mu.Unlock()
+				// Exhaust the counter: a run claimed before this store
+				// still runs, and no claim after it succeeds.
+				next.Store(int64(runs))
+				return
 			}
-		}(w, lo, hi)
+		}
 	}
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			work(w)
+		}()
+	}
+	work(0)
 	wg.Wait()
-	close(errs)
-	return <-errs
+	return first
 }
 
 // applyAlongInto runs the chunked apply into a preshaped destination.
@@ -184,7 +216,7 @@ func (m *Matrix) applyAlongInto(ctx context.Context, dim, workers int, factory K
 	inner := m.strides[dim] // product of dims after dim
 	outer := len(m.data) / (oldSize * inner)
 	total := outer * inner // number of vectors along dim
-	return forEachRange(total, workers, func(w, lo, hi int) error {
+	return ForEachRange(total, workers, workers, func(w, lo, hi int) error {
 		return m.applyRange(ctx, out, dim, lo, hi, factory(w))
 	})
 }
@@ -331,8 +363,8 @@ func (m *Matrix) PrefixSumExec(workers int) {
 		size := m.dims[dim]
 		inner := m.strides[dim]
 		outer := len(m.data) / (size * inner)
-		// The scans never fail, so forEachRange's error is always nil.
-		_ = forEachRange(outer*inner, workers, func(_, lo, hi int) error {
+		// The scans never fail, so ForEachRange's error is always nil.
+		_ = ForEachRange(outer*inner, workers, workers, func(_, lo, hi int) error {
 			m.prefixScanRange(dim, lo, hi)
 			return nil
 		})

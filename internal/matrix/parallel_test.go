@@ -2,7 +2,11 @@ package matrix
 
 import (
 	"context"
+	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/rng"
 )
@@ -196,5 +200,114 @@ func TestSubIntoMatchesSubAndReuses(t *testing.T) {
 	}
 	if got == wrong {
 		t.Fatal("SubInto reused a wrongly-shaped destination")
+	}
+}
+
+// TestForEachRangeSchedules pins both schedules of the pool. With runs =
+// workers, worker w runs exactly [w·n/workers, (w+1)·n/workers) — the
+// fixed split the per-worker kernel cache relies on. With runs = total,
+// every index runs exactly once, as its own one-index run.
+func TestForEachRangeSchedules(t *testing.T) {
+	const n = 103
+	for _, workers := range []int{-1, 0, 1, 3, 4, 200} {
+		eff := max(min(workers, n), 1)
+		var mu sync.Mutex
+		got := map[int][2]int{}
+		err := ForEachRange(n, workers, workers, func(w, lo, hi int) error {
+			mu.Lock()
+			defer mu.Unlock()
+			if _, dup := got[w]; dup {
+				t.Errorf("workers=%d: worker %d ran twice", workers, w)
+			}
+			got[w] = [2]int{lo, hi}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != eff {
+			t.Fatalf("workers=%d: %d workers ran, want %d", workers, len(got), eff)
+		}
+		for w := 0; w < eff; w++ {
+			if want := [2]int{w * n / eff, (w + 1) * n / eff}; got[w] != want {
+				t.Fatalf("workers=%d: worker %d ran %v, want %v", workers, w, got[w], want)
+			}
+		}
+
+		var hits [n]atomic.Int32
+		err = ForEachRange(n, workers, n, func(w, lo, hi int) error {
+			if hi != lo+1 || w < 0 || w >= eff {
+				t.Errorf("workers=%d: worker %d ran [%d, %d)", workers, w, lo, hi)
+			}
+			hits[lo].Add(1)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range hits {
+			if c := hits[i].Load(); c != 1 {
+				t.Fatalf("workers=%d: index %d ran %d times", workers, i, c)
+			}
+		}
+	}
+	if err := ForEachRange(0, 4, 4, func(int, int, int) error {
+		t.Error("run called on an empty total")
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestForEachRangeLowestError: the error of the lowest failing run wins
+// at both schedules, whichever failure happens first. In the fixed split
+// run 0 fails last; claiming one index at a time, index 7 fails after
+// index 50 has already failed and stopped new claims, yet index 7 and
+// every index below it ran, because a claimed run is never skipped.
+func TestForEachRangeLowestError(t *testing.T) {
+	for trial := 0; trial < 20; trial++ {
+		err := ForEachRange(4, 4, 4, func(_, lo, _ int) error {
+			if lo == 0 {
+				time.Sleep(time.Millisecond)
+			}
+			return fmt.Errorf("range %d", lo)
+		})
+		if err == nil || err.Error() != "range 0" {
+			t.Fatalf("trial %d, fixed split: err = %v, want range 0", trial, err)
+		}
+
+		var ran [100]atomic.Bool
+		err = ForEachRange(100, 4, 100, func(_, lo, _ int) error {
+			ran[lo].Store(true)
+			switch lo {
+			case 7:
+				time.Sleep(time.Millisecond)
+				return fmt.Errorf("index %d", lo)
+			case 50:
+				return fmt.Errorf("index %d", lo)
+			}
+			return nil
+		})
+		if err == nil || err.Error() != "index 7" {
+			t.Fatalf("trial %d, one at a time: err = %v, want index 7", trial, err)
+		}
+		for i := 0; i <= 7; i++ {
+			if !ran[i].Load() {
+				t.Fatalf("trial %d: index %d below the lowest failure never ran", trial, i)
+			}
+		}
+	}
+
+	// One worker stops at its first failure: nothing after it runs.
+	calls := 0
+	err := ForEachRange(10, 1, 10, func(_, lo, _ int) error {
+		calls++
+		if lo == 3 {
+			return fmt.Errorf("index %d", lo)
+		}
+		return nil
+	})
+	if err == nil || err.Error() != "index 3" || calls != 4 {
+		t.Fatalf("serial: err = %v after %d calls, want index 3 after 4", err, calls)
 	}
 }

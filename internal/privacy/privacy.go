@@ -25,8 +25,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/haar"
 	"repro/internal/hierarchy"
@@ -194,63 +192,26 @@ func PriveletPlusVarianceBound(epsilon float64, inSA []int, rest []transform.Spe
 const NoiseChunk = 1 << 16
 
 // forEachChunk fans the NoiseChunk-sized chunks of [0, n) across
-// `workers` goroutines (≤ 1 runs serially on the calling goroutine),
+// `workers` workers (≤ 1 runs serially on the calling goroutine),
 // calling fn(k, lo, hi) for chunk k covering entries [lo, hi). Workers
-// pull chunk indices from a shared counter and observe ctx before each
-// chunk; fn must therefore be safe to call concurrently on disjoint
-// chunks and in any order. Returns ctx's error iff some chunk was
-// skipped because of cancellation — a completed pass never reports the
-// cancel that arrived after its last chunk.
+// claim one chunk at a time (matrix.ForEachRange with one run per
+// chunk) and observe ctx before each; fn must therefore be safe to call
+// concurrently on disjoint chunks and in any order. Returns ctx's error
+// iff some chunk was skipped because of cancellation — a completed pass
+// never reports the cancel that arrived after its last chunk.
 func forEachChunk(ctx context.Context, n, workers int, fn func(k, lo, hi int)) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	chunks := (n + NoiseChunk - 1) / NoiseChunk
-	if workers > chunks {
-		workers = chunks
-	}
-	if workers <= 1 {
-		for k := 0; k < chunks; k++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			lo := k * NoiseChunk
-			hi := min(lo+NoiseChunk, n)
-			fn(k, lo, hi)
+	return matrix.ForEachRange(chunks, workers, chunks, func(_, k, _ int) error {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
+		lo := k * NoiseChunk
+		fn(k, lo, min(lo+NoiseChunk, n))
 		return nil
-	}
-	var next atomic.Int64
-	var cancelled atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				// Claim before consulting ctx: a worker that finds the
-				// counter exhausted exits cleanly, so a cancel that lands
-				// after the last chunk completed never condemns a fully
-				// noised (perfectly valid) matrix. Only a claimed chunk
-				// abandoned to the cancel marks the pass failed.
-				k := int(next.Add(1)) - 1
-				if k >= chunks {
-					return
-				}
-				if ctx.Err() != nil {
-					cancelled.Store(true)
-					return
-				}
-				lo := k * NoiseChunk
-				fn(k, lo, min(lo+NoiseChunk, n))
-			}
-		}()
-	}
-	wg.Wait()
-	if cancelled.Load() {
-		return ctx.Err()
-	}
-	return nil
+	})
 }
 
 // InjectLaplace adds independent Laplace noise to every entry of the

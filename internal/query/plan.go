@@ -20,7 +20,6 @@ package query
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/dataset"
 	"repro/internal/matrix"
@@ -167,54 +166,13 @@ func (b Batch) run(ctx context.Context, queries []Query, answers []float64) erro
 }
 
 // runPool is the uncached pool execution: contiguous per-worker ranges
-// over the evaluator, lowest-index error wins.
+// over the evaluator (matrix.ForEachRange's fixed split, each worker
+// writing disjoint answer slots), the lowest-index error winning.
 func (b Batch) runPool(ctx context.Context, queries []Query, answers []float64) error {
-	n := len(queries)
 	workers := matrix.ResolveWorkers(b.Workers)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		return b.executeRange(ctx, queries, answers, 0, n)
-	}
-	// Contiguous ranges, one per worker: range membership is a pure
-	// function of (n, workers), mirroring matrix.forEachRange, and every
-	// worker writes disjoint answer slots.
-	type failure struct {
-		idx int
-		err error
-	}
-	fails := make(chan failure, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * n / workers
-		hi := (w + 1) * n / workers
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			if err := b.executeRange(ctx, queries, answers, lo, hi); err != nil {
-				fails <- failure{lo, err}
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	close(fails)
-	// Several workers may fail (e.g. a cancel reaches all of them);
-	// report the lowest-range one so the error is deterministic.
-	var first *failure
-	for f := range fails {
-		if first == nil || f.idx < first.idx {
-			f := f
-			first = &f
-		}
-	}
-	if first != nil {
-		return first.err
-	}
-	return nil
+	return matrix.ForEachRange(len(queries), workers, workers, func(_, lo, hi int) error {
+		return b.executeRange(ctx, queries, answers, lo, hi)
+	})
 }
 
 // streamChunk is one ping-pong buffer of ExecuteStream's pipeline.

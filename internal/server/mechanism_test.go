@@ -266,3 +266,43 @@ func TestDeleteRelease(t *testing.T) {
 		t.Fatalf("restart recovered %d releases after delete", n)
 	}
 }
+
+// TestRestartNeverReissuesDeletedID: a restarted server seeds its ID
+// counter past deleted releases as well as live ones, so the next
+// publish gets a fresh ID and the deleted release's tombstone stays.
+func TestRestartNeverReissuesDeletedID(t *testing.T) {
+	dir := t.TempDir()
+	ts1 := startSpillServer(t, dir, 0)
+	publish(t, ts1, "schema="+histSchema+"&epsilon=1&seed=1", histCSV)
+	r2 := publish(t, ts1, "schema="+histSchema+"&epsilon=1&seed=2", histCSV)
+	if r2.ID != "r2" {
+		t.Fatalf("second publish got ID %q, want r2", r2.ID)
+	}
+	req, err := http.NewRequest(http.MethodDelete, ts1.URL+"/releases/r2", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("DELETE status = %d, want 204", resp.StatusCode)
+	}
+	ts1.Close()
+
+	st, err := store.New(store.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts2 := httptest.NewServer(New(Config{Store: st}).Handler())
+	t.Cleanup(ts2.Close)
+	fresh := publish(t, ts2, "schema="+histSchema+"&epsilon=1&seed=3", histCSV)
+	if fresh.ID != "r3" {
+		t.Fatalf("publish after restart got ID %q, want r3", fresh.ID)
+	}
+	if n := st.Stats().Tombstones; n != 1 {
+		t.Fatalf("tombstones after restart and publish = %d, want 1", n)
+	}
+}

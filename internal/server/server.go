@@ -160,8 +160,9 @@ type Server struct {
 	started  time.Time
 	version  string
 	cluster  ClusterConfig
-	// nextID mints release IDs; seeded past any IDs recovered from the
-	// store's spill directory so a restarted daemon never collides.
+	// nextID mints release IDs; seeded past any IDs, live or deleted,
+	// recovered from the store's spill directory so a restarted daemon
+	// never collides.
 	nextID atomic.Int64
 }
 
@@ -198,8 +199,11 @@ func New(cfg Config) *Server {
 		nodeName: name, started: time.Now(), version: buildVersion(),
 		cluster: cfg.Cluster,
 	}
-	for _, stub := range st.List() {
-		if n, ok := parseReleaseID(stub.ID); ok && n > s.nextID.Load() {
+	// Deleted IDs count too: reissuing one would clear its tombstone and
+	// give a peer or client holding the old release different bytes
+	// under the same ID.
+	for _, id := range append(st.IDs(), st.Tombstones()...) {
+		if n, ok := parseReleaseID(id); ok && n > s.nextID.Load() {
 			s.nextID.Store(n)
 		}
 	}

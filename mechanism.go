@@ -15,10 +15,10 @@ import (
 	"repro/internal/query"
 )
 
-// Params configures one mechanism invocation. Unlike the legacy Options
-// it is mechanism-agnostic: every registered mechanism consumes the same
-// parameter set and rejects the fields it cannot honour (for example,
-// SA on a mechanism without a transform to exclude attributes from).
+// Params configures one mechanism invocation. It is mechanism-agnostic:
+// every registered mechanism consumes the same parameter set and rejects
+// the fields it cannot honour (for example, SA on a mechanism without a
+// transform to exclude attributes from).
 type Params struct {
 	// Epsilon is the ε-differential-privacy budget (positive and finite).
 	Epsilon float64
