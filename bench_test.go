@@ -888,6 +888,53 @@ func BenchmarkAnswerLines(b *testing.B) {
 	})
 }
 
+// BenchmarkQueryServe measures the pipeline of POST /releases/{id}/query
+// with Accept: text/csv as its handler runs it: the 40k census specs of
+// BenchmarkQueryBatch in the line wire format, read through
+// NewLineSpecs, parsed by workload.Stream into ExecuteStream's chunk
+// slots, answered over a published census release at GOMAXPROCS workers
+// (the daemon's default), and written through AnswerLines into
+// io.Discard with a trailer. The parse, stream and write series above
+// time those layers one at a time; this one times them overlapped, as
+// the handler does, minus HTTP and the socket.
+func BenchmarkQueryServe(b *testing.B) {
+	m, schema := benchCensusMatrix(b)
+	res, err := core.PublishMatrix(context.Background(), m, schema, core.Options{Epsilon: 1, SA: []string{"Age", "Gender"}, Seed: 12})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ev := query.NewEvaluatorWorkers(res.Noisy, 0)
+	gen, err := workload.NewGenerator(schema, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	queries, err := gen.Queries(40_000, rng.New(12))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var body bytes.Buffer
+	if err := workload.WriteQueries(&body, schema, queries); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("40k", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			aw := workload.NewAnswerLines(io.Discard)
+			src := workload.Stream(schema, workload.NewLineSpecs(bytes.NewReader(body.Bytes())))
+			n, err := query.Batch{Eval: ev}.ExecuteStream(context.Background(), src, aw.WriteChunk)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if n != len(queries) {
+				b.Fatalf("answered %d queries", n)
+			}
+			if err := aw.Close(workload.Trailer{Answers: n, Status: workload.StatusOK}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 func BenchmarkBasicPublishCensusSmall(b *testing.B) {
 	tbl, err := dataset.GenerateCensus(dataset.BrazilSpec(dataset.ScaleSmall), 50_000, 7)
 	if err != nil {

@@ -277,7 +277,7 @@ func runOffline(loadPath, quePath, outPath string, workers int) {
 	// renders with 'g'/-1, which round-trips the exact float64, so piped
 	// answers stay bit-identical to the evaluator's.
 	aw := workload.NewAnswerLines(out)
-	src := workload.Queries(rel.Schema(), workload.NewLineSpecs(qf))
+	src := workload.Stream(rel.Schema(), workload.NewLineSpecs(qf))
 	delivered, err := rel.CountStream(context.Background(), src, aw.WriteChunk, workers)
 	t := workload.Trailer{Answers: delivered, Status: workload.StatusOK}
 	if err != nil {

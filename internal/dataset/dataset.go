@@ -71,6 +71,11 @@ func NominalAttr(name string, h *hierarchy.Hierarchy) Attribute {
 type Schema struct {
 	attrs  []Attribute
 	byName map[string]int
+	// names, kinds and tops hold each attribute's Name, Kind and top
+	// bound Size−1, in attribute order (see Columns).
+	names []string
+	kinds []Kind
+	tops  []int
 }
 
 // NewSchema validates the attributes: unique non-empty names, positive
@@ -106,6 +111,9 @@ func NewSchema(attrs ...Attribute) (*Schema, error) {
 		}
 		s.byName[a.Name] = i
 		s.attrs = append(s.attrs, a)
+		s.names = append(s.names, a.Name)
+		s.kinds = append(s.kinds, a.Kind)
+		s.tops = append(s.tops, a.Size-1)
 	}
 	return s, nil
 }
@@ -124,6 +132,14 @@ func (s *Schema) NumAttrs() int { return len(s.attrs) }
 
 // Attr returns attribute i.
 func (s *Schema) Attr(i int) Attribute { return s.attrs[i] }
+
+// Columns returns each attribute's name, kind and top bound (Size−1) in
+// attribute order, from arrays NewSchema builds once, so a loop run for
+// every query spec reads them without copying an Attribute. The slices
+// are the schema's own; callers must not modify them.
+func (s *Schema) Columns() (names []string, kinds []Kind, tops []int) {
+	return s.names, s.kinds, s.tops
+}
 
 // Names returns the attribute names in attribute order.
 func (s *Schema) Names() []string {

@@ -8,7 +8,10 @@ package query_test
 // accepts and on every accepted query's bounds, and every spec it
 // accepts must canonicalize: Spec() is the AnswerCache key, so
 // Parse(Spec(q)) has to reproduce the identical rendering no matter how
-// the client spelled the query. Seed corpus under
+// the client spelled the query. A streamed workload parses each spec
+// into a reused slot (ParseInto), so every input is also parsed into a
+// slot a different spec filled last, once accepted and once rejected
+// part-way, and must come out as a fresh Parse does. Seed corpus under
 // testdata/fuzz/FuzzQueryParse; CI runs a short -fuzz smoke on top of
 // the checked-in seeds.
 
@@ -63,6 +66,7 @@ func FuzzQueryParse(f *testing.F) {
 	schema := fuzzSchema(f)
 	f.Fuzz(func(t *testing.T, raw string) {
 		q, err := query.Parse(schema, raw)
+		checkSlotReuse(t, schema, raw, q, err)
 		ref, refErr := query.ReferenceParse(schema, raw)
 		if (err == nil) != (refErr == nil) {
 			t.Fatalf("Parse(%q) err = %v, reference err = %v", raw, err, refErr)
@@ -89,4 +93,37 @@ func FuzzQueryParse(f *testing.F) {
 			t.Fatalf("Spec is not a fixed point: %q → %q → %q", raw, spec, got)
 		}
 	})
+}
+
+// checkSlotReuse parses raw with ParseInto into a slot last filled by a
+// different accepted spec, and into one last filled by a spec rejected
+// after it had applied two clauses, and requires of each what Parse
+// gave (q, err): the same error, or the same bounds, constrained flags,
+// Spec and coverage.
+func checkSlotReuse(t *testing.T, schema *dataset.Schema, raw string, q query.Query, err error) {
+	t.Helper()
+	p := query.NewParser(schema)
+	for k, prev := range []string{"Age=2..5,Occ=#1..4", "Occ=#0..1,Age=3..4,Age=5..6"} {
+		slot, perr := p.Parse([]byte("Age=1..8,Occ=@g1"))
+		if perr != nil {
+			t.Fatal(perr)
+		}
+		if perr := p.ParseInto(&slot, []byte(prev)); (perr == nil) != (k == 0) {
+			t.Fatalf("ParseInto(%q): err = %v", prev, perr)
+		}
+		serr := p.ParseInto(&slot, []byte(raw))
+		if (serr == nil) != (err == nil) || serr != nil && serr.Error() != err.Error() {
+			t.Fatalf("ParseInto(%q) after %q: err = %v, Parse err = %v", raw, prev, serr, err)
+		}
+		if err != nil {
+			continue
+		}
+		if !slices.Equal(slot.Lo(), q.Lo()) || !slices.Equal(slot.Hi(), q.Hi()) ||
+			!slices.Equal(query.Constrained(slot), query.Constrained(q)) ||
+			slot.Spec(schema) != q.Spec(schema) || slot.Coverage() != q.Coverage() {
+			t.Fatalf("ParseInto(%q) after %q = %v..%v %v %q, Parse gave %v..%v %v %q", raw, prev,
+				slot.Lo(), slot.Hi(), query.Constrained(slot), slot.Spec(schema),
+				q.Lo(), q.Hi(), query.Constrained(q), q.Spec(schema))
+		}
+	}
 }

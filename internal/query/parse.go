@@ -1,13 +1,15 @@
 // The query spec grammar. One implementation, over bytes: the server's
 // q= parameter goes through Parse, and workload bodies go through a
-// Parser fed each line's bytes as read, so a 40 000-line body is parsed
-// without a string per line or a slice per query. Each clause is read
-// in one pass, left to right, and a clause spelled as Query.Spec spells
-// it is applied from that pass alone.
+// Parser fed each line's bytes as read, which parses each spec into a
+// reused chunk slot (ParseInto), so a 40 000-line body is parsed
+// without a string per line or an allocation per query. Each clause is
+// read in one pass, left to right, and a clause spelled as Query.Spec
+// spells it is applied from that pass alone.
 
 package query
 
 import (
+	"fmt"
 	"strconv"
 
 	"repro/internal/dataset"
@@ -36,17 +38,24 @@ func Parse(schema *dataset.Schema, raw string) (Query, error) {
 
 // Parser parses specs in Parse's grammar against one schema.
 //
-// The queries it returns take their bounds from slabs the parser owns:
-// each query gets its own cap-limited window of a slab, and a slab is
-// never reused, so a query stays valid whatever the parser parses next.
-// Slabs double from one query's worth up to DefaultStreamChunk queries,
-// so a one-off Parse allocates one query's bounds, and a streamed
-// workload a few slabs in all rather than several allocations per
-// query; the price is that a kept query keeps its whole slab reachable.
-// A Parser is not safe for concurrent use.
+// ParseInto fills a slot the caller owns, in place, and allocates
+// nothing: that is how a streamed workload fills Batch.ExecuteStream's
+// chunk slots. Parse returns a query of its own, whose bounds come from
+// slabs the parser owns: each query gets its own cap-limited window of a
+// slab, and a slab is never reused, so a query stays valid whatever the
+// parser parses next. Slabs double from one query's worth up to
+// DefaultStreamChunk queries, so a one-off Parse allocates one query's
+// bounds, and a workload kept whole a few slabs in all rather than
+// several allocations per query; the price is that a kept query keeps
+// its whole slab reachable. A Parser is not safe for concurrent use.
 type Parser struct {
 	schema *dataset.Schema
 	domain float64
+	// names, kinds and tops are the schema's Columns, so neither a
+	// slot's reset nor a name lookup copies a dataset.Attribute.
+	names []string
+	kinds []dataset.Kind
+	tops  []int
 	// bounds and flags are the unused tails of the current slabs: lo
 	// and hi per attribute, and constrained per attribute, per query.
 	bounds []int
@@ -57,13 +66,15 @@ type Parser struct {
 
 // NewParser returns a parser for specs against schema.
 func NewParser(schema *dataset.Schema) *Parser {
-	return &Parser{schema: schema, domain: float64(schema.DomainSize()), next: 1}
+	names, kinds, tops := schema.Columns()
+	return &Parser{schema: schema, domain: float64(schema.DomainSize()), names: names, kinds: kinds, tops: tops, next: 1}
 }
 
-// Parse parses one spec. It reads spec only during the call, so the
-// caller may reuse its bytes afterwards.
+// Parse parses one spec into a query of its own: ParseInto on a fresh
+// window of the parser's slabs. It reads spec only during the call, so
+// the caller may reuse its bytes afterwards.
 func (p *Parser) Parse(spec []byte) (Query, error) {
-	d := p.schema.NumAttrs()
+	d := len(p.tops)
 	if len(p.flags) < d {
 		p.bounds = make([]int, 2*d*p.next)
 		p.flags = make([]bool, d*p.next)
@@ -73,24 +84,42 @@ func (p *Parser) Parse(spec []byte) (Query, error) {
 		lo:          p.bounds[:d:d],
 		hi:          p.bounds[d : 2*d : 2*d],
 		constrained: p.flags[:d:d],
-		domain:      p.domain,
 	}
-	for i := 0; i < d; i++ {
-		q.lo[i], q.hi[i], q.constrained[i] = 0, p.schema.Attr(i).Size-1, false
-	}
-	if s, e := dataset.Trim(spec, 0, len(spec)); e-s != 1 || spec[s] != '*' {
-		for start := 0; start < len(spec); {
-			end, err := p.clause(&q, spec, start)
-			if err != nil {
-				return Query{}, err
-			}
-			start = end + 1
-		}
+	if err := p.ParseInto(&q, spec); err != nil {
+		return Query{}, err
 	}
 	// Only a query handed out claims its window; a failed parse leaves
 	// it to the next one.
 	p.bounds, p.flags = p.bounds[2*d:], p.flags[d:]
 	return q, nil
+}
+
+// ParseInto parses one spec into the slot dst: it resets dst's bounds
+// to the full domain and applies the spec's clauses to them in place,
+// so it allocates nothing unless the spec is rejected. dst must hold
+// one bound per attribute of the parser's schema, as a query from Parse
+// or NewBuilder does, and a slot Batch.ExecuteStream hands its Source
+// for an evaluator of that schema. On error dst holds no query until it
+// is filled again. ParseInto reads spec only during the call.
+func (p *Parser) ParseInto(dst *Query, spec []byte) error {
+	d := len(p.tops)
+	if len(dst.lo) != d || len(dst.hi) != d || len(dst.constrained) != d {
+		return fmt.Errorf("query: a slot of %d bounds for a schema of %d attributes", len(dst.lo), d)
+	}
+	clear(dst.lo)
+	copy(dst.hi, p.tops)
+	clear(dst.constrained)
+	dst.domain = p.domain
+	if s, e := dataset.Trim(spec, 0, len(spec)); e-s != 1 || spec[s] != '*' {
+		for start := 0; start < len(spec); {
+			end, err := p.clause(dst, spec, start)
+			if err != nil {
+				return err
+			}
+			start = end + 1
+		}
+	}
+	return nil
 }
 
 // clause applies the clause that starts at spec[start] to q, and
@@ -133,8 +162,8 @@ func (p *Parser) clause(q *Query, spec []byte, start int) (end int, err error) {
 		}
 	}
 	if spelled && eq > start && !dataset.MaySpace(spec[start]) && !dataset.MaySpace(spec[eq-1]) {
-		i, a := p.attr(spec[start:eq])
-		if i >= 0 && !q.constrained[i] && (spec[eq+1] == '#') == (a.Kind == dataset.Nominal) && lo <= hi && hi < a.Size {
+		i := p.attr(spec[start:eq])
+		if i >= 0 && !q.constrained[i] && (spec[eq+1] == '#') == (p.kinds[i] == dataset.Nominal) && lo <= hi && hi <= p.tops[i] {
 			q.lo[i], q.hi[i], q.constrained[i] = lo, hi, true
 			return end, nil
 		}
@@ -147,15 +176,14 @@ func (p *Parser) clause(q *Query, spec []byte, start int) (end int, err error) {
 	return end, err
 }
 
-// attr returns the index of the attribute named name and the attribute,
-// or -1.
-func (p *Parser) attr(name []byte) (int, dataset.Attribute) {
-	for j := 0; j < p.schema.NumAttrs(); j++ {
-		if a := p.schema.Attr(j); string(name) == a.Name {
-			return j, a
+// attr returns the index of the attribute named name, or -1.
+func (p *Parser) attr(name []byte) int {
+	for j, n := range p.names {
+		if string(name) == n {
+			return j
 		}
 	}
-	return -1, dataset.Attribute{}
+	return -1
 }
 
 // predicate applies one trimmed, non-empty clause to q. eq indexes the
@@ -168,10 +196,11 @@ func (p *Parser) predicate(q *Query, clause []byte, eq, dots int) error {
 	}
 	ns, ne := dataset.Trim(clause, 0, eq)
 	name := clause[ns:ne]
-	i, a := p.attr(name)
+	i := p.attr(name)
 	if i < 0 {
 		return invalidf("query: predicate %q: no attribute named %q", string(clause), string(name))
 	}
+	a := p.schema.Attr(i)
 	if q.constrained[i] {
 		return invalidf("query: predicate %q: attribute %q already constrained", string(clause), a.Name)
 	}

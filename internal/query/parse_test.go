@@ -1,6 +1,8 @@
 package query_test
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/dataset"
@@ -44,5 +46,23 @@ func TestParseTrimsNames(t *testing.T) {
 		if _, err := query.ReferenceParse(schema, spec); err == nil {
 			t.Errorf("ReferenceParse(%q) = nil error, want no attribute named", spec)
 		}
+	}
+}
+
+// TestParseIntoSlotShape: ParseInto refuses a slot whose bounds do not
+// match the schema's attributes, as a programming error rather than a
+// bad spec (it does not wrap ErrInvalid), and ExecuteStream reports it
+// when a source's schema and the evaluator disagree.
+func TestParseIntoSlotShape(t *testing.T) {
+	schema := dataset.MustSchema(dataset.OrdinalAttr("Age", 10))
+	p := query.NewParser(schema)
+	var zero query.Query
+	if err := p.ParseInto(&zero, []byte("Age=1..2")); err == nil || errors.Is(err, query.ErrInvalid) {
+		t.Fatalf("ParseInto into a zero Query: err = %v, want a slot error not wrapping ErrInvalid", err)
+	}
+	ev, _ := batchFixture(t, 0) // two dimensions
+	src := func(dst *query.Query) (bool, error) { return true, p.ParseInto(dst, []byte("Age=1..2")) }
+	if _, err := (query.Batch{Eval: ev}).ExecuteStream(context.Background(), src, func([]float64) error { return nil }); err == nil || errors.Is(err, query.ErrInvalid) {
+		t.Fatalf("ExecuteStream over a one-attribute source and a 2-D evaluator: err = %v", err)
 	}
 }

@@ -39,12 +39,21 @@ const batchCancelCheck = 1024
 // stays well under the ~146 ns the answers themselves cost.
 const DefaultStreamChunk = 4096
 
-// Source streams queries into a batch execution, one at a time: it
-// returns the next query, ok=false on clean end of input, or an error
-// (which aborts the stream). ExecuteStream calls it from one goroutine
-// at a time, overlapped with the previous chunk's execution, so a
-// parsing Source pipelines wire-format decoding into query execution.
-type Source func() (q Query, ok bool, err error)
+// Source streams queries into a batch execution by filling the slot it
+// is handed: it writes the next query into *dst and returns ok=true,
+// ok=false on clean end of input, or an error (which aborts the
+// stream). ExecuteStream calls it from one goroutine at a time,
+// overlapped with the previous chunk's execution, so a parsing Source
+// pipelines wire-format decoding into query execution.
+//
+// Slots are ExecuteStream's own. Each comes with one bound per
+// evaluator dimension, backed by its chunk's flat bounds array, for the
+// source to fill in place (Parser.ParseInto does). A source may instead
+// point *dst at a query it keeps (SliceSource does), but then must not
+// also fill slots in place: a slot keeps what its last fill left. A
+// filled slot stays valid until ExecuteStream refills it, after the
+// chunk holding it has executed and been delivered.
+type Source func(dst *Query) (ok bool, err error)
 
 // Sink receives each in-order chunk of answers from ExecuteStream. The
 // slice is reused for later chunks; implementations must copy anything
@@ -52,16 +61,17 @@ type Source func() (q Query, ok bool, err error)
 type Sink func(answers []float64) error
 
 // SliceSource adapts an in-memory query slice to a Source (the buffered
-// workload case of ExecuteStream).
+// workload case of ExecuteStream): each fill points the slot at the
+// next query of the slice.
 func SliceSource(queries []Query) Source {
 	i := 0
-	return func() (Query, bool, error) {
+	return func(dst *Query) (bool, error) {
 		if i >= len(queries) {
-			return Query{}, false, nil
+			return false, nil
 		}
-		q := queries[i]
+		*dst = queries[i]
 		i++
-		return q, true, nil
+		return true, nil
 	}
 }
 
@@ -182,12 +192,29 @@ type streamChunk struct {
 	n       int
 }
 
+// newStreamChunk returns a chunk of size slots for queries of d
+// dimensions. The slots' lo, hi and constrained are cap-limited windows
+// of one flat bounds array and one flat flags array, so the chunk is
+// four allocations whatever its size.
+func newStreamChunk(size, d int) streamChunk {
+	c := streamChunk{queries: make([]Query, size), answers: make([]float64, size)}
+	bounds, flags := make([]int, 2*d*size), make([]bool, d*size)
+	for j := range c.queries {
+		b, f := bounds[2*d*j:], flags[d*j:]
+		c.queries[j] = Query{lo: b[:d:d], hi: b[d : 2*d : 2*d], constrained: f[:d:d]}
+	}
+	return c
+}
+
 // ExecuteStream answers a streamed workload in fixed-size in-order
 // chunks, delivering each chunk to sink while later chunks are still
 // parsing and executing. The pipeline is double-buffered across two
 // chunk buffers: while chunk k executes on the worker pool, chunk k+1
-// is pulled from src (so wire-format parsing overlaps execution), and
+// is filled from src (so wire-format parsing overlaps execution), and
 // while chunk k's answers are written by the sink, chunk k+1 executes.
+// Each chunk's slots and their bounds are allocated once per call, on
+// the chunk's first fill, and refilled by src chunk after chunk; see
+// Source for the slot contract.
 // Peak memory is two chunks — O(ChunkSize) — whatever the workload
 // length; a million-query workload streams without ever existing as a
 // slice.
@@ -214,15 +241,19 @@ func (b Batch) ExecuteStream(ctx context.Context, src Source, sink Sink) (int, e
 	if size <= 0 {
 		size = DefaultStreamChunk
 	}
+	d := b.Eval.prefix.NumDims()
 	var bufs [2]streamChunk
-	for i := range bufs {
-		bufs[i] = streamChunk{queries: make([]Query, size), answers: make([]float64, size)}
-	}
 	srcDone := false
 	fill := func(c *streamChunk) error {
 		c.n = 0
+		if c.queries == nil && !srcDone {
+			// The second chunk's allocation overlaps the first one's
+			// execution, so the first answer waits on one allocation,
+			// and a one-chunk workload never makes the second.
+			*c = newStreamChunk(size, d)
+		}
 		for !srcDone && c.n < size {
-			q, ok, err := src()
+			ok, err := src(&c.queries[c.n])
 			if err != nil {
 				return err
 			}
@@ -230,7 +261,6 @@ func (b Batch) ExecuteStream(ctx context.Context, src Source, sink Sink) (int, e
 				srcDone = true
 				break
 			}
-			c.queries[c.n] = q
 			c.n++
 		}
 		return nil

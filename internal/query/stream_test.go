@@ -9,10 +9,12 @@ package query_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 
 	"repro/internal/query"
+	"repro/internal/rng"
 )
 
 // streamFixture wraps batchFixture with the schema the queries were
@@ -69,6 +71,78 @@ func TestExecuteStreamMatchesExecute(t *testing.T) {
 	}
 }
 
+// TestExecuteStreamSlotReuse: ExecuteStream refills its chunk slots in
+// place, so a spec must leave no trace of what its slot held before.
+// The workload runs in four phases of two chunks each, one refill of
+// every slot per phase: specs constrain both attributes, then only Age,
+// then only Occ, then neither, so each later spec leaves unconstrained
+// an attribute its slot's earlier spec constrained. Answers must be
+// float64 == to Execute over the same specs parsed into queries of
+// their own.
+func TestExecuteStreamSlotReuse(t *testing.T) {
+	s := planSchema(t)
+	ev, _ := batchFixture(t, 0)
+	r := rng.New(5)
+	interval := func(size int) (int, int) {
+		x, y := r.Intn(size), r.Intn(size)
+		return min(x, y), max(x, y)
+	}
+	for _, chunk := range []int{1, 7, query.DefaultStreamChunk} {
+		var specs []string
+		for phase := 0; phase < 4; phase++ {
+			for j := 0; j < 2*chunk; j++ {
+				lo, hi := interval(10)
+				age := fmt.Sprintf("Age=%d..%d", lo, hi)
+				lo, hi = interval(6)
+				occ := fmt.Sprintf("Occ=#%d..%d", lo, hi)
+				specs = append(specs, [...]string{age + "," + occ, age, occ, "*"}[phase])
+			}
+		}
+		queries := make([]query.Query, len(specs))
+		for i, spec := range specs {
+			q, err := query.Parse(s, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			queries[i] = q
+		}
+		want, err := query.Batch{Eval: ev, Workers: 1}.Execute(context.Background(), queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 4} {
+			p := query.NewParser(s)
+			i := 0
+			src := func(dst *query.Query) (bool, error) {
+				if i == len(specs) {
+					return false, nil
+				}
+				i++
+				if err := p.ParseInto(dst, []byte(specs[i-1])); err != nil {
+					return false, err
+				}
+				return true, nil
+			}
+			var got []float64
+			b := query.Batch{Eval: ev, Workers: workers, ChunkSize: chunk}
+			n, err := b.ExecuteStream(context.Background(), src, func(a []float64) error {
+				got = append(got, a...)
+				return nil
+			})
+			if err != nil || n != len(want) || len(got) != len(want) {
+				t.Fatalf("chunk=%d workers=%d: delivered %d, appended %d, err %v; want %d",
+					chunk, workers, n, len(got), err, len(want))
+			}
+			for k := range want {
+				if got[k] != want[k] {
+					t.Fatalf("chunk=%d workers=%d: answer %d (%q) = %v, Execute %v",
+						chunk, workers, k, specs[k], got[k], want[k])
+				}
+			}
+		}
+	}
+}
+
 func TestExecuteStreamEmpty(t *testing.T) {
 	b, _ := streamFixture(t, 0)
 	n, err := b.ExecuteStream(context.Background(), query.SliceSource(nil), func([]float64) error {
@@ -88,13 +162,13 @@ func TestExecuteStreamSourceError(t *testing.T) {
 	b.ChunkSize = 10
 	boom := errors.New("boom")
 	i := 0
-	src := func() (query.Query, bool, error) {
+	src := func(dst *query.Query) (bool, error) {
 		if i == len(queries) {
-			return query.Query{}, false, boom
+			return false, boom
 		}
-		q := queries[i]
+		*dst = queries[i]
 		i++
-		return q, true, nil
+		return true, nil
 	}
 	var got int
 	n, err := b.ExecuteStream(context.Background(), src, func(a []float64) error {
@@ -175,13 +249,13 @@ func TestStreamMemoryOChunk(t *testing.T) {
 	i := 0
 	// Cycle a fixed query set: the source itself allocates nothing, so
 	// the measured delta is the pipeline's own footprint.
-	src := func() (query.Query, bool, error) {
+	src := func(dst *query.Query) (bool, error) {
 		if i == total {
-			return query.Query{}, false, nil
+			return false, nil
 		}
-		q := queries[i%len(queries)]
+		*dst = queries[i%len(queries)]
 		i++
-		return q, true, nil
+		return true, nil
 	}
 	var sum float64
 	sink := func(a []float64) error {

@@ -97,6 +97,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"mime"
 	"net/http"
 	"net/url"
 	"os"
@@ -852,7 +853,7 @@ func (s *Server) handleBatchQuery(w http.ResponseWriter, req *http.Request) {
 	}
 
 	batch := query.Batch{Eval: rel.Eval, Workers: par}
-	n, err := batch.ExecuteStream(req.Context(), workload.Queries(schema, specs), sink)
+	n, err := batch.ExecuteStream(req.Context(), workload.Stream(schema, specs), sink)
 	if err != nil && !started {
 		// Nothing on the wire yet: report the plain status a buffered
 		// endpoint would have — 400 for a bad workload, 499/500 otherwise.
@@ -877,11 +878,21 @@ func (s *Server) handleBatchQuery(w http.ResponseWriter, req *http.Request) {
 
 // wantsLineAnswers reports whether the Accept header prefers the line
 // answer format over the default JSON — the CSV-friendly form for
-// curl | tail pipelines and the CLI.
+// curl | tail pipelines and the CLI. The first part naming text/csv,
+// text/plain or application/json decides. Each part is read as RFC 9110
+// defines it, through mime.ParseMediaType: media types match whatever
+// their case, and a part with weight q=0 ("not acceptable") or one that
+// does not parse is skipped.
 func wantsLineAnswers(accept string) bool {
 	for _, part := range strings.Split(accept, ",") {
-		mt, _, _ := strings.Cut(strings.TrimSpace(part), ";")
-		switch strings.TrimSpace(mt) {
+		mt, params, err := mime.ParseMediaType(part)
+		if err != nil {
+			continue
+		}
+		if q, err := strconv.ParseFloat(params["q"], 64); err == nil && q == 0 {
+			continue
+		}
+		switch mt {
 		case "text/csv", "text/plain":
 			return true
 		case "application/json":

@@ -83,6 +83,39 @@ func TestBatchLineAnswers(t *testing.T) {
 	}
 }
 
+// TestWantsLineAnswers reads Accept as RFC 9110 defines it: media types
+// match whatever their case, a part with weight q=0 is "not acceptable"
+// and cannot select a format, and the first part naming a format
+// decides.
+func TestWantsLineAnswers(t *testing.T) {
+	for _, tc := range []struct {
+		accept string
+		lines  bool
+	}{
+		{"", false},
+		{"*/*", false},
+		{"text/csv", true},
+		{"text/plain", true},
+		{"Text/CSV", true},
+		{"TEXT/PLAIN; charset=utf-8", true},
+		{"application/json", false},
+		{"text/csv;q=0", false},
+		{"text/csv; q=0.000", false},
+		{"text/csv;q=0, application/json", false},
+		{"text/csv;q=0, text/plain", true},
+		{"application/json;q=0, text/csv", true},
+		{"text/csv;q=0.5, application/json", true},
+		{"application/json, text/csv", false},
+		{"image/png, text/csv;q=0.1", true},
+		{"text/csv;q", false},
+		{";;, text/plain", true},
+	} {
+		if got := wantsLineAnswers(tc.accept); got != tc.lines {
+			t.Errorf("wantsLineAnswers(%q) = %v, want %v", tc.accept, got, tc.lines)
+		}
+	}
+}
+
 // TestBatchJSONTrailer: the default JSON response now ends with a
 // trailer the streaming reader validates — and still decodes under the
 // pre-streaming {queries, workers, answers} shape (batchAnswers).

@@ -33,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -75,46 +76,53 @@ type AnswerWriter interface {
 // an answer (answers are numbers), so the trailer is unambiguous.
 const trailerPrefix = "# answers="
 
+// maxAnswerLine is the longest line AnswerLines writes for one answer:
+// the longest 'g'/-1 float64 rendering ("-2.2250738585072014e-308",
+// 24 bytes) and its newline.
+const maxAnswerLine = 25
+
 // AnswerLines writes the line answer format.
 type AnswerLines struct {
-	bw *bufio.Writer
-	// line is the one buffer every answer line is formatted into.
-	line []byte
+	w io.Writer
+	// buf is the one buffer each chunk and the trailer are formatted
+	// into before their one Write.
+	buf []byte
 }
 
 // NewAnswerLines returns an AnswerWriter emitting the line format to w.
 func NewAnswerLines(w io.Writer) *AnswerLines {
-	// 32 bytes hold the longest 'g'/-1 float64 rendering
-	// ("-2.2250738585072014e-308", 24 bytes) and its newline.
-	return &AnswerLines{bw: bufio.NewWriter(w), line: make([]byte, 0, 32)}
+	return &AnswerLines{w: w}
 }
 
-// WriteChunk emits one answer per line and flushes, so the chunk is on
-// the wire (time-to-first-answer) before the next one executes. Each
-// line is formatted into one reused buffer, so a chunk allocates
-// nothing.
+// WriteChunk formats the chunk, one answer per line, into one buffer
+// and writes it in one Write: the chunk is on the wire before the next
+// one executes, in one large write rather than one per few KiB. The
+// buffer is grown to the chunk's longest possible rendering and kept,
+// so a chunk no longer than an earlier one allocates nothing.
 func (a *AnswerLines) WriteChunk(answers []float64) error {
+	b := slices.Grow(a.buf[:0], maxAnswerLine*len(answers))
 	for _, v := range answers {
-		a.line = append(strconv.AppendFloat(a.line[:0], v, 'g', -1, 64), '\n')
-		if _, err := a.bw.Write(a.line); err != nil {
-			return err
-		}
+		b = append(strconv.AppendFloat(b, v, 'g', -1, 64), '\n')
 	}
-	return a.bw.Flush()
+	a.buf = b
+	_, err := a.w.Write(b)
+	return err
 }
 
-// Close writes the trailer line and flushes.
+// Close writes the trailer line.
 func (a *AnswerLines) Close(t Trailer) error {
-	a.bw.WriteString(trailerPrefix)
-	a.bw.WriteString(strconv.Itoa(t.Answers))
-	a.bw.WriteString(" status=")
-	a.bw.WriteString(t.Status)
+	b := append(a.buf[:0], trailerPrefix...)
+	b = strconv.AppendInt(b, int64(t.Answers), 10)
+	b = append(b, " status="...)
+	b = append(b, t.Status...)
 	if t.Error != "" {
-		a.bw.WriteString(" error=")
-		a.bw.WriteString(strconv.Quote(t.Error))
+		b = append(b, " error="...)
+		b = strconv.AppendQuote(b, t.Error)
 	}
-	a.bw.WriteByte('\n')
-	return a.bw.Flush()
+	b = append(b, '\n')
+	a.buf = b
+	_, err := a.w.Write(b)
+	return err
 }
 
 // ReadAnswerLines reads a line-format answer stream: the answers, the

@@ -10,7 +10,7 @@
 //     {"queries": ["spec", ...]}, read by NewJSONSpecs.
 //
 // Both representations stream twice over: a SpecReader yields specs one
-// at a time (the body text is never buffered), and Queries adapts it
+// at a time (the body text is never buffered), and Stream adapts it
 // into a query.Source so parsing pipelines straight into a streaming
 // batch execution — a million-query workload never exists in memory
 // whole, only as the two in-flight chunks of query.Batch.ExecuteStream.
@@ -49,7 +49,8 @@ type lineSpecs struct {
 // NewLineSpecs returns a SpecReader over the line wire format.
 func NewLineSpecs(r io.Reader) SpecReader {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	// Start at 64 KiB and grow only for a longer line, up to 1 MiB.
+	sc.Buffer(make([]byte, 64<<10), 1<<20)
 	return &lineSpecs{sc: sc}
 }
 
@@ -156,15 +157,32 @@ func (j *jsonSpecs) enterArray() error {
 	return fmt.Errorf("workload: JSON body must be an array or {\"queries\": [...]}: %w", query.ErrInvalid)
 }
 
-// Queries adapts a SpecReader into a query.Source by parsing each spec
-// against schema — the pipeline stage that lets wire-format decoding
-// overlap batch execution. One query.Parser serves the whole source, so
-// each spec is parsed from the reader's bytes as read, and the queries
-// share the parser's slabs; they stay valid after the source moves on,
-// so a caller may keep them. Parse failures carry the reader's position
-// and wrap query.ErrInvalid (a client error); reader failures pass
-// through as the reader reported them.
-func Queries(schema *dataset.Schema, sr SpecReader) query.Source {
+// Stream adapts a SpecReader into a query.Source by parsing each spec
+// against schema straight into the slot ExecuteStream hands it
+// (query.Parser.ParseInto) — the pipeline stage that lets wire-format
+// decoding overlap batch execution, without an allocation or a Query
+// copy per spec. Parse failures carry the reader's position and wrap
+// query.ErrInvalid (a client error); reader failures pass through as
+// the reader reported them.
+func Stream(schema *dataset.Schema, sr SpecReader) query.Source {
+	p := query.NewParser(schema)
+	return func(dst *query.Query) (bool, error) {
+		spec, ok, err := sr.Next()
+		if err != nil || !ok {
+			return false, err
+		}
+		if err := p.ParseInto(dst, spec); err != nil {
+			return false, fmt.Errorf("workload: %s: %w", sr.Pos(), err)
+		}
+		return true, nil
+	}
+}
+
+// Queries is Stream for a caller that keeps the queries: each call
+// returns the next query, ok=false at the end, or Stream's error. One
+// query.Parser serves the whole workload, so the queries share its
+// slabs; they stay valid after the reader moves on.
+func Queries(schema *dataset.Schema, sr SpecReader) func() (query.Query, bool, error) {
 	p := query.NewParser(schema)
 	return func() (query.Query, bool, error) {
 		spec, ok, err := sr.Next()

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"slices"
@@ -199,5 +200,55 @@ func TestJSONSpecsForms(t *testing.T) {
 		if _, err := readAll(s, NewJSONSpecs(strings.NewReader(body))); !errors.Is(err, query.ErrInvalid) {
 			t.Fatalf("%q: err = %v, want ErrInvalid", body, err)
 		}
+	}
+}
+
+// TestStreamAllocationFree: Stream parses a 40k-query census workload
+// into one reused slot with a fixed number of allocations — the line
+// reader, its buffer, the parser and the source — and none per spec.
+func TestStreamAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation accounting")
+	}
+	s := censusSchema(t)
+	const n = 40_000
+	_, body := censusWorkload(t, s, n)
+	slot, err := query.Parse(s, "*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		src := Stream(s, NewLineSpecs(bytes.NewReader(body)))
+		for got := 0; ; got++ {
+			ok, err := src(&slot)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				if got != n {
+					t.Fatalf("parsed %d queries, want %d", got, n)
+				}
+				return
+			}
+		}
+	})
+	if allocs > 8 {
+		t.Fatalf("Stream allocated %v times for %d queries, want at most 8", allocs, n)
+	}
+}
+
+// TestLineSpecsLineLimit: the line reader's buffer starts at 64 KiB and
+// grows for a longer line, up to the 1 MiB line limit; a longer line is
+// bufio.ErrTooLong, which the server answers with a 400.
+func TestLineSpecsLineLimit(t *testing.T) {
+	s := censusSchema(t)
+	long := strings.Repeat(" ", 200<<10) + "Age=1..3"
+	queries, err := readAll(s, NewLineSpecs(strings.NewReader("Age=0..1\n"+long+"\n")))
+	if err != nil || len(queries) != 2 || queries[1].Lo()[0] != 1 || queries[1].Hi()[0] != 3 {
+		t.Fatalf("a 200 KiB line: %d queries, err %v", len(queries), err)
+	}
+	_, err = readAll(s, NewLineSpecs(strings.NewReader(strings.Repeat(" ", 1<<20)+"Age=1..3\n")))
+	if !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("a line over 1 MiB: err = %v, want bufio.ErrTooLong", err)
 	}
 }

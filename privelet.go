@@ -30,7 +30,10 @@ type (
 	Query = query.Query
 	// QueryBuilder assembles queries against a schema.
 	QueryBuilder = query.Builder
-	// QuerySource streams queries into CountStream, one at a time.
+	// QuerySource streams queries into CountStream, one at a time, by
+	// filling the slot CountStream hands it. A slot comes with bounds a
+	// source may fill in place, and stays valid until CountStream
+	// refills it; see query.Source for the contract.
 	QuerySource = query.Source
 	// AnswerSink receives CountStream's in-order answer chunks.
 	AnswerSink = query.Sink

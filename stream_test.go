@@ -8,6 +8,7 @@ package privelet_test
 // pooling reorder only computation — never an answer.
 
 import (
+	"bytes"
 	"context"
 	"runtime"
 	"strings"
@@ -141,6 +142,69 @@ func TestServingPathsAgreeAcrossMechanisms(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCountStreamParsedWorkload: CountStream over workload.Stream, the
+// slot-filling adapter cmd/privelet streams workload files through,
+// answers float64 == to CountBatch over the same queries kept whole, at
+// every worker count. The workload spans several default chunks, so
+// every slot is refilled; slots are filled on the calling goroutine and
+// read on the worker pool, which CI checks under -race at GOMAXPROCS 1
+// and 4.
+func TestCountStreamParsedWorkload(t *testing.T) {
+	occ, err := privelet.ThreeLevelHierarchy(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema, err := privelet.NewSchema(privelet.OrdinalAttr("Age", 32), privelet.NominalAttr("Occ", occ), privelet.OrdinalAttr("Inc", 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pub, err := privelet.NewPublisher(schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2000; i++ {
+		if err := pub.Add((i*7)%32, (i*5)%16, (i*3)%8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rel, err := pub.Publish(context.Background(), "privelet+", privelet.Params{Epsilon: 1, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := workload.NewGenerator(schema, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries, err := gen.Queries(3*query.DefaultStreamChunk+123, rng.New(17))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body bytes.Buffer
+	if err := workload.WriteQueries(&body, schema, queries); err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
+		want, err := rel.CountBatch(context.Background(), queries, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []float64
+		src := workload.Stream(schema, workload.NewLineSpecs(bytes.NewReader(body.Bytes())))
+		n, err := rel.CountStream(context.Background(), src, func(a []float64) error {
+			got = append(got, a...)
+			return nil
+		}, workers)
+		if err != nil || n != len(want) || len(got) != len(want) {
+			t.Fatalf("workers=%d: delivered %d, appended %d, err %v; want %d", workers, n, len(got), err, len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("workers=%d: answer %d = %v, CountBatch %v", workers, i, got[i], want[i])
+			}
+		}
 	}
 }
 
