@@ -14,6 +14,10 @@
 //	privelet -schema "Age:ordinal:101,Gender:nominal:flat:2" \
 //	         -epsilon 1.0 -sa Gender -in data.csv -out noisy.csv
 //
+// Without -seed every run draws a fresh seed from crypto/rand, so no
+// one can regenerate its noise; -seed makes the release replayable, bit
+// for bit.
+//
 // The publishing mechanism is selected by name from the privelet
 // registry (-mechanism privelet+|privelet|basic|hay; hay requires a
 // one-attribute schema). Rows are streamed from the CSV straight into
@@ -69,6 +73,7 @@ import (
 
 	privelet "repro"
 	"repro/internal/cli"
+	"repro/internal/rng"
 	"repro/internal/workload"
 )
 
@@ -77,7 +82,7 @@ func main() {
 		schemaSpec = flag.String("schema", "", "comma-separated attribute clauses (see package doc)")
 		epsilon    = flag.Float64("epsilon", 1.0, "privacy budget ε")
 		saFlag     = flag.String("sa", "", "comma-separated SA attribute names (privelet+ only); 'auto' applies Corollary 1")
-		seed       = flag.Uint64("seed", 1, "noise seed (deterministic releases)")
+		seed       = flag.Uint64("seed", 0, "noise seed: the same data, parameters and seed give the same release (default: a fresh random seed, so the release cannot be replayed)")
 		inPath     = flag.String("in", "", "input CSV (default stdin)")
 		outPath    = flag.String("out", "", "output CSV (default stdout)")
 		savePath   = flag.String("save", "", "also save the release in codec format (loadable with privelet.Load)")
@@ -145,6 +150,15 @@ func main() {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "privelet: auto SA = %v\n", sa)
+	}
+
+	// Without -seed the noise comes from a fresh random seed: a fixed
+	// default would let anyone who knows the schema regenerate the
+	// release's noise and subtract it.
+	seedSet := false
+	flag.Visit(func(f *flag.Flag) { seedSet = seedSet || f.Name == "seed" })
+	if !seedSet {
+		*seed = rng.FreshSeed()
 	}
 
 	// Reject parameter/mechanism mismatches (SA on a transform-free

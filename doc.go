@@ -119,8 +119,9 @@
 // POST /releases/{id}/query endpoint answers a whole workload body in
 // one request, and cmd/privelet -load/-query does the same for saved
 // artifacts — all three run internal/query's parse→execute pipeline over
-// one shared workload wire format (one predicate spec per line, or
-// JSON; see docs/ARCHITECTURE.md's "Query serving" section).
+// one shared workload wire format (one predicate spec per line in, one
+// answer per line and a trailer out; see docs/ARCHITECTURE.md's "Query
+// serving" section).
 //
 // # Continual publication and privacy budgets
 //

@@ -227,12 +227,7 @@ func lineWorkload(n int) string {
 // caller owns the body.
 func queryLines(t testing.TB, base, id, wl string) *http.Response {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodPost, base+"/releases/"+id+"/query", strings.NewReader(wl))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Accept", "text/plain")
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := http.Post(base+"/releases/"+id+"/query", "text/plain", strings.NewReader(wl))
 	if err != nil {
 		t.Fatal(err)
 	}

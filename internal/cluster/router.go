@@ -307,7 +307,7 @@ func (rt *Router) forward(ctx context.Context, n Node, req *http.Request, body [
 	if err != nil {
 		return nil, err
 	}
-	copyHeader(out.Header, req.Header, "Content-Type", "Accept", "Accept-Encoding")
+	copyHeader(out.Header, req.Header, "Content-Type", "Accept-Encoding")
 	// http.DefaultClient has no overall timeout, which streamed query
 	// responses of unbounded duration need; per-connection failures are
 	// handled by retry, not deadline.

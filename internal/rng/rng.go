@@ -16,6 +16,8 @@
 package rng
 
 import (
+	"crypto/rand"
+	"encoding/binary"
 	"math"
 )
 
@@ -72,6 +74,16 @@ func Substream(seed, stream uint64) *Source {
 // noise chunk), keeping every level position-independent.
 func SubstreamSeed(seed, stream uint64) uint64 {
 	return mix64(mix64(seed+0x9e3779b97f4a7c15) + stream*0xbf58476d1ce4e5b9 + 0x94d049bb133111eb)
+}
+
+// FreshSeed returns a seed read from crypto/rand, for a publish whose
+// caller named none. A fixed default seed would let anyone who knows the
+// schema regenerate such a release's noise and subtract it; a fresh seed
+// is known to no one, so the release cannot be replayed either.
+func FreshSeed() uint64 {
+	var b [8]byte
+	_, _ = rand.Read(b[:]) // it never returns an error: it crashes the program instead
+	return binary.LittleEndian.Uint64(b[:])
 }
 
 // Uint64 returns the next 64 uniformly distributed bits.

@@ -14,8 +14,8 @@ import (
 	"repro/internal/workload"
 )
 
-// batchAnswers POSTs a workload body to the batch endpoint and decodes
-// the response.
+// batchAnswers POSTs a workload body to the batch endpoint and reads
+// the answer lines through to an ok trailer that counts every answer.
 func batchAnswers(t *testing.T, ts *httptest.Server, id, params, contentType, body string) []float64 {
 	t.Helper()
 	target := ts.URL + "/releases/" + id + "/query"
@@ -31,18 +31,14 @@ func batchAnswers(t *testing.T, ts *httptest.Server, id, params, contentType, bo
 		raw, _ := io.ReadAll(resp.Body)
 		t.Fatalf("batch status %d: %s", resp.StatusCode, raw)
 	}
-	var out struct {
-		Queries int       `json:"queries"`
-		Workers int       `json:"workers"`
-		Answers []float64 `json:"answers"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	answers, trailer, err := workload.ReadAnswerLines(resp.Body)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Queries != len(out.Answers) {
-		t.Fatalf("queries = %d but %d answers", out.Queries, len(out.Answers))
+	if trailer.Status != workload.StatusOK || trailer.Answers != len(answers) {
+		t.Fatalf("trailer %+v after %d answers", trailer, len(answers))
 	}
-	return out.Answers
+	return answers
 }
 
 // countOne issues one GET /count and returns the answer. The spec is
@@ -93,8 +89,8 @@ func batchSpecs(t *testing.T, n int) []string {
 
 // TestBatchMatchesSequentialCounts is the endpoint's acceptance
 // property: one batch request answers a workload bit-identically
-// (float64 ==, through the JSON round trip both paths share) to issuing
-// every spec as its own /count call — at several parallelism levels.
+// (float64 ==, through /count's JSON and the workload's answer lines)
+// to issuing every spec as its own /count call — at several parallelism levels.
 func TestBatchMatchesSequentialCounts(t *testing.T) {
 	ts := startServer(t)
 	sum := publish(t, ts, "schema="+testSchema+"&epsilon=2&seed=21", testCSV)
@@ -117,23 +113,35 @@ func TestBatchMatchesSequentialCounts(t *testing.T) {
 	}
 }
 
+// TestBatchJSONBody: a workload body sent as JSON, in any of the shapes
+// the endpoint once read, gets a 415 that names the line format, and
+// the release is untouched: the same specs sent as lines still answer.
 func TestBatchJSONBody(t *testing.T) {
 	ts := startServer(t)
 	sum := publish(t, ts, "schema="+testSchema+"&epsilon=2&seed=22", testCSV)
 	specs := batchSpecs(t, 50)
-	lines := batchAnswers(t, ts, sum.ID, "", "text/csv", strings.Join(specs, "\n"))
 	raw, err := json.Marshal(map[string]any{"queries": specs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	asJSON := batchAnswers(t, ts, sum.ID, "", "application/json", string(raw))
-	if len(asJSON) != len(lines) {
-		t.Fatalf("JSON body: %d answers, want %d", len(asJSON), len(lines))
-	}
-	for i := range lines {
-		if asJSON[i] != lines[i] {
-			t.Fatalf("JSON vs lines: answer %d = %v vs %v", i, asJSON[i], lines[i])
+	for _, ct := range []string{"application/json", "application/json; charset=utf-8"} {
+		for _, body := range []string{string(raw), `["Age=0..1", "*"]`, `{"queries": [42]}`} {
+			resp, err := http.Post(ts.URL+"/releases/"+sum.ID+"/query", ct, strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			msg, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusUnsupportedMediaType {
+				t.Fatalf("%s %.40s: status %d, want 415", ct, body, resp.StatusCode)
+			}
+			if !strings.Contains(string(msg), "one query spec per line") {
+				t.Fatalf("%s: error %s does not name the line format", ct, msg)
+			}
 		}
+	}
+	if got := batchAnswers(t, ts, sum.ID, "", "text/plain", strings.Join(specs, "\n")); len(got) != len(specs) {
+		t.Fatalf("lines after the refusals: %d answers, want %d", len(got), len(specs))
 	}
 }
 
@@ -186,15 +194,15 @@ func TestQueryErrorsAreClientErrors(t *testing.T) {
 		}
 	}
 
-	// Malformed JSON is a 400 too, not a 500.
+	// A JSON body is the client's to fix too: a 415, never a 500.
 	resp, err := http.Post(ts.URL+"/releases/"+sum.ID+"/query", "application/json",
 		strings.NewReader(`{"queries": [42]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad JSON: status %d, want 400", resp.StatusCode)
+	if resp.StatusCode != http.StatusUnsupportedMediaType {
+		t.Errorf("JSON body: status %d, want 415", resp.StatusCode)
 	}
 
 	// Unknown release and bad parallelism keep their own statuses.

@@ -21,6 +21,8 @@
 //
 //	POST   /publish?schema=...&epsilon=...&sa=...&seed=...&mechanism=...&parallelism=...
 //	       body: headerless integer CSV           → {"id": "...", ...}
+//	       without seed the noise comes from a fresh random seed, so
+//	       only a publish that names its seed can be replayed
 //	POST   /tenants/{tenant}/publish?schema=...   → {"id": "<tenant>/<epoch>", ...}
 //	       the same publish, gated by the tenant's privacy-budget
 //	       ledger: ε is debited before any noise is drawn (sequential
@@ -36,12 +38,11 @@
 //	DELETE /releases/{id}                         → withdraw release, delete spill file
 //	GET    /releases/{id}/count?q=...             → {"count": ...}
 //	POST   /releases/{id}/query?parallelism=...   → streamed answers + trailer
-//	       body: workload — one query spec per line, or JSON
-//	       ["spec", ...] / {"queries": [...]} with Content-Type
-//	       application/json. Answers stream back in fixed-size chunks
-//	       (JSON by default, one-per-line with Accept: text/csv) and end
-//	       with a trailer carrying the answer count and status, so a cut
-//	       stream is detectable.
+//	       body: workload — one query spec per line (a JSON body is a
+//	       415). Answers stream back as text/plain in fixed-size chunks,
+//	       one per line whatever Accept says, and end with a trailer
+//	       line carrying the answer count and status, so a cut stream is
+//	       detectable.
 //	GET    /releases/{id}/export                  → binary codec payload
 //	GET    /mechanisms                            → registered mechanism names
 //	GET    /stats                                 → store accounting (evictions, reloads,
@@ -97,7 +98,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"mime"
 	"net/http"
 	"net/url"
 	"os"
@@ -114,6 +114,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/ledger"
 	"repro/internal/query"
+	"repro/internal/rng"
 	"repro/internal/store"
 	"repro/internal/workload"
 )
@@ -392,6 +393,8 @@ func (s *Server) parsePublish(w http.ResponseWriter, req *http.Request) (publish
 			httpError(w, http.StatusBadRequest, "bad seed: "+err.Error())
 			return publishSpec{}, false
 		}
+	} else {
+		seed = rng.FreshSeed()
 	}
 	sa := cli.SplitNonEmpty(qp.Get("sa"))
 	// A literal '+' in a query string decodes to a space, so a curl-ed
@@ -771,31 +774,34 @@ func (s *Server) handleCount(w http.ResponseWriter, req *http.Request) {
 // paper's serving shape (§VII runs 40 000 queries per experiment), for
 // which per-query HTTP round trips would dominate the 2^d-lookup
 // answers. The request body streams through the workload wire format
-// (one spec per line, or JSON with Content-Type application/json)
-// directly into query.Batch.ExecuteStream: parsing pipelines into
-// execution, answers flush to the client in fixed-size chunks while
-// later chunks still execute, and peak memory is O(chunk) — a
-// million-query workload never exists in this process as a slice.
-// Answers come back in input order, bit-identical to issuing the same
-// specs as sequential /count calls. A workload does not go through the
-// release's answer cache: each answer is a 2^d summed-area lookup on
-// the worker pool, which costs less than the cache's serial key render
-// and probe even when every probe hits.
+// (one spec per line) directly into query.Batch.ExecuteStream: parsing
+// pipelines into execution, answers flush to the client in fixed-size
+// chunks while later chunks still execute, and peak memory is
+// O(chunk) — a million-query workload never exists in this process as
+// a slice. Answers come back in input order, bit-identical to issuing
+// the same specs as sequential /count calls. A workload does not go
+// through the release's answer cache: each answer is a 2^d summed-area
+// lookup on the worker pool, which costs less than the cache's serial
+// key render and probe even when every probe hits.
 //
-// The response is the streaming answer wire format (internal/workload):
-// JSON by default — the pre-streaming {"workers","answers","queries"}
-// object extended with a trailer — or the line format when the Accept
-// header asks for text/csv or text/plain. Either way the trailer
-// carries the delivered answer count and a status, so a client can
-// distinguish a complete stream from one cut by an error or a dropped
-// connection (a body without a trailer is truncated, full stop).
+// A body whose Content-Type is application/json is refused with 415:
+// workloads have one format. The response is the streaming answer wire
+// format (internal/workload), text/plain whatever Accept says: one
+// answer per line, then a trailer carrying the delivered answer count
+// and a status, so a client can distinguish a complete stream from one
+// cut by an error or a dropped connection (a body without a trailer is
+// truncated, full stop).
 //
 // Errors inside the first chunk — the whole workload, for bodies up to
-// the chunk size — are reported as plain HTTP statuses exactly as
-// before, since nothing has been written; after the first flush the
-// status is already on the wire, and a failure ends the stream with a
-// status=error trailer instead.
+// the chunk size — are reported as plain HTTP statuses, since nothing
+// has been written; after the first flush the status is already on the
+// wire, and a failure ends the stream with a status=error trailer
+// instead.
 func (s *Server) handleBatchQuery(w http.ResponseWriter, req *http.Request) {
+	if strings.HasPrefix(req.Header.Get("Content-Type"), "application/json") {
+		httpError(w, http.StatusUnsupportedMediaType, "a workload is one query spec per line (text/plain), not JSON")
+		return
+	}
 	rel, ok := s.lookup(w, req)
 	if !ok {
 		return
@@ -805,36 +811,27 @@ func (s *Server) handleBatchQuery(w http.ResponseWriter, req *http.Request) {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	schema := rel.Payload.Schema
 	// Answers go out while the body is still being read. Without full
 	// duplex, an HTTP/1.x server that sends the headers may read and
 	// drop up to 256 KiB of the body not yet read, cutting the
 	// workload short. A writer that cannot do it (a test recorder) is
 	// left as it is.
 	_ = http.NewResponseController(w).EnableFullDuplex()
-	body := http.MaxBytesReader(w, req.Body, s.maxBody)
-	var specs workload.SpecReader
-	if ct := req.Header.Get("Content-Type"); strings.HasPrefix(ct, "application/json") {
-		specs = workload.NewJSONSpecs(body)
-	} else {
-		specs = workload.NewLineSpecs(body)
-	}
-	asLines := wantsLineAnswers(req.Header.Get("Accept"))
+	// Close the body before returning. A workload that fails leaves part
+	// of it unread, and with full duplex net/http reads that rest only in
+	// its own close after the handler; reaching the end there restarts
+	// the background connection read the server has just stopped, so
+	// the connection goroutine panics and the client's next request on
+	// it fails.
+	defer req.Body.Close()
+	specs := workload.NewLineSpecs(http.MaxBytesReader(w, req.Body, s.maxBody))
 
-	var (
-		aw      workload.AnswerWriter
-		started bool
-	)
+	aw := workload.NewAnswerLines(w)
+	started := false
 	flusher, _ := w.(http.Flusher)
 	start := func() {
 		started = true
-		if asLines {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			aw = workload.NewAnswerLines(w)
-		} else {
-			w.Header().Set("Content-Type", "application/json")
-			aw = workload.NewAnswerJSON(w, par)
-		}
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		w.WriteHeader(http.StatusOK)
 	}
 	sink := func(answers []float64) error {
@@ -853,7 +850,7 @@ func (s *Server) handleBatchQuery(w http.ResponseWriter, req *http.Request) {
 	}
 
 	batch := query.Batch{Eval: rel.Eval, Workers: par}
-	n, err := batch.ExecuteStream(req.Context(), workload.Stream(schema, specs), sink)
+	n, err := batch.ExecuteStream(req.Context(), workload.Stream(rel.Payload.Schema, specs), sink)
 	if err != nil && !started {
 		// Nothing on the wire yet: report the plain status a buffered
 		// endpoint would have — 400 for a bad workload, 499/500 otherwise.
@@ -874,32 +871,6 @@ func (s *Server) handleBatchQuery(w http.ResponseWriter, req *http.Request) {
 	if flusher != nil {
 		flusher.Flush()
 	}
-}
-
-// wantsLineAnswers reports whether the Accept header prefers the line
-// answer format over the default JSON — the CSV-friendly form for
-// curl | tail pipelines and the CLI. The first part naming text/csv,
-// text/plain or application/json decides. Each part is read as RFC 9110
-// defines it, through mime.ParseMediaType: media types match whatever
-// their case, and a part with weight q=0 ("not acceptable") or one that
-// does not parse is skipped.
-func wantsLineAnswers(accept string) bool {
-	for _, part := range strings.Split(accept, ",") {
-		mt, params, err := mime.ParseMediaType(part)
-		if err != nil {
-			continue
-		}
-		if q, err := strconv.ParseFloat(params["q"], 64); err == nil && q == 0 {
-			continue
-		}
-		switch mt {
-		case "text/csv", "text/plain":
-			return true
-		case "application/json":
-			return false
-		}
-	}
-	return false
 }
 
 // queryStatus maps a query-pipeline error onto an HTTP status: a bad

@@ -8,6 +8,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -193,6 +195,51 @@ func TestExportRoundTrip(t *testing.T) {
 	}
 	if math.Abs(payload.Noisy.Total()-6) > 1e-3 {
 		t.Fatalf("exported total = %v, want ~6", payload.Noisy.Total())
+	}
+}
+
+// exportedNoisy downloads a release's /export bytes and returns its
+// noisy matrix.
+func exportedNoisy(t *testing.T, ts *httptest.Server, id string) []float64 {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/releases/" + url.PathEscape(id) + "/export")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		raw, _ := io.ReadAll(resp.Body)
+		t.Fatalf("export %s: status %d: %s", id, resp.StatusCode, raw)
+	}
+	p, err := store.DecodeRelease(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p.Noisy.Data()
+}
+
+// TestSeedlessPublishDrawsFreshNoise: a publish without a seed gets a
+// fresh one, on both publish endpoints, so two seedless releases of one
+// table carry different noise: a fixed default seed would let anyone who
+// knows the schema regenerate the noise and subtract it. An explicit
+// seed still replays its release bit for bit.
+func TestSeedlessPublishDrawsFreshNoise(t *testing.T) {
+	ts := startServer(t)
+	params := "schema=" + testSchema + "&epsilon=0.1"
+	a := exportedNoisy(t, ts, publish(t, ts, params, testCSV).ID)
+	b := exportedNoisy(t, ts, publish(t, ts, params, testCSV).ID)
+	if slices.Equal(a, b) {
+		t.Fatal("two seedless POST /publish releases of one table have identical noise")
+	}
+	e1 := exportedNoisy(t, ts, decodeTenantSummary(t, tenantPublish(t, ts, "alice", params, testCSV)).ID)
+	e2 := exportedNoisy(t, ts, decodeTenantSummary(t, tenantPublish(t, ts, "alice", params, testCSV)).ID)
+	if slices.Equal(e1, e2) {
+		t.Fatal("two seedless tenant epochs of one table have identical noise")
+	}
+	x := exportedNoisy(t, ts, publish(t, ts, params+"&seed=7", testCSV).ID)
+	y := exportedNoisy(t, ts, publish(t, ts, params+"&seed=7", testCSV).ID)
+	if !slices.Equal(x, y) {
+		t.Fatal("two publishes at seed=7 differ; an explicit seed must replay its release")
 	}
 }
 

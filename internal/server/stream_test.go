@@ -1,9 +1,9 @@
 package server
 
 // The streaming half of the batch endpoint: chunked answers with a
-// trailer, Accept negotiation, mid-stream failure semantics, truncation
-// detection, and the per-release answer cache, which /count uses and
-// workloads bypass, surfacing on /stats.
+// trailer, mid-stream failure semantics, truncation detection, a failed
+// workload's connection staying usable, and the per-release answer
+// cache, which /count uses and workloads bypass, surfacing on /stats.
 
 import (
 	"bufio"
@@ -11,10 +11,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -22,8 +24,8 @@ import (
 	"repro/internal/workload"
 )
 
-// batchRequest POSTs a workload with an explicit Accept header and
-// returns the raw response.
+// batchRequest POSTs a workload, with an Accept header unless accept is
+// empty, and returns the raw response.
 func batchRequest(t *testing.T, ts *httptest.Server, id, params, contentType, accept, body string) *http.Response {
 	t.Helper()
 	target := ts.URL + "/releases/" + id + "/query"
@@ -45,18 +47,21 @@ func batchRequest(t *testing.T, ts *httptest.Server, id, params, contentType, ac
 	return resp
 }
 
-// TestBatchLineAnswers: Accept: text/csv switches the response to the
-// line answer format, complete with an ok trailer, and the answers are
-// float64 == to the JSON representation of the same workload.
+// TestBatchLineAnswers: the answers are lines whatever Accept asks
+// for — text/plain, one answer per line, then an ok trailer — and they
+// equal (float64 ==) /count's answers to the same specs.
 func TestBatchLineAnswers(t *testing.T) {
 	ts := startServer(t)
 	sum := publish(t, ts, "schema="+testSchema+"&epsilon=2&seed=31", testCSV)
 	specs := batchSpecs(t, 300)
 	body := strings.Join(specs, "\n")
-	asJSON := batchAnswers(t, ts, sum.ID, "", "text/csv", body)
+	want := make([]float64, len(specs))
+	for i, spec := range specs {
+		want[i] = countOne(t, ts, sum.ID, spec)
+	}
 
-	for _, accept := range []string{"text/csv", "text/plain", "text/csv;q=0.9, application/json;q=0.1"} {
-		resp := batchRequest(t, ts, sum.ID, "", "text/csv", accept, body)
+	for _, accept := range []string{"", "application/json", "text/csv", "*/*"} {
+		resp := batchRequest(t, ts, sum.ID, "parallelism=2", "text/plain", accept, body)
 		raw, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
@@ -72,68 +77,14 @@ func TestBatchLineAnswers(t *testing.T) {
 		if trailer.Status != workload.StatusOK || trailer.Answers != len(specs) {
 			t.Fatalf("accept=%q: trailer = %+v", accept, trailer)
 		}
-		if len(got) != len(asJSON) {
-			t.Fatalf("accept=%q: %d answers, want %d", accept, len(got), len(asJSON))
+		if len(got) != len(want) {
+			t.Fatalf("accept=%q: %d answers, want %d", accept, len(got), len(want))
 		}
-		for i := range asJSON {
-			if got[i] != asJSON[i] {
-				t.Fatalf("accept=%q: answer %d = %v, JSON gave %v", accept, i, got[i], asJSON[i])
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("accept=%q: answer %d = %v, /count gave %v", accept, i, got[i], want[i])
 			}
 		}
-	}
-}
-
-// TestWantsLineAnswers reads Accept as RFC 9110 defines it: media types
-// match whatever their case, a part with weight q=0 is "not acceptable"
-// and cannot select a format, and the first part naming a format
-// decides.
-func TestWantsLineAnswers(t *testing.T) {
-	for _, tc := range []struct {
-		accept string
-		lines  bool
-	}{
-		{"", false},
-		{"*/*", false},
-		{"text/csv", true},
-		{"text/plain", true},
-		{"Text/CSV", true},
-		{"TEXT/PLAIN; charset=utf-8", true},
-		{"application/json", false},
-		{"text/csv;q=0", false},
-		{"text/csv; q=0.000", false},
-		{"text/csv;q=0, application/json", false},
-		{"text/csv;q=0, text/plain", true},
-		{"application/json;q=0, text/csv", true},
-		{"text/csv;q=0.5, application/json", true},
-		{"application/json, text/csv", false},
-		{"image/png, text/csv;q=0.1", true},
-		{"text/csv;q", false},
-		{";;, text/plain", true},
-	} {
-		if got := wantsLineAnswers(tc.accept); got != tc.lines {
-			t.Errorf("wantsLineAnswers(%q) = %v, want %v", tc.accept, got, tc.lines)
-		}
-	}
-}
-
-// TestBatchJSONTrailer: the default JSON response now ends with a
-// trailer the streaming reader validates — and still decodes under the
-// pre-streaming {queries, workers, answers} shape (batchAnswers).
-func TestBatchJSONTrailer(t *testing.T) {
-	ts := startServer(t)
-	sum := publish(t, ts, "schema="+testSchema+"&epsilon=2&seed=32", testCSV)
-	specs := batchSpecs(t, 120)
-	resp := batchRequest(t, ts, sum.ID, "parallelism=2", "text/csv", "", strings.Join(specs, "\n"))
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
-		t.Fatalf("Content-Type %q, want application/json", ct)
-	}
-	answers, trailer, err := workload.ReadAnswersJSON(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if trailer.Status != workload.StatusOK || trailer.Answers != len(specs) || len(answers) != len(specs) {
-		t.Fatalf("trailer = %+v over %d answers", trailer, len(answers))
 	}
 }
 
@@ -152,7 +103,7 @@ func TestBatchMidStreamError(t *testing.T) {
 		lines[i] = "Age=0..1"
 	}
 	lines[4499] = "Age=9..1" // inverted range, line 4500
-	resp := batchRequest(t, ts, sum.ID, "", "text/csv", "text/csv", strings.Join(lines, "\n"))
+	resp := batchRequest(t, ts, sum.ID, "", "text/csv", "", strings.Join(lines, "\n"))
 	raw, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
@@ -200,7 +151,6 @@ func TestBatchReadsBodyAfterFirstFlush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set("Accept", "text/plain")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -276,7 +226,6 @@ func TestBatchTruncationDetectable(t *testing.T) {
 	}
 	req := httptest.NewRequest(http.MethodPost, "/releases/"+sum.ID+"/query", strings.NewReader(strings.Join(specs, "\n")))
 	req.Header.Set("Content-Type", "text/csv")
-	req.Header.Set("Accept", "text/csv")
 	fw := &failingWriter{h: make(http.Header), limit: 5 << 10}
 	h.ServeHTTP(fw, req)
 
@@ -360,11 +309,103 @@ func TestBatchBypassesAnswerCache(t *testing.T) {
 func TestBatchEmptyWorkloadTrailer(t *testing.T) {
 	ts := startServer(t)
 	sum := publish(t, ts, "schema="+testSchema+"&epsilon=2&seed=37", testCSV)
-	resp := batchRequest(t, ts, sum.ID, "", "text/csv", "text/csv", "\n\n")
+	resp := batchRequest(t, ts, sum.ID, "", "text/csv", "", "\n\n")
 	raw, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	answers, trailer, err := workload.ReadAnswerLines(strings.NewReader(string(raw)))
 	if err != nil || len(answers) != 0 || trailer.Status != workload.StatusOK || trailer.Answers != 0 {
 		t.Fatalf("empty workload: answers=%v trailer=%+v err=%v", answers, trailer, err)
+	}
+}
+
+// lockedBuffer is a log destination shared by the server's connection
+// goroutines and the test.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  strings.Builder
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+// TestBatchFailureKeepsConnection: a workload that fails with part of
+// its body unread — a bad first line (400) or a bad line after the
+// first chunk is out (200 with a status=error trailer) — leaves its
+// keep-alive connection fit for the next request, and the server logs
+// no panic. One client connection carries every request, so a
+// connection the server broke fails the request after it.
+func TestBatchFailureKeepsConnection(t *testing.T) {
+	var serverLog lockedBuffer
+	ts := httptest.NewUnstartedServer(New(Config{}).Handler())
+	ts.Config.ErrorLog = log.New(&serverLog, "", 0)
+	ts.Start()
+	t.Cleanup(ts.Close)
+	sum := publish(t, ts, "schema="+testSchema+"&epsilon=2&seed=38", testCSV)
+	tr := &http.Transport{MaxConnsPerHost: 1}
+	defer tr.CloseIdleConnections()
+	client := &http.Client{Transport: tr}
+
+	// About 90 KB each: larger than the line reader's first 64 KiB read.
+	lines := make([]string, 10000)
+	for i := range lines {
+		lines[i] = "Age=0..1"
+	}
+	good := strings.Join(lines, "\n")
+	lines[0] = "Age=9..1"
+	badFirst := strings.Join(lines, "\n")
+	lines[0], lines[4499] = "Age=0..1", "Age=9..1"
+	badMid := strings.Join(lines, "\n")
+
+	for _, tc := range []struct {
+		name, contentType, body string
+		status                  int
+		trailer                 string // the status=... a 200 must end with
+	}{
+		{"bad line 1", "text/plain", badFirst, http.StatusBadRequest, ""},
+		{"bad line 1 again", "text/plain", badFirst, http.StatusBadRequest, ""},
+		{"bad line 4500", "text/plain", badMid, http.StatusOK, workload.StatusError},
+		{"bad line 4500 again", "text/plain", badMid, http.StatusOK, workload.StatusError},
+		{"JSON body", "application/json", `{"queries": ["Age=0..1"]}`, http.StatusUnsupportedMediaType, ""},
+		{"good", "text/plain", good, http.StatusOK, workload.StatusOK},
+	} {
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/releases/"+sum.ID+"/query", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", tc.contentType)
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Errorf("%s: reading the response: %v", tc.name, err)
+			continue
+		}
+		if resp.StatusCode != tc.status {
+			t.Errorf("%s: status %d, want %d: %.200s", tc.name, resp.StatusCode, tc.status, raw)
+			continue
+		}
+		if tc.trailer == "" {
+			continue
+		}
+		if _, trailer, err := workload.ReadAnswerLines(strings.NewReader(string(raw))); err != nil || trailer.Status != tc.trailer {
+			t.Errorf("%s: trailer %+v, err %v; want status=%s", tc.name, trailer, err, tc.trailer)
+		}
+	}
+	ts.Close()
+	if l := serverLog.String(); strings.Contains(l, "panic") {
+		t.Errorf("server log:\n%s", l)
 	}
 }

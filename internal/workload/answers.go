@@ -5,31 +5,18 @@
 // would silently truncate the answer list. Every streamed answer body
 // therefore ends with an explicit trailer carrying the answer count and
 // a status — a response without a well-formed trailer IS truncated, by
-// definition, and the readers here say so.
+// definition, and ReadAnswerLines says so.
 //
-// Two representations, mirroring the workload formats:
-//
-//   - lines: one answer per line (strconv 'g'/-1, which round-trips the
-//     exact float64), terminated by a '#'-prefixed trailer line
-//     ("# answers=40000 status=ok") that line-oriented consumers can
-//     skip as a comment — written by AnswerLines, read by ReadAnswerLines;
-//   - JSON: {"workers":W,"answers":[...],"queries":N,"trailer":{...}},
-//     streamed as the answers arrive — written by AnswerJSON, read by
-//     ReadAnswersJSON. The "queries" and "answers" fields keep the
-//     pre-streaming response shape, so clients that decoded the old
-//     buffered object keep working; the trailer is strictly additive.
-//
-// Float formatting: the JSON writer marshals each chunk with
-// encoding/json so the byte-level number rendering is identical to the
-// old buffered json.Encoder response — answers stay bit-identical
-// through either representation's round trip.
+// The format mirrors the workload format: one answer per line
+// (strconv 'g'/-1, which round-trips the exact float64), terminated by
+// a '#'-prefixed trailer line ("# answers=40000 status=ok") that
+// line-oriented consumers can skip as a comment — written by
+// AnswerLines, read by ReadAnswerLines.
 
 package workload
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -46,11 +33,11 @@ import (
 type Trailer struct {
 	// Answers is the number of answers actually delivered before the
 	// trailer.
-	Answers int `json:"answers"`
+	Answers int
 	// Status is StatusOK or StatusError.
-	Status string `json:"status"`
+	Status string
 	// Error carries the failure detail when Status is StatusError.
-	Error string `json:"error,omitempty"`
+	Error string
 }
 
 // Trailer status values.
@@ -64,14 +51,6 @@ const (
 // errors.Is.
 var ErrTruncated = errors.New("workload: answer stream truncated (no trailer)")
 
-// AnswerWriter is the chunk-at-a-time answer emitter ExecuteStream's
-// sink drives: zero or more WriteChunk calls in answer order, then
-// exactly one Close carrying the trailer.
-type AnswerWriter interface {
-	WriteChunk(answers []float64) error
-	Close(t Trailer) error
-}
-
 // trailerPrefix starts the line format's trailer line; '#' cannot start
 // an answer (answers are numbers), so the trailer is unambiguous.
 const trailerPrefix = "# answers="
@@ -81,7 +60,9 @@ const trailerPrefix = "# answers="
 // 24 bytes) and its newline.
 const maxAnswerLine = 25
 
-// AnswerLines writes the line answer format.
+// AnswerLines writes the answer format chunk by chunk, as
+// ExecuteStream's sink drives it: zero or more WriteChunk calls in
+// answer order, then exactly one Close carrying the trailer.
 type AnswerLines struct {
 	w io.Writer
 	// buf is the one buffer each chunk and the trailer are formatted
@@ -89,7 +70,7 @@ type AnswerLines struct {
 	buf []byte
 }
 
-// NewAnswerLines returns an AnswerWriter emitting the line format to w.
+// NewAnswerLines returns an AnswerLines writing to w.
 func NewAnswerLines(w io.Writer) *AnswerLines {
 	return &AnswerLines{w: w}
 }
@@ -179,100 +160,10 @@ func parseTrailerLine(line string) (Trailer, error) {
 	} else {
 		t.Status = rest
 	}
+	if t.Status != StatusOK && t.Status != StatusError {
+		// A trailer cut inside its status ("status=o") must not read
+		// as a complete stream.
+		return Trailer{}, fmt.Errorf("workload: trailer %q: unknown status %q", line, t.Status)
+	}
 	return t, nil
-}
-
-// AnswerJSON writes the JSON answer format. The enclosing object opens
-// on the first chunk (or at Close for an empty stream) and closes with
-// the trailer, so a decoder sees valid JSON exactly when the stream
-// completed.
-type AnswerJSON struct {
-	w io.Writer
-	// Workers is echoed into the response head (0 omits nothing — it is
-	// still written, matching the old buffered response shape).
-	workers int
-	started bool
-	wrote   bool
-	err     error
-}
-
-// NewAnswerJSON returns an AnswerWriter emitting the JSON format to w;
-// workers is echoed in the response head like the old buffered response.
-func NewAnswerJSON(w io.Writer, workers int) *AnswerJSON {
-	return &AnswerJSON{w: w, workers: workers}
-}
-
-// start emits the object head up to the opening '[' of "answers".
-func (a *AnswerJSON) start() error {
-	if a.started {
-		return a.err
-	}
-	a.started = true
-	_, a.err = fmt.Fprintf(a.w, `{"workers":%d,"answers":[`, a.workers)
-	return a.err
-}
-
-// WriteChunk appends one chunk of answers to the streamed array. The
-// chunk is rendered with encoding/json so number formatting is
-// byte-identical to the old buffered encoder.
-func (a *AnswerJSON) WriteChunk(answers []float64) error {
-	if err := a.start(); err != nil {
-		return err
-	}
-	if len(answers) == 0 {
-		return nil
-	}
-	raw, err := json.Marshal(answers)
-	if err != nil {
-		a.err = err
-		return err
-	}
-	body := bytes.TrimSuffix(bytes.TrimPrefix(raw, []byte("[")), []byte("]"))
-	if a.wrote {
-		if _, err := a.w.Write([]byte(",")); err != nil {
-			a.err = err
-			return err
-		}
-	}
-	a.wrote = true
-	if _, err := a.w.Write(body); err != nil {
-		a.err = err
-		return err
-	}
-	return nil
-}
-
-// Close terminates the array and writes the "queries" echo plus the
-// trailer object.
-func (a *AnswerJSON) Close(t Trailer) error {
-	if err := a.start(); err != nil {
-		return err
-	}
-	raw, err := json.Marshal(t)
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintf(a.w, `],"queries":%d,"trailer":%s}`, t.Answers, raw)
-	if err == nil {
-		_, err = a.w.Write([]byte("\n"))
-	}
-	return err
-}
-
-// ReadAnswersJSON reads a JSON-format answer stream: the answers, the
-// trailer, and a non-nil error wrapping ErrTruncated if the body is not
-// a complete object with a trailer (i.e. the stream was cut).
-func ReadAnswersJSON(r io.Reader) ([]float64, Trailer, error) {
-	var out struct {
-		Answers []float64 `json:"answers"`
-		Trailer *Trailer  `json:"trailer"`
-	}
-	if err := json.NewDecoder(r).Decode(&out); err != nil {
-		// A cut stream is malformed JSON (the object never closed).
-		return nil, Trailer{}, fmt.Errorf("%v: %w", err, ErrTruncated)
-	}
-	if out.Trailer == nil {
-		return out.Answers, Trailer{}, fmt.Errorf("complete JSON without trailer: %w", ErrTruncated)
-	}
-	return out.Answers, *out.Trailer, nil
 }

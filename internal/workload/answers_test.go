@@ -1,17 +1,15 @@
 package workload
 
 // The answer wire format's contract: answers round-trip bit-identically
-// (float64 ==) through both representations, a complete stream always
-// carries a trailer, and a cut stream — however it was cut — is
-// reported as ErrTruncated rather than read as a short answer list.
+// (float64 ==), a complete stream always carries a trailer, and a cut
+// stream — however it was cut — is reported as an error rather than
+// read as a short answer list.
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"io"
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -22,7 +20,7 @@ var testAnswers = []float64{
 	math.MaxFloat64, math.SmallestNonzeroFloat64, 5e-324, 123456789.000001,
 }
 
-func writeChunked(t *testing.T, aw AnswerWriter, answers []float64, chunk int) {
+func writeChunked(t *testing.T, aw *AnswerLines, answers []float64, chunk int) {
 	t.Helper()
 	for lo := 0; lo < len(answers); lo += chunk {
 		hi := lo + chunk
@@ -102,6 +100,18 @@ func TestAnswerLinesTruncated(t *testing.T) {
 	if len(got) != 2 || got[0] != 1.5 || got[1] != 2.5 {
 		t.Fatalf("partial answers = %v", got)
 	}
+
+	// Cut a complete stream at every length short of its final newline:
+	// no prefix may read as a complete stream, not even one cut inside
+	// the trailer's status.
+	buf.Reset()
+	writeChunked(t, NewAnswerLines(&buf), []float64{1.5, 2.5}, 1)
+	full := buf.Bytes()
+	for cut := 0; cut < len(full)-1; cut++ {
+		if _, tr, err := ReadAnswerLines(bytes.NewReader(full[:cut])); err == nil {
+			t.Fatalf("cut at %d bytes (%q) read as complete, trailer %+v", cut, full[:cut], tr)
+		}
+	}
 }
 
 func TestAnswerLinesErrorTrailer(t *testing.T) {
@@ -133,86 +143,6 @@ func TestAnswerLinesEmptyStream(t *testing.T) {
 	}
 }
 
-func TestAnswerJSONRoundTrip(t *testing.T) {
-	for _, chunk := range []int{1, 5, 100} {
-		var buf bytes.Buffer
-		writeChunked(t, NewAnswerJSON(&buf, 4), testAnswers, chunk)
-		got, trailer, err := ReadAnswersJSON(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("chunk=%d: %v\nbody: %s", chunk, err, buf.Bytes())
-		}
-		if trailer.Status != StatusOK || trailer.Answers != len(testAnswers) {
-			t.Fatalf("chunk=%d: trailer = %+v", chunk, trailer)
-		}
-		for i, v := range testAnswers {
-			if got[i] != v {
-				t.Fatalf("chunk=%d: answer %d = %v, want %v (not bit-identical)", chunk, i, got[i], v)
-			}
-		}
-		// The streamed object supersets the pre-streaming response shape:
-		// a client decoding the old {queries, workers, answers} keeps
-		// working, trailer unseen.
-		var legacy struct {
-			Queries int       `json:"queries"`
-			Workers int       `json:"workers"`
-			Answers []float64 `json:"answers"`
-		}
-		if err := json.Unmarshal(buf.Bytes(), &legacy); err != nil {
-			t.Fatalf("chunk=%d: legacy decode: %v", chunk, err)
-		}
-		if legacy.Queries != len(testAnswers) || legacy.Workers != 4 || len(legacy.Answers) != len(testAnswers) {
-			t.Fatalf("chunk=%d: legacy shape broken: %+v", chunk, legacy)
-		}
-	}
-}
-
-func TestAnswerJSONTruncated(t *testing.T) {
-	var buf bytes.Buffer
-	aw := NewAnswerJSON(&buf, 1)
-	if err := aw.WriteChunk([]float64{1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	if err := aw.Close(Trailer{Answers: 3, Status: StatusOK}); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-	// Cut the body at every prefix length: none may read as complete.
-	for cut := 0; cut < len(full)-1; cut++ {
-		if _, _, err := ReadAnswersJSON(bytes.NewReader(full[:cut])); !errors.Is(err, ErrTruncated) {
-			t.Fatalf("cut at %d bytes: err = %v, want ErrTruncated", cut, err)
-		}
-	}
-	if _, _, err := ReadAnswersJSON(bytes.NewReader(full)); err != nil {
-		t.Fatalf("full body: %v", err)
-	}
-}
-
-func TestAnswerJSONNoTrailerField(t *testing.T) {
-	// A complete JSON object without a trailer (the pre-streaming
-	// response) is reported truncated too: the caller asked for the
-	// streaming guarantee and did not get it.
-	body := `{"queries":2,"workers":1,"answers":[1,2]}`
-	if _, _, err := ReadAnswersJSON(strings.NewReader(body)); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("err = %v, want ErrTruncated", err)
-	}
-}
-
-func TestAnswerJSONEmptyStream(t *testing.T) {
-	var buf bytes.Buffer
-	aw := NewAnswerJSON(&buf, 2)
-	if err := aw.Close(Trailer{Answers: 0, Status: StatusOK}); err != nil {
-		t.Fatal(err)
-	}
-	body := buf.Bytes()
-	got, trailer, err := ReadAnswersJSON(bytes.NewReader(body))
-	if err != nil || len(got) != 0 || trailer.Status != StatusOK {
-		t.Fatalf("empty stream: answers=%v trailer=%+v err=%v", got, trailer, err)
-	}
-	if !json.Valid(body) {
-		t.Fatalf("empty stream is invalid JSON: %s", body)
-	}
-}
-
 func TestTrailerLineParse(t *testing.T) {
 	cases := []struct {
 		line    string
@@ -223,6 +153,7 @@ func TestTrailerLineParse(t *testing.T) {
 		{`# answers=3 status=error error="bad spec"`, Trailer{Answers: 3, Status: StatusError, Error: "bad spec"}, false},
 		{"# answers=x status=ok", Trailer{}, true},
 		{"# answers=1", Trailer{}, true},
+		{"# answers=1 status=o", Trailer{}, true},
 		{"# something else", Trailer{}, true},
 	}
 	for _, tc := range cases {

@@ -1,8 +1,8 @@
 package workload
 
 // Native fuzz targets for the wire formats that cross the HTTP boundary:
-// the line and JSON workload readers the server decodes request bodies
-// with, and the answer-line reader clients decode responses with. Every
+// the workload line reader the server decodes request bodies with, and
+// the answer-line reader clients decode responses with. Every
 // reader faces arbitrary bytes, so the first property is simply "no
 // panic"; the second is the round-trip contract each format documents:
 // an accepted workload re-emitted by WriteQueries reads back through
@@ -39,27 +39,6 @@ func FuzzLineSpecs(f *testing.F) {
 		if err != nil {
 			// Rejected input: the only property is that the reader
 			// failed cleanly instead of panicking.
-			return
-		}
-		checkLineRoundTrip(t, schema, queries)
-	})
-}
-
-func FuzzJSONSpecs(f *testing.F) {
-	for _, seed := range []string{
-		"",
-		"[]",
-		`{"queries": []}`,
-		`["Age=0..3,Gender=#0", "", "Occupation=#3..5"]`,
-		`{"queries": ["*"], "queries": ["Age=1..2"]}`,
-		`[["Age=1..3"]]`,
-	} {
-		f.Add([]byte(seed))
-	}
-	schema := censusSchema(f)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		queries, err := readAll(schema, NewJSONSpecs(bytes.NewReader(data)))
-		if err != nil {
 			return
 		}
 		checkLineRoundTrip(t, schema, queries)

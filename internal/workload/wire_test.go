@@ -15,7 +15,7 @@ import (
 
 // readAll drains a wire-format reader through Queries, the way the
 // server and the CLI consume a workload body.
-func readAll(schema *dataset.Schema, sr SpecReader) ([]query.Query, error) {
+func readAll(schema *dataset.Schema, sr *SpecReader) ([]query.Query, error) {
 	src := Queries(schema, sr)
 	var out []query.Query
 	for {
@@ -161,45 +161,6 @@ func TestLineSpecsSkipBlanksAndNumberErrors(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "line 3") {
 		t.Fatalf("err %q does not carry the line number", err)
-	}
-}
-
-func TestJSONSpecsForms(t *testing.T) {
-	s := censusSchema(t)
-	for _, body := range []string{
-		`["Age=1..3", "*", "Gender=#1"]`,
-		`{"queries": ["Age=1..3", "*", "Gender=#1"]}`,
-		`{"comment": {"nested": [1, 2]}, "queries": ["Age=1..3", "*", "Gender=#1"]}`,
-	} {
-		queries, err := readAll(s, NewJSONSpecs(strings.NewReader(body)))
-		if err != nil {
-			t.Fatalf("%s: %v", body, err)
-		}
-		if len(queries) != 3 {
-			t.Fatalf("%s: len = %d, want 3", body, len(queries))
-		}
-	}
-	// A null entry is the empty spec, the full-domain query — also
-	// after a spec that constrained something.
-	queries, err := readAll(s, NewJSONSpecs(strings.NewReader(`["Age=1..3", null]`)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(queries) != 2 || queries[1].Spec(s) != "*" {
-		t.Fatalf("null entry: %d queries, last %q; want 2, the last \"*\"", len(queries), queries[len(queries)-1].Spec(s))
-	}
-	for _, body := range []string{
-		``,
-		`42`,
-		`{"nope": []}`,
-		`{"queries": "Age=1..3"}`,
-		`["Age=1..3", 7]`,
-		`["Age=9..1"]`,
-		`["Ghost=1..2"]`,
-	} {
-		if _, err := readAll(s, NewJSONSpecs(strings.NewReader(body))); !errors.Is(err, query.ErrInvalid) {
-			t.Fatalf("%q: err = %v, want ErrInvalid", body, err)
-		}
 	}
 }
 
