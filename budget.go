@@ -7,13 +7,11 @@ import "repro/internal/ledger"
 // ε, refunds return a failed publish's debit, and a charge that would
 // push a tenant past its budget is refused with ErrBudgetExhausted.
 // Accounting is exact (integer multiples of 10⁻⁶ ε), so balances never
-// depend on charge ordering. See internal/ledger for the full contract,
-// including the durable mode's crash-ordering guarantees.
+// depend on charge ordering. Ledger.Spend is the charge-gated publish
+// that Continual runs every republish through. See internal/ledger for
+// the full contract, including the durable mode's crash-ordering
+// guarantees.
 type Ledger = ledger.Ledger
-
-// BudgetCharge is the token a successful Ledger.Charge returns; hand it
-// to Ledger.Refund when the publish it paid for fails.
-type BudgetCharge = ledger.Charge
 
 // BudgetBalance is one tenant's budget position as reported by
 // Ledger.Balance.

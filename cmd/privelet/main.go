@@ -171,43 +171,40 @@ func main() {
 		fatal(err)
 	}
 
-	// Charge the budget before ingest: an over-budget publish is refused
-	// with zero work done — no CSV pass, no noise drawn. The charge is
-	// refunded if the publish fails, so only released noise costs budget.
-	var (
-		led    *privelet.Ledger
-		charge *privelet.BudgetCharge
-	)
-	if *budget > 0 || *ledgerDir != "" {
-		if led, err = privelet.NewLedger(*ledgerDir, *budget); err != nil {
-			fatal(err)
-		}
-		if charge, err = led.Charge(*tenant, *epsilon); err != nil {
-			fatal(err)
-		}
-	}
-
 	// Stream rows into the frequency matrix: the table itself is never
 	// buffered, so memory stays O(domain) however large the CSV is.
 	pub, err := privelet.NewPublisher(schema)
 	if err != nil {
 		fatal(err)
 	}
-	if err := cli.ReadRows(schema, in, pub.Add); err != nil {
-		refund(led, charge)
-		fatal(err)
+	var rel *privelet.Release
+	publish := func() (err error) {
+		if err = cli.ReadRows(schema, in, pub.Add); err == nil {
+			rel, err = pub.Publish(context.Background(), *mechName, params)
+		}
+		return err
 	}
-	rel, err := pub.Publish(context.Background(), *mechName, params)
+	// With a budget the ledger charges before ingest: an over-budget
+	// publish is refused with zero work done — no CSV pass, no noise
+	// drawn — and a failed publish is refunded, so only released noise
+	// costs budget.
+	var (
+		led   *privelet.Ledger
+		epoch uint64
+	)
+	if *budget > 0 || *ledgerDir != "" {
+		if led, err = privelet.NewLedger(*ledgerDir, *budget); err != nil {
+			fatal(err)
+		}
+		epoch, err = led.Spend(*tenant, *epsilon, publish, nil)
+	} else {
+		err = publish()
+	}
 	if err != nil {
-		refund(led, charge)
 		fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "privelet: %s (n=%d)\n", rel, pub.Rows())
 	if led != nil {
-		epoch, err := led.NextEpoch(*tenant)
-		if err != nil {
-			fatal(err)
-		}
 		if rem := led.Remaining(*tenant); math.IsInf(rem, 1) {
 			fmt.Fprintf(os.Stderr, "privelet: tenant %s epoch %d (unlimited budget)\n", *tenant, epoch)
 		} else {
@@ -324,16 +321,6 @@ func writeMatrixCSV(w io.Writer, m *privelet.Matrix) error {
 		fmt.Fprintf(bw, "%g\n", data[off])
 	}
 	return bw.Flush()
-}
-
-// refund returns a failed publish's charge before the process exits;
-// it matters only with -ledger-dir, where the balance outlives the run.
-func refund(led *privelet.Ledger, charge *privelet.BudgetCharge) {
-	if led != nil && charge != nil {
-		if err := led.Refund(charge); err != nil {
-			fmt.Fprintln(os.Stderr, "privelet: refund:", err)
-		}
-	}
 }
 
 func fatal(err error) {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/ledger"
+	"repro/internal/rng"
 )
 
 // ContinualOptions configures a Continual publisher.
@@ -22,7 +23,9 @@ type ContinualOptions struct {
 	// (empty = "privelet+").
 	Mechanism string
 	// Params configures each republish; Params.Epsilon is the per-epoch
-	// budget debit.
+	// budget debit. Epoch k draws its noise from the derived seed
+	// rng.SubstreamSeed(Params.Seed, k), so no two epochs share a noise
+	// stream.
 	Params Params
 	// Window, when positive, keeps only the last Window rows in the
 	// frequency matrix (a sliding window over the stream) and
@@ -69,6 +72,8 @@ type Continual struct {
 }
 
 // NewContinual builds a continual publisher for one tenant's stream.
+// It validates the mechanism and Params once, so a malformed Continual
+// never touches the ledger.
 func NewContinual(schema *Schema, opts ContinualOptions) (*Continual, error) {
 	if opts.Ledger == nil {
 		return nil, fmt.Errorf("privelet: continual publishing requires a Ledger")
@@ -84,6 +89,13 @@ func NewContinual(schema *Schema, opts ContinualOptions) (*Continual, error) {
 	}
 	pub, err := NewPublisher(schema)
 	if err != nil {
+		return nil, err
+	}
+	mech, err := MechanismByName(opts.Mechanism)
+	if err != nil {
+		return nil, err
+	}
+	if err := ValidateParams(mech, schema, opts.Params); err != nil {
 		return nil, err
 	}
 	c := &Continual{opts: opts, pub: pub}
@@ -127,17 +139,19 @@ func (c *Continual) Add(ctx context.Context, vals ...int) (*Epoch, error) {
 }
 
 // Republish publishes the current window on demand through
-// Publisher.Republish: the ledger is charged before any noise is drawn,
-// refunded if the publish fails or ctx is cancelled, and on success the
-// epoch counter advances — each call that returns an Epoch spent
-// Params.Epsilon of the tenant's budget.
+// Ledger.Spend: the charge comes before any noise is drawn, the window
+// is published at its epoch's own seed, and a failed or cancelled
+// publish is refunded but keeps its epoch number. Each call that
+// returns an Epoch spent Params.Epsilon of the tenant's budget.
 func (c *Continual) Republish(ctx context.Context) (*Epoch, error) {
 	c.sinceLast = 0
-	rel, err := c.pub.Republish(ctx, c.opts.Mechanism, c.opts.Params, c.opts.Ledger, c.opts.Tenant)
-	if err != nil {
-		return nil, err
-	}
-	epoch, err := c.opts.Ledger.NextEpoch(c.opts.Tenant)
+	var rel *Release
+	epoch, err := c.opts.Ledger.Spend(c.opts.Tenant, c.opts.Params.Epsilon, nil, func(epoch uint64) (err error) {
+		p := c.opts.Params
+		p.Seed = rng.SubstreamSeed(p.Seed, epoch)
+		rel, err = c.pub.Publish(ctx, c.opts.Mechanism, p)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}

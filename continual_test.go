@@ -185,10 +185,59 @@ func TestLedgerContinualExhaustion(t *testing.T) {
 	}
 }
 
+// TestLedgerContinualEpochsDrawFreshNoise: two epochs of one Continual
+// draw independent noise. Had they shared a noise stream, their
+// difference would be the exact change in the data — 1 in the added
+// row's cell, 0 in every other — at any ε, releasing that change with
+// no noise at all.
+func TestLedgerContinualEpochsDrawFreshNoise(t *testing.T) {
+	led, err := privelet.NewLedger("", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := privelet.NewContinual(continualSchema(t), privelet.ContinualOptions{
+		Tenant: "frank",
+		Ledger: led,
+		Params: privelet.Params{Epsilon: 0.1, Seed: 9},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for v := 0; v < 8; v++ {
+		if _, err := c.Add(ctx, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first, err := c.Republish(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const added = 3
+	if _, err := c.Add(ctx, added); err != nil {
+		t.Fatal(err)
+	}
+	second, err := c.Republish(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m1, m2 := first.Release.Matrix().Data(), second.Release.Matrix().Data()
+	for i := range m1 {
+		change := 0.0
+		if i == added {
+			change = 1
+		}
+		if m2[i]-m1[i] == change {
+			t.Fatalf("cell %d: epoch 2 − epoch 1 = %v, exactly the data change: the epochs share a noise stream", i, m2[i]-m1[i])
+		}
+	}
+}
+
 // TestLedgerRepublishRefundOnFailure is the failure-refund regression:
-// a publish that fails after its charge (saboteur mechanism) or is
+// a republish that fails after its charge (saboteur mechanism) or is
 // cancelled mid-flight (ctx observed by the engine's chunk plumbing)
-// must leave the balance bit-identical to before — no budget leaks.
+// must leave the budget bit-identical to before — no budget leaks —
+// while its epoch number stays taken.
 func TestLedgerRepublishRefundOnFailure(t *testing.T) {
 	registerTestMechs()
 	schema := continualSchema(t)
@@ -196,72 +245,92 @@ func TestLedgerRepublishRefundOnFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pub, err := privelet.NewPublisher(schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		if err := pub.Add(i); err != nil {
+	// continual is carol's cumulative stream over one row per Age value.
+	continual := func(mech string, eps float64) *privelet.Continual {
+		t.Helper()
+		c, err := privelet.NewContinual(schema, privelet.ContinualOptions{
+			Tenant:    "carol",
+			Ledger:    led,
+			Mechanism: mech,
+			Params:    privelet.Params{Epsilon: eps, Seed: 1},
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
+		for i := 0; i < 8; i++ {
+			if _, err := c.Add(context.Background(), i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return c
 	}
 	before := led.Balance("carol")
+	refunded := func(what string, epoch uint64) {
+		t.Helper()
+		got := led.Balance("carol")
+		if got.Budget != before.Budget || got.Spent != before.Spent || got.Remaining != before.Remaining {
+			t.Fatalf("%s leaked budget: %+v, want %+v", what, got, before)
+		}
+		if got.Epoch != epoch {
+			t.Fatalf("%s: epoch counter = %d, want %d (a failed republish keeps its number)", what, got.Epoch, epoch)
+		}
+	}
 
 	// Saboteur: the mechanism errors after the charge.
-	if _, err := pub.Republish(context.Background(), "test-saboteur",
-		privelet.Params{Epsilon: 0.4, Seed: 1}, led, "carol"); err == nil {
+	if _, err := continual("test-saboteur", 0.4).Republish(context.Background()); err == nil {
 		t.Fatal("saboteur publish succeeded")
 	}
-	if got := led.Balance("carol"); got != before {
-		t.Fatalf("saboteur leaked budget: %+v, want %+v", got, before)
-	}
+	refunded("saboteur", before.Epoch+1)
 
 	// Cancellation: the context dies inside the mechanism, the engine
 	// aborts at a chunk boundary, and the charge comes back.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	ctx = context.WithValue(ctx, cancelKey{}, cancel)
-	_, err = pub.Republish(ctx, "test-self-cancel",
-		privelet.Params{Epsilon: 0.4, Seed: 1}, led, "carol")
-	if !errors.Is(err, context.Canceled) {
+	if _, err := continual("test-self-cancel", 0.4).Republish(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled publish err = %v, want context.Canceled", err)
 	}
-	if got := led.Balance("carol"); got != before {
-		t.Fatalf("cancelled publish leaked budget: %+v, want %+v", got, before)
-	}
+	refunded("cancelled publish", before.Epoch+2)
 
 	// The refunded budget is genuinely spendable: a real publish of the
-	// full remaining budget still fits.
-	if _, err := pub.Republish(context.Background(), "privelet+",
-		privelet.Params{Epsilon: 1, Seed: 1}, led, "carol"); err != nil {
+	// full remaining budget still fits, under the next epoch number.
+	ep, err := continual("privelet+", 1).Republish(context.Background())
+	if err != nil {
 		t.Fatalf("full-budget publish after refunds: %v", err)
+	}
+	if ep.Epoch != before.Epoch+3 {
+		t.Fatalf("full-budget publish epoch = %d, want %d", ep.Epoch, before.Epoch+3)
 	}
 	if got := led.Remaining("carol"); got != 0 {
 		t.Fatalf("Remaining = %v, want 0", got)
 	}
 }
 
-// TestLedgerRepublishValidatesBeforeCharge: a request the mechanism
-// would reject anyway must not touch the ledger — neither as a charge
-// nor as a refusal.
+// TestLedgerRepublishValidatesBeforeCharge: a Continual the mechanism
+// would reject anyway is refused by NewContinual, before it can touch
+// the ledger — neither as a charge nor as a refusal.
 func TestLedgerRepublishValidatesBeforeCharge(t *testing.T) {
 	led, err := privelet.NewLedger("", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pub, err := privelet.NewPublisher(continualSchema(t))
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		mech   string
+		params privelet.Params
+	}{
+		{"no-such-mech", privelet.Params{Epsilon: 0.5}},
+		{"privelet", privelet.Params{Epsilon: 0.5, SA: []string{"Age"}}},
+	} {
+		if _, err := privelet.NewContinual(continualSchema(t), privelet.ContinualOptions{
+			Tenant:    "dave",
+			Ledger:    led,
+			Mechanism: tc.mech,
+			Params:    tc.params,
+		}); err == nil {
+			t.Fatalf("mechanism %q with %+v accepted", tc.mech, tc.params)
+		}
 	}
-	if _, err := pub.Republish(context.Background(), "no-such-mech",
-		privelet.Params{Epsilon: 0.5}, led, "dave"); err == nil {
-		t.Fatal("unknown mechanism accepted")
-	}
-	if _, err := pub.Republish(context.Background(), "privelet",
-		privelet.Params{Epsilon: 0.5, SA: []string{"Age"}}, led, "dave"); err == nil {
-		t.Fatal("invalid params accepted")
-	}
-	if st := led.Stats(); st.Charges != 0 || st.Refusals != 0 || st.Refunds != 0 {
-		t.Fatalf("invalid requests touched the ledger: %+v", st)
+	if st := led.Stats(); st.Tenants != 0 || st.Charges != 0 || st.Refusals != 0 || st.Refunds != 0 {
+		t.Fatalf("invalid continuals touched the ledger: %+v", st)
 	}
 }

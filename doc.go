@@ -130,22 +130,27 @@
 // Ledger is the account keeping that total inside a budget:
 //
 //	led, _ := privelet.NewLedger("/var/lib/privelet", 1.0) // 1ε per tenant, durable
-//	pub, _ := privelet.NewPublisher(schema)
-//	// ... pub.Add(...) ...
-//	rel, err := pub.Republish(ctx, "privelet+", privelet.Params{Epsilon: 0.4}, led, "alice")
+//	c, _ := privelet.NewContinual(schema, privelet.ContinualOptions{
+//		Tenant: "alice", Ledger: led, Params: privelet.Params{Epsilon: 0.4, Seed: seed},
+//	})
+//	// ... c.Add(ctx, ...) ...
+//	ep, err := c.Republish(ctx) // ep.ID() is "alice/<epoch>"
 //	if errors.Is(err, privelet.ErrBudgetExhausted) {
 //		// refused before any noise was drawn; nothing was spent
 //	}
 //
-// Republish charges before publishing and refunds if the publish fails
-// or is cancelled — only released noise costs budget. Balances are
-// exact (fixed-point 10⁻⁶ ε units, so refusals are deterministic) and,
-// with a directory, durable across restarts. Continual wraps the loop
-// for a stream: rows feed a sliding window and every Window rows the
-// current window is republished as the tenant's next numbered epoch,
-// each epoch a store release under the ID "<tenant>/<epoch>". The
-// daemon exposes the same gate at POST /tenants/{id}/publish (typed
-// 429 on refusal) and GET /tenants/{id}/budget.
+// Republish runs through Ledger.Spend, the one charge-gated publish: it
+// charges before publishing and refunds if the publish fails or is
+// cancelled — only released noise costs budget. Epoch k draws its noise
+// from a seed derived from Params.Seed and k, so no two epochs share a
+// noise stream. Balances are exact (fixed-point 10⁻⁶ ε units, so
+// refusals are deterministic) and, with a directory, durable across
+// restarts. With Window 0, as here, each Republish publishes the
+// cumulative matrix; with Window > 0 rows feed a sliding window that is
+// republished every Window rows. Each epoch is a store release under
+// the ID "<tenant>/<epoch>". The daemon exposes the same gate at
+// POST /tenants/{id}/publish (typed 429 on refusal) and
+// GET /tenants/{id}/budget.
 //
 // # Security note
 //

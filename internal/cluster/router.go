@@ -297,7 +297,8 @@ func readKey(req *http.Request) string {
 
 // forward issues req's equivalent against node n. A nil body streams
 // the original request body through (single-shot, for writes); a
-// non-nil body is replayable across retries.
+// non-nil body is replayable across retries. Content-Type is the one
+// client header a node's public endpoints read.
 func (rt *Router) forward(ctx context.Context, n Node, req *http.Request, body []byte) (*http.Response, error) {
 	var r io.Reader = req.Body
 	if body != nil {
@@ -307,7 +308,9 @@ func (rt *Router) forward(ctx context.Context, n Node, req *http.Request, body [
 	if err != nil {
 		return nil, err
 	}
-	copyHeader(out.Header, req.Header, "Content-Type", "Accept-Encoding")
+	if ct := req.Header.Get("Content-Type"); ct != "" {
+		out.Header.Set("Content-Type", ct)
+	}
 	// http.DefaultClient has no overall timeout, which streamed query
 	// responses of unbounded duration need; per-connection failures are
 	// handled by retry, not deadline.
@@ -323,14 +326,6 @@ func nodeURL(n Node, req *http.Request) string {
 		u += "?" + req.URL.RawQuery
 	}
 	return u
-}
-
-func copyHeader(dst, src http.Header, keys ...string) {
-	for _, k := range keys {
-		if v := src.Get(k); v != "" {
-			dst.Set(k, v)
-		}
-	}
 }
 
 // relay streams resp to the client, flushing per write so streamed

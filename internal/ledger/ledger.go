@@ -10,8 +10,10 @@
 // with total budget B must be refused once Σεᵢ would exceed B. The
 // ledger is that bookkeeping: Charge debits a publish's ε before any
 // noise is drawn, Refund returns it when the publish fails or is
-// cancelled (nothing was released, so nothing was spent), and
-// Remaining is what sequential composition still allows.
+// cancelled (nothing was released, so nothing was spent), NextEpoch
+// numbers the tenant's releases, and Remaining is what sequential
+// composition still allows. Spend puts those steps in order around a
+// publish; every charge-gated publish goes through it.
 //
 // Accounting is exact. Budgets and charges are quantized to Unit
 // (10⁻⁶ ε, rounded to nearest) and summed in int64 units, so Remaining
@@ -302,6 +304,36 @@ func (l *Ledger) NextEpoch(tenantName string) (uint64, error) {
 		return 0, err
 	}
 	return t.epoch, nil
+}
+
+// Spend is a charge-gated publish: it charges eps to the tenant, runs
+// publish (the work that does not need an epoch number), takes the
+// tenant's next epoch, runs keep(epoch) (the work that does), and
+// returns that epoch. Either callback may be nil. A refused charge runs
+// neither callback and changes nothing. If a later step fails, the
+// charge is refunded and the error returned, joined with the refund's.
+// A failed publish leaves the epoch counter as it was; a failed keep
+// leaves its number taken, so a number whose noise may have been drawn
+// is never handed out again.
+func (l *Ledger) Spend(tenantName string, eps float64, publish func() error, keep func(epoch uint64) error) (uint64, error) {
+	c, err := l.Charge(tenantName, eps)
+	if err != nil {
+		return 0, err
+	}
+	var epoch uint64
+	if publish != nil {
+		err = publish()
+	}
+	if err == nil {
+		epoch, err = l.NextEpoch(tenantName)
+	}
+	if err == nil && keep != nil {
+		err = keep(epoch)
+	}
+	if err != nil {
+		return 0, errors.Join(err, l.Refund(c))
+	}
+	return epoch, nil
 }
 
 // Grant sets the tenant's total budget (replacing the default or a

@@ -169,3 +169,57 @@ func TestLedgerConcurrentNextEpochUnique(t *testing.T) {
 		}
 	}
 }
+
+// TestLedgerSpendStampede: concurrent Spends on one tenant admit
+// exactly ⌊budget/ε⌋ publishes, each returning the epoch its keep saw,
+// and the admitted publishes hold the distinct epochs 1…n.
+func TestLedgerSpendStampede(t *testing.T) {
+	const (
+		budget     = 1.0
+		eps        = 0.03 // 33 Spends fit, the 34th does not
+		goroutines = 8
+		perG       = 10
+	)
+	l := mustLedger(t, Config{DefaultBudget: budget})
+	var (
+		wg      sync.WaitGroup
+		mu      sync.Mutex
+		epochs  = make(map[uint64]bool)
+		refused int
+	)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				var kept uint64
+				epoch, err := l.Spend("t", eps, func() error { return nil }, func(epoch uint64) error {
+					kept = epoch
+					return nil
+				})
+				mu.Lock()
+				switch {
+				case err == nil && epoch == kept && !epochs[epoch]:
+					epochs[epoch] = true
+				case errors.Is(err, ErrBudgetExhausted):
+					refused++
+				default:
+					t.Errorf("Spend = %d (keep saw %d), %v", epoch, kept, err)
+				}
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	if len(epochs) != 33 || refused != goroutines*perG-33 {
+		t.Fatalf("admitted %d, refused %d; want exactly 33 admitted", len(epochs), refused)
+	}
+	for epoch := uint64(1); epoch <= 33; epoch++ {
+		if !epochs[epoch] {
+			t.Fatalf("epoch %d never handed out", epoch)
+		}
+	}
+	if got := l.Remaining("t"); got != 0.01 {
+		t.Fatalf("Remaining = %v, want exactly 0.01", got)
+	}
+}

@@ -530,12 +530,16 @@ type tenantSummary struct {
 	Remaining *float64 `json:"budget_remaining,omitempty"`
 }
 
-// handleTenantPublish is the ledger-gated publish: params.Epsilon is
-// charged to the tenant's budget before the body is read or any noise
-// drawn (sequential composition across the tenant's epochs — paper
-// §III prices each release at its ε), refunded if anything downstream
-// fails, and the release is stored under the versioned ID
-// "<tenant>/<epoch>". An exhausted budget is a typed 429, never a 500.
+// errResponded marks a publish whose error response is already written.
+var errResponded = errors.New("server: error response already written")
+
+// handleTenantPublish is the ledger-gated publish, run through
+// ledger.Spend: params.Epsilon is charged to the tenant's budget before
+// the body is read or any noise drawn (sequential composition across
+// the tenant's epochs — paper §III prices each release at its ε),
+// refunded if anything downstream fails, and the release is stored
+// under the versioned ID "<tenant>/<epoch>". An exhausted budget is a
+// typed 429, never a 500.
 func (s *Server) handleTenantPublish(w http.ResponseWriter, req *http.Request) {
 	tenant := req.PathValue("tenant")
 	if err := ledger.ValidateTenant(tenant); err != nil {
@@ -546,42 +550,36 @@ func (s *Server) handleTenantPublish(w http.ResponseWriter, req *http.Request) {
 	if !ok {
 		return
 	}
-	charge, err := s.ledger.Charge(tenant, spec.params.Epsilon)
-	if err != nil {
-		if errors.Is(err, ledger.ErrBudgetExhausted) {
-			s.budgetRefused(w, tenant, err)
-			return
+	var (
+		payload *codec.Payload
+		id      string
+	)
+	epoch, err := s.ledger.Spend(tenant, spec.params.Epsilon, func() error {
+		var ok bool
+		if payload, ok = s.runPublish(w, req, spec); !ok {
+			return errResponded
 		}
-		httpError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	payload, ok := s.runPublish(w, req, spec)
-	if !ok {
-		// The error response is already on the wire; an aborted publish
-		// released nothing, so it spends nothing. A refund can only fail
-		// on ledger persistence, which the ledger rolls back internally —
-		// the in-memory balance stays correct either way.
-		_ = s.ledger.Refund(charge)
-		return
-	}
-	epoch, err := s.ledger.NextEpoch(tenant)
-	if err == nil {
-		err = s.store.Put(fmt.Sprintf("%s/%d", tenant, epoch), payload, spec.params.Parallelism)
-	}
-	if err != nil {
-		if rerr := s.ledger.Refund(charge); rerr != nil {
-			err = errors.Join(err, rerr)
-		}
-		httpError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	id := fmt.Sprintf("%s/%d", tenant, epoch)
-	writeJSON(w, http.StatusCreated, tenantSummary{
-		summary:   payloadSummary(id, payload, spec.params.Parallelism),
-		Tenant:    tenant,
-		Epoch:     epoch,
-		Remaining: finiteOrNil(s.ledger.Remaining(tenant)),
+		return nil
+	}, func(epoch uint64) error {
+		id = fmt.Sprintf("%s/%d", tenant, epoch)
+		return s.store.Put(id, payload, spec.params.Parallelism)
 	})
+	switch {
+	case errors.Is(err, errResponded):
+		// Spend refunded the charge; a refund's persistence error leaves
+		// the in-memory balance refunded all the same.
+	case errors.Is(err, ledger.ErrBudgetExhausted):
+		s.budgetRefused(w, tenant, err)
+	case err != nil:
+		httpError(w, http.StatusInternalServerError, err.Error())
+	default:
+		writeJSON(w, http.StatusCreated, tenantSummary{
+			summary:   payloadSummary(id, payload, spec.params.Parallelism),
+			Tenant:    tenant,
+			Epoch:     epoch,
+			Remaining: finiteOrNil(s.ledger.Remaining(tenant)),
+		})
+	}
 }
 
 // budgetRefused writes the typed 429 for an exhausted budget: machine-

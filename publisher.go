@@ -2,7 +2,6 @@ package privelet
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"repro/internal/matrix"
@@ -104,7 +103,8 @@ func (p *Publisher) Frequency() *Frequency { return p.freq }
 // Publish releases the accumulated counts through the named mechanism
 // (see Mechanisms for the registry). The privacy budget is spent per
 // call: publishing the same Publisher twice spends 2ε in total under
-// sequential composition.
+// sequential composition. A Continual holds repeated publishes to a
+// Ledger's budget.
 //
 // The whole pipeline behind this call — wavelet transform, Laplace noise
 // injection, and the release's prefix-sum evaluator build — runs on the
@@ -116,37 +116,4 @@ func (p *Publisher) Frequency() *Frequency { return p.freq }
 // parallelism; docs/ARCHITECTURE.md states the exact contract.
 func (p *Publisher) Publish(ctx context.Context, mechanism string, params Params) (*Release, error) {
 	return PublishWith(ctx, mechanism, p.freq, params)
-}
-
-// Republish is Publish gated by a privacy-budget ledger — the continual-
-// publication primitive. It charges params.Epsilon to tenant's budget
-// before any noise is drawn (so an exhausted tenant is refused with
-// ErrBudgetExhausted and zero work done) and refunds the charge if the
-// publish fails or ctx is cancelled: under sequential composition an
-// aborted publish released nothing, so it spent nothing. The
-// mechanism/parameter validation runs before the charge, so a malformed
-// request never touches the ledger at all.
-func (p *Publisher) Republish(ctx context.Context, mechanism string, params Params, led *Ledger, tenant string) (*Release, error) {
-	if led == nil {
-		return nil, fmt.Errorf("privelet: Republish requires a ledger")
-	}
-	mech, err := MechanismByName(mechanism)
-	if err != nil {
-		return nil, err
-	}
-	if err := ValidateParams(mech, p.freq.Schema, params); err != nil {
-		return nil, err
-	}
-	charge, err := led.Charge(tenant, params.Epsilon)
-	if err != nil {
-		return nil, err
-	}
-	rel, err := PublishWith(ctx, mechanism, p.freq, params)
-	if err != nil {
-		if rerr := led.Refund(charge); rerr != nil {
-			return nil, errors.Join(err, rerr)
-		}
-		return nil, err
-	}
-	return rel, nil
 }
