@@ -58,15 +58,19 @@
 //	# with "privacy budget exhausted" without touching the input
 //
 // A publish that fails midway refunds its charge; only released noise
-// costs budget.
+// costs budget. -out and -save are opened before the charge, so a run
+// that cannot write its result spends nothing, and a failed run removes
+// the output files it created.
 package main
 
 import (
 	"bufio"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"io/fs"
 	"math"
 	"os"
 	"strings"
@@ -177,6 +181,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	// Open the outputs before the ledger charges: a run that cannot
+	// write its result must fail before it spends ε.
+	saveFile, outFile := openOutput(*savePath), openOutput(*outPath)
 	var rel *privelet.Release
 	publish := func() (err error) {
 		if err = cli.ReadRows(schema, in, pub.Add); err == nil {
@@ -213,10 +220,7 @@ func main() {
 	}
 
 	if *savePath != "" {
-		f, err := os.Create(*savePath)
-		if err != nil {
-			fatal(err)
-		}
+		f := createOutput(saveFile, *savePath)
 		if err := rel.Save(f); err != nil {
 			fatal(err)
 		}
@@ -227,10 +231,7 @@ func main() {
 
 	out := io.Writer(os.Stdout)
 	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			fatal(err)
-		}
+		f := createOutput(outFile, *outPath)
 		defer func() {
 			if err := f.Close(); err != nil {
 				fatal(err)
@@ -241,6 +242,47 @@ func main() {
 	if err := writeMatrixCSV(out, rel.Matrix()); err != nil {
 		fatal(err)
 	}
+}
+
+// created lists the output files this run created; fatal removes them,
+// so a failed run leaves none behind.
+var created []string
+
+// openOutput checks that path ("" means none) can be written. A new file
+// is created and returned, and removed again if the run fails. An
+// existing file, or a device such as /dev/stdout, is only opened to
+// check: it keeps its bytes until createOutput, and openOutput returns
+// nil for it.
+func openOutput(path string) *os.File {
+	if path == "" {
+		return nil
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o666)
+	if err == nil {
+		created = append(created, path)
+		return f
+	}
+	if errors.Is(err, fs.ErrExist) {
+		if f, err = os.OpenFile(path, os.O_WRONLY, 0); err == nil {
+			f.Close()
+			return nil
+		}
+	}
+	fatal(err)
+	return nil
+}
+
+// createOutput returns the file openOutput created, or else creates
+// path afresh, truncating the existing file.
+func createOutput(f *os.File, path string) *os.File {
+	if f != nil {
+		return f
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		fatal(err)
+	}
+	return f
 }
 
 // runOffline works from a saved release artifact instead of raw data:
@@ -324,6 +366,9 @@ func writeMatrixCSV(w io.Writer, m *privelet.Matrix) error {
 }
 
 func fatal(err error) {
+	for _, path := range created {
+		os.Remove(path)
+	}
 	fmt.Fprintln(os.Stderr, "privelet:", err)
 	os.Exit(1)
 }

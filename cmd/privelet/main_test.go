@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	privelet "repro"
 )
 
 // bin is the privelet binary under test, built once by TestMain.
@@ -84,4 +86,35 @@ func TestLedgerBudgetSpansRuns(t *testing.T) {
 	failed("0.4", good, "privacy budget exhausted")
 	failed("0.1", outOfDomain, "out of domain")
 	published("0.1", good, "epoch 3, ε remaining 0.1")
+}
+
+// TestLedgerUnwritableOutputSpendsNothing: a run whose -out cannot be
+// created fails before the ledger charges, so the ledger directory
+// still reads nothing spent and no epoch taken. A run whose -save can
+// be created but whose -out cannot also removes the -save file it made.
+func TestLedgerUnwritableOutputSpendsNothing(t *testing.T) {
+	dir := t.TempDir()
+	ledgerDir := filepath.Join(dir, "ledger")
+	in := filepath.Join(dir, "good.csv")
+	if err := os.WriteFile(in, []byte("0\n1\n2\n3\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	save := filepath.Join(dir, "release.prvl")
+	cmd := exec.Command(bin, "-schema", "Age:ordinal:8", "-epsilon", "0.4", "-budget", "1",
+		"-ledger-dir", ledgerDir, "-in", in, "-save", save, "-out", filepath.Join(dir, "missing", "out.csv"))
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err == nil {
+		t.Fatalf("run with an unwritable -out succeeded; stderr %q", stderr.String())
+	}
+	if _, err := os.Stat(save); !os.IsNotExist(err) {
+		t.Fatalf("failed run left its -save file behind: %v", err)
+	}
+	led, err := privelet.NewLedger(ledgerDir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b := led.Balance("default"); b.Spent != 0 || b.Epoch != 0 {
+		t.Fatalf("failed run charged the ledger: %+v", b)
+	}
 }

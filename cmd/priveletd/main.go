@@ -53,7 +53,9 @@
 //	priveletd -route -addr :8080 -replicas 2 -peers $PEERS -cluster-secret $SECRET
 //
 // The router mirrors the node API: publishes consistent-hash onto a
-// primary and replicate synchronously, reads fan out to any healthy
+// primary and replicate synchronously (the router pipes the primary's
+// /export, its spill file, into each follower's replication push
+// without holding it), reads fan out to any healthy
 // replica, /stats shows the whole fleet. The daemon binds its port
 // immediately and answers /healthz at once, but /readyz (the router's
 // probe target) returns 503 with a reason until the store has
@@ -122,7 +124,7 @@ import (
 func main() {
 	var (
 		addr        = flag.String("addr", ":8080", "listen address")
-		maxBody     = flag.Int64("max-body", 64<<20, "maximum upload size in bytes")
+		maxBody     = flag.Int64("max-body", 64<<20, "maximum request body in bytes: a node bounds CSV uploads, query workloads and replication pushes by it; a router bounds only the bodies it buffers (workloads, node listings), as it streams replicas through")
 		workers     = flag.Int("parallelism", 0, "default worker goroutines per publish (0 = all cores); lower it when serving many concurrent publishers")
 		storeDir    = flag.String("store-dir", "", "directory for durable release storage; releases already there are served after a restart (empty = memory only)")
 		maxResident = flag.Int("max-resident", 0, "max releases kept in memory; colder ones spill to -store-dir and reload on access (0 = unlimited)")

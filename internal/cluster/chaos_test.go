@@ -941,3 +941,65 @@ func TestChaosStatsCarryRingSection(t *testing.T) {
 		t.Fatalf("router ring section = %+v", routerStats.Ring)
 	}
 }
+
+// spillBytes reads a node's spill file of id through its store.
+func spillBytes(tb testing.TB, st *store.Store, id string) []byte {
+	tb.Helper()
+	f, err := st.OpenSpill(id)
+	if err != nil {
+		tb.Fatalf("opening the spill file of %s: %v", id, err)
+	}
+	defer f.Close()
+	raw, err := io.ReadAll(f)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return raw
+}
+
+// TestChaosReleaseOverRouterMaxBody: a release whose encoding exceeds
+// the router's MaxBody replicates through that router, which pipes the
+// primary's export into the follower's push without buffering it, and a
+// follower that missed the push pulls it in its repair sweep. Both
+// copies' spill files, and the /export each follower sends, are
+// byte-identical to the primary's spill file, and no node rebuilt a
+// table.
+func TestChaosReleaseOverRouterMaxBody(t *testing.T) {
+	f := startChaosFleet(t, 3, 3, 0)
+	rt, err := NewRouter(RouterConfig{Ring: f.ring, Health: f.health, Secret: chaosSecret, MaxBody: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(rt.Handler())
+	defer ts.Close()
+	reps := f.ring.ReplicasFor("frank")
+	primary, pushed, pulled := reps[0].Name, reps[1].Name, reps[2].Name
+
+	f.nodes[pulled].faults.dropReplicate.Store(true)
+	created := tenantPublish(t, ts.URL, "frank", "schema=Age:ordinal:64,Gender:nominal:flat:2&epsilon=0.5&seed=3", clusterCSV)
+	f.nodes[pulled].faults.dropReplicate.Store(false)
+	id := created["id"].(string)
+	if got := replicaNames(t, created); len(got) != 2 || got[0] != primary || got[1] != pushed {
+		t.Fatalf("replicas = %v, want [%s %s]", got, primary, pushed)
+	}
+	want := spillBytes(t, f.nodes[primary].st, id)
+	if len(want) <= 1<<10 {
+		t.Fatalf("the release encodes to %d bytes, within the router's 1 KiB MaxBody", len(want))
+	}
+	if rep := f.sweepOn(pulled); len(rep.Pulled) != 1 || !strings.HasPrefix(rep.Pulled[0], id+"←") {
+		t.Fatalf("sweep on %s pulled %v, want %s", pulled, rep.Pulled, id)
+	}
+	for _, name := range []string{pushed, pulled} {
+		if got := spillBytes(t, f.nodes[name].st, id); !bytes.Equal(got, want) {
+			t.Fatalf("%s's spill file of %s differs from the primary's", name, id)
+		}
+		if got, ok := exportBytes(t, f.nodes[name].url, id); !ok || !bytes.Equal(got, want) {
+			t.Fatalf("%s's /export of %s differs from the primary's spill file", name, id)
+		}
+	}
+	for name, n := range f.nodes {
+		if st := n.st.Stats(); st.Rebuilds != 0 {
+			t.Fatalf("%s rebuilt %d tables", name, st.Rebuilds)
+		}
+	}
+}

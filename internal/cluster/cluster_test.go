@@ -121,8 +121,8 @@ type testCluster struct {
 
 // startCluster builds an n-node cluster with R-way replication and a
 // router in front. budget > 0 gives every node's ledger that default
-// per-tenant ε budget.
-func startCluster(tb testing.TB, n, replicas int, budget float64) *testCluster {
+// per-tenant ε budget; each opt edits every node's server config.
+func startCluster(tb testing.TB, n, replicas int, budget float64, opts ...func(*server.Config)) *testCluster {
 	tb.Helper()
 	tc := &testCluster{nodes: make(map[string]*testClusterNode, n)}
 	ringNodes := make([]Node, n)
@@ -137,8 +137,11 @@ func startCluster(tb testing.TB, n, replicas int, budget float64) *testCluster {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		srv := server.New(server.Config{Store: st, Ledger: led, NodeName: name})
-		node.ts = httptest.NewServer(node.middleware(srv.Handler()))
+		cfg := server.Config{Store: st, Ledger: led, NodeName: name}
+		for _, opt := range opts {
+			opt(&cfg)
+		}
+		node.ts = httptest.NewServer(node.middleware(server.New(cfg).Handler()))
 		tb.Cleanup(node.ts.Close)
 		tc.nodes[name] = node
 		ringNodes[i] = Node{Name: name, URL: node.ts.URL}

@@ -17,6 +17,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/server"
+	"repro/internal/store"
 )
 
 // typedError decodes the router's {"error","code"} body.
@@ -162,25 +165,20 @@ func TestClusterReplicaLag404Fallthrough(t *testing.T) {
 	}
 }
 
-// TestClusterShortReplicaSetLogged: a release whose encoding exceeds
-// the router's MaxBody cannot be staged for its follower. The publish
-// still answers 201 with the primary's one copy, and the router logs
-// which follower lacks a copy and the limit that stopped it.
+// TestClusterShortReplicaSetLogged: a follower that refuses the copy —
+// here every node's MaxBody is 1 KiB, below the release's encoding —
+// leaves the release short of its replica set. The publish still
+// answers 201 with the primary's one copy, and the router logs which
+// follower lacks a copy and why.
 func TestClusterShortReplicaSetLogged(t *testing.T) {
-	tc := startCluster(t, 3, 2, 0)
-	rt, err := NewRouter(RouterConfig{Ring: tc.ring, Health: tc.health, MaxBody: 1 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(rt.Handler())
-	defer ts.Close()
+	tc := startCluster(t, 3, 2, 0, func(cfg *server.Config) { cfg.MaxBody = 1 << 10 })
 
 	var logs bytes.Buffer
 	prev := log.Writer()
 	log.SetOutput(&logs)
 	t.Cleanup(func() { log.SetOutput(prev) })
-	// 128 cells encode to well over 1 KiB.
-	created := clusterPublish(t, ts.URL, "schema=Age:ordinal:64,Gender:nominal:flat:2&epsilon=1&seed=7", clusterCSV)
+	// The CSV fits in 1 KiB; its 128 cells encode to well over it.
+	created := clusterPublish(t, tc.router.URL, "schema=Age:ordinal:64,Gender:nominal:flat:2&epsilon=1&seed=7", clusterCSV)
 	log.SetOutput(prev)
 
 	id := created["id"].(string)
@@ -189,8 +187,8 @@ func TestClusterShortReplicaSetLogged(t *testing.T) {
 		t.Fatalf("replicas = %v, want only the primary %s", got, reps[0].Name)
 	}
 	line := logs.String()
-	if !strings.Contains(line, "1 of 2 replicas") || !strings.Contains(line, reps[1].Name+": ") || !strings.Contains(line, "1024-byte limit") {
-		t.Fatalf("router log %q does not name the missing follower %s and the 1024-byte limit", line, reps[1].Name)
+	if !strings.Contains(line, "1 of 2 replicas") || !strings.Contains(line, reps[1].Name+": status 400") || !strings.Contains(line, "request body too large") {
+		t.Fatalf("router log %q does not name the missing follower %s and its refusal", line, reps[1].Name)
 	}
 }
 
@@ -247,5 +245,78 @@ func TestClusterStatsNamesReadFailure(t *testing.T) {
 	}
 	if got := stats.Nodes["ok"]["releases"]; got != 3.0 {
 		t.Errorf("healthy node's stats = %v, want its body verbatim", stats.Nodes["ok"])
+	}
+}
+
+// TestClusterCutExportBlamesPrimary: a primary whose export dies
+// mid-body cuts the copy the router is piping into the follower's push.
+// The router must name the export in its log and leave the follower
+// healthy — the follower did nothing wrong — and the follower must hold
+// no copy.
+func TestClusterCutExportBlamesPrimary(t *testing.T) {
+	const id = "alice/1"
+	primary := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		switch {
+		case req.Method == http.MethodPost:
+			io.Copy(io.Discard, req.Body)
+			writeJSON(w, http.StatusCreated, map[string]any{"id": id})
+		case strings.HasSuffix(req.URL.Path, "/export"):
+			w.Header().Set("Content-Length", "4096")
+			w.Write(make([]byte, 1024))
+			w.(http.Flusher).Flush()
+			panic(http.ErrAbortHandler) // dies 1 KiB into a 4 KiB body
+		default:
+			http.NotFound(w, req)
+		}
+	}))
+	defer primary.Close()
+	st, err := store.New(store.Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	follower := httptest.NewServer(server.New(server.Config{Store: st, NodeName: "follower"}).Handler())
+	defer follower.Close()
+	nodes := []Node{{Name: "a", URL: primary.URL}, {Name: "b", URL: follower.URL}}
+	ring, err := NewVersionedRing(nodes, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ring.PrimaryFor(RouteKey(id)).Name != "a" {
+		nodes[0].URL, nodes[1].URL = follower.URL, primary.URL
+		if ring, err = NewVersionedRing(nodes, 2, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	health := NewHealth(nodes, HealthConfig{})
+	rt, err := NewRouter(RouterConfig{Ring: ring, Health: health})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(rt.Handler())
+	defer ts.Close()
+
+	var logs bytes.Buffer
+	prev := log.Writer()
+	log.SetOutput(&logs)
+	t.Cleanup(func() { log.SetOutput(prev) })
+	resp, err := http.Post(ts.URL+"/tenants/alice/publish", "text/csv", strings.NewReader(clusterCSV))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	log.SetOutput(prev)
+
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("publish status %d, want the primary's 201", resp.StatusCode)
+	}
+	if line := logs.String(); !strings.Contains(line, "1 of 2 replicas") || !strings.Contains(line, "export of \""+id+"\"") {
+		t.Fatalf("router log %q does not blame the primary's export", line)
+	}
+	followerName := ring.ReplicasFor(RouteKey(id))[1].Name
+	if !health.Healthy(followerName) {
+		t.Fatalf("follower %s was ejected for the primary's cut export", followerName)
+	}
+	if _, err := st.Describe(id); err == nil {
+		t.Fatal("follower registered a cut copy")
 	}
 }

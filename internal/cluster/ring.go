@@ -9,11 +9,12 @@
 // range-count queries with no further accounting), so a release is
 // immutable the moment it exists. Replication is therefore file
 // shipping in the internal/codec wire format (spill files, /export,
-// Save/Load): the router reads a primary's whole export into memory and
-// pushes it to each follower, whose store.Ingest decodes it once and
-// adopts its v2 summed-area table (only a v1 copy, or one whose table
-// fails its checksum, rebuilds it). Replicas can never diverge: every
-// copy answers every query bit-identically (float64 ==) to the
+// Save/Load): a primary's /export sends its spill file, the router
+// pipes it into each follower's push without holding it, and the
+// follower's store.Ingest streams it into its own spill file and maps
+// it, after the checks a reload makes (only a v1 copy, or one whose
+// table fails its checksum, is rebuilt). Replicas can never diverge:
+// every copy answers every query bit-identically (float64 ==) to the
 // original, because decode is bit-exact and the prefix-sum build is
 // deterministic. No consensus, no invalidation, no read-repair.
 //

@@ -41,10 +41,11 @@ type RouterConfig struct {
 	// Health tracks node liveness. Required; the caller owns its
 	// lifecycle (Start/Stop).
 	Health *Health
-	// MaxBody bounds buffered request bodies — workload uploads are
-	// buffered so a failed replica can be retried with the same body —
-	// and the replication payloads the router stages between a
-	// primary's export and its followers. ≤ 0 means 64 MiB.
+	// MaxBody bounds the bodies the router buffers: workload uploads,
+	// buffered so a failed replica can be retried with the same body,
+	// and node release listings. Replication streams each release from
+	// the primary's export into the follower's push without buffering
+	// it, so MaxBody does not bound a release. ≤ 0 means 64 MiB.
 	MaxBody int64
 	// Secret is the cluster's shared bearer token: the router sends it
 	// on every internal call (replication pushes), and nodes configured
@@ -459,43 +460,35 @@ func (rt *Router) writeThrough(w http.ResponseWriter, req *http.Request, key str
 	writeJSON(w, http.StatusCreated, created)
 }
 
-// replicate ships the encoded release id from the primary to each
-// healthy follower: one export, read whole into memory through the
-// MaxBody limit, then one PUT /internal/replicate of those bytes per
-// follower — the codec wire format is the transfer unit. The
-// follower's store.Ingest decodes the copy once and adopts its v2
-// table, rebuilding the table only for a v1 copy or codec.ErrTable.
-// Returns the names of followers that hold a copy, and for each one
-// that does not, "name: reason". A follower that fails is ejected and
-// skipped (the release is under-replicated until the follower's own
-// repair sweep pulls it); the primary's copy already exists, so the
-// publish itself never fails here.
+// replicate copies the release id from the primary to each healthy
+// follower by moving bytes, never holding a whole release: per
+// follower, one GET of the primary's /export, whose body is piped as it
+// arrives into one PUT /internal/replicate with the export's
+// Content-Length. A primary with a store directory sends its spill file
+// as it is, and the follower's store.Ingest streams it into its own and
+// serves it mapped, so the copy is byte-identical; only a v1 copy, or
+// one whose table fails its checksum (codec.ErrTable), rebuilds the
+// table. Returns the names of followers that hold a copy, and for each
+// one that does not, "name: reason". A follower that fails in transport
+// is ejected and skipped (the release is under-replicated until the
+// follower's own repair sweep pulls it); a copy the primary's export
+// cut short names the export instead. The primary's copy already
+// exists, so the publish itself never fails here.
 func (rt *Router) replicate(ctx context.Context, primary Node, followers []Node, id string) (done, missing []string) {
-	if len(followers) == 0 {
-		return nil, nil
-	}
-	payload, exportErr := rt.export(ctx, primary, id)
 	why := make([]string, len(followers)) // per follower; "" once it holds a copy
 	var wg sync.WaitGroup
 	for i, f := range followers {
-		switch {
-		case exportErr != nil:
-			why[i] = exportErr.Error()
-		case !rt.health.Healthy(f.Name):
+		if !rt.health.Healthy(f.Name) {
 			why[i] = "unhealthy"
-		default:
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if err := pushReplica(ctx, rt.secret, rt.ring, f, id, payload); err != nil {
-					var transport *url.Error
-					if errors.As(err, &transport) {
-						rt.health.ReportFailure(f.Name, err)
-					}
-					why[i] = err.Error()
-				}
-			}()
+			continue
 		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := rt.copyReplica(ctx, primary, f, id); err != nil {
+				why[i] = err.Error()
+			}
+		}()
 	}
 	wg.Wait()
 	for i, f := range followers {
@@ -511,36 +504,75 @@ func (rt *Router) replicate(ctx context.Context, primary Node, followers []Node,
 	return done, missing
 }
 
-// export fetches the encoded release from the node holding it.
-func (rt *Router) export(ctx context.Context, n Node, id string) ([]byte, error) {
+// copyReplica pipes one export of id from the primary into a push to
+// follower f.
+func (rt *Router) copyReplica(ctx context.Context, primary, f Node, id string) error {
+	resp, err := rt.export(ctx, primary, id)
+	if err != nil {
+		return err
+	}
+	body := &exportBody{ReadCloser: resp.Body}
+	defer body.Close()
+	err = pushReplica(ctx, rt.secret, rt.ring, f, id, body, resp.ContentLength)
+	if err != nil && body.failed.Load() {
+		return fmt.Errorf("export of %q from %s: %w", id, primary.Name, err)
+	}
+	var transport *url.Error
+	if errors.As(err, &transport) {
+		rt.health.ReportFailure(f.Name, err)
+	}
+	return err
+}
+
+// export opens the encoded release on the node holding it. The caller
+// reads and closes the response body; its ContentLength is -1 when the
+// node encodes the release as it sends it (a node without a store
+// directory).
+func (rt *Router) export(ctx context.Context, n Node, id string) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.URL+"/releases/"+url.PathEscape(id)+"/export", nil)
 	if err != nil {
 		return nil, err
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("export of %q from %s: status %d", id, n.Name, resp.StatusCode)
-	}
-	payload, err := io.ReadAll(limitBody(resp.Body, rt.maxBody))
-	if err != nil {
 		return nil, fmt.Errorf("export of %q from %s: %w", id, n.Name, err)
 	}
-	return payload, nil
+	if resp.StatusCode != http.StatusOK {
+		drain(resp)
+		return nil, fmt.Errorf("export of %q from %s: status %d", id, n.Name, resp.StatusCode)
+	}
+	return resp, nil
 }
 
-// pushReplica ships one encoded release into n's store with PUT
-// /internal/replicate/{id}. The request is stamped by stampInternal, so
-// a node running a newer membership refuses the copy instead of
-// accepting stale placement. 200 and 201 are success.
-func pushReplica(ctx context.Context, secret string, ring *Ring, n Node, id string, payload []byte) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, n.URL+"/internal/replicate/"+url.PathEscape(id), bytes.NewReader(payload))
+// exportBody is a primary's export body on its way into a follower's
+// push. It records a read that failed other than at EOF, so a copy the
+// primary cut short is not blamed on the follower. The transport reads
+// the body on a goroutine of its own, hence the atomic.
+type exportBody struct {
+	io.ReadCloser
+	failed atomic.Bool
+}
+
+func (b *exportBody) Read(p []byte) (int, error) {
+	n, err := b.ReadCloser.Read(p)
+	if err != nil && err != io.EOF {
+		b.failed.Store(true)
+	}
+	return n, err
+}
+
+// pushReplica streams one encoded release, length bytes (-1 when
+// unknown), into n's store with PUT /internal/replicate/{id}. The
+// request is stamped by stampInternal, so a node running a newer
+// membership refuses the copy instead of accepting stale placement. 200
+// and 201 are success; a refusal's error carries the status and the
+// start of the node's reason.
+func pushReplica(ctx context.Context, secret string, ring *Ring, n Node, id string, body io.Reader, length int64) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPut, n.URL+"/internal/replicate/"+url.PathEscape(id), body)
 	if err != nil {
 		return err
 	}
+	req.ContentLength = length
 	req.Header.Set("Content-Type", "application/octet-stream")
 	stampInternal(req, secret, ring)
 	resp, err := http.DefaultClient.Do(req)
@@ -549,7 +581,8 @@ func pushReplica(ctx context.Context, secret string, ring *Ring, n Node, id stri
 	}
 	defer drain(resp)
 	if resp.StatusCode != http.StatusCreated && resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("status %d", resp.StatusCode)
+		why, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+		return fmt.Errorf("status %d: %s", resp.StatusCode, bytes.TrimSpace(why))
 	}
 	return nil
 }

@@ -192,15 +192,21 @@ func TestLedgerTenantErrorPaths(t *testing.T) {
 		t.Fatalf("malformed requests touched the budget: %+v", bv)
 	}
 
-	// A charge taken and then lost to a bad body comes straight back.
+	// A charge taken and then lost to a bad body comes straight back,
+	// and the failed publish takes no epoch: the next good one is the
+	// tenant's first.
 	resp := tenantPublish(t, ts, "carol", "schema="+testSchema+"&epsilon=0.4", "not,a\nvalid csv")
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad CSV status %d, want 400", resp.StatusCode)
 	}
-	if bv := fetchBudget(t, ts, "carol"); bv.Spent != 0 {
-		t.Fatalf("failed ingest leaked budget: %+v", bv)
+	if bv := fetchBudget(t, ts, "carol"); bv.Spent != 0 || bv.Epoch != 0 {
+		t.Fatalf("failed ingest leaked budget or took an epoch: %+v", bv)
+	}
+	sum := decodeTenantSummary(t, tenantPublish(t, ts, "carol", "schema="+testSchema+"&epsilon=0.4&seed=2", testCSV))
+	if sum.ID != "carol/1" || sum.Epoch != 1 {
+		t.Fatalf("first good publish after the failed one = %s (epoch %d), want carol/1", sum.ID, sum.Epoch)
 	}
 }
 

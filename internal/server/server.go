@@ -43,7 +43,9 @@
 //	       one per line whatever Accept says, and end with a trailer
 //	       line carrying the answer count and status, so a cut stream is
 //	       detectable.
-//	GET    /releases/{id}/export                  → binary codec payload
+//	GET    /releases/{id}/export                  → binary codec payload: the spill file as
+//	                                                it is, with Content-Length, on a node
+//	                                                with a store directory
 //	GET    /mechanisms                            → registered mechanism names
 //	GET    /stats                                 → store accounting (evictions, reloads,
 //	                                                /count answer-cache hits/misses, ...) plus
@@ -97,6 +99,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/url"
@@ -121,8 +124,9 @@ import (
 
 // Config configures a Server.
 type Config struct {
-	// MaxBody bounds the accepted CSV upload size in bytes; ≤ 0 means
-	// the default 64 MiB.
+	// MaxBody bounds every request body the node reads, in bytes: CSV
+	// uploads, query workloads and replication pushes. ≤ 0 means the
+	// default 64 MiB.
 	MaxBody int64
 	// Parallelism is the per-publish worker ceiling; ≤ 0 means
 	// GOMAXPROCS. Releases never depend on it, so a deployment serving
@@ -270,11 +274,14 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleReplicate is the cluster tier's replica-ingest endpoint: the
-// body is an encoded release (the codec wire format — the same bytes
-// /export emits), which store.Ingest decodes once, adopting a v2
-// body's summed-area table (only a v1 body, or one whose table fails
-// its checksum, rebuilds it), and encodes again into its own spill file
-// under {id}. Re-pushing an existing ID answers 200 instead
+// body is an encoded release (the codec wire format — the bytes
+// /export sends), read through the MaxBody limit. On a node with a
+// store directory, store.Ingest streams it into the spill file of {id}
+// and serves that file mapped, after the checks a reload makes: the
+// copy is never encoded again, and the node's own /export sends the
+// same bytes. Only a v1 body, or one whose table fails its checksum,
+// is rebuilt and encoded again. A node without a directory decodes the
+// body into the heap. Re-pushing an existing ID answers 200 instead
 // of 201: releases are immutable, so the copy is already identical and
 // replication stays idempotent. The endpoint is /internal/ because it
 // trusts its caller (the router) on placement — expose it only on
@@ -685,50 +692,45 @@ func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
+// found reports whether a store call on release id succeeded. If not,
+// it writes the error response: 404 for an unknown release, 500 for
+// anything else.
+func found(w http.ResponseWriter, id string, err error) bool {
+	switch {
+	case errors.Is(err, store.ErrNotFound):
+		httpError(w, http.StatusNotFound, fmt.Sprintf("no release %q", id))
+	case err != nil:
+		httpError(w, http.StatusInternalServerError, err.Error())
+	default:
+		return true
+	}
+	return false
+}
+
 // lookup fetches the full release, transparently reloading a spilled
 // one; it writes the error response itself and reports ok=false then.
 func (s *Server) lookup(w http.ResponseWriter, req *http.Request) (store.Release, bool) {
 	id := req.PathValue("id")
 	rel, err := s.store.Get(id)
-	switch {
-	case errors.Is(err, store.ErrNotFound):
-		httpError(w, http.StatusNotFound, fmt.Sprintf("no release %q", id))
-		return store.Release{}, false
-	case err != nil:
-		httpError(w, http.StatusInternalServerError, err.Error())
-		return store.Release{}, false
-	}
-	return rel, true
+	return rel, found(w, id, err)
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, req *http.Request) {
 	// Describe never touches disk, so listing metadata cannot thrash
 	// the resident budget.
 	id := req.PathValue("id")
-	stub, err := s.store.Describe(id)
-	switch {
-	case errors.Is(err, store.ErrNotFound):
-		httpError(w, http.StatusNotFound, fmt.Sprintf("no release %q", id))
-	case err != nil:
-		httpError(w, http.StatusInternalServerError, err.Error())
-	default:
+	if stub, err := s.store.Describe(id); found(w, id, err) {
 		writeJSON(w, http.StatusOK, stubSummary(stub))
 	}
 }
 
 // handleDelete withdraws a release and deletes its spill file — the
-// only way a spilled release's disk space is ever reclaimed.
+// only way a spilled release's disk space is ever reclaimed. A 500
+// means the release is withdrawn but its spill file could not be
+// deleted.
 func (s *Server) handleDelete(w http.ResponseWriter, req *http.Request) {
 	id := req.PathValue("id")
-	err := s.store.Remove(id)
-	switch {
-	case errors.Is(err, store.ErrNotFound):
-		httpError(w, http.StatusNotFound, fmt.Sprintf("no release %q", id))
-	case err != nil:
-		// The release is withdrawn regardless; the error reports a spill
-		// file that could not be deleted.
-		httpError(w, http.StatusInternalServerError, err.Error())
-	default:
+	if found(w, id, s.store.Remove(id)) {
 		w.WriteHeader(http.StatusNoContent)
 	}
 }
@@ -891,12 +893,40 @@ func queryStatus(err error) int {
 	}
 }
 
+// handleExport sends a release in the codec wire format. On a node with
+// a store directory the body is the release's spill file as it is
+// (store.OpenSpill), with a Content-Length: the bytes Put or Ingest
+// wrote, never encoded again, so a replica's export is byte-identical
+// to its primary's. A node without a directory encodes the resident
+// payload. Once part of the body is out, a failure can only cut the
+// connection (http.ErrAbortHandler), so the client sees a truncated
+// stream, never a JSON error after binary bytes.
 func (s *Server) handleExport(w http.ResponseWriter, req *http.Request) {
+	id := req.PathValue("id")
+	f, err := s.store.OpenSpill(id)
+	if !found(w, id, err) {
+		return
+	}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	if f != nil {
+		defer f.Close()
+		st, err := f.Stat()
+		if err != nil {
+			httpError(w, http.StatusInternalServerError, err.Error())
+			return
+		}
+		w.Header().Set("Content-Length", strconv.FormatInt(st.Size(), 10))
+		// CopyN hands net/http an io.LimitedReader over the *os.File,
+		// the form its sendfile path unwraps; io.Copy would not.
+		if _, err := io.CopyN(w, f, st.Size()); err != nil {
+			panic(http.ErrAbortHandler)
+		}
+		return
+	}
 	rel, ok := s.lookup(w, req)
 	if !ok {
 		return
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
 	sw := &startedWriter{w: w}
 	if err := store.EncodeRelease(sw, rel.Payload); err != nil {
 		if sw.started {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -198,6 +199,74 @@ func TestExportRoundTrip(t *testing.T) {
 	}
 }
 
+// TestExportSendsSpillFile: on a node with a store directory, /export
+// sends the release's spill file as it is, with a Content-Length: the
+// body equals the file and store.EncodeRelease of the payload. On a
+// node without a directory the export is encoded from the payload, and
+// the same publish decodes to the same matrix, bit for bit.
+func TestExportSendsSpillFile(t *testing.T) {
+	st, err := store.New(store.Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spilled := httptest.NewServer(New(Config{Store: st}).Handler())
+	defer spilled.Close()
+	mem := startServer(t)
+	params := "schema=" + testSchema + "&epsilon=1&seed=21"
+	id := publish(t, spilled, params, testCSV).ID
+
+	resp, err := http.Get(spilled.URL + "/releases/" + id + "/export")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/octet-stream" {
+		t.Fatalf("export: status %d, Content-Type %q", resp.StatusCode, resp.Header.Get("Content-Type"))
+	}
+	if resp.ContentLength != int64(len(raw)) {
+		t.Fatalf("export Content-Length %d, body %d bytes", resp.ContentLength, len(raw))
+	}
+	f, err := st.OpenSpill(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	file, err := io.ReadAll(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, err := st.Get(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var enc bytes.Buffer
+	if err := store.EncodeRelease(&enc, rel.Payload); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(raw, file) || !bytes.Equal(raw, enc.Bytes()) {
+		t.Fatalf("export (%d bytes) differs from the spill file (%d) or the payload's encoding (%d)", len(raw), len(file), enc.Len())
+	}
+
+	p, err := store.DecodeRelease(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := exportedNoisy(t, mem, publish(t, mem, params, testCSV).ID)
+	want := p.Noisy.Data()
+	if len(got) != len(want) {
+		t.Fatalf("in-memory export holds %d entries, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("in-memory export entry %d = %x, spilled %x", i, got[i], want[i])
+		}
+	}
+}
+
 // exportedNoisy downloads a release's /export bytes and returns its
 // noisy matrix.
 func exportedNoisy(t *testing.T, ts *httptest.Server, id string) []float64 {
@@ -271,9 +340,21 @@ func (w *cutWriter) Write(p []byte) (int, error) {
 // TestExportFailureMidBodyAborts: when the connection fails after
 // /export has sent part of a release, the handler aborts the response
 // (http.ErrAbortHandler), so the client sees a cut stream. It must not
-// write an error status and a JSON body after the binary bytes.
+// write an error status and a JSON body after the binary bytes —
+// whether it encodes the release (no store directory) or sends its
+// spill file.
 func TestExportFailureMidBodyAborts(t *testing.T) {
-	h := New(Config{}).Handler()
+	st, err := store.New(store.Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []Config{{}, {Store: st}} {
+		exportOverCutConnection(t, New(cfg).Handler())
+	}
+}
+
+func exportOverCutConnection(t *testing.T, h http.Handler) {
+	t.Helper()
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("POST", "/publish?schema=A:ordinal:8192&epsilon=1&seed=3", strings.NewReader("0\n5\n")))
 	if rec.Code != http.StatusCreated {

@@ -5,17 +5,20 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"os"
 
+	"repro/internal/atomicfile"
 	"repro/internal/codec"
 	"repro/internal/mmapfile"
 )
 
 // EncodeRelease and DecodeRelease are the single durability path every
-// release artifact in the system goes through: the store's spill files,
-// the library's Release.Save/Load, and the daemon's /export endpoint all
-// call these, so the on-disk format (internal/codec's versioned binary
-// encoding) is negotiated in exactly one place. A release written by any
-// producer is readable by every consumer.
+// release artifact in the system goes through: the store's spill files
+// (which /export sends as they are), the library's Release.Save/Load,
+// and the /export of a daemon without a store directory all call these,
+// so the on-disk format (internal/codec's versioned binary encoding) is
+// negotiated in exactly one place. A release written by any producer is
+// readable by every consumer.
 
 // EncodeRelease writes a release payload to w in the shared durable
 // format.
@@ -43,40 +46,67 @@ func DecodeRelease(r io.Reader) (*codec.Payload, error) {
 	return p, err
 }
 
-// Ingest is the replica-ingest entry point: it decodes an encoded
-// release from r and stores it under id. Format-v2 bytes carry the
-// publisher's summed-area table, so ingesting a replica costs no
-// prefix-sum work — the pushed evaluator state is adopted directly,
-// and answers are bit-identical to the node that published it (the
-// table build is deterministic, so adopted and rebuilt tables agree
-// float64-exactly). Format-v1 bytes (a pre-v2 publisher) and v2 bytes
-// whose table section fails its checksum in transit fall back to the
-// rebuild path, counted in the rebuilds stat; like every evaluator
-// build it runs on Config.Parallelism workers. The ingested copy's
-// Workers reads 0, as a recovered release's does: the publisher's
-// parallelism does not travel with the bytes. A taken ID returns an
-// error wrapping ErrDuplicate (releases are immutable, so re-pushing
-// an existing replica is a no-op the caller may treat as success). A
+// Ingest is the replica-ingest entry point: it stores the encoded
+// release read from r under id. With a Dir the received bytes become
+// the release's spill file: Ingest streams r into a staged file of its
+// own (atomicfile.Stage), maps it and decodes it with
+// codec.DecodeMapped — the header, dims and table-checksum checks a
+// reload makes, so a corrupt copy is refused — then renames it into
+// place and inserts the entry in one critical section, as Put does.
+// The copy is resident with its sections mapped, the state a reload
+// leaves; nothing is encoded again, so its /export is the sender's
+// bytes. Without a Dir, r is decoded into one aligned heap buffer
+// (DecodeRelease). Either way a format-v2 table is adopted, with no
+// prefix-sum work; only a v1 copy, or a v2 copy whose table fails its
+// checksum, has its table rebuilt from the intact matrix (counted in
+// the rebuilds stat, on Config.Parallelism workers) and a v2 spill
+// file of the store's own encoded.
+//
+// Answers are bit-identical to the publisher's: the table build is
+// deterministic, so adopted and rebuilt tables agree float64-exactly.
+// The copy's Workers reads 0, as a recovered release's does. A refused
+// copy leaves no entry and no file. A taken ID returns an error
+// wrapping ErrDuplicate (releases are immutable, so re-pushing an
+// existing replica is a no-op the caller may treat as success). A
 // tombstoned ID returns an error wrapping ErrDeleted: the release was
 // deliberately removed here, and replication must not resurrect it —
 // this node's repair sweep deletes the other copies instead (only an
 // explicit Put, i.e. a fresh publish reusing the ID, clears the
 // tombstone). The tombstone is checked when the entry is inserted,
-// after the decode and the encode of the spill file, so a Remove that
-// lands mid-decode still wins.
+// after the copy and the decode, so a Remove that lands mid-copy still
+// wins.
 func (s *Store) Ingest(id string, r io.Reader) error {
 	if err := validateID(id); err != nil {
 		return err
 	}
-	p, err := DecodeRelease(r)
+	if s.cfg.Dir == "" {
+		p, err := DecodeRelease(r)
+		if err != nil {
+			if p == nil || !errors.Is(err, codec.ErrTable) {
+				return fmt.Errorf("store: ingesting %q: %w", id, err)
+			}
+			log.Printf("store: ingesting %q: durable table unusable, rebuilding: %v", id, err)
+		}
+		if p.Table == nil {
+			s.rebuilds.Add(1)
+		}
+		return s.put(id, p, codec.MapInfo{}, 0, "", true)
+	}
+	tmp, err := atomicfile.Stage(s.spillPath(id), func(w io.Writer) error {
+		_, err := io.Copy(w, r)
+		return err
+	})
 	if err != nil {
-		if p == nil || !errors.Is(err, codec.ErrTable) {
+		return fmt.Errorf("store: ingesting %q: %w", id, err)
+	}
+	p, info, err := s.loadPayload(tmp)
+	if err != nil || p.Table == nil {
+		os.Remove(tmp)
+		if err != nil {
 			return fmt.Errorf("store: ingesting %q: %w", id, err)
 		}
-		log.Printf("store: ingesting %q: durable table unusable, rebuilding: %v", id, err)
-	}
-	if p.Table == nil {
 		s.rebuilds.Add(1)
+		return s.put(id, p, info, 0, "", true)
 	}
-	return s.put(id, p, 0, true)
+	return s.put(id, p, info, 0, tmp, true)
 }

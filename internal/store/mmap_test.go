@@ -74,14 +74,15 @@ func randomQueries(t testing.TB, schema *dataset.Schema, rnd *rand.Rand, n int) 
 // TestMMapReloadEquivalence is the property test behind the mmap
 // tentpole: over random schemas, matrices and query workloads, a
 // release served from a memory-mapped spilled table, a heap-backed one
-// (the spilled bytes fed through Ingest, as a replica receives them),
-// and one that was never evicted must agree on every answer
-// float64-exactly — at varying worker counts, across repeated
-// evict/reload churn. The "trial" runs collect garbage before every
-// reload, so the evicted payload is gone and the reload maps the file;
-// the "reuse" runs never collect, so every reload reinstalls the
-// evicted payload — no mapping, no rebuild, and the residency of the
-// original install.
+// (the spilled bytes fed through Ingest on a store without a
+// directory), a mapped copy (the same bytes streamed by Ingest into a
+// store with one, as a replica receives them) and one that was never
+// evicted must agree on every answer float64-exactly — at varying
+// worker counts, across repeated evict/reload churn. The "trial" runs
+// collect garbage before every reload, so the evicted payload is gone
+// and the reload maps the file; the "reuse" runs never collect, so
+// every reload reinstalls the evicted payload — no mapping, no
+// rebuild, and the residency of the original install.
 func TestMMapReloadEquivalence(t *testing.T) {
 	for run := 0; run < 8; run++ {
 		trial, reuse := run%4, run >= 4
@@ -111,6 +112,10 @@ func TestMMapReloadEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			mapped, err := New(Config{Dir: t.TempDir()})
+			if err != nil {
+				t.Fatal(err)
+			}
 			workers := 1 + trial%4
 			for _, s := range []*Store{keep, mm} {
 				if err := s.Put("main", mk(), workers); err != nil {
@@ -125,8 +130,10 @@ func TestMMapReloadEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := heap.Ingest("main", bytes.NewReader(spilled)); err != nil {
-				t.Fatal(err)
+			for _, s := range []*Store{heap, mapped} {
+				if err := s.Ingest("main", bytes.NewReader(spilled)); err != nil {
+					t.Fatal(err)
+				}
 			}
 			qrnd := rand.New(rand.NewSource(seed ^ 0x5a5a))
 			schema := mk().Schema
@@ -139,8 +146,8 @@ func TestMMapReloadEquivalence(t *testing.T) {
 			want := counts(t, relKeep, qs)
 
 			// Several churn rounds: each filler Put evicts "main" from
-			// mm and each Get brings it back; the ingested copy stays
-			// on the heap throughout.
+			// mm and each Get brings it back; the ingested copies stay
+			// resident throughout, one on the heap, one mapped.
 			for round := 0; round < 3; round++ {
 				if err := mm.Put(fmt.Sprintf("fill%d", round), fill(round), 1); err != nil {
 					t.Fatal(err)
@@ -148,7 +155,7 @@ func TestMMapReloadEquivalence(t *testing.T) {
 				if !reuse {
 					runtime.GC()
 				}
-				for si, s := range []*Store{mm, heap} {
+				for si, s := range []*Store{mm, heap, mapped} {
 					rel, err := s.Get("main")
 					if err != nil {
 						t.Fatal(err)
@@ -163,10 +170,14 @@ func TestMMapReloadEquivalence(t *testing.T) {
 				}
 			}
 			// Every load found a durable table: zero avoidable
-			// prefix-sum builds in either store, and the ingested
-			// release is all heap.
+			// prefix-sum builds in any store. The copy ingested
+			// without a directory is all heap, the one ingested with
+			// one all mapped.
 			if st := heap.Stats(); st.Rebuilds != 0 || st.MMapHits != 0 || st.MappedBytes != 0 || st.HeapBytes == 0 {
 				t.Fatalf("ingesting store Stats = %+v, want a heap-backed release and no rebuild", st)
+			}
+			if st := mapped.Stats(); st.Rebuilds != 0 || st.MMapHits != 0 || st.HeapBytes != 0 || st.MappedBytes == 0 {
+				t.Fatalf("ingesting store with a directory Stats = %+v, want a mapped release and no rebuild", st)
 			}
 			st := mm.Stats()
 			if !reuse {
@@ -444,13 +455,15 @@ func TestIngestVersions(t *testing.T) {
 // and Describe: a fresh Put is all heap, eviction zeroes both, a mapped
 // reload after a collection ("mmap") is all file pages, a reload that
 // reinstalls the still-live evicted payload ("reuse") keeps its
-// install's split — all heap — without mapping or rebuilding anything,
-// and an ingested release ("nommap") is all heap — its sections alias
-// the aligned read buffer, which is heap, not a mapping.
+// install's split — all heap — without mapping or rebuilding anything.
+// A copy ingested into a store with a directory ("ingest") is all file
+// pages, like a reload: Ingest maps the spill file it streamed the
+// bytes into. One ingested into a store without a directory ("nommap")
+// is all heap — its sections alias the aligned read buffer.
 func TestResidencyAccounting(t *testing.T) {
 	// testPayload: 8 entries noisy + 8 entries table = 128 bytes.
 	const wantBytes = 2 * 8 * 8
-	for _, name := range []string{"mmap", "nommap", "reuse"} {
+	for _, name := range []string{"mmap", "nommap", "ingest", "reuse"} {
 		t.Run(name, func(t *testing.T) {
 			if name == "reuse" {
 				withoutGC(t)
@@ -475,25 +488,31 @@ func TestResidencyAccounting(t *testing.T) {
 			if stub.Resident || stub.HeapBytes != 0 || stub.MappedBytes != 0 {
 				t.Fatalf("evicted stub = %+v, want zero residency", stub)
 			}
-			id := "a"
-			if name == "nommap" {
+			id, from := "a", s
+			switch name {
+			case "nommap", "ingest":
 				raw, err := os.ReadFile(s.spillPath("a"))
 				if err != nil {
 					t.Fatal(err)
 				}
 				id = "c"
-				if err := s.Ingest(id, bytes.NewReader(raw)); err != nil {
-					t.Fatal(err) // evicts b
+				if name == "nommap" {
+					if from, err = New(Config{}); err != nil {
+						t.Fatal(err)
+					}
 				}
-			} else {
-				if name == "mmap" {
-					runtime.GC()
+				if err := from.Ingest(id, bytes.NewReader(raw)); err != nil {
+					t.Fatal(err) // with a directory, evicts b
 				}
+			case "mmap":
+				runtime.GC()
+				fallthrough
+			default:
 				if _, err := s.Get(id); err != nil {
 					t.Fatal(err)
 				}
 			}
-			stub, err = s.Describe(id)
+			stub, err = from.Describe(id)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -511,10 +530,10 @@ func TestResidencyAccounting(t *testing.T) {
 				}
 			default:
 				if stub.MappedBytes != wantBytes || stub.HeapBytes != 0 {
-					t.Fatalf("mapped reload stub = %+v, want all mapped", stub)
+					t.Fatalf("%s stub = %+v, want all mapped", name, stub)
 				}
 			}
-			st := s.Stats()
+			st := from.Stats()
 			if st.HeapBytes != stub.HeapBytes || st.MappedBytes != stub.MappedBytes {
 				t.Fatalf("Stats %+v disagrees with the lone resident stub %+v", st, stub)
 			}

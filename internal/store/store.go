@@ -14,8 +14,11 @@
 //   - Memory must not grow without bound as tenants accumulate
 //     releases. With a spill directory configured, every release is
 //     written through to disk at Put time in the internal/codec format
-//     (the same bytes Release.Save and the /export endpoint emit), and
-//     when more than MaxResident releases are in memory the
+//     (the same bytes Release.Save emits, and the bytes /export sends
+//     straight from the file, see OpenSpill). A replica's format-v2
+//     copy is not encoded again: Ingest streams the received bytes
+//     into its spill file and serves them mapped, as a reload would.
+//     When more than MaxResident releases are in memory the
 //     least-recently-used ones drop their in-memory matrix and
 //     evaluator, keeping only a weak reference to them. A later Get
 //     reinstalls that payload if it is still alive (a query handle
@@ -381,28 +384,31 @@ func (s *Store) recover() error {
 // spill file is written in format v2 and later reloads pay zero
 // prefix-sum work.
 func (s *Store) Put(id string, p *codec.Payload, workers int) error {
-	return s.put(id, p, workers, false)
-}
-
-// put is Put, and with ingest set the tail of Ingest. The encode runs
-// before the store lock is taken; insert does the rest under it.
-func (s *Store) put(id string, p *codec.Payload, workers int, ingest bool) error {
 	if err := validateID(id); err != nil {
 		return err
 	}
 	if p == nil || p.Schema == nil || p.Noisy == nil {
 		return fmt.Errorf("store: nil payload components for %q", id)
 	}
+	return s.put(id, p, codec.MapInfo{}, workers, "", false)
+}
+
+// put is Put, and with ingest set the tail of Ingest. info says which
+// of p's sections are mapped. tmp is a spill file the caller already
+// staged for p, the bytes an ingested copy arrived as; otherwise, with
+// a Dir, put encodes one before taking the store lock. insert does the
+// rest under it.
+func (s *Store) put(id string, p *codec.Payload, info codec.MapInfo, workers int, tmp string, ingest bool) error {
 	e := &entry{
 		id:      id,
 		stub:    makeStub(id, p.Meta, p.Schema, workers),
 		payload: p,
 		eval:    s.evaluatorFor(p, false),
+		info:    info,
 		cache:   s.newAnswerCache(),
 	}
 	e.touch(s)
-	var tmp string
-	if s.cfg.Dir != "" {
+	if tmp == "" && s.cfg.Dir != "" {
 		var err error
 		if tmp, err = atomicfile.Stage(s.spillPath(id), func(w io.Writer) error { return EncodeRelease(w, p) }); err != nil {
 			return fmt.Errorf("store: spilling %q: %w", id, err)
@@ -517,6 +523,26 @@ func (s *Store) Get(id string) (Release, error) {
 		return rel, nil
 	}
 	return s.reload(e)
+}
+
+// OpenSpill opens the spill file of the release under id for reading:
+// the release's bytes exactly as Put or Ingest wrote them, which is
+// what the /export endpoint sends. The open happens under the read
+// lock, so no Remove can unlink the file between the lookup and the
+// open; once open, the file stays readable even if a Remove unlinks it.
+// It touches neither residency nor the LRU order. A store without a Dir
+// has no files and returns a nil file. Returns an error wrapping
+// ErrNotFound for unknown IDs.
+func (s *Store) OpenSpill(id string) (*os.File, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.entries[id] == nil {
+		return nil, fmt.Errorf("store: %q: %w", id, ErrNotFound)
+	}
+	if s.cfg.Dir == "" {
+		return nil, nil
+	}
+	return os.Open(s.spillPath(id))
 }
 
 // Describe returns the release's always-resident summary without
@@ -664,7 +690,7 @@ func (s *Store) reload(e *entry) (Release, error) {
 	s.mu.RUnlock()
 	if p == nil {
 		var err error
-		if p, info, err = s.loadPayload(e.id); err != nil {
+		if p, info, err = s.loadPayload(s.spillPath(e.id)); err != nil {
 			if os.IsNotExist(err) {
 				// Remove won the race after our membership check and
 				// took the spill file with it.
@@ -816,17 +842,18 @@ func (s *Store) loadHeader(id string) (codec.Meta, *dataset.Schema, error) {
 	return codec.DecodeHeader(f.Data())
 }
 
-// loadPayload reads id's spill file through mmapfile and the codec's one
-// decoder, DecodeMapped. A format-v2 file reloads with its float64
+// loadPayload reads a spill file — a release's own, or the staged copy
+// an Ingest is about to register — through mmapfile and the codec's one
+// decoder, DecodeMapped. A format-v2 file loads with its float64
 // sections as views over page-cache-backed file pages (the MapInfo says
 // which) — no decode work and no prefix-sum rebuild. A format-v1 file,
 // or a v2 file whose durable table failed its checksum (logged), comes
-// back table-less, and the caller's evaluatorFor rebuilds the table
-// from the intact matrix, counted in the rebuilds stat. Where mmapfile
-// had to fall back to a heap read, MapInfo is cleared so residency and
-// the mmap-hit stat report heap, not mapped, bytes.
-func (s *Store) loadPayload(id string) (*codec.Payload, codec.MapInfo, error) {
-	f, err := mmapfile.Open(s.spillPath(id))
+// back table-less, and the caller rebuilds the table from the intact
+// matrix, counted in the rebuilds stat. Where mmapfile had to fall back
+// to a heap read, MapInfo is cleared so residency and the mmap-hit stat
+// report heap, not mapped, bytes.
+func (s *Store) loadPayload(path string) (*codec.Payload, codec.MapInfo, error) {
+	f, err := mmapfile.Open(path)
 	if err != nil {
 		return nil, codec.MapInfo{}, err
 	}
@@ -838,7 +865,7 @@ func (s *Store) loadPayload(id string) (*codec.Payload, codec.MapInfo, error) {
 		if p == nil || !errors.Is(err, codec.ErrTable) {
 			return nil, codec.MapInfo{}, err
 		}
-		log.Printf("store: %s: durable table unusable, rebuilding: %v", id, err)
+		log.Printf("store: %s: durable table unusable, rebuilding: %v", filepath.Base(path), err)
 	}
 	return p, info, nil
 }

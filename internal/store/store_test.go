@@ -481,7 +481,7 @@ func TestConcurrentDuplicatePut(t *testing.T) {
 		default:
 			t.Fatalf("want exactly one winner, got errs %v", errs)
 		}
-		got, _, err := s.loadPayload("same")
+		got, _, err := s.loadPayload(s.spillPath("same"))
 		if err != nil {
 			t.Fatal(err)
 		}
