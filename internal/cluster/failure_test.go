@@ -320,3 +320,57 @@ func TestClusterCutExportBlamesPrimary(t *testing.T) {
 		t.Fatal("follower registered a cut copy")
 	}
 }
+
+// TestClusterListSkipsFailingNode: a merged /releases in which one node
+// answers 500 still lists every other node's releases, and that node
+// stays healthy: a status is not a transport failure.
+func TestClusterListSkipsFailingNode(t *testing.T) {
+	serve := func(status int, body string) string {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			w.WriteHeader(status)
+			io.WriteString(w, body)
+		}))
+		t.Cleanup(ts.Close)
+		return ts.URL
+	}
+	nodes := []Node{
+		{Name: "a", URL: serve(http.StatusOK, `[{"id":"r10"},{"id":"r2"}]`)},
+		{Name: "b", URL: serve(http.StatusInternalServerError, `{"error":"boom"}`)},
+		{Name: "c", URL: serve(http.StatusOK, `[{"id":"r2"},{"id":"x1"}]`)},
+	}
+	ring, err := NewVersionedRing(nodes, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	health := NewHealth(nodes, HealthConfig{})
+	rt, err := NewRouter(RouterConfig{Ring: ring, Health: health})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(rt.Handler())
+	defer ts.Close()
+	for round := 0; round < len(nodes); round++ { // each node takes each place in the rotation
+		resp, err := http.Get(ts.URL + "/releases")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var list []struct {
+			ID string `json:"id"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&list)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || err != nil {
+			t.Fatalf("round %d: status %d, decode error %v", round, resp.StatusCode, err)
+		}
+		var ids []string
+		for _, e := range list {
+			ids = append(ids, e.ID)
+		}
+		if got := strings.Join(ids, ","); got != "r2,x1,r10" {
+			t.Fatalf("round %d: merged listing %s, want r2,x1,r10", round, got)
+		}
+	}
+	if !health.Healthy("b") {
+		t.Fatal("a node that answered 500 was ejected")
+	}
+}

@@ -25,7 +25,8 @@ const DefaultFailureThreshold = 3
 
 // HealthConfig configures a Health prober.
 type HealthConfig struct {
-	// Interval between probe rounds; ≤ 0 means DefaultProbeInterval.
+	// Interval is the wait after each probe round before the next one
+	// starts; ≤ 0 means DefaultProbeInterval.
 	Interval time.Duration
 }
 
@@ -55,8 +56,7 @@ type Health struct {
 
 	mu     sync.Mutex
 	states map[string]*nodeState
-	stop   chan struct{}
-	done   chan struct{}
+	loop   loop
 }
 
 type nodeState struct {
@@ -86,45 +86,16 @@ func NewHealth(nodes []Node, cfg HealthConfig) *Health {
 
 // Start runs one synchronous probe round — so the caller begins with a
 // measured view, not the optimistic default — then launches the
-// background loop. Stop ends it.
+// background loop, which starts each round Interval after the previous
+// one ends. Stop ends it.
 func (h *Health) Start() {
 	h.probeAll()
-	h.mu.Lock()
-	if h.stop != nil {
-		h.mu.Unlock()
-		return
-	}
-	h.stop = make(chan struct{})
-	h.done = make(chan struct{})
-	stop, done := h.stop, h.done
-	h.mu.Unlock()
-	go func() {
-		defer close(done)
-		t := time.NewTicker(h.interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				h.probeAll()
-			}
-		}
-	}()
+	h.loop.start(func() time.Duration { return h.interval }, h.probeAll)
 }
 
-// Stop ends the probe loop and waits for it to exit. Safe to call
-// without Start, or twice.
-func (h *Health) Stop() {
-	h.mu.Lock()
-	stop, done := h.stop, h.done
-	h.stop, h.done = nil, nil
-	h.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-done
-	}
-}
+// Stop ends the probe loop and waits for a running round to finish.
+// Safe to call without Start, or twice.
+func (h *Health) Stop() { h.loop.halt() }
 
 // probeAll probes every node once, concurrently, and blocks until the
 // round completes.
@@ -219,4 +190,54 @@ func (h *Health) Snapshot() []NodeHealth {
 	h.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
+}
+
+// loop runs one job on a goroutine of its own, round after round, until
+// halted: the background side of Health and Repairer. The zero value is
+// stopped.
+type loop struct {
+	mu   sync.Mutex
+	stop chan struct{}
+	done chan struct{}
+}
+
+// start launches the goroutine: it waits wait(), runs round, and
+// repeats, each wait drawn afresh after the previous round ends. Start
+// on a running loop does nothing.
+func (l *loop) start(wait func() time.Duration, round func()) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.stop != nil {
+		return
+	}
+	stop, done := make(chan struct{}), make(chan struct{})
+	l.stop, l.done = stop, done
+	go func() {
+		defer close(done)
+		t := time.NewTimer(wait())
+		defer t.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-t.C:
+				round()
+				t.Reset(wait())
+			}
+		}
+	}()
+}
+
+// halt ends the loop and returns once its goroutine has exited, after
+// the round it is running, if any. Safe on a loop never started, or
+// twice.
+func (l *loop) halt() {
+	l.mu.Lock()
+	stop, done := l.stop, l.done
+	l.stop, l.done = nil, nil
+	l.mu.Unlock()
+	if stop != nil {
+		close(stop)
+		<-done
+	}
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -127,4 +128,96 @@ func TestClusterHealthUnknownNode(t *testing.T) {
 	}
 	h.ReportFailure("ghost", nil) // must not panic
 	h.Stop()                      // without Start: must not panic
+}
+
+// gatedPeer is a peer whose rounds a test can hold: it answers with
+// before until armed, then its next request signals entered and blocks
+// until release closes, and that request and every later one are
+// answered with after. A round that finished has therefore seen after.
+type gatedPeer struct {
+	ts       *httptest.Server
+	armed    atomic.Bool
+	released atomic.Bool
+	entered  chan struct{}
+	release  chan struct{}
+	once     sync.Once
+}
+
+func newGatedPeer(t *testing.T, before, after http.HandlerFunc) *gatedPeer {
+	t.Helper()
+	p := &gatedPeer{entered: make(chan struct{}), release: make(chan struct{})}
+	p.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if p.armed.CompareAndSwap(true, false) {
+			close(p.entered)
+			<-p.release
+		}
+		if p.released.Load() {
+			after(w, req)
+		} else {
+			before(w, req)
+		}
+	}))
+	t.Cleanup(p.ts.Close)
+	t.Cleanup(p.open) // runs before Close, so a failed test never leaves a handler blocked
+	return p
+}
+
+// open lets the held request go on, answered with after.
+func (p *gatedPeer) open() {
+	p.once.Do(func() {
+		p.released.Store(true)
+		close(p.release)
+	})
+}
+
+// assertStopContract checks the Start/Stop contract Health and Repairer
+// share through loop: Stop without Start, Start twice then Stop, and
+// Stop twice all return, and a Stop during a running round returns only
+// once that round has finished (finished reports whether a round has
+// seen the peer's after answer).
+func assertStopContract(t *testing.T, start, stop func(), peer *gatedPeer, finished func() bool) {
+	t.Helper()
+	stop()
+	start()
+	start()
+	stop()
+	stop()
+
+	start()
+	peer.armed.Store(true)
+	select {
+	case <-peer.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no round reached the peer")
+	}
+	stopped := make(chan struct{})
+	go func() {
+		stop()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+		t.Fatal("Stop returned while a round was still running")
+	case <-time.After(50 * time.Millisecond):
+	}
+	peer.open()
+	select {
+	case <-stopped:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Stop did not return after the round finished")
+	}
+	if !finished() {
+		t.Fatal("Stop returned before the running round recorded its result")
+	}
+	stop()
+}
+
+// TestClusterHealthStopContract holds a probe round on a peer's /readyz
+// and stops the prober under it.
+func TestClusterHealthStopContract(t *testing.T) {
+	peer := newGatedPeer(t,
+		func(w http.ResponseWriter, _ *http.Request) { w.WriteHeader(http.StatusOK) },
+		func(w http.ResponseWriter, _ *http.Request) { w.WriteHeader(http.StatusServiceUnavailable) })
+	h := NewHealth([]Node{{Name: "a", URL: peer.ts.URL}}, HealthConfig{Interval: 2 * time.Millisecond})
+	assertStopContract(t, h.Start, h.Stop, peer, func() bool { return h.Snapshot()[0].LastErr != "" })
 }

@@ -2,10 +2,8 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand/v2"
 	"net/http"
 	"net/url"
@@ -119,9 +117,7 @@ type Repairer struct {
 	lastSweep   atomic.Int64 // unix nanos, 0 = never
 	lastScanned atomic.Int64
 
-	mu   sync.Mutex
-	stop chan struct{}
-	done chan struct{}
+	loop loop
 }
 
 // NewRepairer builds a repairer for the node named cfg.Self.
@@ -161,28 +157,9 @@ func (r *Repairer) Stats() RepairStats {
 // the exact moment sweeps are busiest) drift apart instead of listing
 // every peer's /releases in lockstep forever.
 func (r *Repairer) Start() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.stop != nil {
-		return
-	}
-	r.stop = make(chan struct{})
-	r.done = make(chan struct{})
-	stop, done := r.stop, r.done
-	go func() {
-		defer close(done)
-		t := time.NewTimer(r.cfg.Interval + r.jitter())
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				_, _ = r.Sweep(context.Background())
-				t.Reset(r.cfg.Interval + r.jitter())
-			}
-		}
-	}()
+	r.loop.start(func() time.Duration { return r.cfg.Interval + r.jitter() }, func() {
+		_, _ = r.Sweep(context.Background())
+	})
 }
 
 // jitter draws one cycle's random scheduling offset, in
@@ -196,18 +173,9 @@ func (r *Repairer) jitter() time.Duration {
 	return rand.N(span)
 }
 
-// Stop ends the background loop and waits for it to exit. Safe to call
-// without Start, or twice.
-func (r *Repairer) Stop() {
-	r.mu.Lock()
-	stop, done := r.stop, r.done
-	r.stop, r.done = nil, nil
-	r.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-done
-	}
-}
+// Stop ends the background loop and waits for a running sweep to
+// finish. Safe to call without Start, or twice.
+func (r *Repairer) Stop() { r.loop.halt() }
 
 // Sweep runs one full anti-entropy pass and reports what it did. A
 // sweep never fails as a whole: unreachable peers and failed transfers
@@ -295,7 +263,7 @@ func (r *Repairer) pullCopy(ctx context.Context, rep *RepairReport, id string, i
 		}
 	}
 	for _, n := range order {
-		err := r.pull(ctx, n.URL, id)
+		err := r.pull(ctx, n, id)
 		switch {
 		case err == nil, errors.Is(err, store.ErrDuplicate):
 			rep.Pulled = append(rep.Pulled, id+"←"+n.Name)
@@ -312,28 +280,14 @@ func (r *Repairer) pullCopy(ctx context.Context, rep *RepairReport, id string, i
 
 // listPeer fetches a peer's release ID listing.
 func (r *Repairer) listPeer(ctx context.Context, n Node) ([]string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.URL+"/releases", nil)
+	list, err := listNode(ctx, r.client, n, repairMaxBody)
 	if err != nil {
 		return nil, err
-	}
-	resp, err := r.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("listing %s: status %d", n.Name, resp.StatusCode)
-	}
-	var list []struct {
-		ID string `json:"id"`
-	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, repairMaxBody)).Decode(&list); err != nil {
-		return nil, fmt.Errorf("listing %s: %w", n.Name, err)
 	}
 	ids := make([]string, 0, len(list))
 	for _, e := range list {
-		if e.ID != "" {
-			ids = append(ids, e.ID)
+		if id, _ := e["id"].(string); id != "" {
+			ids = append(ids, id)
 		}
 	}
 	return ids, nil
@@ -341,19 +295,12 @@ func (r *Repairer) listPeer(ctx context.Context, n Node) ([]string, error) {
 
 // pull fetches id's encoded payload from a holder's public export
 // endpoint and ingests it into the local store.
-func (r *Repairer) pull(ctx context.Context, baseURL, id string) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/releases/"+url.PathEscape(id)+"/export", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := r.client.Do(req)
+func (r *Repairer) pull(ctx context.Context, n Node, id string) error {
+	resp, err := openExport(ctx, r.client, n, id)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("export status %d", resp.StatusCode)
-	}
 	return r.cfg.Store.Ingest(id, limitBody(resp.Body, repairMaxBody))
 }
 

@@ -1,11 +1,16 @@
 package cluster
 
 import (
+	"context"
+	"fmt"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/server"
 	"repro/internal/store"
 )
 
@@ -117,5 +122,92 @@ func TestRepairLimitBodyNamesLimit(t *testing.T) {
 	got, err := io.ReadAll(limitBody(strings.NewReader(strings.Repeat("x", 1025)), 1024))
 	if err == nil || !strings.Contains(err.Error(), "1024-byte limit") || len(got) != 1024 {
 		t.Fatalf("1025-byte body: read %d bytes, err %v; want 1024 and an error naming the limit", len(got), err)
+	}
+}
+
+// TestRepairStopContract holds a sweep on a peer's /releases listing
+// and stops the repairer under it.
+func TestRepairStopContract(t *testing.T) {
+	peer := newGatedPeer(t,
+		func(w http.ResponseWriter, _ *http.Request) { io.WriteString(w, `[]`) },
+		func(w http.ResponseWriter, req *http.Request) {
+			if req.URL.Path != "/releases" {
+				http.NotFound(w, req)
+				return
+			}
+			io.WriteString(w, `[{"id":"r1"}]`)
+		})
+	ring, err := NewVersionedRing([]Node{{Name: "a", URL: "http://a"}, {Name: "b", URL: peer.ts.URL}}, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.New(store.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := NewRepairer(RepairConfig{Self: "a", Ring: ring, Store: st, Interval: 2 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertStopContract(t, rep.Start, rep.Stop, peer, func() bool { return rep.Stats().LastScanned == 1 })
+}
+
+// TestRepairPullFallsToNextHolder: a holder whose /export answers 500
+// costs the sweep one error that names the export, and the pull moves
+// on to the next holder.
+func TestRepairPullFallsToNextHolder(t *testing.T) {
+	const id = "r1"
+	good := httptest.NewServer(server.New(server.Config{NodeName: "good"}).Handler())
+	defer good.Close()
+	clusterPublish(t, good.URL, clusterParams+"&id="+id, clusterCSV)
+	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if req.URL.Path == "/releases" {
+			io.WriteString(w, `[{"id":"`+id+`"}]`)
+			return
+		}
+		http.Error(w, "boom", http.StatusInternalServerError)
+	}))
+	defer bad.Close()
+
+	// A sweep tries the holders in replica order: put the failing
+	// export first.
+	nodes := []Node{{Name: "a", URL: "http://a"}, {Name: "b", URL: bad.URL}, {Name: "c", URL: good.URL}}
+	ring, err := NewVersionedRing(nodes, 3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var holders []string
+	for _, n := range ring.ReplicasFor(RouteKey(id)) {
+		if n.Name != "a" {
+			holders = append(holders, n.Name)
+		}
+	}
+	if holders[0] != "b" {
+		nodes[1].URL, nodes[2].URL = good.URL, bad.URL
+		if ring, err = NewVersionedRing(nodes, 3, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := store.New(store.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := NewRepairer(RepairConfig{Self: "a", Ring: ring, Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, err := rep.Sweep(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("pull %s←%s: export of %q from %s: status 500", id, holders[0], id, holders[0])
+	if len(report.Errors) != 1 || report.Errors[0] != want {
+		t.Fatalf("sweep errors = %q, want [%q]", report.Errors, want)
+	}
+	if len(report.Pulled) != 1 || report.Pulled[0] != id+"←"+holders[1] {
+		t.Fatalf("sweep pulled %q, want [%s←%s]", report.Pulled, id, holders[1])
+	}
+	if _, err := st.Get(id); err != nil {
+		t.Fatalf("pulled copy: %v", err)
 	}
 }

@@ -11,9 +11,9 @@
 // shipping in the internal/codec wire format (spill files, /export,
 // Save/Load): a primary's /export sends its spill file, the router
 // pipes it into each follower's push without holding it, and the
-// follower's store.Ingest streams it into its own spill file and maps
-// it, after the checks a reload makes (only a v1 copy, or one whose
-// table fails its checksum, is rebuilt). Replicas can never diverge:
+// follower's store.Ingest keeps it as its own spill file, after the
+// checks a reload makes (only a copy whose table fails its checksum is
+// encoded again). Replicas can never diverge:
 // every copy answers every query bit-identically (float64 ==) to the
 // original, because decode is bit-exact and the prefix-sum build is
 // deterministic. No consensus, no invalidation, no read-repair.

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"maps"
 	"net/http"
 	"net/url"
 	"slices"
@@ -149,11 +150,9 @@ func (rt *Router) count(h http.HandlerFunc) http.HandlerFunc {
 
 // handleReadyz: the router is ready when it can route to anything.
 func (rt *Router) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	for _, n := range rt.ring.Nodes() {
-		if rt.health.Healthy(n.Name) {
-			writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
-			return
-		}
+	if len(rt.healthy(rt.ring.Nodes())) > 0 {
+		writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+		return
 	}
 	writeJSON(w, http.StatusServiceUnavailable, map[string]string{
 		"error": "no healthy node in the ring",
@@ -161,47 +160,9 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// healthyReplicas returns key's replica set filtered to healthy nodes,
-// rotated by the round-robin counter so consecutive reads spread over
-// the set.
-func (rt *Router) healthyReplicas(key string) []Node {
-	reps := rt.ring.ReplicasFor(key)
-	start := int(rt.rr.Add(1) % uint64(len(reps)))
-	out := make([]Node, 0, len(reps))
-	for i := range reps {
-		n := reps[(start+i)%len(reps)]
-		if rt.health.Healthy(n.Name) {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-// noHealthyReplica writes the typed 503 the cluster contract
-// guarantees when every replica of a key is down: machine-readable,
-// never a hang, never a 500.
-func (rt *Router) noHealthyReplica(w http.ResponseWriter, key string) {
-	rt.noReplica.Add(1)
-	writeJSON(w, http.StatusServiceUnavailable, map[string]string{
-		"error": fmt.Sprintf("no healthy replica for %q", key),
-		"code":  "no_healthy_replica",
-	})
-}
-
-// readByID proxies a read keyed by the {id} path value across its
-// healthy replicas.
-func (rt *Router) readByID(w http.ResponseWriter, req *http.Request) {
-	rt.proxyRead(w, req, RouteKey(req.PathValue("id")))
-}
-
-// handleAnyNode proxies a key-less read (e.g. /mechanisms — identical
-// on every node) to any healthy node.
-func (rt *Router) handleAnyNode(w http.ResponseWriter, req *http.Request) {
-	rt.proxyReadNodes(w, req, rt.rotatedHealthyNodes())
-}
-
-func (rt *Router) rotatedHealthyNodes() []Node {
-	nodes := rt.ring.Nodes()
+// healthy rotates nodes by the round-robin counter, so consecutive
+// reads spread over them, and keeps the healthy ones.
+func (rt *Router) healthy(nodes []Node) []Node {
 	start := int(rt.rr.Add(1) % uint64(len(nodes)))
 	out := make([]Node, 0, len(nodes))
 	for i := range nodes {
@@ -213,9 +174,24 @@ func (rt *Router) rotatedHealthyNodes() []Node {
 	return out
 }
 
-// proxyRead fans a read out over key's healthy replicas.
-func (rt *Router) proxyRead(w http.ResponseWriter, req *http.Request, key string) {
-	rt.proxyReadNodes(w, req, rt.healthyReplicas(key))
+// unavailable counts a refused request and writes the typed 503 the
+// cluster contract guarantees when no node can serve it:
+// machine-readable, never a hang, never a 500.
+func (rt *Router) unavailable(w http.ResponseWriter, code, msg string) {
+	rt.noReplica.Add(1)
+	writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": msg, "code": code})
+}
+
+// readByID proxies a read keyed by the {id} path value across its
+// healthy replicas.
+func (rt *Router) readByID(w http.ResponseWriter, req *http.Request) {
+	rt.proxyReadNodes(w, req, rt.healthy(rt.ring.ReplicasFor(RouteKey(req.PathValue("id")))))
+}
+
+// handleAnyNode proxies a key-less read (e.g. /mechanisms — identical
+// on every node) to any healthy node.
+func (rt *Router) handleAnyNode(w http.ResponseWriter, req *http.Request) {
+	rt.proxyReadNodes(w, req, rt.healthy(rt.ring.Nodes()))
 }
 
 // proxyReadNodes tries candidates in order until one answers:
@@ -278,13 +254,9 @@ func (rt *Router) proxyReadNodes(w http.ResponseWriter, req *http.Request, candi
 	case saw404:
 		httpError(w, http.StatusNotFound, fmt.Sprintf("no release %q on any replica", req.PathValue("id")))
 	case lastErr != "":
-		rt.noReplica.Add(1)
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{
-			"error": "every replica failed: " + lastErr,
-			"code":  "no_healthy_replica",
-		})
+		rt.unavailable(w, "no_healthy_replica", "every replica failed: "+lastErr)
 	default:
-		rt.noHealthyReplica(w, readKey(req))
+		rt.unavailable(w, "no_healthy_replica", fmt.Sprintf("no healthy replica for %q", readKey(req)))
 	}
 }
 
@@ -376,11 +348,7 @@ func drain(resp *http.Response) {
 // for tenants, the budget ledger) lives — so the client must retry
 // after the primary returns or the ring is reconfigured.
 func (rt *Router) primaryUnavailable(w http.ResponseWriter, key string, primary Node) {
-	rt.noReplica.Add(1)
-	writeJSON(w, http.StatusServiceUnavailable, map[string]string{
-		"error": fmt.Sprintf("primary %q for %q is unavailable", primary.Name, key),
-		"code":  "primary_unavailable",
-	})
+	rt.unavailable(w, "primary_unavailable", fmt.Sprintf("primary %q for %q is unavailable", primary.Name, key))
 }
 
 // mintID generates the router's client-facing release ID for plain
@@ -462,13 +430,15 @@ func (rt *Router) writeThrough(w http.ResponseWriter, req *http.Request, key str
 
 // replicate copies the release id from the primary to each healthy
 // follower by moving bytes, never holding a whole release: per
-// follower, one GET of the primary's /export, whose body is piped as it
-// arrives into one PUT /internal/replicate with the export's
-// Content-Length. A primary with a store directory sends its spill file
-// as it is, and the follower's store.Ingest streams it into its own and
-// serves it mapped, so the copy is byte-identical; only a v1 copy, or
-// one whose table fails its checksum (codec.ErrTable), rebuilds the
-// table. Returns the names of followers that hold a copy, and for each
+// follower, one GET of the primary's /export (openExport, the GET a
+// repair pull makes too), whose body is piped as it arrives into one
+// PUT /internal/replicate with the export's Content-Length. A primary
+// with a store directory sends its spill file as it is, and the
+// follower's store.Ingest streams it into its own, so the copy is
+// byte-identical, a format-v1 one included (the follower rebuilds only
+// its in-memory table); only a copy whose table fails its checksum
+// (codec.ErrTable) is encoded again. Returns the names of followers
+// that hold a copy, and for each
 // one that does not, "name: reason". A follower that fails in transport
 // is ejected and skipped (the release is under-replicated until the
 // follower's own repair sweep pulls it); a copy the primary's export
@@ -504,16 +474,36 @@ func (rt *Router) replicate(ctx context.Context, primary Node, followers []Node,
 	return done, missing
 }
 
-// copyReplica pipes one export of id from the primary into a push to
-// follower f.
+// copyReplica makes follower f's copy (see replicate). The push carries
+// the cluster bearer token (when one is set) and the router's ring
+// version, so a node running a newer membership refuses the copy
+// instead of accepting stale placement. A refusal's error carries the
+// status and the start of the node's reason.
 func (rt *Router) copyReplica(ctx context.Context, primary, f Node, id string) error {
-	resp, err := rt.export(ctx, primary, id)
+	resp, err := openExport(ctx, http.DefaultClient, primary, id)
 	if err != nil {
 		return err
 	}
 	body := &exportBody{ReadCloser: resp.Body}
 	defer body.Close()
-	err = pushReplica(ctx, rt.secret, rt.ring, f, id, body, resp.ContentLength)
+	push, err := http.NewRequestWithContext(ctx, http.MethodPut, f.URL+"/internal/replicate/"+url.PathEscape(id), body)
+	if err != nil {
+		return err
+	}
+	push.ContentLength = resp.ContentLength
+	push.Header.Set("Content-Type", "application/octet-stream")
+	if rt.secret != "" {
+		push.Header.Set("Authorization", "Bearer "+rt.secret)
+	}
+	push.Header.Set(RingVersionHeader, fmt.Sprintf("%d", rt.ring.Version()))
+	pushed, err := http.DefaultClient.Do(push)
+	if err == nil {
+		defer drain(pushed)
+		if pushed.StatusCode != http.StatusCreated && pushed.StatusCode != http.StatusOK {
+			why, _ := io.ReadAll(io.LimitReader(pushed.Body, 512))
+			err = fmt.Errorf("status %d: %s", pushed.StatusCode, bytes.TrimSpace(why))
+		}
+	}
 	if err != nil && body.failed.Load() {
 		return fmt.Errorf("export of %q from %s: %w", id, primary.Name, err)
 	}
@@ -524,16 +514,16 @@ func (rt *Router) copyReplica(ctx context.Context, primary, f Node, id string) e
 	return err
 }
 
-// export opens the encoded release on the node holding it. The caller
-// reads and closes the response body; its ContentLength is -1 when the
-// node encodes the release as it sends it (a node without a store
-// directory).
-func (rt *Router) export(ctx context.Context, n Node, id string) (*http.Response, error) {
+// openExport GETs the encoded release id from node n's /export. The
+// caller reads and closes the response body; its ContentLength is -1
+// when the node encodes the release as it sends it (a node without a
+// store directory).
+func openExport(ctx context.Context, client *http.Client, n Node, id string) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.URL+"/releases/"+url.PathEscape(id)+"/export", nil)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := client.Do(req)
 	if err != nil {
 		return nil, fmt.Errorf("export of %q from %s: %w", id, n.Name, err)
 	}
@@ -559,41 +549,6 @@ func (b *exportBody) Read(p []byte) (int, error) {
 		b.failed.Store(true)
 	}
 	return n, err
-}
-
-// pushReplica streams one encoded release, length bytes (-1 when
-// unknown), into n's store with PUT /internal/replicate/{id}. The
-// request is stamped by stampInternal, so a node running a newer
-// membership refuses the copy instead of accepting stale placement. 200
-// and 201 are success; a refusal's error carries the status and the
-// start of the node's reason.
-func pushReplica(ctx context.Context, secret string, ring *Ring, n Node, id string, body io.Reader, length int64) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, n.URL+"/internal/replicate/"+url.PathEscape(id), body)
-	if err != nil {
-		return err
-	}
-	req.ContentLength = length
-	req.Header.Set("Content-Type", "application/octet-stream")
-	stampInternal(req, secret, ring)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer drain(resp)
-	if resp.StatusCode != http.StatusCreated && resp.StatusCode != http.StatusOK {
-		why, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("status %d: %s", resp.StatusCode, bytes.TrimSpace(why))
-	}
-	return nil
-}
-
-// stampInternal adds the cluster bearer token (when one is set) and the
-// sender's ring version to a request for a peer's /internal endpoint.
-func stampInternal(req *http.Request, secret string, ring *Ring) {
-	if secret != "" {
-		req.Header.Set("Authorization", "Bearer "+secret)
-	}
-	req.Header.Set(RingVersionHeader, fmt.Sprintf("%d", ring.Version()))
 }
 
 // limitBody reads at most limit bytes of body. Where io.LimitReader
@@ -691,39 +646,28 @@ func (rt *Router) handleDelete(w http.ResponseWriter, req *http.Request) {
 	case missing > 0:
 		httpError(w, http.StatusNotFound, fmt.Sprintf("no release %q on any replica", id))
 	default:
-		rt.noReplica.Add(1)
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{
-			"error": "delete failed on every replica: " + lastErr,
-			"code":  "no_healthy_replica",
-		})
+		rt.unavailable(w, "no_healthy_replica", "delete failed on every replica: "+lastErr)
 	}
 }
 
 // handleList merges every healthy node's release list, deduplicating
 // replicas by ID (each release appears once, whichever copy answered
 // first wins — copies are bit-identical, so it does not matter which).
+// A node that fails in transport is ejected; one that answers with a
+// status other than 200 is only left out.
 func (rt *Router) handleList(w http.ResponseWriter, req *http.Request) {
-	nodes := rt.rotatedHealthyNodes()
-	if len(nodes) == 0 {
-		rt.noHealthyReplica(w, "/releases")
-		return
-	}
-	type entry = map[string]any
-	byID := make(map[string]entry)
+	byID := make(map[string]map[string]any)
 	reached := 0
-	for _, n := range nodes {
-		resp, err := rt.forward(req.Context(), n, req, nil)
+	for _, n := range rt.healthy(rt.ring.Nodes()) {
+		list, err := listNode(req.Context(), http.DefaultClient, n, rt.maxBody)
 		if err != nil {
 			if req.Context().Err() != nil {
 				return
 			}
-			rt.health.ReportFailure(n.Name, err)
-			continue
-		}
-		var list []entry
-		err = json.NewDecoder(io.LimitReader(resp.Body, rt.maxBody)).Decode(&list)
-		resp.Body.Close()
-		if err != nil {
+			var transport *url.Error
+			if errors.As(err, &transport) {
+				rt.health.ReportFailure(n.Name, err)
+			}
 			continue
 		}
 		reached++
@@ -736,19 +680,37 @@ func (rt *Router) handleList(w http.ResponseWriter, req *http.Request) {
 		}
 	}
 	if reached == 0 {
-		rt.noHealthyReplica(w, "/releases")
+		rt.unavailable(w, "no_healthy_replica", `no healthy replica for "/releases"`)
 		return
 	}
-	ids := make([]string, 0, len(byID))
-	for id := range byID {
-		ids = append(ids, id)
-	}
-	slices.SortFunc(ids, store.CompareIDs)
-	out := make([]entry, 0, len(ids))
+	ids := slices.SortedFunc(maps.Keys(byID), store.CompareIDs)
+	out := make([]map[string]any, 0, len(ids))
 	for _, id := range ids {
 		out = append(out, byID[id])
 	}
 	writeJSON(w, http.StatusOK, out)
+}
+
+// listNode reads node n's /releases listing, at most limit bytes of it.
+// A transport failure comes back as the client's *url.Error.
+func listNode(ctx context.Context, client *http.Client, n Node, limit int64) ([]map[string]any, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.URL+"/releases", nil)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := client.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("listing %s: status %d", n.Name, resp.StatusCode)
+	}
+	var list []map[string]any
+	if err := json.NewDecoder(io.LimitReader(resp.Body, limit)).Decode(&list); err != nil {
+		return nil, fmt.Errorf("listing %s: %w", n.Name, err)
+	}
+	return list, nil
 }
 
 // handleStats aggregates the fleet: every node's /stats verbatim under

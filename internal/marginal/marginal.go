@@ -25,6 +25,7 @@ import (
 	"repro/internal/matrix"
 	"repro/internal/postprocess"
 	"repro/internal/privacy"
+	"repro/internal/rng"
 )
 
 // Project sums the frequency matrix over every attribute not listed,
@@ -95,7 +96,10 @@ type Release struct {
 type Options struct {
 	// Epsilon is the TOTAL privacy budget, split evenly across the set.
 	Epsilon float64
-	// Seed drives the noise stream.
+	// Seed drives the noise: marginal i of the set draws from
+	// rng.SubstreamSeed(Seed, i), the rule core uses per sub-matrix and
+	// Continual per epoch, so marginals of calls at different seeds draw
+	// unrelated streams.
 	Seed uint64
 	// AutoSA applies core.RecommendSA per marginal (Corollary 1's rule);
 	// otherwise every marginal is published with SA = ∅.
@@ -138,7 +142,7 @@ func PublishSet(ctx context.Context, t *dataset.Table, sets [][]string, opts Opt
 			}
 		}
 		res, err := core.PublishMatrix(ctx, proj, sub, core.Options{
-			Epsilon: per, SA: sa, Seed: opts.Seed + uint64(si)*7919,
+			Epsilon: per, SA: sa, Seed: rng.SubstreamSeed(opts.Seed, uint64(si)),
 			Parallelism: opts.Parallelism,
 		})
 		if err != nil {

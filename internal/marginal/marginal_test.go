@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/hierarchy"
 	"repro/internal/query"
 )
 
@@ -210,5 +211,52 @@ func TestMarginalAnswersRangeQueries(t *testing.T) {
 	}
 	if math.Abs(got-want) > 1e-2 {
 		t.Fatalf("marginal query = %v, want ~%v", got, want)
+	}
+}
+
+// TestPublishSetSeedsShareNoStream: marginal 1 of a set published at
+// seed s and marginal 0 of a set published at s+7919 must draw
+// different noise. Were they one stream, B released at ε/2 and again at
+// ε would carry noise n and exactly n/2, and 2·M₂ − M₁ would give B's
+// exact counts.
+func TestPublishSetSeedsShareNoStream(t *testing.T) {
+	flat, err := hierarchy.Flat(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema, err := dataset.NewSchema(dataset.OrdinalAttr("A", 16), dataset.NominalAttr("B", flat))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl := dataset.NewTable(schema)
+	for i := 0; i < 500; i++ {
+		if err := tbl.Append(i%16, i*7%4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const seed = 11
+	first, err := PublishSet(context.Background(), tbl, [][]string{{"A"}, {"B"}}, Options{Epsilon: 1, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := PublishSet(context.Background(), tbl, [][]string{{"B"}}, Options{Epsilon: 1, Seed: seed + 7919})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := tbl.FrequencyMatrix()
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact, _, err := Project(m, schema, []string{"B"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m1, m2 := first[1].Noisy.Data(), second[0].Noisy.Data()
+	miss := 0.0
+	for i, x := range exact.Data() {
+		miss = max(miss, math.Abs(2*m2[i]-m1[i]-x))
+	}
+	if miss <= 1 {
+		t.Fatalf("2·M₂ − M₁ is within %g of B's exact counts: the two releases share one noise stream", miss)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"crypto/subtle"
 	"net/http"
 	"strconv"
+	"strings"
 )
 
 // ringVersionHeader mirrors cluster.RingVersionHeader: the sender's
@@ -50,7 +51,7 @@ type ClusterConfig struct {
 func (s *Server) internalOnly(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, req *http.Request) {
 		if s.cluster.Secret != "" {
-			token, ok := bearerToken(req)
+			token, ok := strings.CutPrefix(req.Header.Get("Authorization"), "Bearer ")
 			// Constant-time compare: an attacker probing the replication
 			// endpoint must not learn the secret byte by byte from timing.
 			if !ok || subtle.ConstantTimeCompare([]byte(token), []byte(s.cluster.Secret)) != 1 {
@@ -79,16 +80,6 @@ func (s *Server) internalOnly(h http.HandlerFunc) http.HandlerFunc {
 		}
 		h(w, req)
 	}
-}
-
-// bearerToken extracts the Authorization: Bearer credential.
-func bearerToken(req *http.Request) (string, bool) {
-	const prefix = "Bearer "
-	auth := req.Header.Get("Authorization")
-	if len(auth) <= len(prefix) || auth[:len(prefix)] != prefix {
-		return "", false
-	}
-	return auth[len(prefix):], true
 }
 
 // handleRepair triggers one anti-entropy sweep and returns its report —

@@ -276,13 +276,12 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 // handleReplicate is the cluster tier's replica-ingest endpoint: the
 // body is an encoded release (the codec wire format — the bytes
 // /export sends), read through the MaxBody limit. On a node with a
-// store directory, store.Ingest streams it into the spill file of {id}
-// and serves that file mapped, after the checks a reload makes: the
-// copy is never encoded again, and the node's own /export sends the
-// same bytes. Only a v1 body, or one whose table fails its checksum,
-// is rebuilt and encoded again. A node without a directory decodes the
-// body into the heap. Re-pushing an existing ID answers 200 instead
-// of 201: releases are immutable, so the copy is already identical and
+// store directory, store.Ingest streams it into the spill file of {id},
+// after the checks a reload makes, and the node's own /export sends the
+// same bytes; only a body whose table fails its checksum is rebuilt
+// and encoded again. A node without a directory decodes the body into
+// the heap. Re-pushing an existing ID answers 200 instead of 201:
+// releases are immutable, so the copy is already identical and
 // replication stays idempotent. The endpoint is /internal/ because it
 // trusts its caller (the router) on placement — expose it only on
 // networks where the routing tier lives.

@@ -53,13 +53,14 @@ func DecodeRelease(r io.Reader) (*codec.Payload, error) {
 // codec.DecodeMapped — the header, dims and table-checksum checks a
 // reload makes, so a corrupt copy is refused — then renames it into
 // place and inserts the entry in one critical section, as Put does.
-// The copy is resident with its sections mapped, the state a reload
-// leaves; nothing is encoded again, so its /export is the sender's
-// bytes. Without a Dir, r is decoded into one aligned heap buffer
-// (DecodeRelease). Either way a format-v2 table is adopted, with no
-// prefix-sum work; only a v1 copy, or a v2 copy whose table fails its
-// checksum, has its table rebuilt from the intact matrix (counted in
-// the rebuilds stat, on Config.Parallelism workers) and a v2 spill
+// The copy is resident, the state a reload leaves: a format-v2 copy
+// with its sections mapped, a format-v1 copy with its table rebuilt in
+// memory from the matrix (counted in the rebuilds stat, on
+// Config.Parallelism workers), as the sender rebuilds it on each load
+// of its own v1 file. Nothing is encoded again, so its /export is the
+// sender's bytes. Without a Dir, r is decoded into one aligned heap
+// buffer (DecodeRelease). Only a v2 copy whose table fails its checksum
+// is not kept as it came: its table is rebuilt, counted, and a v2 spill
 // file of the store's own encoded.
 //
 // Answers are bit-identical to the publisher's: the table build is
@@ -79,34 +80,35 @@ func (s *Store) Ingest(id string, r io.Reader) error {
 	if err := validateID(id); err != nil {
 		return err
 	}
+	var (
+		p    *codec.Payload
+		info codec.MapInfo
+		tmp  string
+		err  error
+	)
 	if s.cfg.Dir == "" {
-		p, err := DecodeRelease(r)
-		if err != nil {
-			if p == nil || !errors.Is(err, codec.ErrTable) {
-				return fmt.Errorf("store: ingesting %q: %w", id, err)
-			}
-			log.Printf("store: ingesting %q: durable table unusable, rebuilding: %v", id, err)
-		}
-		if p.Table == nil {
-			s.rebuilds.Add(1)
-		}
-		return s.put(id, p, codec.MapInfo{}, 0, "", true)
-	}
-	tmp, err := atomicfile.Stage(s.spillPath(id), func(w io.Writer) error {
-		_, err := io.Copy(w, r)
-		return err
-	})
-	if err != nil {
-		return fmt.Errorf("store: ingesting %q: %w", id, err)
-	}
-	p, info, err := s.loadPayload(tmp)
-	if err != nil || p.Table == nil {
-		os.Remove(tmp)
-		if err != nil {
+		p, err = DecodeRelease(r)
+	} else {
+		if tmp, err = atomicfile.Stage(s.spillPath(id), func(w io.Writer) error {
+			_, err := io.Copy(w, r)
+			return err
+		}); err != nil {
 			return fmt.Errorf("store: ingesting %q: %w", id, err)
 		}
+		p, info, err = s.loadPayload(tmp)
+	}
+	if err != nil {
+		if tmp != "" {
+			os.Remove(tmp)
+			tmp = ""
+		}
+		if p == nil || !errors.Is(err, codec.ErrTable) {
+			return fmt.Errorf("store: ingesting %q: %w", id, err)
+		}
+		log.Printf("store: ingesting %q: durable table unusable, rebuilding: %v", id, err)
+	}
+	if p.Table == nil {
 		s.rebuilds.Add(1)
-		return s.put(id, p, info, 0, "", true)
 	}
 	return s.put(id, p, info, 0, tmp, true)
 }

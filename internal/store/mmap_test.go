@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -385,6 +387,68 @@ func TestV1SpillRecovery(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("query %d after v1 recovery: %x != %x", i, got[i], want[i])
+		}
+	}
+}
+
+// TestV1ReplicaKeepsSenderBytes: store A recovers a format-v1 spill
+// file and exports it as it is (OpenSpill). Store B, with a directory,
+// ingests those bytes and must keep them as its spill file, byte for
+// byte, rebuilding only its in-memory table (one counted rebuild), as
+// A does on each load of its own v1 file; both answer bit-equally.
+func TestV1ReplicaKeepsSenderBytes(t *testing.T) {
+	dirA := t.TempDir()
+	var v1 bytes.Buffer
+	if err := codec.Encode(&v1, testPayload(t, 41)); err != nil { // Table nil -> format v1
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dirA, "old"+spillExt), v1.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	a, err := New(Config{Dir: dirA})
+	if err != nil {
+		t.Fatal(err)
+	}
+	relA, err := a.Get("old")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := a.OpenSpill("old")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	b, err := New(Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Ingest("old", f); err != nil {
+		t.Fatal(err)
+	}
+	sent, err := os.ReadFile(a.spillPath("old"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept, err := os.ReadFile(b.spillPath("old"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(kept, sent) {
+		t.Fatalf("replica spill file is %d bytes (version %d), the sender's %d (version %d)",
+			len(kept), kept[4], len(sent), sent[4])
+	}
+	if st := b.Stats(); st.Rebuilds != 1 {
+		t.Fatalf("replica Rebuilds = %d, want 1", st.Rebuilds)
+	}
+	relB, err := b.Get("old")
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := probeQueries(t, relA.Payload.Schema)
+	want, got := counts(t, relA, qs), counts(t, relB, qs)
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("query %d: replica %x, sender %x", i, got[i], want[i])
 		}
 	}
 }

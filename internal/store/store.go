@@ -15,9 +15,9 @@
 //     releases. With a spill directory configured, every release is
 //     written through to disk at Put time in the internal/codec format
 //     (the same bytes Release.Save emits, and the bytes /export sends
-//     straight from the file, see OpenSpill). A replica's format-v2
-//     copy is not encoded again: Ingest streams the received bytes
-//     into its spill file and serves them mapped, as a reload would.
+//     straight from the file, see OpenSpill). A replica's copy is not
+//     encoded again: Ingest streams the received bytes into its spill
+//     file and serves them as a reload would (see Ingest).
 //     When more than MaxResident releases are in memory the
 //     least-recently-used ones drop their in-memory matrix and
 //     evaluator, keeping only a weak reference to them. A later Get
@@ -690,12 +690,15 @@ func (s *Store) reload(e *entry) (Release, error) {
 	s.mu.RUnlock()
 	if p == nil {
 		var err error
-		if p, info, err = s.loadPayload(s.spillPath(e.id)); err != nil {
-			if os.IsNotExist(err) {
-				// Remove won the race after our membership check and
-				// took the spill file with it.
-				return Release{}, fmt.Errorf("store: %q: %w", e.id, ErrNotFound)
-			}
+		p, info, err = s.loadPayload(s.spillPath(e.id))
+		switch {
+		case os.IsNotExist(err):
+			// Remove won the race after our membership check and took
+			// the spill file with it.
+			return Release{}, fmt.Errorf("store: %q: %w", e.id, ErrNotFound)
+		case errors.Is(err, codec.ErrTable):
+			log.Printf("store: %q: durable table unusable, rebuilding: %v", e.id, err)
+		case err != nil:
 			return Release{}, fmt.Errorf("store: reloading %q: %w", e.id, err)
 		}
 		if info.Table {
@@ -846,11 +849,12 @@ func (s *Store) loadHeader(id string) (codec.Meta, *dataset.Schema, error) {
 // an Ingest is about to register — through mmapfile and the codec's one
 // decoder, DecodeMapped. A format-v2 file loads with its float64
 // sections as views over page-cache-backed file pages (the MapInfo says
-// which) — no decode work and no prefix-sum rebuild. A format-v1 file,
-// or a v2 file whose durable table failed its checksum (logged), comes
-// back table-less, and the caller rebuilds the table from the intact
-// matrix, counted in the rebuilds stat. Where mmapfile had to fall back
-// to a heap read, MapInfo is cleared so residency and the mmap-hit stat
+// which) — no decode work and no prefix-sum rebuild. A format-v1 file
+// comes back table-less, and a v2 file whose durable table fails its
+// checksum comes back table-less with an error wrapping codec.ErrTable;
+// either way the caller rebuilds the table from the intact matrix,
+// counted in the rebuilds stat. Where mmapfile had to fall back to a
+// heap read, MapInfo is cleared so residency and the mmap-hit stat
 // report heap, not mapped, bytes.
 func (s *Store) loadPayload(path string) (*codec.Payload, codec.MapInfo, error) {
 	f, err := mmapfile.Open(path)
@@ -861,13 +865,7 @@ func (s *Store) loadPayload(path string) (*codec.Payload, codec.MapInfo, error) 
 	if !f.Mapped() {
 		info = codec.MapInfo{}
 	}
-	if err != nil {
-		if p == nil || !errors.Is(err, codec.ErrTable) {
-			return nil, codec.MapInfo{}, err
-		}
-		log.Printf("store: %s: durable table unusable, rebuilding: %v", filepath.Base(path), err)
-	}
-	return p, info, nil
+	return p, info, err
 }
 
 // evaluatorFor returns p's evaluator: free (query.NewEvaluatorFromTable)
