@@ -889,7 +889,7 @@ func BenchmarkAnswerLines(b *testing.B) {
 }
 
 // BenchmarkQueryServe measures the pipeline of POST /releases/{id}/query
-// with Accept: text/csv as its handler runs it: the 40k census specs of
+// as its handler runs it: the 40k census specs of
 // BenchmarkQueryBatch in the line wire format, read through
 // NewLineSpecs, parsed by workload.Stream into ExecuteStream's chunk
 // slots, answered over a published census release at GOMAXPROCS workers

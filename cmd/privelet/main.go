@@ -327,8 +327,9 @@ func runOffline(loadPath, quePath, outPath string, workers int) {
 	defer qf.Close()
 	// Stream the workload: parse → execute → write overlap in chunks, so
 	// a million-query file never exists in memory whole. AnswerLines
-	// renders with 'g'/-1, which round-trips the exact float64, so piped
-	// answers stay bit-identical to the evaluator's.
+	// writes the bytes of strconv 'g'/-1, the shortest decimal that
+	// round-trips the exact float64, so piped answers stay bit-identical
+	// to the evaluator's.
 	aw := workload.NewAnswerLines(out)
 	src := workload.Stream(rel.Schema(), workload.NewLineSpecs(qf))
 	delivered, err := rel.CountStream(context.Background(), src, aw.WriteChunk, workers)

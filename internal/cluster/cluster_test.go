@@ -12,9 +12,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -328,6 +330,110 @@ func TestClusterPublishReplicatesAndServes(t *testing.T) {
 	}
 	if seen != 1 {
 		t.Fatalf("release appears %d times in merged list, want 1", seen)
+	}
+}
+
+// TestClusterRoutedWorkloadMaxBody: the router buffers a routed
+// workload under RouterConfig.MaxBody whether or not the client
+// declares its length. A body of exactly the limit is answered, as the
+// release's own node answers it; a byte more gets the 400 that names
+// the body read.
+func TestClusterRoutedWorkloadMaxBody(t *testing.T) {
+	tc := startCluster(t, 3, 2, 0)
+	id := clusterPublish(t, tc.router.URL, clusterParams, clusterCSV)["id"].(string)
+	wl := lineWorkload(64)
+	want := referenceAnswers(t, wl)
+	rt, err := NewRouter(RouterConfig{Ring: tc.ring, Health: tc.health, MaxBody: int64(len(wl))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(rt.Handler())
+	defer ts.Close()
+	for _, declared := range []bool{true, false} {
+		post := func(body string) *http.Response {
+			t.Helper()
+			var r io.Reader = strings.NewReader(body)
+			if !declared {
+				r = struct{ io.Reader }{r} // length unknown: sent chunked
+			}
+			req, err := http.NewRequest(http.MethodPost, ts.URL+"/releases/"+id+"/query", r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Header.Set("Content-Type", "text/plain")
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := resp.Request.ContentLength; (got > 0) != declared {
+				t.Fatalf("declared=%v: request Content-Length %d", declared, got)
+			}
+			return resp
+		}
+		resp := post(wl)
+		answers, trailer, err := workload.ReadAnswerLines(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || err != nil || trailer.Status != workload.StatusOK {
+			t.Fatalf("declared=%v: workload at the limit: status %d, err %v, trailer %+v", declared, resp.StatusCode, err, trailer)
+		}
+		if len(answers) != len(want) {
+			t.Fatalf("declared=%v: %d answers, want %d", declared, len(answers), len(want))
+		}
+		for i := range want {
+			if answers[i] != want[i] {
+				t.Fatalf("declared=%v: answer %d = %v, want %v", declared, i, answers[i], want[i])
+			}
+		}
+
+		resp = post(wl + "\n")
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), `"reading request body: `) {
+			t.Fatalf("declared=%v: workload over the limit: status %d, body %s", declared, resp.StatusCode, raw)
+		}
+	}
+}
+
+// TestClusterRoutedWorkloadDeclaredNotSent: a client that declares a
+// workload of MaxBody bytes and sends none gets the 400 that names the
+// body read, and the router allocates far less than the declared
+// length on its behalf: a declared length sizes the body buffer only as
+// bytes arrive.
+func TestClusterRoutedWorkloadDeclaredNotSent(t *testing.T) {
+	tc := startCluster(t, 3, 2, 0)
+	const maxBody = 64 << 20
+	rt, err := NewRouter(RouterConfig{Ring: tc.ring, Health: tc.health, MaxBody: maxBody})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(rt.Handler())
+	defer ts.Close()
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fmt.Fprintf(conn, "POST /releases/alice%%2F1/query HTTP/1.1\r\nHost: router\r\n"+
+		"Content-Type: text/plain\r\nContent-Length: %d\r\n\r\n", maxBody)
+	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	runtime.ReadMemStats(&after)
+
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), `"reading request body: unexpected EOF"`) {
+		t.Fatalf("declared %d bytes, sent none: status %d, body %s", maxBody, resp.StatusCode, raw)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > maxBody/16 {
+		t.Fatalf("declared %d bytes, sent none: the process allocated %d bytes meanwhile", maxBody, got)
 	}
 }
 

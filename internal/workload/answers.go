@@ -7,11 +7,14 @@
 // a status — a response without a well-formed trailer IS truncated, by
 // definition, and ReadAnswerLines says so.
 //
-// The format mirrors the workload format: one answer per line
-// (strconv 'g'/-1, which round-trips the exact float64), terminated by
-// a '#'-prefixed trailer line ("# answers=40000 status=ok") that
+// The format mirrors the workload format: one answer per line, in the
+// bytes strconv.AppendFloat(v, 'g', -1, 64) writes (the shortest
+// decimal that round-trips the exact float64), terminated by a
+// '#'-prefixed trailer line ("# answers=40000 status=ok") that
 // line-oriented consumers can skip as a comment — written by
-// AnswerLines, read by ReadAnswerLines.
+// AnswerLines, read by ReadAnswerLines. AnswerLines renders each answer
+// with appendShortest (ftoa.go), a Schubfach kernel held byte-identical
+// to strconv.
 
 package workload
 
@@ -57,7 +60,9 @@ const trailerPrefix = "# answers="
 
 // maxAnswerLine is the longest line AnswerLines writes for one answer:
 // the longest 'g'/-1 float64 rendering ("-2.2250738585072014e-308",
-// 24 bytes) and its newline.
+// 24 bytes) and its newline, so that WriteChunk's one slices.Grow
+// covers its chunk. TestAppendShortestMatchesStrconv holds every
+// rendering to that bound.
 const maxAnswerLine = 25
 
 // AnswerLines writes the answer format chunk by chunk, as
@@ -83,7 +88,7 @@ func NewAnswerLines(w io.Writer) *AnswerLines {
 func (a *AnswerLines) WriteChunk(answers []float64) error {
 	b := slices.Grow(a.buf[:0], maxAnswerLine*len(answers))
 	for _, v := range answers {
-		b = append(strconv.AppendFloat(b, v, 'g', -1, 64), '\n')
+		b = append(appendShortest(b, v), '\n')
 	}
 	a.buf = b
 	_, err := a.w.Write(b)

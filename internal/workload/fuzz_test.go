@@ -8,8 +8,9 @@ package workload
 // an accepted workload re-emitted by WriteQueries reads back through
 // the line reader with identical canonical specs, and an accepted answer
 // stream re-emitted by AnswerLines reads back bit-identically with the
-// same trailer. Seed corpora live under testdata/fuzz/; CI runs a short
-// -fuzz smoke on top of them.
+// same trailer. A third target holds the answer writer's float
+// rendering to strconv's, byte for byte. Seed corpora live under
+// testdata/fuzz/; CI runs a short -fuzz smoke on top of them.
 
 import (
 	"bytes"
@@ -93,8 +94,9 @@ func FuzzReadAnswerLines(f *testing.F) {
 			return
 		}
 		// Accepted stream round-trips bit-identically: the line writer
-		// formats with strconv 'g'/-1 exactly so that every float64 —
-		// NaN, infinities, signed zero included — survives re-reading.
+		// renders the bytes of strconv 'g'/-1 (appendShortest), so every
+		// float64 — NaN, infinities, signed zero included — survives
+		// re-reading.
 		var buf bytes.Buffer
 		w := NewAnswerLines(&buf)
 		if err := w.WriteChunk(answers); err != nil {
@@ -119,5 +121,17 @@ func FuzzReadAnswerLines(f *testing.F) {
 		if tr2 != tr {
 			t.Fatalf("trailer %+v round-tripped to %+v", tr, tr2)
 		}
+	})
+}
+
+// FuzzAppendShortest holds appendShortest to strconv.AppendFloat(nil,
+// v, 'g', -1, 64), byte for byte, over arbitrary bit patterns.
+func FuzzAppendShortest(f *testing.F) {
+	for _, v := range shortestSeeds() {
+		f.Add(math.Float64bits(v))
+		f.Add(math.Float64bits(math.Nextafter(v, 0)))
+	}
+	f.Fuzz(func(t *testing.T, bits uint64) {
+		(&shortestChecker{t: t}).check(math.Float64frombits(bits))
 	})
 }
