@@ -19,7 +19,7 @@
 // each (sensitivity 2 in the paper's Definition 2 sense). With the HN
 // transform's generalized sensitivity ρ = ∏_{A∉SA} P(A) per unit entry
 // change, noise magnitude λ/W_HN(c) yields (2ρ/λ)-differential privacy
-// (Lemma 1 + Theorem 2); PublishMatrix therefore sets λ = 2ρ/ε.
+// (Lemma 1 + Theorem 2); NewPlan therefore sets λ = 2ρ/ε.
 //
 // Execution model. The Figure-5 sub-matrices are mutually independent, so
 // PublishMatrix fans them across a worker pool of Options.Parallelism
@@ -46,7 +46,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"repro/internal/dataset"
 	"repro/internal/matrix"
@@ -78,27 +77,114 @@ type Options struct {
 // shared matrix.ResolveWorkers default).
 func (o Options) workers() int { return matrix.ResolveWorkers(o.Parallelism) }
 
-// Result is a published noisy frequency matrix together with its privacy
-// accounting.
+// Result is a mechanism's output: the noisy matrix M* and the privacy
+// accounting a release carries.
 type Result struct {
 	// Noisy is M*, shaped exactly like the input frequency matrix.
 	Noisy *matrix.Matrix
-	// Lambda is the base noise parameter λ = 2ρ/ε.
-	Lambda float64
-	// Rho is the generalized sensitivity of the transform used
-	// (∏_{A∉SA} P(A); 1 when SA covers every attribute).
-	Rho float64
-	// Epsilon echoes the requested budget.
+	// Epsilon echoes the privacy budget spent.
 	Epsilon float64
-	// VarianceBound is Corollary 1's worst-case noise variance for any
-	// range-count query answered from Noisy.
+	// Rho is the sensitivity the noise is calibrated to.
+	Rho float64
+	// Lambda is the base Laplace magnitude, 2ρ/ε.
+	Lambda float64
+	// VarianceBound is the mechanism's analytic worst-case noise variance
+	// for any range-count query answered from Noisy.
 	VarianceBound float64
-	// SubMatrices is the number of sub-matrices processed (∏_{A∈SA}|A|).
-	SubMatrices int
 }
 
-// PublishMatrix runs Privelet+ directly on a frequency matrix. The input
-// matrix is not modified.
+// Plan is Figure 5 worked out for one (schema, ε, SA) before any data
+// is read: which attributes get per-entry noise and which the HN
+// transform, and the noise scale that makes the release
+// ε-differentially private. NewPlan is the one place SA, ρ and λ are
+// decided: PublishMatrix runs a plan, the exact-variance analyzer reads
+// one, and the mechanisms' pre-ingest checks build one.
+type Plan struct {
+	// Epsilon is the privacy budget.
+	Epsilon float64
+	// SA and Rest are the attribute indices in SA and outside it,
+	// ascending.
+	SA, Rest []int
+	// SASizes holds the domain sizes of SA's attributes, in SA's order;
+	// SubMatrices, their product, is the number of Figure-5 sub-matrices.
+	SASizes     []int
+	SubMatrices int
+	// HN is the transform over Rest's attributes and Weights its
+	// per-dimension weight vectors (HN.WeightVector). Both are nil when
+	// SA covers every attribute: the Basic mechanism.
+	HN      *transform.HN
+	Weights [][]float64
+	// Rho is HN's generalized sensitivity ∏_{A∉SA} P(A), 1 without a
+	// transform, and Lambda the base noise magnitude λ = 2ρ/ε.
+	Rho, Lambda float64
+	// VarianceBound is Corollary 1's worst-case noise variance for any
+	// range-count query answered from the release (Dwork et al.'s bound
+	// for Basic).
+	VarianceBound float64
+}
+
+// NewPlan resolves sa against schema and derives ρ, λ and the variance
+// bound at epsilon. It refuses an SA name the schema lacks or lists
+// twice, an ε that is not positive and finite, and an ε so small that λ
+// is not finite.
+func NewPlan(schema *dataset.Schema, epsilon float64, sa []string) (*Plan, error) {
+	if err := privacy.CheckEpsilon(epsilon); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	inSA := make([]bool, schema.NumAttrs())
+	for _, name := range sa {
+		i, err := schema.Index(name)
+		if err != nil {
+			return nil, err
+		}
+		if inSA[i] {
+			return nil, fmt.Errorf("core: attribute %q listed twice in SA", name)
+		}
+		inSA[i] = true
+	}
+	p := &Plan{Epsilon: epsilon, SubMatrices: 1, Rho: 1}
+	var restSpecs []transform.Spec
+	for i, spec := range schema.Specs() {
+		if !inSA[i] {
+			p.Rest = append(p.Rest, i)
+			restSpecs = append(restSpecs, spec)
+			continue
+		}
+		size := schema.Attr(i).Size
+		p.SA = append(p.SA, i)
+		p.SASizes = append(p.SASizes, size)
+		p.SubMatrices *= size
+	}
+	var err error
+	if len(restSpecs) > 0 {
+		if p.HN, err = transform.New(restSpecs...); err != nil {
+			return nil, err
+		}
+		p.Rho = p.HN.GeneralizedSensitivity()
+		p.Weights = make([][]float64, p.HN.NumDims())
+		for i := range p.Weights {
+			p.Weights[i] = p.HN.WeightVector(i)
+		}
+	}
+	if p.Lambda, err = privacy.Lambda(epsilon, p.Rho); err != nil {
+		return nil, err
+	}
+	if p.HN == nil {
+		p.VarianceBound = privacy.BasicVarianceBound(epsilon, schema.DomainSize())
+	} else if p.VarianceBound, err = privacy.PriveletPlusVarianceBound(epsilon, p.SASizes, restSpecs); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// result wraps M* with the plan's accounting.
+func (p *Plan) result(noisy *matrix.Matrix) *Result {
+	return &Result{Noisy: noisy, Epsilon: p.Epsilon, Rho: p.Rho, Lambda: p.Lambda, VarianceBound: p.VarianceBound}
+}
+
+// PublishMatrix runs Privelet+ directly on a frequency matrix: it builds
+// the Plan for (schema, opts.Epsilon, opts.SA) and runs it on m. The
+// input matrix is not modified.
 //
 // Cancelling ctx aborts the publish: workers observe the cancellation at
 // sub-matrix boundaries, between 64Ki-entry noise chunks, and between
@@ -110,15 +196,12 @@ type Result struct {
 // layer can therefore tie a publish to the client's request context and
 // reclaim the workers the moment the client disconnects.
 func PublishMatrix(ctx context.Context, m *matrix.Matrix, schema *dataset.Schema, opts Options) (*Result, error) {
-	if err := privacy.CheckEpsilon(opts.Epsilon); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+	plan, err := NewPlan(schema, opts.Epsilon, opts.SA)
+	if err != nil {
+		return nil, err
 	}
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	saIdx, restIdx, err := partition(schema, opts.SA)
-	if err != nil {
-		return nil, err
 	}
 	got, want := m.Dims(), schema.Dims()
 	if len(got) != len(want) {
@@ -133,51 +216,14 @@ func PublishMatrix(ctx context.Context, m *matrix.Matrix, schema *dataset.Schema
 	// per-entry noise with sensitivity 2). The noise pass itself fans out
 	// over fixed chunks keyed to substreams of the seed, so this path is
 	// parallel too — and still bit-identical at any worker count.
-	if len(restIdx) == 0 {
-		lambda, err := privacy.Lambda(opts.Epsilon, 1)
-		if err != nil {
-			return nil, err
-		}
+	if plan.HN == nil {
 		noisy := m.Clone()
-		if err := privacy.InjectLaplaceUniformCtx(ctx, noisy, lambda, opts.Seed, opts.workers()); err != nil {
+		if err := privacy.InjectLaplaceUniformCtx(ctx, noisy, plan.Lambda, opts.Seed, opts.workers()); err != nil {
 			return nil, err
 		}
-		return &Result{
-			Noisy:         noisy,
-			Lambda:        lambda,
-			Rho:           1,
-			Epsilon:       opts.Epsilon,
-			VarianceBound: privacy.BasicVarianceBound(opts.Epsilon, schema.DomainSize()),
-			SubMatrices:   m.Len(),
-		}, nil
+		return plan.result(noisy), nil
 	}
-
-	// Build the HN transform over the non-SA dimensions.
-	allSpecs := schema.Specs()
-	restSpecs := make([]transform.Spec, len(restIdx))
-	for i, ri := range restIdx {
-		restSpecs[i] = allSpecs[ri]
-	}
-	hn, err := transform.New(restSpecs...)
-	if err != nil {
-		return nil, err
-	}
-	rho := hn.GeneralizedSensitivity()
-	lambda, err := privacy.Lambda(opts.Epsilon, rho)
-	if err != nil {
-		return nil, err
-	}
-	weightVecs := make([][]float64, hn.NumDims())
-	for i := range weightVecs {
-		weightVecs[i] = hn.WeightVector(i)
-	}
-
-	saSizes := make([]int, len(saIdx))
-	subCount := 1
-	for i, si := range saIdx {
-		saSizes[i] = schema.Attr(si).Size
-		subCount *= saSizes[i]
-	}
+	hn, saIdx, saSizes, subCount := plan.HN, plan.SA, plan.SASizes, plan.SubMatrices
 
 	// Every entry of M belongs to exactly one SA sub-matrix and every
 	// sub-matrix is fully rewritten, so workers assemble M* directly into
@@ -258,7 +304,7 @@ func PublishMatrix(ctx context.Context, m *matrix.Matrix, schema *dataset.Schema
 		// chunk, fanning the noise across this worker's inner budget.
 		// Equal seeds therefore give bit-identical releases at any
 		// parallelism level.
-		if err := privacy.InjectLaplaceCtx(ctx, c, weightVecs, lambda,
+		if err := privacy.InjectLaplaceCtx(ctx, c, plan.Weights, plan.Lambda,
 			rng.SubstreamSeed(opts.Seed, uint64(idx)), wk.ex.Workers); err != nil {
 			return err
 		}
@@ -272,42 +318,7 @@ func PublishMatrix(ctx context.Context, m *matrix.Matrix, schema *dataset.Schema
 	if err != nil {
 		return nil, err
 	}
-	bound, err := privacy.PriveletPlusVarianceBound(opts.Epsilon, saSizes, restSpecs)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Noisy:         noisy,
-		Lambda:        lambda,
-		Rho:           rho,
-		Epsilon:       opts.Epsilon,
-		VarianceBound: bound,
-		SubMatrices:   subCount,
-	}, nil
-}
-
-// partition resolves the SA names into sorted attribute indices and
-// returns (SA indices, remaining indices).
-func partition(schema *dataset.Schema, sa []string) (saIdx, restIdx []int, err error) {
-	seen := make(map[int]bool, len(sa))
-	for _, name := range sa {
-		i, err := schema.Index(name)
-		if err != nil {
-			return nil, nil, err
-		}
-		if seen[i] {
-			return nil, nil, fmt.Errorf("core: attribute %q listed twice in SA", name)
-		}
-		seen[i] = true
-		saIdx = append(saIdx, i)
-	}
-	sort.Ints(saIdx)
-	for i := 0; i < schema.NumAttrs(); i++ {
-		if !seen[i] {
-			restIdx = append(restIdx, i)
-		}
-	}
-	return saIdx, restIdx, nil
+	return plan.result(noisy), nil
 }
 
 // RecommendSA returns the attribute names Corollary 1 suggests placing in

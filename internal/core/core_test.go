@@ -52,8 +52,12 @@ func TestPublishShapeAndAccounting(t *testing.T) {
 		t.Errorf("Lambda = %v, want 2·21/1 = 42", res.Lambda)
 	}
 	// Sub-matrices: |Age|·|Gender| = 64·2 = 128.
-	if res.SubMatrices != 128 {
-		t.Errorf("SubMatrices = %d, want 128", res.SubMatrices)
+	plan, err := NewPlan(tbl.Schema(), 1, []string{"Age", "Gender"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.SubMatrices != 128 {
+		t.Errorf("SubMatrices = %d, want 128", plan.SubMatrices)
 	}
 	if res.Epsilon != 1 {
 		t.Errorf("Epsilon echo = %v", res.Epsilon)
@@ -330,7 +334,11 @@ func TestPriveletNoSA1D(t *testing.T) {
 	if res.Rho != 5 || res.Lambda != 5 {
 		t.Errorf("rho, lambda = %v, %v; want 5, 5", res.Rho, res.Lambda)
 	}
-	if res.SubMatrices != 1 {
-		t.Errorf("SubMatrices = %d, want 1", res.SubMatrices)
+	plan, err := NewPlan(s, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.SubMatrices != 1 {
+		t.Errorf("SubMatrices = %d, want 1", plan.SubMatrices)
 	}
 }

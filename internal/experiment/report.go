@@ -6,9 +6,9 @@ import (
 	"math"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/privacy"
-	"repro/internal/transform"
 )
 
 // WriteAccuracy renders an accuracy figure as aligned text, one block per
@@ -156,7 +156,6 @@ func SummarizeBounds(w io.Writer, schema *dataset.Schema, eps float64) error {
 	if d > 16 {
 		return fmt.Errorf("experiment: too many attributes (%d) for exhaustive SA sweep", d)
 	}
-	specs := schema.Specs()
 	if _, err := fmt.Fprintf(w, "Corollary 1 bounds by SA choice (ε=%g)\n", eps); err != nil {
 		return err
 	}
@@ -167,27 +166,22 @@ func SummarizeBounds(w io.Writer, schema *dataset.Schema, eps float64) error {
 	var best entry
 	best.bound = math.Inf(1)
 	for mask := 0; mask < 1<<d; mask++ {
-		var saSizes []int
-		var rest []transform.Spec
 		var names []string
 		for i := 0; i < d; i++ {
 			if mask&(1<<i) != 0 {
-				saSizes = append(saSizes, schema.Attr(i).Size)
 				names = append(names, schema.Attr(i).Name)
-			} else {
-				rest = append(rest, specs[i])
 			}
 		}
-		bound, err := privacy.PriveletPlusVarianceBound(eps, saSizes, rest)
+		plan, err := core.NewPlan(schema, eps, names)
 		if err != nil {
 			return err
 		}
 		label := "{" + strings.Join(names, ",") + "}"
-		if _, err := fmt.Fprintf(w, "  SA=%-40s bound %12.4g\n", label, bound); err != nil {
+		if _, err := fmt.Fprintf(w, "  SA=%-40s bound %12.4g\n", label, plan.VarianceBound); err != nil {
 			return err
 		}
-		if bound < best.bound {
-			best = entry{names: label, bound: bound}
+		if plan.VarianceBound < best.bound {
+			best = entry{names: label, bound: plan.VarianceBound}
 		}
 	}
 	_, err := fmt.Fprintf(w, "  best: SA=%s (bound %.4g)\n\n", best.names, best.bound)

@@ -6,10 +6,12 @@
 //
 // The mechanism materializes a complete binary interval tree over a
 // one-dimensional frequency vector (padded to a power of two), publishes
-// every node count with Laplace noise of magnitude h/ε — a tuple change
+// every node count with Laplace noise of magnitude 2h/ε — a tuple change
 // touches one node per level, so the tree's sensitivity is the height
-// h = log₂(m)+1 — and then post-processes the noisy tree into the
-// minimum-L2 consistent tree with the standard two-pass closed form:
+// h = log₂(m)+1, and privacy.Lambda calibrates it as λ = 2ρ/ε at ρ = h
+// like every mechanism here — and then post-processes the noisy tree
+// into the minimum-L2 consistent tree with the standard two-pass closed
+// form:
 //
 //	upward:  z[v] = (f^l − f^(l−1))/(f^l − 1) · y[v]
 //	               + (f^(l−1) − 1)/(f^l − 1) · Σ z[children]
@@ -41,7 +43,8 @@ type Result struct {
 	Histogram []float64
 	// Epsilon echoes the privacy budget.
 	Epsilon float64
-	// Magnitude is the per-node Laplace magnitude h/ε.
+	// Magnitude is the per-node Laplace magnitude 2h/ε, privacy.Lambda
+	// at ρ = Height.
 	Magnitude float64
 	// Height is the tree height log₂(m)+1 on the padded domain.
 	Height int

@@ -378,7 +378,9 @@ func TestLedgerStatsCounters(t *testing.T) {
 // is not positive and finite, or is so small that λ = 2ρ/ε is not
 // finite, is a 400 on both publish endpoints. No release is stored and
 // no budget is spent; an infinite ε used to store a release with λ = 0,
-// the exact counts, and a subnormal one a release with λ = +Inf.
+// the exact counts, and a subnormal one a release with λ = +Inf. Each
+// is refused before ingest, so the ledger sees none of them: an ε whose
+// λ overflowed used to be charged, published, and refunded.
 func TestPublishRefusesNonFiniteEpsilon(t *testing.T) {
 	ts := startBudgetServer(t, 1)
 	for _, tc := range []struct{ eps, rule string }{
@@ -388,6 +390,7 @@ func TestPublishRefusesNonFiniteEpsilon(t *testing.T) {
 		{"Infinity", "positive and finite"},
 		{"5e-324", "too small"},
 		{"1e-310", "too small"},
+		{"1e-308", "too small"},
 	} {
 		params := "schema=" + testSchema + "&epsilon=" + tc.eps
 		for _, url := range []string{ts.URL + "/publish?" + params, ts.URL + "/tenants/carol/publish?" + params} {
@@ -414,5 +417,20 @@ func TestPublishRefusesNonFiniteEpsilon(t *testing.T) {
 	}
 	if bv := fetchBudget(t, ts, "carol"); bv.Spent != 0 || bv.Epoch != 0 {
 		t.Fatalf("refused publishes touched the budget: %+v", bv)
+	}
+	resp, err = http.Get(ts.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st struct {
+		Ledger ledger.Stats `json:"ledger"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Ledger.Charges != 0 || st.Ledger.Refunds != 0 || st.Ledger.Tenants != 0 {
+		t.Fatalf("ledger stats = %+v, want no charge, no refund, no tenant", st.Ledger)
 	}
 }

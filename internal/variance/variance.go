@@ -38,10 +38,10 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/haar"
 	"repro/internal/hierarchy"
-	"repro/internal/privacy"
 	"repro/internal/query"
 	"repro/internal/transform"
 )
@@ -49,76 +49,32 @@ import (
 // Analyzer computes exact query-noise variances for one (schema, ε, SA)
 // publishing configuration. It is immutable and safe for concurrent use.
 type Analyzer struct {
-	schema  *dataset.Schema
-	epsilon float64
-	saIdx   map[int]bool
-	lambda  float64
-	// per non-SA dimension machinery, indexed by attribute position.
+	schema *dataset.Schema
+	lambda float64
+	// per non-SA dimension machinery, indexed by attribute position; an
+	// attribute without an entry is in SA.
 	dims map[int]*dimAnalyzer
 }
 
 type dimAnalyzer struct {
 	kind    transform.Kind
-	size    int // original domain size
 	padded  int
 	weights []float64
 	hier    *hierarchy.Hierarchy
 }
 
 // NewAnalyzer builds an analyzer for the release Publish would produce
-// with the same schema, epsilon and SA.
+// with the same schema, epsilon and SA. It reads SA, λ and the weight
+// vectors from the publish's own core.Plan.
 func NewAnalyzer(schema *dataset.Schema, epsilon float64, sa []string) (*Analyzer, error) {
-	if err := privacy.CheckEpsilon(epsilon); err != nil {
-		return nil, fmt.Errorf("variance: %w", err)
-	}
-	a := &Analyzer{
-		schema:  schema,
-		epsilon: epsilon,
-		saIdx:   make(map[int]bool, len(sa)),
-		dims:    make(map[int]*dimAnalyzer),
-	}
-	for _, name := range sa {
-		i, err := schema.Index(name)
-		if err != nil {
-			return nil, err
-		}
-		if a.saIdx[i] {
-			return nil, fmt.Errorf("variance: attribute %q listed twice in SA", name)
-		}
-		a.saIdx[i] = true
-	}
-
-	specs := schema.Specs()
-	var restSpecs []transform.Spec
-	for i := 0; i < schema.NumAttrs(); i++ {
-		if a.saIdx[i] {
-			continue
-		}
-		restSpecs = append(restSpecs, specs[i])
-	}
-	if len(restSpecs) == 0 {
-		// Basic mechanism: λ = 2/ε, every covered cell contributes 2λ².
-		var err error
-		if a.lambda, err = privacy.Lambda(epsilon, 1); err != nil {
-			return nil, err
-		}
-		return a, nil
-	}
-	hn, err := transform.New(restSpecs...)
+	plan, err := core.NewPlan(schema, epsilon, sa)
 	if err != nil {
 		return nil, err
 	}
-	if a.lambda, err = privacy.Lambda(epsilon, hn.GeneralizedSensitivity()); err != nil {
-		return nil, err
-	}
-
-	j := 0
-	for i := 0; i < schema.NumAttrs(); i++ {
-		if a.saIdx[i] {
-			continue
-		}
+	a := &Analyzer{schema: schema, lambda: plan.Lambda, dims: make(map[int]*dimAnalyzer, len(plan.Rest))}
+	for j, i := range plan.Rest {
 		attr := schema.Attr(i)
-		da := &dimAnalyzer{size: attr.Size, weights: hn.WeightVector(j)}
+		da := &dimAnalyzer{weights: plan.Weights[j]}
 		if attr.Kind == dataset.Ordinal {
 			da.kind = transform.KindOrdinal
 			da.padded = haar.NextPowerOfTwo(attr.Size)
@@ -128,7 +84,6 @@ func NewAnalyzer(schema *dataset.Schema, epsilon float64, sa []string) (*Analyze
 			da.hier = attr.Hier
 		}
 		a.dims[i] = da
-		j++
 	}
 	return a, nil
 }
@@ -143,11 +98,11 @@ func (a *Analyzer) QueryVariance(q query.Query) (float64, error) {
 	covered := 1.0
 	product := 1.0
 	for i := 0; i < a.schema.NumAttrs(); i++ {
-		if a.saIdx[i] {
+		da, ok := a.dims[i]
+		if !ok {
 			covered *= float64(hi[i] - lo[i] + 1)
 			continue
 		}
-		da := a.dims[i]
 		var sum float64
 		switch da.kind {
 		case transform.KindOrdinal:

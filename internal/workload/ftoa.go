@@ -21,7 +21,6 @@ import (
 	"math/big"
 	"math/bits"
 	"strconv"
-	"sync"
 )
 
 // kMin and kMax bound the decimal exponent k Schubfach picks for a
@@ -32,12 +31,12 @@ const (
 	kMax = 292
 )
 
-// pow10s returns the table of powers of ten Schubfach multiplies by,
-// built once per process on first use. Entry k-kMin holds the g with
-// (g−1)·2^r ≤ 10^−k < g·2^r, r = flog2pow10(−k) − 125, so that
-// 2^125 < g < 2^126, split as g = e[0]·2^63 + e[1].
-var pow10s = sync.OnceValue(func() *[kMax - kMin + 1][2]uint64 {
-	var tab [kMax - kMin + 1][2]uint64
+// pow10s is the table of powers of ten Schubfach multiplies by, built
+// once at package initialisation, so an answer indexes it without a
+// call. Entry k-kMin holds the g with (g−1)·2^r ≤ 10^−k < g·2^r,
+// r = flog2pow10(−k) − 125, so that 2^125 < g < 2^126, split as
+// g = e[0]·2^63 + e[1].
+var pow10s = func() (tab [kMax - kMin + 1][2]uint64) {
 	low63 := new(big.Int).SetUint64(1<<63 - 1)
 	for k := kMin; k <= kMax; k++ {
 		// g = floor(10^−k / 2^r) + 1 = floor(num/den) + 1.
@@ -55,8 +54,8 @@ var pow10s = sync.OnceValue(func() *[kMax - kMin + 1][2]uint64 {
 		g := num.Add(num.Quo(num, den), big.NewInt(1))
 		tab[k-kMin] = [2]uint64{new(big.Int).Rsh(g, 63).Uint64(), g.And(g, low63).Uint64()}
 	}
-	return &tab
-})
+	return tab
+}()
 
 // flog10pow2 is floor(log10(2^e)), flog10threeQuartersPow2 is
 // floor(log10(3/4·2^e)), and flog2pow10 is floor(log2(10^e)), each
@@ -114,7 +113,7 @@ func schubfach(c uint64, q int) (f uint64, e int) {
 		k = flog10threeQuartersPow2(q)
 	}
 	h := q + flog2pow10(-k) + 2
-	g := &pow10s()[k-kMin]
+	g := &pow10s[k-kMin]
 	// vb, vbl and vbr are 4·10^−k times v and its interval's ends; an
 	// excluded end is moved inward by one.
 	vb := rop(g[0], g[1], cb<<h)

@@ -132,7 +132,7 @@ func TestPow10Table(t *testing.T) {
 	lt := func(a, b, c, d *big.Int) bool { return new(big.Int).Mul(a, d).Cmp(new(big.Int).Mul(c, b)) < 0 }
 	mul := func(x, y *big.Int) *big.Int { return new(big.Int).Mul(x, y) }
 
-	tab := pow10s()
+	tab := &pow10s
 	lo, hi := shift(big.NewInt(1), 125), shift(big.NewInt(1), 126)
 	for k := kMin; k <= kMax; k++ {
 		e := tab[k-kMin]

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"unicode"
 
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/hay"
 	"repro/internal/matrix"
@@ -78,23 +79,15 @@ func TableFrequency(t *Table) (*Frequency, error) {
 	return &Frequency{Schema: t.Schema(), M: m}, nil
 }
 
-// Result is a mechanism's raw output: the noisy matrix plus the privacy
-// accounting a release carries. PublishWith wraps it into a queryable
-// Release; serving layers that persist releases consume it directly.
-type Result struct {
-	// Noisy is M*, shaped exactly like the input frequency matrix.
-	Noisy *Matrix
-	// Epsilon echoes the privacy budget spent.
-	Epsilon float64
-	// Rho is the generalized sensitivity of the mechanism's function set
-	// (1 for Basic).
-	Rho float64
-	// Lambda is the base Laplace parameter.
-	Lambda float64
-	// VarianceBound is the mechanism's analytic worst-case noise variance
-	// for any range-count query answered from Noisy.
-	VarianceBound float64
-}
+// Result is a mechanism's raw output: the noisy matrix M* plus the
+// privacy accounting a release carries (Noisy, Epsilon, Rho, Lambda,
+// VarianceBound). PublishWith wraps it into a queryable Release; serving
+// layers that persist releases consume it directly. The Figure-5
+// mechanisms fill it from their core.Plan: Rho is the transform's
+// generalized sensitivity (1 for "basic") and Lambda = 2ρ/ε. For "hay",
+// Rho is the tree height h and Lambda its per-node Laplace magnitude
+// 2h/ε.
+type Result = core.Result
 
 // Mechanism is one ε-differentially-private publishing algorithm: it
 // maps an exact frequency matrix to a noisy one plus accounting. All
@@ -118,8 +111,9 @@ type Mechanism interface {
 // check (schema, Params) compatibility without any data. Streaming
 // front ends call it before ingest, so a request that the mechanism
 // would reject anyway (SA on a transform-free mechanism, a
-// multi-attribute schema on "hay", a non-positive ε) fails before the
-// whole input is read rather than after. All built-ins implement it.
+// multi-attribute schema on "hay", a non-positive ε, or on the Figure-5
+// mechanisms one so small that λ is not finite) fails before the whole
+// input is read rather than after. All built-ins implement it.
 type ParamsValidator interface {
 	ValidateParams(schema *Schema, p Params) error
 }
@@ -201,9 +195,9 @@ func mustRegister(m Mechanism) {
 }
 
 func init() {
-	mustRegister(priveletPlusMech{})
-	mustRegister(priveletMech{})
-	mustRegister(basicMech{})
+	mustRegister(engineMech{name: "privelet+"})
+	mustRegister(engineMech{name: "privelet", noSA: `transforms every attribute (use "privelet+")`})
+	mustRegister(engineMech{name: "basic", allSA: true, noSA: "noises every entry directly"})
 	mustRegister(hayMech{})
 }
 
@@ -247,135 +241,67 @@ func PublishWith(ctx context.Context, mechanism string, freq *Frequency, p Param
 		return nil, err
 	}
 	return &Release{
-		schema:  freq.Schema,
-		noisy:   noisy,
-		eval:    eval,
-		eps:     res.Epsilon,
-		rho:     res.Rho,
-		lambda:  res.Lambda,
-		bound:   res.VarianceBound,
-		machine: mech.Name(),
+		schema: freq.Schema,
+		noisy:  noisy,
+		eval:   eval,
+		meta: codec.Meta{
+			Mechanism: mech.Name(),
+			Epsilon:   res.Epsilon,
+			Rho:       res.Rho,
+			Lambda:    res.Lambda,
+			Bound:     res.VarianceBound,
+		},
 	}, nil
 }
 
-// fromCore converts a core engine result to the public Result.
-func fromCore(res *core.Result) *Result {
-	return &Result{
-		Noisy:         res.Noisy,
-		Epsilon:       res.Epsilon,
-		Rho:           res.Rho,
-		Lambda:        res.Lambda,
-		VarianceBound: res.VarianceBound,
-	}
+// engineMech is one of the paper's Figure-5 mechanisms, all of them
+// core.PublishMatrix at some SA: Privelet+ (§VI-B) at the caller's SA,
+// plain Privelet (§III) at SA = ∅, and Dwork et al.'s Basic mechanism
+// (§II-B) at SA = every attribute, where no transform is built and every
+// entry gets Laplace(2/ε) noise.
+type engineMech struct {
+	name string
+	// allSA publishes with every attribute in SA (Basic); otherwise the
+	// mechanism publishes with the caller's SA.
+	allSA bool
+	// noSA, when set, is why the mechanism refuses a caller's SA.
+	noSA string
 }
 
-// epsilonValid rejects a budget privacy.CheckEpsilon refuses, with the
-// mechanism named — the shared fast check of every built-in's
-// ValidateParams.
-func epsilonValid(name string, p Params) error {
-	if err := privacy.CheckEpsilon(p.Epsilon); err != nil {
-		return fmt.Errorf("privelet: mechanism %q: %w", name, err)
+func (m engineMech) Name() string { return m.name }
+
+// sa returns the SA the mechanism publishes p with.
+func (m engineMech) sa(schema *Schema, p Params) ([]string, error) {
+	switch {
+	case m.noSA == "":
+		return p.SA, nil
+	case len(p.SA) > 0:
+		return nil, fmt.Errorf("privelet: mechanism %q %s and takes no SA", m.name, m.noSA)
+	case m.allSA:
+		return schema.Names(), nil
 	}
-	return nil
+	return nil, nil
 }
 
-// noSA rejects a non-empty Params.SA for mechanisms without a
-// transform/SA split.
-func noSA(name, why string, p Params) error {
-	if len(p.SA) > 0 {
-		return fmt.Errorf("privelet: mechanism %q %s and takes no SA", name, why)
-	}
-	return nil
-}
-
-// priveletPlusMech is the paper's Figure-5 Privelet+ mechanism: wavelet
-// transform over the non-SA dimensions, per-entry noise over the SA ones.
-type priveletPlusMech struct{}
-
-func (priveletPlusMech) Name() string { return "privelet+" }
-
-func (m priveletPlusMech) ValidateParams(schema *Schema, p Params) error {
-	if err := epsilonValid(m.Name(), p); err != nil {
+// ValidateParams builds the publish's core.Plan, so it refuses exactly
+// the SA and ε the engine would refuse after ingest.
+func (m engineMech) ValidateParams(schema *Schema, p Params) error {
+	sa, err := m.sa(schema, p)
+	if err != nil {
 		return err
 	}
-	seen := make(map[string]bool, len(p.SA))
-	for _, name := range p.SA {
-		if _, err := schema.Index(name); err != nil {
-			return err
-		}
-		if seen[name] {
-			return fmt.Errorf("privelet: attribute %q listed twice in SA", name)
-		}
-		seen[name] = true
-	}
-	return nil
+	_, err = core.NewPlan(schema, p.Epsilon, sa)
+	return err
 }
 
-func (m priveletPlusMech) Publish(ctx context.Context, freq *Frequency, p Params) (*Result, error) {
-	if err := m.ValidateParams(freq.Schema, p); err != nil {
-		return nil, err
-	}
-	res, err := core.PublishMatrix(ctx, freq.M, freq.Schema, core.Options{
-		Epsilon: p.Epsilon, SA: p.SA, Seed: p.Seed, Parallelism: p.Parallelism,
-	})
+func (m engineMech) Publish(ctx context.Context, freq *Frequency, p Params) (*Result, error) {
+	sa, err := m.sa(freq.Schema, p)
 	if err != nil {
 		return nil, err
 	}
-	return fromCore(res), nil
-}
-
-// priveletMech is plain Privelet (§III): the wavelet transform over every
-// dimension, i.e. Privelet+ with SA pinned empty.
-type priveletMech struct{}
-
-func (priveletMech) Name() string { return "privelet" }
-
-func (m priveletMech) ValidateParams(_ *Schema, p Params) error {
-	if err := epsilonValid(m.Name(), p); err != nil {
-		return err
-	}
-	return noSA(m.Name(), `transforms every attribute (use "privelet+")`, p)
-}
-
-func (m priveletMech) Publish(ctx context.Context, freq *Frequency, p Params) (*Result, error) {
-	if err := m.ValidateParams(freq.Schema, p); err != nil {
-		return nil, err
-	}
-	res, err := core.PublishMatrix(ctx, freq.M, freq.Schema, core.Options{
-		Epsilon: p.Epsilon, Seed: p.Seed, Parallelism: p.Parallelism,
+	return core.PublishMatrix(ctx, freq.M, freq.Schema, core.Options{
+		Epsilon: p.Epsilon, SA: sa, Seed: p.Seed, Parallelism: p.Parallelism,
 	})
-	if err != nil {
-		return nil, err
-	}
-	return fromCore(res), nil
-}
-
-// basicMech is Dwork et al.'s Basic mechanism (§II-B): independent
-// Laplace(2/ε) noise per frequency-matrix entry. It is the Figure 5
-// algorithm with every attribute in SA, so it runs core.PublishMatrix
-// with SA = all attributes and no transform is ever built.
-type basicMech struct{}
-
-func (basicMech) Name() string { return "basic" }
-
-func (m basicMech) ValidateParams(_ *Schema, p Params) error {
-	if err := epsilonValid(m.Name(), p); err != nil {
-		return err
-	}
-	return noSA(m.Name(), "noises every entry directly", p)
-}
-
-func (m basicMech) Publish(ctx context.Context, freq *Frequency, p Params) (*Result, error) {
-	if err := m.ValidateParams(freq.Schema, p); err != nil {
-		return nil, err
-	}
-	res, err := core.PublishMatrix(ctx, freq.M, freq.Schema, core.Options{
-		Epsilon: p.Epsilon, SA: freq.Schema.Names(), Seed: p.Seed, Parallelism: p.Parallelism,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return fromCore(res), nil
 }
 
 // hayMech is Hay et al.'s hierarchical-consistency mechanism — the
@@ -389,13 +315,16 @@ type hayMech struct{}
 func (hayMech) Name() string { return "hay" }
 
 func (m hayMech) ValidateParams(schema *Schema, p Params) error {
-	if err := epsilonValid(m.Name(), p); err != nil {
-		return err
+	if err := privacy.CheckEpsilon(p.Epsilon); err != nil {
+		return fmt.Errorf("privelet: mechanism %q: %w", m.Name(), err)
 	}
 	if d := schema.NumAttrs(); d != 1 {
 		return fmt.Errorf(`privelet: mechanism "hay" is one-dimensional, schema has %d attributes`, d)
 	}
-	return noSA(m.Name(), "has no transform", p)
+	if len(p.SA) > 0 {
+		return fmt.Errorf(`privelet: mechanism "hay" has no transform and takes no SA`)
+	}
+	return nil
 }
 
 func (m hayMech) Publish(ctx context.Context, freq *Frequency, p Params) (*Result, error) {

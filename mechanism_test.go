@@ -219,6 +219,25 @@ func TestMechanismsRefuseNonFiniteEpsilon(t *testing.T) {
 	}
 }
 
+// TestValidateParamsRefusesOverflowingLambda: an ε that passes the
+// positive-and-finite test but makes λ = 2ρ/ε overflow is refused by the
+// pre-ingest check of every Figure-5 mechanism with the error the
+// engine's publish would give, so a front end refuses it before it
+// reads the input or charges a ledger.
+func TestValidateParamsRefusesOverflowingLambda(t *testing.T) {
+	schema := histSchema(t, 8)
+	for _, name := range []string{"privelet+", "privelet", "basic"} {
+		m, err := privelet.MechanismByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = privelet.ValidateParams(m, schema, privelet.Params{Epsilon: 1e-308})
+		if err == nil || !strings.Contains(err.Error(), "too small") {
+			t.Errorf("%s: ValidateParams(ε = 1e-308) = %v, want λ's too-small error", name, err)
+		}
+	}
+}
+
 // TestValidateParamsPreIngest: every built-in offers the data-free
 // pre-ingest check, and it agrees with Publish-time validation.
 func TestValidateParamsPreIngest(t *testing.T) {

@@ -21,13 +21,7 @@ import (
 // loading it costs no prefix-sum rebuild.
 func (r *Release) Save(w io.Writer) error {
 	return store.EncodeRelease(w, &codec.Payload{
-		Meta: codec.Meta{
-			Mechanism: r.machine,
-			Epsilon:   r.eps,
-			Rho:       r.rho,
-			Lambda:    r.lambda,
-			Bound:     r.bound,
-		},
+		Meta:   r.meta,
 		Schema: r.schema,
 		Noisy:  r.noisy,
 		Table:  r.eval.Prefix(),
@@ -52,14 +46,5 @@ func Load(rd io.Reader) (*Release, error) {
 	if p.Table == nil {
 		eval = query.NewEvaluatorWorkers(p.Noisy, 0) // 0 = all cores
 	}
-	return &Release{
-		schema:  p.Schema,
-		noisy:   p.Noisy,
-		eval:    eval,
-		eps:     p.Meta.Epsilon,
-		rho:     p.Meta.Rho,
-		lambda:  p.Meta.Lambda,
-		bound:   p.Meta.Bound,
-		machine: p.Meta.Mechanism,
-	}, nil
+	return &Release{schema: p.Schema, noisy: p.Noisy, eval: eval, meta: p.Meta}, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/hierarchy"
@@ -65,14 +66,11 @@ func BuildHierarchy(root *HierarchyNode) (*Hierarchy, error) { return hierarchy.
 // Release is a published noisy frequency matrix plus everything needed to
 // answer range-count queries against it.
 type Release struct {
-	schema  *Schema
-	noisy   *Matrix
-	eval    *query.Evaluator
-	eps     float64
-	rho     float64
-	lambda  float64
-	bound   float64
-	machine string
+	schema *Schema
+	noisy  *Matrix
+	eval   *query.Evaluator
+	// meta is the release's accounting as the codec header carries it.
+	meta codec.Meta
 }
 
 // RecommendSA returns the attributes Corollary 1 suggests excluding from
@@ -116,27 +114,27 @@ func (r *Release) Matrix() *Matrix { return r.noisy }
 func (r *Release) Schema() *Schema { return r.schema }
 
 // Epsilon returns the privacy budget spent.
-func (r *Release) Epsilon() float64 { return r.eps }
+func (r *Release) Epsilon() float64 { return r.meta.Epsilon }
 
 // Sensitivity returns the generalized sensitivity ρ of the transform the
 // release used (1 for Basic).
-func (r *Release) Sensitivity() float64 { return r.rho }
+func (r *Release) Sensitivity() float64 { return r.meta.Rho }
 
 // Lambda returns the base Laplace parameter λ = 2ρ/ε.
-func (r *Release) Lambda() float64 { return r.lambda }
+func (r *Release) Lambda() float64 { return r.meta.Lambda }
 
 // VarianceBound returns the analytic worst-case noise variance for any
 // range-count query answered from this release.
-func (r *Release) VarianceBound() float64 { return r.bound }
+func (r *Release) VarianceBound() float64 { return r.meta.Bound }
 
 // Mechanism names the publishing mechanism, as registered (one of
 // Mechanisms(), e.g. "privelet+", "privelet", "basic", "hay"). The name
 // travels with the release through Save/Load, the daemon's store, and
 // the /export endpoint.
-func (r *Release) Mechanism() string { return r.machine }
+func (r *Release) Mechanism() string { return r.meta.Mechanism }
 
 // String summarizes the release.
 func (r *Release) String() string {
 	return fmt.Sprintf("privelet.Release{mechanism=%s ε=%g ρ=%g λ=%g varBound=%.4g m=%d}",
-		r.machine, r.eps, r.rho, r.lambda, r.bound, r.noisy.Len())
+		r.meta.Mechanism, r.meta.Epsilon, r.meta.Rho, r.meta.Lambda, r.meta.Bound, r.noisy.Len())
 }
